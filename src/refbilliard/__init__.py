@@ -9,7 +9,7 @@ machinery, caustic envelopes, an independent ODE oracle, and a config-driven
 CLI emitting CSV/SVG artifacts.
 """
 
-from .arcs import ArcSegment, InnerConic, LCState, OuterConic
+from .arcs import ArcSegment, InnerConic, OuterConic
 from .boundary import BoundaryGeometry, PerturbationProfile, boundary
 from .caustics import (CausticCurve, circular_caustic_radii,
                        envelope_equations, perturbed_caustic, tangency_check)

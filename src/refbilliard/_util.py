@@ -1,4 +1,5 @@
-"""Small shared numerical helpers (angle wrapping, bracketed event location)."""
+"""Small shared numerical helpers (angle wrapping, event location by grid
+search or by a certified march)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ TWO_PI = 2.0 * math.pi
 
 def wrap_pi(x):
     """Wrap angle(s) to [-pi, pi)."""
+    if type(x) is float:
+        return (x + math.pi) % TWO_PI - math.pi
     w = np.mod(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi
     return w if np.ndim(w) else float(w)
 
@@ -56,6 +59,37 @@ def first_crossing(fun, grid, inside_sign: float, refine: int = 3):
                       a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     raise TangentialCrossing(
         "trajectory never separates from the boundary (tangential start)")
+
+
+def march_to_zero(fun, t: float, slope: float, bound: float, skip,
+                  t_end: float, max_steps: int = 200):
+    """First zero after ``t`` of a clearance that vanishes at ``t`` and
+    grows there with ``slope`` > 0.
+
+    ``fun(t)`` returns the clearance and its derivative; ``bound`` bounds
+    the second derivative wherever the clearance is positive.  Each step
+    goes as far as the lower bound g + g' d - bound d^2 / 2 stays positive,
+    so no zero is passed, however briefly the clearance dips; near a
+    transversal zero the steps become Newton steps.  ``skip(t)`` returns the
+    step's end, or a later parameter when the clearance is known to stay
+    positive up to there.  Returns the zero, or None when ``max_steps``
+    steps do not reach it or the march passes ``t_end``.
+    """
+    g, dg = 0.0, slope
+    for _ in range(max_steps):
+        root = math.sqrt(dg * dg + 2.0 * bound * g)
+        # the positive root of g + dg d - bound d^2/2, in a form free of
+        # cancellation for either sign of dg
+        d = (dg + root) / bound if dg >= 0.0 else 2.0 * g / (root - dg)
+        if d <= 4e-16 * (1.0 + abs(t)):
+            return t + d
+        t = skip(t + d)
+        if t > t_end:
+            return None
+        g, dg = fun(t)
+        if g <= 0.0:
+            return t
+    return None
 
 
 def extend_and_find(fun, t0, t1, n, inside_sign, max_doublings=6):

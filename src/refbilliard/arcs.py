@@ -18,7 +18,7 @@ from scipy.optimize import minimize_scalar
 
 from .params import PhysParams
 
-__all__ = ["OuterConic", "InnerConic", "LCState", "ArcSegment"]
+__all__ = ["OuterConic", "InnerConic", "ArcSegment"]
 
 
 @dataclass(frozen=True)
@@ -59,22 +59,6 @@ class InnerConic:
     pericenter_angle: float
     winding: int = 0
     is_collision: bool = False
-
-
-@dataclass(frozen=True)
-class LCState:
-    """State of the Levi-Civita oscillator w'' = Omega^2 w at parameter tau.
-
-    The conformal square root z = w^2 with time rescaling ds = 2|w|^2 dtau
-    turns the inner zero-energy flow into this linear system with conserved
-    E_lc = 1/2|w'|^2 - Omega^2/2 |w|^2 = mu.
-    """
-
-    w: complex
-    w_dot: complex
-    Omega_sq: float
-    E_lc: float
-    tau: float
 
 
 @dataclass
@@ -194,21 +178,6 @@ class ArcSegment:
         """(n, 2) array of positions at n uniform parameter values."""
         z = self.point(np.linspace(0.0, 1.0, int(n)))
         return np.column_stack([np.real(z), np.imag(z)])
-
-    def lc_states(self, n: int):
-        """List of :class:`LCState` samples (Levi-Civita chart arcs only)."""
-        if self.chart != "lc":
-            raise ValueError("lc_states is defined for chart='lc' arcs")
-        w0, wd0, Om, tau1 = self.par
-        out = []
-        for tau in np.linspace(0.0, tau1, int(n)):
-            w = w0 * math.cosh(Om * tau) + wd0 * math.sinh(Om * tau) / Om
-            wd = w0 * Om * math.sinh(Om * tau) + wd0 * math.cosh(Om * tau)
-            out.append(LCState(w=w, w_dot=wd, Omega_sq=Om * Om,
-                               E_lc=0.5 * abs(wd) ** 2 -
-                               0.5 * Om * Om * abs(w) ** 2,
-                               tau=tau))
-        return out
 
     def extremal_radius(self) -> Tuple[float, float]:
         """(radius, polar angle) of the arc's apocenter (outer) / pericenter (inner).

@@ -41,55 +41,111 @@ class PerturbationProfile:
                            tuple(float(c) for c in self.fourier_sin))
         if self.smoothness_k < 2:
             raise DomainError("smoothness_k must be >= 2")
-        total = sum(abs(c) for c in self.fourier_cos) + \
-            sum(abs(c) for c in self.fourier_sin)
-        if abs(self.epsilon) * total >= 1.0:
+        if not all(map(math.isfinite, (self.epsilon,) + self.fourier_cos +
+                       self.fourier_sin)):
+            raise DomainError("epsilon and Fourier coefficients must be finite")
+        # the nonzero harmonics, and the bounds |eps f^(j)| <= |eps| sum
+        # k^j (|a_k| + |b_k|) on the profile and its first two derivatives
+        cos_terms = tuple((k, a) for k, a in enumerate(self.fourier_cos) if a)
+        sin_terms = tuple((k, b) for k, b in enumerate(self.fourier_sin)
+                          if k and b)
+        terms = cos_terms + sin_terms
+        object.__setattr__(self, "_cos_terms", cos_terms)
+        object.__setattr__(self, "_sin_terms", sin_terms)
+        object.__setattr__(self, "_bounds", tuple(
+            abs(self.epsilon) * sum(k ** j * abs(c) for k, c in terms)
+            for j in range(3)))
+        if self._bounds[0] >= 1.0:
             # |eps f| < 1 guarantees rho > 0 for every xi.
             grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
             if np.min(self.radius(grid)) <= 0:
                 raise DomainError("radius 1 + eps*f(xi) must stay positive")
 
     # -- profile evaluations --------------------------------------------------
+    #
+    # Each evaluation takes a Python float (or numpy scalar) on a math-only
+    # path, and anything else as an array.
 
     def shape(self, xi):
         """f(xi)."""
+        if isinstance(xi, (float, int)):
+            out = 0.0
+            for k, a in self._cos_terms:
+                out += a * math.cos(k * xi)
+            for k, b in self._sin_terms:
+                out += b * math.sin(k * xi)
+            return out
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
-        for k, a in enumerate(self.fourier_cos):
-            if a:
-                out = out + a * np.cos(k * xi)
-        for k, b in enumerate(self.fourier_sin):
-            if k and b:
-                out = out + b * np.sin(k * xi)
+        for k, a in self._cos_terms:
+            out = out + a * np.cos(k * xi)
+        for k, b in self._sin_terms:
+            out = out + b * np.sin(k * xi)
         return out if np.ndim(out) else float(out)
 
     def shape_prime(self, xi):
         """f'(xi)."""
+        if isinstance(xi, (float, int)):
+            out = 0.0
+            for k, a in self._cos_terms:
+                if k:
+                    out -= k * a * math.sin(k * xi)
+            for k, b in self._sin_terms:
+                out += k * b * math.cos(k * xi)
+            return out
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
-        for k, a in enumerate(self.fourier_cos):
-            if k and a:
+        for k, a in self._cos_terms:
+            if k:
                 out = out - k * a * np.sin(k * xi)
-        for k, b in enumerate(self.fourier_sin):
-            if k and b:
-                out = out + k * b * np.cos(k * xi)
+        for k, b in self._sin_terms:
+            out = out + k * b * np.cos(k * xi)
         return out if np.ndim(out) else float(out)
 
     def radius(self, xi):
         """rho(xi) = 1 + eps f(xi)."""
         if self.epsilon == 0.0:
-            xi = np.asarray(xi, dtype=float)
-            out = np.ones_like(xi)
+            if isinstance(xi, (float, int)):
+                return 1.0
+            out = np.ones_like(np.asarray(xi, dtype=float))
             return out if np.ndim(out) else 1.0
         return 1.0 + self.epsilon * self.shape(xi)
 
     def radius_prime(self, xi):
         """rho'(xi) = eps f'(xi)."""
         if self.epsilon == 0.0:
-            xi = np.asarray(xi, dtype=float)
-            out = np.zeros_like(xi)
+            if isinstance(xi, (float, int)):
+                return 0.0
+            out = np.zeros_like(np.asarray(xi, dtype=float))
             return out if np.ndim(out) else 0.0
         return self.epsilon * self.shape_prime(xi)
+
+    def radius_and_slope(self, xi: float):
+        """(rho(xi), rho'(xi)) at a scalar angle, from one set of cos/sin."""
+        if self.epsilon == 0.0:
+            return 1.0, 0.0
+        f = fp = 0.0
+        for k, a in self._cos_terms:
+            c, s = math.cos(k * xi), math.sin(k * xi)
+            f += a * c
+            fp -= k * a * s
+        for k, b in self._sin_terms:
+            c, s = math.cos(k * xi), math.sin(k * xi)
+            f += b * s
+            fp += k * b * c
+        return 1.0 + self.epsilon * f, self.epsilon * fp
+
+    @property
+    def radius_bounds(self):
+        """(lower, upper) bounds 1 -+ |eps| sum (|a_k| + |b_k|) on rho,
+        widened by 1e-12 so that rho stays strictly inside despite rounding."""
+        return 1.0 - self._bounds[0] - 1e-12, 1.0 + self._bounds[0] + 1e-12
+
+    @property
+    def derivative_bounds(self):
+        """Upper bounds (on |rho'|, on |rho''|), |eps| sum k^j (|a_k| + |b_k|)
+        for j = 1, 2."""
+        return self._bounds[1], self._bounds[2]
 
     @property
     def is_circle(self) -> bool:
@@ -127,29 +183,31 @@ class PerturbationProfile:
 class BoundaryGeometry:
     """Local boundary data at gamma(xi) = rho(xi) e^{i xi}.
 
-    ``metric`` is |gamma'(xi)| = sqrt(rho^2 + rho'^2), the factor converting
-    d xi to arclength; it equals 1 on the unit circle.
+    Points and directions are complex numbers; ``point``, ``tangent_unit``
+    and ``normal_out_unit`` give them as (x, y) arrays.  ``metric`` is
+    |gamma'(xi)| = sqrt(rho^2 + rho'^2), the factor converting d xi to
+    arclength; it equals 1 on the unit circle.
     """
 
     xi: float
-    point: np.ndarray
-    tangent_unit: np.ndarray
-    normal_out_unit: np.ndarray
+    point_c: complex
+    tangent_c: complex
+    normal_c: complex
     radius: float
     radius_prime: float
     metric: float
 
     @property
-    def point_c(self) -> complex:
-        return complex(self.point[0], self.point[1])
+    def point(self) -> np.ndarray:
+        return np.array([self.point_c.real, self.point_c.imag])
 
     @property
-    def tangent_c(self) -> complex:
-        return complex(self.tangent_unit[0], self.tangent_unit[1])
+    def tangent_unit(self) -> np.ndarray:
+        return np.array([self.tangent_c.real, self.tangent_c.imag])
 
     @property
-    def normal_c(self) -> complex:
-        return complex(self.normal_out_unit[0], self.normal_out_unit[1])
+    def normal_out_unit(self) -> np.ndarray:
+        return np.array([self.normal_c.real, self.normal_c.imag])
 
 
 def gamma_point(xi, profile: PerturbationProfile):
@@ -166,20 +224,11 @@ def boundary(xi: float, profile: PerturbationProfile) -> BoundaryGeometry:
     counterclockwise and the outward normal is the tangent rotated by -pi/2.
     """
     xi = float(xi)
-    rho = float(profile.radius(xi))
-    rhop = float(profile.radius_prime(xi))
+    rho, rhop = profile.radius_and_slope(xi)
     e = complex(math.cos(xi), math.sin(xi))
-    point = rho * e
     dgamma = (rhop + 1j * rho) * e
     m = abs(dgamma)
     t = dgamma / m
-    n = -1j * t
-    return BoundaryGeometry(
-        xi=xi,
-        point=np.array([point.real, point.imag]),
-        tangent_unit=np.array([t.real, t.imag]),
-        normal_out_unit=np.array([n.real, n.imag]),
-        radius=rho,
-        radius_prime=rhop,
-        metric=m,
-    )
+    return BoundaryGeometry(xi=xi, point_c=rho * e, tangent_c=t,
+                            normal_c=-1j * t, radius=rho, radius_prime=rhop,
+                            metric=m)

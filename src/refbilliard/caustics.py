@@ -76,7 +76,7 @@ def circular_caustic_radii(I0: float, params: PhysParams
 
 def _as_action_function(invariant_curve: ActionCurve) -> Callable[[float], float]:
     if isinstance(invariant_curve, CurveProbe):
-        return lambda z: float(curve_eval(invariant_curve, z))
+        return lambda z: float(curve_eval(invariant_curve, z)[0])
     if callable(invariant_curve):
         return lambda z: float(invariant_curve(z))
     value = float(invariant_curve)

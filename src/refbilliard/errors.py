@@ -107,6 +107,3 @@ class NewtonDiverged(BilliardError):
 class DegenerateEnvelope(BilliardError):
     """Envelope system gradients are parallel; the caustic point is degenerate."""
 
-
-class DegenerateEllipse(BilliardError):
-    """Outer conic has vanishing minor axis (radial orbit)."""

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ._util import extend_and_find, first_crossing, wrap_pi
+from ._util import extend_and_find, first_crossing, march_to_zero, wrap_pi
 from .arcs import ArcSegment, InnerConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
@@ -137,12 +137,14 @@ def _transit_closed(z0: complex, v0: complex, conic: InnerConic,
     if profile.is_circle and abs(r0 - 1.0) < 1e-12 and rdot0 < 0.0:
         f1 = -f0
     else:
-        def gap(f):
-            r = p / (1.0 + e * np.cos(f))
-            return r - profile.radius(th_peri + sgn * f)
+        f1 = _exit_anomaly(f0, e, p, th_peri, sgn, profile)
+        if f1 is None:
+            def gap(f):
+                r = p / (1.0 + e * np.cos(f))
+                return r - profile.radius(th_peri + sgn * f)
 
-        f1 = first_crossing(gap, np.linspace(f0, f_asym - 1e-9, 2048),
-                            inside_sign=-1.0)
+            f1 = first_crossing(gap, np.linspace(f0, f_asym - 1e-9, 2048),
+                                inside_sign=-1.0)
         if f1 is None:
             raise DomainError("interior arc escapes without re-crossing "
                               "the boundary (boundary not star-shaped?)")
@@ -165,6 +167,40 @@ def _transit_closed(z0: complex, v0: complex, conic: InnerConic,
                       v1=v1, duration=dur, sweep=sweep, xi0=xi0, xi1=xi1,
                       conic=conic, par=(e, p, th_peri, sgn, f0, f1),
                       params=params)
+
+
+def _exit_anomaly(f0: float, e: float, p: float, th_peri: float, sgn: float,
+                  profile: PerturbationProfile):
+    """True anomaly of the interior arc's exit, or None.
+
+    Marches the clearance g(f) = rho(th_peri + sgn f) - r(f), positive
+    inside, from its zero at f0 with :func:`march_to_zero`.  While g > 0 the
+    radius stays below rhi, and on r(f) = p/(1 + e cos f), r' = r^2 e sin
+    f/p and r'' = 2 r'^2/r + r^2 e cos f/p, so |g''| <= rhi^2 e (2 rhi e/p
+    + 1)/p + |rho''|.  A step that ends below the annulus (r < rlo <= rho)
+    moves on to the anomaly f_lo where r rises back to rlo.  Returns None
+    for an entry that does not go inside, or when the march does not end
+    before the asymptote.
+    """
+    rlo, rhi = profile.radius_bounds
+    bound = rhi * rhi * e * (2.0 * rhi * e / p + 1.0) / p + \
+        profile.derivative_bounds[1]
+    c_lo = (p / rlo - 1.0) / e
+    f_lo = math.acos(c_lo) if c_lo < 1.0 else -math.inf
+
+    def clearance(f):
+        den = 1.0 + e * math.cos(f)
+        rho, rhop = profile.radius_and_slope(th_peri + sgn * f)
+        return rho - p / den, sgn * rhop - p * e * math.sin(f) / (den * den)
+
+    def skip(f):
+        return f_lo if f < f_lo and p / (1.0 + e * math.cos(f)) < rlo else f
+
+    slope = clearance(f0)[1]
+    if slope <= 0.0:
+        return None
+    return march_to_zero(clearance, f0, slope, bound, skip,
+                         t_end=math.acos(-1.0 / e))
 
 
 def _true_anomaly(r: float, rdot: float, k: float, p: float) -> float:
@@ -203,8 +239,7 @@ def _transit_lc(z0: complex, v0: complex, conic: InnerConic,
             w = w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
             return np.abs(w) ** 2 - profile.radius(2.0 * np.angle(w))
 
-        rho_max = float(np.max(profile.radius(
-            np.linspace(-math.pi, math.pi, 1024))))
+        rho_max = profile.radius_bounds[1]
         x_max = (math.acosh(max((rho_max - C) / math.sqrt(A * A - B * B), 1.0))
                  + abs(math.atanh(B / A)) + 0.5)
         tau1 = first_crossing(gap, np.linspace(0.0, x_max / (2.0 * Om), 2048),

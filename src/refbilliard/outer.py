@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from ._util import extend_and_find, first_crossing, wrap_pi
+from ._util import extend_and_find, first_crossing, march_to_zero, wrap_pi
 from .arcs import ArcSegment, OuterConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
@@ -33,6 +33,9 @@ def outer_propagate(p0, v0, s, params: PhysParams):
     v0 = _as_complex(v0)
     _check_outer_energy(p0, v0, params)
     w = params.omega
+    if isinstance(s, (float, int)):
+        c, sn = math.cos(w * s), math.sin(w * s)
+        return p0 * c + v0 * sn / w, -p0 * w * sn + v0 * c
     s = np.asarray(s, dtype=float)
     z = p0 * np.cos(w * s) + v0 * np.sin(w * s) / w
     v = -p0 * w * np.sin(w * s) + v0 * np.cos(w * s)
@@ -125,14 +128,12 @@ def outer_conic_of(p0, v0, params: PhysParams) -> OuterConic:
         return OuterConic(semi_major_sq=a_sq, semi_minor_sq=0.0,
                           tilt_angle=math.atan2(p0.imag, p0.real) % math.pi,
                           degenerate=True)
+    # major-axis direction of the moment matrix p0 p0^T + q0 q0^T
     q0 = v0 / w
-    S = np.array([[p0.real ** 2 + q0.real ** 2,
-                   p0.real * p0.imag + q0.real * q0.imag],
-                  [p0.real * p0.imag + q0.real * q0.imag,
-                   p0.imag ** 2 + q0.imag ** 2]])
-    vals, vecs = np.linalg.eigh(S)
-    major = vecs[:, int(np.argmax(vals))]
-    tilt = math.atan2(major[1], major[0]) % math.pi
+    sxx = p0.real ** 2 + q0.real ** 2
+    syy = p0.imag ** 2 + q0.imag ** 2
+    sxy = p0.real * p0.imag + q0.real * q0.imag
+    tilt = (0.5 * math.atan2(2.0 * sxy, sxx - syy)) % math.pi
     return OuterConic(semi_major_sq=a_sq, semi_minor_sq=b_sq,
                       tilt_angle=tilt, degenerate=False)
 
@@ -159,27 +160,28 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
                   math.sin(alpha) * geom.tangent_c)
     w = params.omega
 
-    if profile.is_circle and abs(abs(p0) - 1.0) < 1e-12:
+    on_circle = profile.is_circle and abs(abs(p0) - 1.0) < 1e-12
+    if on_circle:
         om = params.stiffness_om
         B1 = (om * abs(p0) ** 2 - abs(v0) ** 2) / (2.0 * om)
         B2 = (p0.real * v0.real + p0.imag * v0.imag) / w
         s1 = -math.atan2(-B2, B1) / w
         sweep = outer_shift(alpha, params)
     else:
-        def height(s):
-            z = p0 * np.cos(w * s) + v0 * np.sin(w * s) / w
-            return np.abs(z) - profile.radius(np.angle(z))
-
-        s1 = first_crossing(height, np.linspace(0.0, 2 * math.pi / w * (1 + 1e-6), 4097),
-                            inside_sign=+1.0)
+        s1 = _exit_time(p0, v0, w, profile)
         if s1 is None:
-            s1 = extend_and_find(height, 0.0, 4 * math.pi / w, 8193, +1.0,
-                                 max_doublings=2)
-        zs, _ = outer_propagate(p0, v0, np.linspace(0.0, s1, 512), params)
-        ang = np.unwrap(np.angle(zs))
-        sweep = float(ang[-1] - ang[0])
+            def height(s):
+                z = p0 * np.cos(w * s) + v0 * np.sin(w * s) / w
+                return np.abs(z) - profile.radius(np.angle(z))
 
+            s1 = first_crossing(height, np.linspace(0.0, 2 * math.pi / w * (1 + 1e-6), 4097),
+                                inside_sign=+1.0)
+            if s1 is None:
+                s1 = extend_and_find(height, 0.0, 4 * math.pi / w, 8193, +1.0,
+                                     max_doublings=2)
     z1, v1 = outer_propagate(p0, v0, s1, params)
+    if not on_circle:
+        sweep = _exterior_sweep(p0, v0, z1, w, s1)
     xi1 = wrap_pi(math.atan2(z1.imag, z1.real))
     conic = outer_conic_of(p0, v0, params)
     conic = OuterConic(semi_major_sq=conic.semi_major_sq,
@@ -189,6 +191,79 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
     return ArcSegment(region="outer", chart="global", p0=p0, v0=v0, p1=z1,
                       v1=v1, duration=s1, sweep=sweep, xi0=wrap_pi(xi0),
                       xi1=xi1, conic=conic, par=(w, s1), params=params)
+
+
+def _exit_time(p0: complex, v0: complex, w: float,
+               profile: PerturbationProfile):
+    """Re-entry time of the exterior arc from ``(p0, v0)``, or None.
+
+    Marches the clearance h(s) = |z(s)| - rho(arg z(s)) from its zero at
+    s = 0 with :func:`march_to_zero`.  While h > 0 the radius r = |z| lies
+    between rlo and the apocenter radius, so the second derivative is
+    bounded: r'' = (|v|^2 - r'^2)/r - w^2 r with |v|^2 = w^2 (2m - r^2),
+    and (rho o arg z)'' = rho'' theta'^2 + rho' theta'' with theta' = w k/r^2
+    (k = p0 x q0) and theta'' = -2 r' theta'/r.  On z(s) = p0 cos(ws) +
+    q0 sin(ws), q0 = v0/w, the squared radius is m + R cos(2ws - phi); a
+    step that ends above the annulus (|z| > rhi >= rho) moves on to the next
+    time |z| falls back to rhi.  Returns None for a launch that does not
+    leave the boundary, or when the march does not end within one period.
+    """
+    rlo, rhi = profile.radius_bounds
+    d1, d2 = profile.derivative_bounds
+    q0 = v0 / w
+    pp = p0.real ** 2 + p0.imag ** 2
+    qq = q0.real ** 2 + q0.imag ** 2
+    dot = p0.real * q0.real + p0.imag * q0.imag
+    k = p0.real * q0.imag - p0.imag * q0.real
+    m = 0.5 * (pp + qq)
+    R = math.hypot(0.5 * (pp - qq), dot)
+    phi = math.atan2(dot, 0.5 * (pp - qq))
+    v_max = w * math.sqrt(max(2.0 * m - rlo * rlo, 0.0))
+    th_max = w * abs(k) / (rlo * rlo)
+    bound = (max(v_max * v_max / rlo, w * w * math.sqrt(m + R)) +
+             d2 * th_max * th_max + 2.0 * d1 * v_max * th_max / rlo)
+    c_hi = (rhi * rhi - m) / R if R > 0.0 else 1.0
+
+    def clearance(s):
+        c, sn = math.cos(w * s), math.sin(w * s)
+        z = p0 * c + v0 * sn / w
+        v = -p0 * w * sn + v0 * c
+        r = abs(z)
+        rho, rhop = profile.radius_and_slope(math.atan2(z.imag, z.real))
+        r_dot = (z.real * v.real + z.imag * v.imag) / r
+        return r - rho, r_dot - rhop * w * k / (r * r)
+
+    def skip(s):
+        psi = 2.0 * w * s - phi
+        if c_hi >= 1.0 or math.cos(psi) <= c_hi:
+            return s
+        a = math.acos(c_hi)
+        n = math.ceil((psi - a) / (2.0 * math.pi))
+        return (a + 2.0 * math.pi * n + phi) / (2.0 * w)
+
+    slope = clearance(0.0)[1]
+    if slope <= 0.0:
+        return None
+    return march_to_zero(clearance, 0.0, slope, bound, skip,
+                         t_end=2.0 * math.pi / w)
+
+
+def _exterior_sweep(p0: complex, v0: complex, z1: complex, w: float,
+                    s1: float) -> float:
+    """Lifted polar advance from ``p0`` to ``z1`` = z(s1) on the exterior arc.
+
+    The ellipse is centred at the origin, so z(s + pi/w) = -z(s): every
+    half period adds pi in the direction of the angular momentum, and the
+    remainder is the angle from (-1)^n p0 to z1, which lies in [0, pi].
+    """
+    n = math.floor(s1 * w / math.pi)
+    base = -p0 if n % 2 else p0
+    sgn = 1.0 if p0.real * v0.imag - p0.imag * v0.real >= 0.0 else -1.0
+    d = sgn * math.atan2(base.real * z1.imag - base.imag * z1.real,
+                         base.real * z1.real + base.imag * z1.imag)
+    if d < -math.pi / 2:
+        d += 2.0 * math.pi
+    return sgn * (n * math.pi + d)
 
 
 def outer_arc_fixed_ends(xi0: float, xi1: float,

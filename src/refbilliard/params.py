@@ -141,11 +141,16 @@ def potential(z, region: str, params: PhysParams):
         Which well to evaluate.
     """
     zc = _as_complex(z)
-    r = np.abs(zc)
+    if isinstance(zc, complex):
+        r = abs(zc)
+        singular = r == 0.0
+    else:
+        r = np.abs(zc)
+        singular = np.any(r == 0)
     if region == "outer":
         return params.energy_E - params.stiffness_om / 2 * r ** 2
     if region == "inner":
-        if np.any(r == 0):
+        if singular:
             raise SingularityError("inner potential is singular at z = 0")
         return params.kepler_energy + params.mass_mu / r
     raise DomainError(f"region must be 'outer' or 'inner', got {region!r}")

@@ -6,8 +6,15 @@ set, and two light-mass variants used by the periodic-orbit and twist tests.
 """
 
 import pytest
+from hypothesis import settings
 
 from refbilliard import PerturbationProfile, PhysParams
+
+# property tests draw the same examples on every run and have no per-example
+# time limit (an ODE oracle call takes tens of milliseconds)
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -108,6 +108,8 @@ def test_smoothness_and_positivity_validation():
     with pytest.raises(DomainError):
         # radius 1 + 2 cos(xi) vanishes
         PerturbationProfile(fourier_cos=(0.0, 1.0), epsilon=2.0)
+    with pytest.raises(DomainError):
+        PerturbationProfile(fourier_sin=(0.0, 1e-300), epsilon=math.inf)
 
 
 def test_boundary_returns_geometry_record(circle):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from refbilliard import (PerturbationProfile, circular_caustic_radii,
-                         envelope_equations, iterate, outer_propagate,
-                         outgoing_state, outgoing_velocity, perturbed_caustic,
-                         tangency_check)
+from refbilliard import (CurveProbe, PerturbationProfile,
+                         circular_caustic_radii, envelope_equations, iterate,
+                         outer_propagate, outgoing_state, outgoing_velocity,
+                         perturbed_caustic, tangency_check)
 from refbilliard.errors import (DegenerateEnvelope, OutOfActionRange)
 
 
@@ -94,6 +94,30 @@ def test_perturbed_envelope_stays_near_circle(fig1):
         gap = math.hypot(c.samples[-1, 1] - c.samples[0, 1],
                          c.samples[-1, 2] - c.samples[0, 2])
         assert gap < 1e-6
+
+
+def test_perturbed_caustic_follows_a_curve_probe(fig1):
+    prof = PerturbationProfile.cos_profile(2, 1e-3)
+
+    def probe(coefficients):
+        return CurveProbe(target_rho=0.0, seed_action=coefficients[0],
+                          measured_rho=0.0, rho_error=0.0, max_residual=0.0,
+                          coefficients=np.array(coefficients), n_iter=0,
+                          status="fitted")
+
+    flat = probe([1.0, 0.0, 0.0])
+    wavy = probe([1.0, 0.01, -0.02])
+    for kind in ("outer", "inner"):
+        # a constant fitted curve carries the constant-action conic family
+        c = perturbed_caustic(flat, kind, prof, fig1, n_base=32)
+        ref = perturbed_caustic(1.0, kind, prof, fig1, n_base=32)
+        assert np.array_equal(c.samples, ref.samples)
+        # a varying one moves the envelope with the action at each zeta
+        c = perturbed_caustic(wavy, kind, prof, fig1, n_base=32)
+        assert c.max_envelope_residual < 1e-8
+        radii = np.hypot(c.samples[:, 1], c.samples[:, 2])
+        ref_radii = np.hypot(ref.samples[:, 1], ref.samples[:, 2])
+        assert abs(np.max(radii) - np.max(ref_radii)) > 1e-4
 
 
 def test_tangency_of_integrable_orbits(fig1, circle):
