@@ -62,7 +62,7 @@ def first_crossing(fun, grid, inside_sign: float, refine: int = 3):
 
 
 def march_to_zero(fun, t: float, slope: float, bound: float, skip,
-                  t_end: float, max_steps: int = 200):
+                  t_end: float, max_steps: int = 100_000):
     """First zero after ``t`` of a clearance that vanishes at ``t`` and
     grows there with ``slope`` > 0.
 
@@ -72,8 +72,11 @@ def march_to_zero(fun, t: float, slope: float, bound: float, skip,
     so no zero is passed, however briefly the clearance dips; near a
     transversal zero the steps become Newton steps.  ``skip(t)`` returns the
     step's end, or a later parameter when the clearance is known to stay
-    positive up to there.  Returns the zero, or None when ``max_steps``
-    steps do not reach it or the march passes ``t_end``.
+    positive up to there.  Raises :class:`EventDetectionFailed` when
+    ``max_steps`` steps do not reach the zero or the march passes ``t_end``.
+    The step count grows as the bound does: a few tens of steps on mild
+    profiles, up to tens of thousands on boundaries that pass within 1e-3
+    of the origin.
     """
     g, dg = 0.0, slope
     for _ in range(max_steps):
@@ -84,12 +87,13 @@ def march_to_zero(fun, t: float, slope: float, bound: float, skip,
         if d <= 4e-16 * (1.0 + abs(t)):
             return t + d
         t = skip(t + d)
-        if t > t_end:
-            return None
+        if not t <= t_end:  # also stops a march gone NaN
+            break
         g, dg = fun(t)
         if g <= 0.0:
             return t
-    return None
+    raise EventDetectionFailed(
+        f"no boundary crossing located before parameter {min(t, t_end)!r}")
 
 
 def extend_and_find(fun, t0, t1, n, inside_sign, max_doublings=6):

@@ -55,26 +55,30 @@ class PerturbationProfile:
         object.__setattr__(self, "_bounds", tuple(
             abs(self.epsilon) * sum(k ** j * abs(c) for k, c in terms)
             for j in range(3)))
-        if self._bounds[0] >= 1.0:
-            # |eps f| < 1 guarantees rho > 0 for every xi.
-            grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-            if np.min(self.radius(grid)) <= 0:
-                raise DomainError("radius 1 + eps*f(xi) must stay positive")
+        # rho >= 1 - |eps| sum (|a_k| + |b_k|); where that is weak, a grid of
+        # step h gives min rho >= min(grid) - sup|rho''| h^2/8, the error
+        # bound of linear interpolation.  The crossing search needs the
+        # lower bound positive, so a profile without one is rejected.
+        b0, _, b2 = self._bounds
+        lower = 1.0 - b0
+        if b0 >= 0.5:
+            n = 4096
+            grid = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+            lower = max(lower, float(np.min(self.radius(grid))) -
+                        b2 * (2 * np.pi / n) ** 2 / 8)
+        # widened by 1e-12 so that rho stays strictly inside despite rounding
+        bounds = (lower - 1e-12, 1.0 + b0 + 1e-12)
+        if bounds[0] <= 0.0:
+            raise DomainError("radius 1 + eps*f(xi) must stay positive")
+        object.__setattr__(self, "_radius_bounds", bounds)
 
     # -- profile evaluations --------------------------------------------------
     #
-    # Each evaluation takes a Python float (or numpy scalar) on a math-only
-    # path, and anything else as an array.
+    # ``radius`` and ``radius_prime`` take a Python float on the math-only
+    # path of ``radius_and_slope``, and anything else as an array.
 
     def shape(self, xi):
         """f(xi)."""
-        if isinstance(xi, (float, int)):
-            out = 0.0
-            for k, a in self._cos_terms:
-                out += a * math.cos(k * xi)
-            for k, b in self._sin_terms:
-                out += b * math.sin(k * xi)
-            return out
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
         for k, a in self._cos_terms:
@@ -85,14 +89,6 @@ class PerturbationProfile:
 
     def shape_prime(self, xi):
         """f'(xi)."""
-        if isinstance(xi, (float, int)):
-            out = 0.0
-            for k, a in self._cos_terms:
-                if k:
-                    out -= k * a * math.sin(k * xi)
-            for k, b in self._sin_terms:
-                out += k * b * math.cos(k * xi)
-            return out
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
         for k, a in self._cos_terms:
@@ -104,18 +100,18 @@ class PerturbationProfile:
 
     def radius(self, xi):
         """rho(xi) = 1 + eps f(xi)."""
+        if isinstance(xi, (float, int)):
+            return self.radius_and_slope(xi)[0]
         if self.epsilon == 0.0:
-            if isinstance(xi, (float, int)):
-                return 1.0
             out = np.ones_like(np.asarray(xi, dtype=float))
             return out if np.ndim(out) else 1.0
         return 1.0 + self.epsilon * self.shape(xi)
 
     def radius_prime(self, xi):
         """rho'(xi) = eps f'(xi)."""
+        if isinstance(xi, (float, int)):
+            return self.radius_and_slope(xi)[1]
         if self.epsilon == 0.0:
-            if isinstance(xi, (float, int)):
-                return 0.0
             out = np.zeros_like(np.asarray(xi, dtype=float))
             return out if np.ndim(out) else 0.0
         return self.epsilon * self.shape_prime(xi)
@@ -137,9 +133,10 @@ class PerturbationProfile:
 
     @property
     def radius_bounds(self):
-        """(lower, upper) bounds 1 -+ |eps| sum (|a_k| + |b_k|) on rho,
-        widened by 1e-12 so that rho stays strictly inside despite rounding."""
-        return 1.0 - self._bounds[0] - 1e-12, 1.0 + self._bounds[0] + 1e-12
+        """Certified (lower, upper) bounds on rho, the lower one positive:
+        1 -+ |eps| sum (|a_k| + |b_k|), the lower one sharpened on a grid
+        when |eps| sum (|a_k| + |b_k|) >= 1/2, both widened by 1e-12."""
+        return self._radius_bounds
 
     @property
     def derivative_bounds(self):

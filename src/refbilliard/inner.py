@@ -18,7 +18,8 @@ from ._util import extend_and_find, first_crossing, march_to_zero, wrap_pi
 from .arcs import ArcSegment, InnerConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
-                     ShootingDiverged, SingularityError, WindingChanged)
+                     ShootingDiverged, SingularityError, TangentialCrossing,
+                     WindingChanged)
 from .params import PhysParams, _as_complex, potential
 
 #: pericenter radius below which transits switch to the Levi-Civita chart
@@ -132,22 +133,11 @@ def _transit_closed(z0: complex, v0: complex, conic: InnerConic,
     rdot0 = (z0.real * v0.real + z0.imag * v0.imag) / r0
     f0 = _true_anomaly(r0, rdot0, k, p)
     th_peri = cmath.phase(z0) - sgn * f0
-    f_asym = math.acos(-1.0 / e)
 
     if profile.is_circle and abs(r0 - 1.0) < 1e-12 and rdot0 < 0.0:
         f1 = -f0
     else:
         f1 = _exit_anomaly(f0, e, p, th_peri, sgn, profile)
-        if f1 is None:
-            def gap(f):
-                r = p / (1.0 + e * np.cos(f))
-                return r - profile.radius(th_peri + sgn * f)
-
-            f1 = first_crossing(gap, np.linspace(f0, f_asym - 1e-9, 2048),
-                                inside_sign=-1.0)
-        if f1 is None:
-            raise DomainError("interior arc escapes without re-crossing "
-                              "the boundary (boundary not star-shaped?)")
 
     r1 = p / (1.0 + e * math.cos(f1))
     th1 = th_peri + sgn * f1
@@ -171,16 +161,17 @@ def _transit_closed(z0: complex, v0: complex, conic: InnerConic,
 
 def _exit_anomaly(f0: float, e: float, p: float, th_peri: float, sgn: float,
                   profile: PerturbationProfile):
-    """True anomaly of the interior arc's exit, or None.
+    """True anomaly of the interior arc's exit.
 
     Marches the clearance g(f) = rho(th_peri + sgn f) - r(f), positive
     inside, from its zero at f0 with :func:`march_to_zero`.  While g > 0 the
     radius stays below rhi, and on r(f) = p/(1 + e cos f), r' = r^2 e sin
     f/p and r'' = 2 r'^2/r + r^2 e cos f/p, so |g''| <= rhi^2 e (2 rhi e/p
     + 1)/p + |rho''|.  A step that ends below the annulus (r < rlo <= rho)
-    moves on to the anomaly f_lo where r rises back to rlo.  Returns None
-    for an entry that does not go inside, or when the march does not end
-    before the asymptote.
+    moves on to the anomaly f_lo where r rises back to rlo.  Raises
+    :class:`TangentialCrossing` for an entry that does not go inside, and
+    :class:`EventDetectionFailed` when the march does not end before the
+    asymptote (it must: r grows without bound there).
     """
     rlo, rhi = profile.radius_bounds
     bound = rhi * rhi * e * (2.0 * rhi * e / p + 1.0) / p + \
@@ -198,7 +189,7 @@ def _exit_anomaly(f0: float, e: float, p: float, th_peri: float, sgn: float,
 
     slope = clearance(f0)[1]
     if slope <= 0.0:
-        return None
+        raise TangentialCrossing("interior entry does not go inside")
     return march_to_zero(clearance, f0, slope, bound, skip,
                          t_end=math.acos(-1.0 / e))
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from ._util import extend_and_find, first_crossing, march_to_zero, wrap_pi
+from ._util import march_to_zero, wrap_pi
 from .arcs import ArcSegment, OuterConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
@@ -169,16 +169,6 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
         sweep = outer_shift(alpha, params)
     else:
         s1 = _exit_time(p0, v0, w, profile)
-        if s1 is None:
-            def height(s):
-                z = p0 * np.cos(w * s) + v0 * np.sin(w * s) / w
-                return np.abs(z) - profile.radius(np.angle(z))
-
-            s1 = first_crossing(height, np.linspace(0.0, 2 * math.pi / w * (1 + 1e-6), 4097),
-                                inside_sign=+1.0)
-            if s1 is None:
-                s1 = extend_and_find(height, 0.0, 4 * math.pi / w, 8193, +1.0,
-                                     max_doublings=2)
     z1, v1 = outer_propagate(p0, v0, s1, params)
     if not on_circle:
         sweep = _exterior_sweep(p0, v0, z1, w, s1)
@@ -195,18 +185,21 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
 
 def _exit_time(p0: complex, v0: complex, w: float,
                profile: PerturbationProfile):
-    """Re-entry time of the exterior arc from ``(p0, v0)``, or None.
+    """Re-entry time of the exterior arc from ``(p0, v0)``.
 
     Marches the clearance h(s) = |z(s)| - rho(arg z(s)) from its zero at
     s = 0 with :func:`march_to_zero`.  While h > 0 the radius r = |z| lies
-    between rlo and the apocenter radius, so the second derivative is
+    between r_min, the larger of rlo and the semi-minor axis, and the
+    apocenter radius, so the second derivative is
     bounded: r'' = (|v|^2 - r'^2)/r - w^2 r with |v|^2 = w^2 (2m - r^2),
     and (rho o arg z)'' = rho'' theta'^2 + rho' theta'' with theta' = w k/r^2
     (k = p0 x q0) and theta'' = -2 r' theta'/r.  On z(s) = p0 cos(ws) +
     q0 sin(ws), q0 = v0/w, the squared radius is m + R cos(2ws - phi); a
     step that ends above the annulus (|z| > rhi >= rho) moves on to the next
-    time |z| falls back to rhi.  Returns None for a launch that does not
-    leave the boundary, or when the march does not end within one period.
+    time |z| falls back to rhi.  Raises :class:`TangentialCrossing` for a
+    launch that does not leave the boundary, and
+    :class:`EventDetectionFailed` when the march does not end within one
+    period (it must: the arc is back at p0, moving outward, after one).
     """
     rlo, rhi = profile.radius_bounds
     d1, d2 = profile.derivative_bounds
@@ -218,10 +211,12 @@ def _exit_time(p0: complex, v0: complex, w: float,
     m = 0.5 * (pp + qq)
     R = math.hypot(0.5 * (pp - qq), dot)
     phi = math.atan2(dot, 0.5 * (pp - qq))
-    v_max = w * math.sqrt(max(2.0 * m - rlo * rlo, 0.0))
-    th_max = w * abs(k) / (rlo * rlo)
-    bound = (max(v_max * v_max / rlo, w * w * math.sqrt(m + R)) +
-             d2 * th_max * th_max + 2.0 * d1 * v_max * th_max / rlo)
+    # the ellipse never comes nearer the origin than its semi-minor axis
+    r_min = max(rlo, math.sqrt(max(m - R, 0.0)))
+    v_max = w * math.sqrt(max(2.0 * m - r_min * r_min, 0.0))
+    th_max = w * abs(k) / (r_min * r_min)
+    bound = (max(v_max * v_max / r_min, w * w * math.sqrt(m + R)) +
+             d2 * th_max * th_max + 2.0 * d1 * v_max * th_max / r_min)
     c_hi = (rhi * rhi - m) / R if R > 0.0 else 1.0
 
     def clearance(s):
@@ -243,7 +238,8 @@ def _exit_time(p0: complex, v0: complex, w: float,
 
     slope = clearance(0.0)[1]
     if slope <= 0.0:
-        return None
+        raise TangentialCrossing(
+            "exterior launch does not leave the boundary")
     return march_to_zero(clearance, 0.0, slope, bound, skip,
                          t_end=2.0 * math.pi / w)
 

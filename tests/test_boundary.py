@@ -112,6 +112,25 @@ def test_smoothness_and_positivity_validation():
         PerturbationProfile(fourier_sin=(0.0, 1e-300), epsilon=math.inf)
 
 
+def test_radius_bounds_are_certified():
+    xi = np.linspace(0.0, 2 * np.pi, 100_003)
+    for prof in (PerturbationProfile(fourier_cos=(0.0, 0.3, -0.2, 0.1),
+                                     fourier_sin=(0.0, 0.0, 0.4),
+                                     epsilon=0.05),
+                 PerturbationProfile(fourier_cos=(0.0, 1.0),
+                                     fourier_sin=(0.0, 1.0), epsilon=0.6)):
+        lower, upper = prof.radius_bounds
+        rho = prof.radius(xi)
+        assert 0.0 < lower < rho.min() and rho.max() < upper
+    # the grid sharpens the lower bound of the wide profile to its minimum
+    assert rho.min() - lower < 1e-6
+    with pytest.raises(DomainError):
+        # rho = 1 + eps (cos xi + sin xi) dips to 1e-9 at xi = 5 pi/4: too
+        # close to zero to certify with the bound on rho''
+        PerturbationProfile(fourier_cos=(0.0, 1.0), fourier_sin=(0.0, 1.0),
+                            epsilon=(1.0 - 1e-9) / math.sqrt(2.0))
+
+
 def test_boundary_returns_geometry_record(circle):
     g = boundary(1.2, circle)
     assert isinstance(g, BoundaryGeometry)

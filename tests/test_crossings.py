@@ -138,7 +138,6 @@ def test_exterior_exit_matches_grid_search(profile, xi0, alpha):
                   math.sin(alpha) * geom.tangent_c)
     w = FIG1.omega
     s1 = _exit_time(p0, v0, w, profile)
-    assert s1 is not None
     assert outer_transit(xi0, alpha, profile, FIG1).duration == s1
 
     def height(s):
@@ -171,3 +170,24 @@ def test_interior_exit_matches_grid_search(profile, xi0, fraction):
 
     grid = np.linspace(f0, math.acos(-1.0 / e) - 1e-9, 2048)
     assert _agrees_with_grid(f1, gap, grid, -1.0)
+
+
+def test_wide_profile_map_matches_oracle():
+    # |eps| (|a_1| + |b_1|) = 1.2, so 1 - |eps| sum |a_k| + |b_k| is no
+    # lower bound on rho; the crossing search must use the certified one
+    profile = PerturbationProfile((0.0, 1.0), (0.0, 1.0), 0.6)
+    assert 0.0 < profile.radius_bounds[0] <= 1.0 - 0.6 * math.sqrt(2.0)
+    for xi0 in (-2.5, 0.0, 0.8, 3.0):
+        for alpha in (-1.4, -0.7, -0.3, 0.3, 0.7, 1.4):
+            geom = boundary(xi0, profile)
+            I0 = math.sqrt(potential(geom.point_c, "outer", FIG1)) * \
+                math.sin(alpha) * geom.metric
+            res, err = _outcome(lambda: return_map(
+                outgoing_state(xi0, I0, profile, FIG1), profile, FIG1,
+                method="geometric"))
+            orc, err_orc = _outcome(lambda: ode_return_map(
+                xi0, alpha, profile, FIG1))
+            assert type(err) is type(err_orc)
+            if err is None:
+                assert abs(wrap_pi(res.state.xi - orc.xi1)) < 1e-8
+                assert abs(res.state.action_I - orc.action_I1) < 1e-9
