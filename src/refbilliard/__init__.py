@@ -18,11 +18,11 @@ from .config import COMMANDS, ConfigError, RunConfig, load_config, \
 from .errors import (AntipodalEndpoints, BilliardError, DegenerateEnvelope,
                      DegenerateStationarity, DescentStalled, DomainError,
                      EnergyMismatch, EventDetectionFailed,
-                     InsufficientLength, NewtonDiverged,
-                     NoIntermediatePoint, OrbitTerminated, OutOfActionRange,
-                     QuadratureTolUnmet, RangeEmpty, ResidualTooLarge,
-                     ShootingDiverged, SingularityError, TangentialCrossing,
-                     TotalReflectionTermination, WindingChanged)
+                     InsufficientLength, NewtonDiverged, OrbitTerminated,
+                     OutOfActionRange, QuadratureTolUnmet, RangeEmpty,
+                     ResidualTooLarge, ShootingDiverged, SingularityError,
+                     TangentialCrossing, TotalReflectionTermination,
+                     WindingChanged)
 from .inner import (inner_arc_fixed_ends, inner_shift, kepler_elements,
                     levi_civita_propagate, transversality_bound)
 from .oracle import OracleReturn, ode_return_map

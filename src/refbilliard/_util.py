@@ -1,5 +1,5 @@
 """Small shared numerical helpers (angle wrapping, event location by grid
-search or by a certified march)."""
+search or by a certified march, and Newton shooting)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import EventDetectionFailed, TangentialCrossing
+from .errors import (EventDetectionFailed, ShootingDiverged,
+                     TangentialCrossing)
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,6 +25,30 @@ def wrap_pi(x):
 def arccot(x: float) -> float:
     """Inverse cotangent with range (0, pi)."""
     return math.pi / 2 - math.atan(x)
+
+
+def shoot(resid, x: float, lo: float, hi: float, tol: float,
+          what: str) -> float:
+    """Root of the scalar residual ``resid`` near ``x`` by Newton's method.
+
+    The slope is a forward difference with step 1e-7 (a backward one where
+    the forward step would leave [lo, hi]); every iterate is clipped to
+    [lo, hi].  Returns the first iterate with |resid| < ``tol``.  Raises
+    :class:`ShootingDiverged`, naming ``what``, on a flat or non-finite
+    slope or after 40 steps.
+    """
+    r = resid(x)
+    for _ in range(40):
+        if abs(r) < tol:
+            return x
+        xh = x + 1e-7 if x + 1e-7 <= hi else x - 1e-7
+        slope = (resid(xh) - r) / (xh - x)
+        if slope == 0.0 or not math.isfinite(slope):
+            raise ShootingDiverged(f"flat residual in {what} shooting")
+        x = min(max(x - r / slope, lo), hi)
+        r = resid(x)
+    raise ShootingDiverged(
+        f"{what} shooting did not converge (residual {r:.3g})")
 
 
 def first_crossing(fun, grid, inside_sign: float, refine: int = 3):

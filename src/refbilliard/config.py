@@ -18,7 +18,6 @@ to run with its generic knobs::
     command = section
     seeds = 9
     iterations = 400
-    tol = 1e-8
 
 Fourier coefficients are ``harmonic:weight`` pairs separated by commas; the
 harmonic index is the angular frequency of the term.  Unknown sections or
@@ -39,7 +38,7 @@ COMMANDS = ("params-report", "shift-profile", "section", "orbit",
 
 _PARAM_KEYS = ("energy_E", "offset_h", "mass_mu", "stiffness_om")
 _PROFILE_KEYS = ("epsilon", "fourier_cos", "fourier_sin")
-_COMMAND_KEYS = ("command", "seeds", "iterations", "tol")
+_COMMAND_KEYS = ("command", "seeds", "iterations")
 
 
 class ConfigError(ValueError):
@@ -55,7 +54,6 @@ class RunConfig:
     command: str
     seeds: int = 9
     iterations: int = 400
-    tol: float = 1e-8
     source: str = "<memory>"
 
     def __post_init__(self):
@@ -68,8 +66,6 @@ class RunConfig:
         if self.iterations < 1:
             raise ConfigError(
                 "[command] iterations must be a positive integer")
-        if not self.tol > 0.0:
-            raise ConfigError("[command] tol must be positive")
 
 
 def _float_of(section: str, key: str, raw: str) -> float:
@@ -182,8 +178,6 @@ def parse_config(text: str, source: str = "<memory>") -> RunConfig:
     if cp.has_option("command", "iterations"):
         kwargs["iterations"] = _int_of("command", "iterations",
                                        cp.get("command", "iterations"))
-    if cp.has_option("command", "tol"):
-        kwargs["tol"] = _float_of("command", "tol", cp.get("command", "tol"))
     return RunConfig(params=params, profile=profile, source=source, **kwargs)
 
 

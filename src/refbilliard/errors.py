@@ -28,7 +28,8 @@ class AntipodalEndpoints(BilliardError):
 
 
 class ShootingDiverged(BilliardError):
-    """Newton/secant shooting for a fixed-end arc failed to converge."""
+    """Newton shooting (fixed-end arc or generating-function action) failed
+    to converge."""
 
 
 class WindingChanged(BilliardError):
@@ -73,11 +74,8 @@ class QuadratureTolUnmet(BilliardError):
 
 
 class DegenerateStationarity(BilliardError):
-    """The generating-function stationary point is degenerate (|d eta/d xi| too small)."""
-
-
-class NoIntermediatePoint(BilliardError):
-    """No stationary refraction point exists between the given endpoints."""
+    """The generating function is degenerate: the return map's lifted
+    advance is stationary in the launch action (|d delta/d I0| too small)."""
 
 
 class RangeEmpty(BilliardError):

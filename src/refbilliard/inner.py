@@ -14,12 +14,12 @@ import math
 
 import numpy as np
 
-from ._util import extend_and_find, first_crossing, march_to_zero, wrap_pi
+from ._util import (extend_and_find, first_crossing, march_to_zero, shoot,
+                    wrap_pi)
 from .arcs import ArcSegment, InnerConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
-                     ShootingDiverged, SingularityError, TangentialCrossing,
-                     WindingChanged)
+                     SingularityError, TangentialCrossing, WindingChanged)
 from .params import PhysParams, _as_complex, potential
 
 #: pericenter radius below which transits switch to the Levi-Civita chart
@@ -320,23 +320,13 @@ def inner_arc_fixed_ends(xi0: float, xi1: float,
     def resid(b):
         return _launch(geom, b, speed, profile, params).sweep - sw
 
-    r = resid(beta)
-    for _ in range(40):
-        if abs(r) < 1e-11:
-            arc = _launch(geom, beta, speed, profile, params)
-            if arc.conic.winding != target_wind:
-                raise WindingChanged(
-                    f"converged arc winds {arc.conic.winding} times, "
-                    f"expected {target_wind}")
-            return arc
-        h = 1e-7
-        slope = (resid(min(beta + h, lim)) - r) / (min(beta + h, lim) - beta)
-        if slope == 0.0 or not math.isfinite(slope):
-            raise ShootingDiverged("flat residual in interior arc shooting")
-        beta = float(np.clip(beta - r / slope, -lim, lim))
-        r = resid(beta)
-    raise ShootingDiverged(
-        f"interior two-point problem did not converge (residual {r:.3g})")
+    beta = shoot(resid, beta, -lim, lim, 1e-11, "interior arc")
+    arc = _launch(geom, beta, speed, profile, params)
+    if arc.conic.winding != target_wind:
+        raise WindingChanged(
+            f"converged arc winds {arc.conic.winding} times, "
+            f"expected {target_wind}")
+    return arc
 
 
 def _launch(geom, beta: float, speed: float, profile: PerturbationProfile,

@@ -190,8 +190,7 @@ def _orbit_from_cycle(cycle: np.ndarray, m: int, n: int,
     from .variational import generating_function
     ev = generating_function(float(cycle[0]), float(cycle[1]) if n > 1
                              else float(cycle[0]) + 2.0 * math.pi * m,
-                             profile, params, action_hint=action_hint,
-                             with_twist=False)
+                             profile, params, action_hint=action_hint)
     res_xi, res_I, xis, acts = _map_residual(float(cycle[0]), ev.action_I0,
                                              m, n, profile, params,
                                              method="auto")

@@ -15,11 +15,11 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from ._util import march_to_zero, wrap_pi
+from ._util import march_to_zero, shoot, wrap_pi
 from .arcs import ArcSegment, OuterConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
-                     ShootingDiverged, TangentialCrossing)
+                     TangentialCrossing)
 from .params import PhysParams, _as_complex, potential
 
 
@@ -269,8 +269,8 @@ def outer_arc_fixed_ends(xi0: float, xi1: float,
 
     ``lifted_delta`` fixes the signed polar advance when it differs from the
     wrapped difference xi1 - xi0.  On the circle this inverts the shift in
-    closed form; otherwise the launch angle is found by a secant iteration on
-    the transit's sweep.
+    closed form; otherwise the launch angle is shot (:func:`shoot`) on the
+    transit's sweep.
     """
     delta = wrap_pi(xi1 - xi0) if lifted_delta is None else float(lifted_delta)
     if abs(delta) >= math.pi - 1e-9:
@@ -284,15 +284,5 @@ def outer_arc_fixed_ends(xi0: float, xi1: float,
         return outer_transit(xi0, a, profile, params).sweep - delta
 
     lim = math.pi / 2 - 1e-9
-    r = resid(alpha)
-    for _ in range(40):
-        if abs(r) < 1e-12:
-            return outer_transit(xi0, alpha, profile, params)
-        h = 1e-7
-        slope = (resid(min(alpha + h, lim)) - r) / (min(alpha + h, lim) - alpha)
-        if slope == 0.0 or not math.isfinite(slope):
-            raise ShootingDiverged("flat residual in exterior arc shooting")
-        alpha = float(np.clip(alpha - r / slope, -lim, lim))
-        r = resid(alpha)
-    raise ShootingDiverged(
-        f"exterior two-point problem did not converge (residual {r:.3g})")
+    alpha = shoot(resid, alpha, -lim, lim, 1e-12, "exterior arc")
+    return outer_transit(xi0, alpha, profile, params)

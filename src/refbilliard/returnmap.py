@@ -81,15 +81,21 @@ def action_of_velocity(xi: float, v, profile: PerturbationProfile,
 def outgoing_state(xi: float, action_I: float, profile: PerturbationProfile,
                    params: PhysParams) -> BoundaryState:
     """Outgoing :class:`BoundaryState` at ``(xi, I)``; validates the action bound."""
-    geom = boundary(xi, profile)
-    ve = potential(geom.point_c, "outer", params)
-    bound = math.sqrt(ve) * geom.metric
+    bound = _action_bound(xi, profile, params)
     s = action_I / bound
     if abs(s) >= 1.0:
         raise OutOfActionRange(
             f"|I| = {abs(action_I):.6g} exceeds the local bound {bound:.6g}")
     return BoundaryState(xi=wrap_pi(xi), action_I=action_I,
                          alpha=math.asin(s), direction="outgoing")
+
+
+def _action_bound(xi: float, profile: PerturbationProfile,
+                  params: PhysParams) -> float:
+    """Local action bound sqrt(V_E) |gamma'(xi)|: the action of a tangential
+    launch at ``xi``."""
+    geom = boundary(xi, profile)
+    return math.sqrt(potential(geom.point_c, "outer", params)) * geom.metric
 
 
 def outgoing_velocity(state: BoundaryState, profile: PerturbationProfile,

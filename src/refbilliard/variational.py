@@ -2,10 +2,11 @@
 
 Zero-energy trajectories are geodesics of the Jacobi metric sqrt(V)|dz|, so
 each arc carries a length d(., .); the generating function of the return map
-is S(xi0, xi1) = d_E(xi0, xi_mid) + d_I(xi_mid, xi1) with the intermediate
-boundary angle xi_mid chosen stationary — which is exactly the refraction
-condition, i.e. matching of the canonical action on both sides.  Canonical
-actions are the conjugate boundary momenta: I0 = -dS/dxi0, I1 = +dS/dxi1.
+is S(xi0, xi1) = d_E(xi0, xi_mid) + d_I(xi_mid, xi1), taken along the orbit
+of the return map that joins xi0 to xi1.  Its refraction point xi_mid is
+stationary for d_E + d_I, because Snell's law there matches the canonical
+action on both sides.  Canonical actions are the conjugate boundary momenta:
+I0 = -dS/dxi0, I1 = +dS/dxi1.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from ._util import wrap_pi
+from ._util import shoot
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
-from .errors import (DegenerateStationarity, NoIntermediatePoint,
-                     QuadratureTolUnmet, RangeEmpty)
+from .errors import DegenerateStationarity, QuadratureTolUnmet, RangeEmpty
 from .inner import inner_arc_fixed_ends
 from .outer import outer_arc_fixed_ends
 from .params import PhysParams, potential
-from .returnmap import action_of_velocity, circular_shift, total_shift_grid
+from .returnmap import (_action_bound, circular_shift, outgoing_state,
+                        return_map, total_shift_grid)
 
 
 # -- Jacobi metric functionals -------------------------------------------------
@@ -176,107 +177,56 @@ def _seed_action(delta: float, params: PhysParams,
 class GeneratingEval:
     """Generating function of one return step and its diagnostics.
 
-    ``nondeg_S`` is the second derivative of S along the intermediate angle
-    (zero exactly on twist-degenerate fibers); ``nondeg_twist`` is the mixed
-    second derivative d^2 S/dxi0 dxi1 = -dI0/dxi1 (NaN when not requested).
+    ``xi_mid`` is the refraction point where the exterior arc lands;
+    ``nondeg_twist`` is the mixed second derivative
+    d^2 S/dxi0 dxi1 = -dI0/dxi1 = -1/(d delta/d I0).
     """
 
     S_value: float
     xi_mid: float
     action_I0: float
     action_I1: float
-    nondeg_S: float
     nondeg_twist: float
-
-
-def _build_links(xi0: float, xi_mid: float, xi1: float, sigma: float,
-                 profile: PerturbationProfile, params: PhysParams):
-    outer = outer_arc_fixed_ends(xi0, xi_mid, profile, params,
-                                 lifted_delta=xi_mid - xi0)
-    sweep = (xi1 - xi_mid) + 2.0 * math.pi * sigma
-    inner = inner_arc_fixed_ends(xi_mid, xi1, profile, params,
-                                 lifted_sweep=sweep if sigma != 0.0 else None,
-                                 branch="direct" if sigma == 0.0 else "winding")
-    return outer, inner
-
-
-def _stationarity(xi0: float, xi_mid: float, xi1: float, sigma: float,
-                  profile: PerturbationProfile, params: PhysParams) -> float:
-    outer, inner = _build_links(xi0, xi_mid, xi1, sigma, profile, params)
-    i_out = action_of_velocity(outer.xi1, outer.v1, profile, params)
-    i_in = action_of_velocity(inner.xi0, inner.v0, profile, params)
-    return i_out - i_in
 
 
 def generating_function(xi0: float, xi1: float,
                         profile: PerturbationProfile, params: PhysParams,
-                        action_hint: Optional[float] = None,
-                        with_twist: bool = True) -> GeneratingEval:
-    """Evaluate S(xi0, xi1) = d_E + d_I with a stationary intermediate angle.
+                        action_hint: Optional[float] = None
+                        ) -> GeneratingEval:
+    """Evaluate S(xi0, xi1) on the return-map orbit from ``xi0`` to ``xi1``.
 
     ``xi0``/``xi1`` are lifted (real) boundary angles; their difference
-    selects the arc family.  Where the circular shift folds, several families
-    realize the same difference — the largest-|I| family is chosen unless
-    ``action_hint`` picks another.  ``with_twist=False`` skips the mixed
-    second derivative (saves two full re-solves).
+    delta selects the arc family.  Where the circular shift folds, several
+    families realize the same difference — the largest-|I| family is chosen
+    unless ``action_hint`` picks another.  The launch action I0 is shot,
+    within the seed's sign and the local action bound at ``xi0``, until the
+    geometric return map from (xi0, I0) advances the lifted angle by delta;
+    S is the Jacobi length of the two arcs that step traverses.
     """
     delta = xi1 - xi0
     I_seed = _seed_action(delta, params, action_hint)
-    sigma = 0.0 if I_seed == 0.0 else math.copysign(1.0, I_seed)
-    shift = circular_shift(I_seed, params)
-    xi_mid = xi0 + shift.f_val
+    lim = _action_bound(xi0, profile, params) * (1.0 - 1e-9)
+    lo = -lim if I_seed <= 0.0 else 0.0
+    hi = lim if I_seed >= 0.0 else 0.0
 
-    def eta(xm):
-        return _stationarity(xi0, xm, xi1, sigma, profile, params)
+    def step(I0):
+        return return_map(outgoing_state(xi0, I0, profile, params), profile,
+                          params, method="geometric")
 
-    xi_star = _solve_mid(eta, xi_mid, xi0)
-    outer, inner = _build_links(xi0, xi_star, xi1, sigma, profile, params)
-    S = jacobi_length(outer, params) + jacobi_length(inner, params)
-    I0 = action_of_velocity(wrap_pi(xi0), outer.v0, profile, params)
-    I1 = action_of_velocity(wrap_pi(xi1), inner.v1, profile, params)
-
+    I0 = shoot(lambda I: step(I).delta_xi - delta,
+               min(max(I_seed, lo), hi), lo, hi, 1e-12, "generating function")
     h = 1e-6
-    nondeg = (eta(xi_star + h) - eta(xi_star - h)) / (2.0 * h)
-    if abs(nondeg) < 1e-8:
+    slope = (step(I0 + h).delta_xi - step(I0 - h).delta_xi) / (2.0 * h)
+    if abs(slope) < 1e-8:
         raise DegenerateStationarity(
-            "stationary intermediate angle is degenerate (twist-critical "
-            "fiber); S is not a valid local generating function here")
-
-    twist = math.nan
-    if with_twist:
-        hp = 1e-6
-        evp = generating_function(xi0, xi1 + hp, profile, params,
-                                  action_hint=I_seed, with_twist=False)
-        evm = generating_function(xi0, xi1 - hp, profile, params,
-                                  action_hint=I_seed, with_twist=False)
-        twist = -(evp.action_I0 - evm.action_I0) / (2.0 * hp)
-    return GeneratingEval(S_value=S, xi_mid=wrap_pi(xi_star),
-                          action_I0=I0, action_I1=I1, nondeg_S=nondeg,
-                          nondeg_twist=twist)
-
-
-def _solve_mid(eta, seed: float, xi0: float) -> float:
-    """Root of the stationarity residual near the seed angle."""
-    lim_lo = xi0 - math.pi + 1e-9
-    lim_hi = xi0 + math.pi - 1e-9
-    x0 = min(max(seed, lim_lo), lim_hi)
-    r0 = eta(x0)
-    if abs(r0) < 1e-13:
-        return x0
-    width = 0.05
-    while width < 2.0 * math.pi:
-        a = max(x0 - width, lim_lo)
-        b = min(x0 + width, lim_hi)
-        ra, rb = eta(a), eta(b)
-        if ra * r0 < 0.0:
-            return brentq(eta, a, x0, xtol=1e-13, rtol=8.9e-16)
-        if rb * r0 < 0.0:
-            return brentq(eta, x0, b, xtol=1e-13, rtol=8.9e-16)
-        if a == lim_lo and b == lim_hi:
-            break
-        width *= 2.0
-    raise NoIntermediatePoint(
-        "no stationary intermediate boundary angle brackets the seed")
+            "the lifted advance is stationary in the launch action "
+            "(twist-critical fiber); S is not a valid local generating "
+            "function here")
+    res = step(I0)
+    S = sum(jacobi_length(arc, params) for arc in res.arcs)
+    return GeneratingEval(S_value=S, xi_mid=res.arcs[0].xi1,
+                          action_I0=I0, action_I1=res.state.action_I,
+                          nondeg_twist=-1.0 / slope)
 
 
 # -- discrete action of periodic cycles ----------------------------------------
@@ -298,7 +248,7 @@ def discrete_action(cycle: Sequence[float], m: int, n: int,
         raise ValueError(f"cycle length {len(xs)} != n = {n}")
     ends = xs + [xs[0] + 2.0 * math.pi * m]
     links = [generating_function(ends[k], ends[k + 1], profile, params,
-                                 action_hint=action_hint, with_twist=False)
+                                 action_hint=action_hint)
              for k in range(n)]
     W = sum(l.S_value for l in links)
     grad = np.array([links[k - 1].action_I1 - links[k].action_I0

@@ -170,13 +170,12 @@ def test_criterion_09_generating_function_momenta(fig1, epsilon):
         xi1 = xi0 + delta
         # evaluate on the small-action family: the near-wall family is
         # grazing-stiff and would dominate the difference quotients
-        ev = generating_function(xi0, xi1, prof, fig1, action_hint=0.0,
-                                 with_twist=False)
+        ev = generating_function(xi0, xi1, prof, fig1, action_hint=0.0)
         hint = ev.action_I0
 
         def S(a, b):
-            return generating_function(a, b, prof, fig1, action_hint=hint,
-                                       with_twist=False).S_value
+            return generating_function(a, b, prof, fig1,
+                                       action_hint=hint).S_value
 
         dS0 = (S(xi0 + h, xi1) - S(xi0 - h, xi1)) / (2 * h)
         dS1 = (S(xi0, xi1 + h) - S(xi0, xi1 - h)) / (2 * h)

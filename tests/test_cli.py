@@ -56,7 +56,6 @@ def test_parse_config_full():
     assert cfg.command == "section"
     assert cfg.seeds == 7
     assert cfg.iterations == 50
-    assert cfg.tol == 1e-8
 
 
 def test_parse_config_defaults_to_circle():

@@ -4,14 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from refbilliard import (PerturbationProfile, circular_shift, discrete_action,
-                         generating_function, inner_arc_fixed_ends,
-                         inner_distance, jacobi_length, maupertuis_product,
+from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
+                         circular_shift, discrete_action, generating_function,
+                         inner_arc_fixed_ends, inner_distance, jacobi_length,
+                         maupertuis_product, outer_arc_fixed_ends,
                          outer_distance, outer_propagate, outer_transit,
-                         potential, shift_inverse_all)
-from refbilliard.errors import RangeEmpty
+                         outgoing_state, potential, return_map,
+                         shift_inverse_all)
+from refbilliard._util import wrap_pi
+from refbilliard.errors import (BilliardError, RangeEmpty,
+                                TotalReflectionTermination)
+
+FIG1 = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0, stiffness_om=1.0)
+LIGHT_MASS = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=0.5,
+                        stiffness_om=1.0)
 
 
 def test_jacobi_length_outer_against_time_quadrature(fig1, circle):
@@ -105,11 +115,10 @@ def test_generating_function_derivative_identities(fig1, circle):
     h = 1e-6
 
     def S(x0, x1):
-        return generating_function(x0, x1, circle, fig1, action_hint=I,
-                                   with_twist=False).S_value
+        return generating_function(x0, x1, circle, fig1,
+                                   action_hint=I).S_value
 
-    ev = generating_function(0.0, delta, circle, fig1, action_hint=I,
-                             with_twist=False)
+    ev = generating_function(0.0, delta, circle, fig1, action_hint=I)
     dS0 = (S(h, delta) - S(-h, delta)) / (2 * h)
     dS1 = (S(0.0, delta + h) - S(0.0, delta - h)) / (2 * h)
     assert dS0 == pytest.approx(-ev.action_I0, abs=1e-7)
@@ -121,10 +130,6 @@ def test_generating_function_nondegeneracy_diagnostics(fig1, circle):
     delta = circular_shift(I, fig1).total
     ev = generating_function(0.0, delta, circle, fig1, action_hint=I)
     prof = circular_shift(ev.action_I0, fig1)
-    # d^2 S / d xi_mid^2 = (f' + g')/(f' g') on the integrable map
-    assert ev.nondeg_S == pytest.approx(
-        (prof.f_prime + prof.g_prime) / (prof.f_prime * prof.g_prime),
-        abs=1e-6)
     # mixed derivative -dI0/dxi1 = -1/(f' + g')
     assert ev.nondeg_twist == pytest.approx(
         -1.0 / prof.total_prime, abs=1e-6)
@@ -140,6 +145,87 @@ def test_generating_function_default_picks_largest_family(fig1, circle):
 def test_generating_function_unreachable_shift(fig1, circle):
     with pytest.raises(RangeEmpty):
         generating_function(0.0, -7.0, circle, fig1)
+
+
+@pytest.mark.parametrize("params, xi0, delta, hint", [
+    ("fig1", 0.3, 1.1, 0.0),
+    ("fig1", -1.0, -0.8, 0.0),
+    ("fig1", 2.0, -1.5, None),
+    ("light_mass", 0.4, -2.0 * math.pi / 3.0, None),
+    ("light_mass", 0.4, -2.0 * math.pi / 3.0, 0.2),
+    ("light_mass", 1.0, -0.7, 0.0),
+])
+def test_generating_function_matches_fixed_end_links(request, params, xi0,
+                                                     delta, hint):
+    # the fixed-end solvers are an independent construction of the same
+    # two links through the refraction point
+    par = request.getfixturevalue(params)
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    xi1 = xi0 + delta
+    ev = generating_function(xi0, xi1, prof, par, action_hint=hint)
+    mid = xi0 + wrap_pi(ev.xi_mid - xi0)
+    sweep = xi1 - mid + 2.0 * math.pi * math.copysign(1.0, ev.action_I0)
+    S = (outer_distance(xi0, mid, prof, par, lifted_delta=mid - xi0) +
+         inner_distance(mid, xi1, prof, par, lifted_sweep=sweep))
+    assert ev.S_value == pytest.approx(S, abs=1e-9)
+    outer = outer_arc_fixed_ends(xi0, mid, prof, par, lifted_delta=mid - xi0)
+    inner = inner_arc_fixed_ends(mid, xi1, prof, par, lifted_sweep=sweep)
+    # Snell's law at the refraction point: equal actions on both sides
+    assert action_of_velocity(mid, outer.v1, prof, par) == pytest.approx(
+        action_of_velocity(mid, inner.v0, prof, par), abs=1e-9)
+    assert action_of_velocity(xi0, outer.v0, prof, par) == pytest.approx(
+        ev.action_I0, abs=1e-9)
+    assert action_of_velocity(xi1, inner.v1, prof, par) == pytest.approx(
+        ev.action_I1, abs=1e-9)
+    # the mixed derivative, as -dI0/dxi1 over two re-solves
+    h = 1e-6
+    I0p = generating_function(xi0, xi1 + h, prof, par,
+                              action_hint=ev.action_I0).action_I0
+    I0m = generating_function(xi0, xi1 - h, prof, par,
+                              action_hint=ev.action_I0).action_I0
+    assert ev.nondeg_twist == pytest.approx(-(I0p - I0m) / (2 * h), abs=1e-6)
+
+
+def test_generating_function_rejects_links_off_the_section(fig1):
+    # this link pair is no orbit of the map: its end action 1.4655 would
+    # exceed the local bound 1.4046 at xi1, and the map from its start
+    # action stops at the critical angle
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    xi0 = -0.34509574789418096
+    with pytest.raises(TotalReflectionTermination):
+        generating_function(xi0, xi0 - 1.0063675625411346, prof, fig1)
+
+
+@st.composite
+def _profiles(draw):
+    """Random profile with harmonics 1-4 and sup |eps f| <= 0.05."""
+    cos = [0.0] + [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+    sin = [0.0] + [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+    norm = sum(map(abs, cos)) + sum(map(abs, sin))
+    if norm == 0.0:
+        cos[1] = norm = 1.0
+    return PerturbationProfile(tuple(cos), tuple(sin),
+                               draw(st.floats(1e-4, 0.05)) / norm)
+
+
+@settings(max_examples=40)
+@given(profile=_profiles(), params=st.sampled_from((FIG1, LIGHT_MASS)),
+       xi0=st.floats(-math.pi, math.pi), delta=st.floats(0.2, 2.5),
+       sign=st.sampled_from((-1.0, 1.0)),
+       hint=st.one_of(st.none(), st.floats(-1.4, 1.4)))
+def test_generating_function_links_are_map_orbits(profile, params, xi0,
+                                                  delta, sign, hint):
+    xi1 = xi0 + sign * delta
+    try:
+        ev = generating_function(xi0, xi1, profile, params,
+                                 action_hint=hint)
+    except BilliardError:
+        return
+    res = return_map(outgoing_state(xi0, ev.action_I0, profile, params),
+                     profile, params, method="geometric")
+    assert abs(res.delta_xi - (xi1 - xi0)) < 1e-10
+    assert abs(wrap_pi(res.state.xi - xi1)) < 1e-10
+    assert abs(res.state.action_I - ev.action_I1) < 1e-10
 
 
 def test_discrete_action_gradient_vanishes_on_periodic_orbit(fig1, circle):
