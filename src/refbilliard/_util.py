@@ -1,5 +1,5 @@
-"""Small shared numerical helpers (angle wrapping, event location by grid
-search or by a certified march, and Newton shooting)."""
+"""Small shared numerical helpers (angle wrapping, event location by a
+certified march or, as the tests' reference, by grid search, and shooting)."""
 
 from __future__ import annotations
 
@@ -20,11 +20,6 @@ def wrap_pi(x):
         return (x + math.pi) % TWO_PI - math.pi
     w = np.mod(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi
     return w if np.ndim(w) else float(w)
-
-
-def arccot(x: float) -> float:
-    """Inverse cotangent with range (0, pi)."""
-    return math.pi / 2 - math.atan(x)
 
 
 def shoot(resid, x: float, lo: float, hi: float, tol: float,

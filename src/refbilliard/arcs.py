@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .params import PhysParams
 
@@ -94,84 +93,44 @@ class ArcSegment:
 
     # -- closed-form geometry along the arc -----------------------------------
 
-    def point(self, u):
-        """Position z(u) for u in [0, 1] (scalar or array), as complex."""
+    def _flow(self, u):
+        """(z, dz/du, ds/du) at u in [0, 1] (scalar or array), from the
+        chart's closed-form flow."""
         u = np.asarray(u, dtype=float)
         if self.region == "outer":
             w, T = self.par
             s = u * T
-            z = self.p0 * np.cos(w * s) + self.v0 * np.sin(w * s) / w
-        elif self.chart == "closed":
-            e, p, thp, sgn, f0, f1 = self.par
-            f = f0 + u * (f1 - f0)
-            r = p / (1 + e * np.cos(f))
-            z = r * np.exp(1j * (thp + sgn * f))
-        else:
-            w0, wd0, Om, tau1 = self.par
-            tau = u * tau1
-            w = w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
-            z = w * w
-        return z if np.ndim(z) else complex(z)
-
-    def dpoint_du(self, u):
-        """dz/du along the arc (for arclength/quadrature work)."""
-        u = np.asarray(u, dtype=float)
-        if self.region == "outer":
-            w, T = self.par
-            s = u * T
-            dz = (-self.p0 * w * np.sin(w * s) + self.v0 * np.cos(w * s)) * T
-        elif self.chart == "closed":
+            c, sn = np.cos(w * s), np.sin(w * s)
+            z = self.p0 * c + self.v0 * sn / w
+            return z, (-self.p0 * w * sn + self.v0 * c) * T, np.full_like(u, T)
+        if self.chart == "closed":
             e, p, thp, sgn, f0, f1 = self.par
             df = f1 - f0
             f = f0 + u * df
             den = 1 + e * np.cos(f)
             r = p / den
-            drdf = p * e * np.sin(f) / den ** 2
-            dz = (drdf + 1j * sgn * r) * np.exp(1j * (thp + sgn * f)) * df
-        else:
-            w0, wd0, Om, tau1 = self.par
-            tau = u * tau1
-            w = w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
-            wd = w0 * Om * np.sinh(Om * tau) + wd0 * np.cosh(Om * tau)
-            dz = 2 * w * wd * tau1
-        return dz if np.ndim(dz) else complex(dz)
+            turn = np.exp(1j * (thp + sgn * f))
+            dz = (p * e * np.sin(f) / den ** 2 + 1j * sgn * r) * turn * df
+            return (r * turn, dz,
+                    r ** 2 / abs(self.conic.ang_momentum_k) * abs(df))
+        w0, wd0, Om, tau1 = self.par
+        w, wd = lc_flow(w0, wd0, Om, u * tau1)
+        return w * w, 2 * w * wd * tau1, 2 * np.abs(w) ** 2 * tau1
+
+    def point(self, u):
+        """Position z(u) for u in [0, 1] (scalar or array), as complex."""
+        z = self._flow(u)[0]
+        return z if np.ndim(z) else complex(z)
 
     def ds_du(self, u):
         """Kinetic-time derivative ds/du along the arc."""
-        u = np.asarray(u, dtype=float)
-        if self.region == "outer":
-            _, T = self.par
-            out = np.full_like(u, T)
-        elif self.chart == "closed":
-            e, p, thp, sgn, f0, f1 = self.par
-            f = f0 + u * (f1 - f0)
-            r = p / (1 + e * np.cos(f))
-            k = abs(self.conic.ang_momentum_k)
-            out = r ** 2 / k * abs(f1 - f0)
-        else:
-            w0, wd0, Om, tau1 = self.par
-            tau = u * tau1
-            w = w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
-            out = 2 * np.abs(w) ** 2 * tau1
-        return out if np.ndim(out) else float(out)
+        ds = self._flow(u)[2]
+        return ds if np.ndim(ds) else float(ds)
 
     def velocity(self, u):
         """Physical velocity z'(s) at parameter u."""
-        u = np.asarray(u, dtype=float)
-        if self.region == "outer":
-            w, T = self.par
-            s = u * T
-            v = -self.p0 * w * np.sin(w * s) + self.v0 * np.cos(w * s)
-        elif self.chart == "closed":
-            dz = self.dpoint_du(u)
-            v = np.asarray(dz) / self.ds_du(u)
-        else:
-            w0, wd0, Om, tau1 = self.par
-            tau = u * tau1
-            w = w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
-            wd = w0 * Om * np.sinh(Om * tau) + wd0 * np.cosh(Om * tau)
-            v = wd * w / np.abs(w) ** 2
-        v = np.asarray(v)
+        _, dz, ds = self._flow(u)
+        v = dz / ds
         return v if np.ndim(v) else complex(v)
 
     def sample(self, n: int) -> np.ndarray:
@@ -182,23 +141,44 @@ class ArcSegment:
     def extremal_radius(self) -> Tuple[float, float]:
         """(radius, polar angle) of the arc's apocenter (outer) / pericenter (inner).
 
-        Located numerically on the parametrized arc (coarse scan plus bounded
-        scalar minimization), independently of any caustic formula.
+        In closed form: the outer ellipse z = p0 cos(ws) + (v0/w) sin(ws)
+        has |z|^2 = m + R cos(2ws - phi), largest at 2ws = phi; the Kepler
+        chart's pericenter is f = 0; the Levi-Civita chart's |w|^2 = A cosh
+        2 Om tau + B sinh 2 Om tau + C is least at tanh 2 Om tau = -B/A.
+        When that parameter is off the arc, the extremum is an endpoint.
         """
-        sign = -1.0 if self.region == "outer" else 1.0
-
-        def rad(u):
-            return sign * abs(self.point(float(np.clip(u, 0.0, 1.0))))
-
-        us = np.linspace(0.0, 1.0, 129)
-        rs = sign * np.abs(self.point(us))
-        i = int(np.argmin(rs))
-        lo, hi = us[max(i - 1, 0)], us[min(i + 1, len(us) - 1)]
-        if hi - lo < 1e-12:
-            u_star = us[i]
+        us = [0.0, 1.0]
+        if self.region == "outer":
+            w, T = self.par
+            p0, q0 = self.p0, self.v0 / w
+            dot = p0.real * q0.real + p0.imag * q0.imag
+            phi = math.atan2(dot, 0.5 * (abs(p0) ** 2 - abs(q0) ** 2))
+            us.append(phi % (2.0 * math.pi) / (2.0 * w * T))
+        elif self.chart == "closed":
+            f0, f1 = self.par[4:]
+            if f0 * f1 < 0.0:
+                us.append(f0 / (f0 - f1))
         else:
-            res = minimize_scalar(rad, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-13})
-            u_star = float(res.x)
-        z = self.point(u_star)
+            w0, wd0, Om, tau1 = self.par
+            A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
+            B = (w0.conjugate() * wd0).real / Om
+            us.append(-math.atanh(B / A) / (2.0 * Om * tau1))
+        sign = 1.0 if self.region == "outer" else -1.0
+        z = max((self.point(u) for u in us if 0.0 <= u <= 1.0),
+                key=lambda z: sign * abs(z))
         return abs(z), math.atan2(z.imag, z.real)
+
+
+def lc_flow(w0, wd0, Om, tau):
+    """Levi-Civita flow (w, dw/dtau) at fictitious time(s) ``tau``.
+
+    In the chart w^2 = z the interior motion is the linear oscillator
+    w'' = Om^2 w, so w = w0 cosh(Om tau) + wd0 sinh(Om tau)/Om.  A float
+    ``tau`` takes a math-only path; anything else is treated as an array.
+    """
+    if type(tau) is float:
+        ch, sh = math.cosh(Om * tau), math.sinh(Om * tau)
+    else:
+        x = Om * np.asarray(tau, dtype=float)
+        ch, sh = np.cosh(x), np.sinh(x)
+    return w0 * ch + wd0 * sh / Om, w0 * Om * sh + wd0 * ch

@@ -10,13 +10,11 @@ through the origin.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
-import numpy as np
-
-from ._util import (extend_and_find, first_crossing, march_to_zero, shoot,
-                    wrap_pi)
-from .arcs import ArcSegment, InnerConic
+from ._util import march_to_zero, shoot, wrap_pi
+from .arcs import ArcSegment, InnerConic, lc_flow
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
                      SingularityError, TangentialCrossing, WindingChanged)
@@ -98,14 +96,13 @@ def inner_shift(beta0: float, params: PhysParams) -> float:
 
 def levi_civita_propagate(z0, v0, params: PhysParams,
                           profile: PerturbationProfile | None = None,
-                          pericenter_threshold: float = PERICENTER_THRESHOLD,
                           force_chart: str | None = None) -> ArcSegment:
     """Interior transit from boundary state ``(z0, v0)`` to its first exit.
 
     Selects the polar conic chart, or the Levi-Civita chart when the
-    pericenter radius falls below ``pericenter_threshold`` (or the angular
-    momentum vanishes); ``force_chart`` ("closed" or "lc") overrides the
-    choice.  Returns the :class:`ArcSegment` with endpoints, kinetic
+    pericenter radius falls below :data:`PERICENTER_THRESHOLD` (or the
+    angular momentum vanishes); ``force_chart`` ("closed" or "lc") overrides
+    the choice.  Returns the :class:`ArcSegment` with endpoints, kinetic
     duration, lifted polar sweep and orbital elements.
     """
     profile = profile or PerturbationProfile.circle()
@@ -113,8 +110,8 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     v0 = _as_complex(v0)
     conic = kepler_elements(z0, v0, params)
     chart = force_chart or (
-        "lc" if (conic.is_collision or conic.pericenter_r < pericenter_threshold)
-        else "closed")
+        "lc" if (conic.is_collision or
+                 conic.pericenter_r < PERICENTER_THRESHOLD) else "closed")
     if chart not in ("closed", "lc"):
         raise ValueError(f"unknown chart {chart!r}")
     if chart == "closed" and conic.is_collision:
@@ -226,21 +223,9 @@ def _transit_lc(z0: complex, v0: complex, conic: InnerConic,
     if profile.is_circle and abs(r0 - 1.0) < 1e-12 and rdot0 < 0.0:
         tau1 = -math.atanh(B / A) / Om
     else:
-        def gap(tau):
-            w = w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
-            return np.abs(w) ** 2 - profile.radius(2.0 * np.angle(w))
+        tau1 = _exit_tau(w0, wd0, Om, A, B, C, profile, params)
 
-        rho_max = profile.radius_bounds[1]
-        x_max = (math.acosh(max((rho_max - C) / math.sqrt(A * A - B * B), 1.0))
-                 + abs(math.atanh(B / A)) + 0.5)
-        tau1 = first_crossing(gap, np.linspace(0.0, x_max / (2.0 * Om), 2048),
-                              inside_sign=-1.0)
-        if tau1 is None:
-            tau1 = extend_and_find(gap, 0.0, x_max / Om, 4096, -1.0)
-
-    ch, sh = math.cosh(Om * tau1), math.sinh(Om * tau1)
-    w1 = w0 * ch + wd0 * sh / Om
-    wd1 = w0 * Om * sh + wd0 * ch
+    w1, wd1 = lc_flow(w0, wd0, Om, tau1)
     z1 = w1 * w1
     v1 = wd1 * w1 / abs(w1) ** 2
     x = 2.0 * Om * tau1
@@ -248,10 +233,8 @@ def _transit_lc(z0: complex, v0: complex, conic: InnerConic,
 
     xi0 = wrap_pi(cmath.phase(z0))
     xi1 = wrap_pi(cmath.phase(z1))
-    if conic.is_collision:
-        sweep = 0.0
-        wind = 0
-    else:
+    sweep = 0.0
+    if not conic.is_collision:
         k, p = conic.ang_momentum_k, conic.semilatus_p
         sgn = 1.0 if k > 0 else -1.0
         f0 = _true_anomaly(r0, rdot0, k, p)
@@ -259,16 +242,64 @@ def _transit_lc(z0: complex, v0: complex, conic: InnerConic,
         rdot1 = (z1.real * v1.real + z1.imag * v1.imag) / r1
         f1 = _true_anomaly(r1, rdot1, k, p)
         sweep = sgn * (f1 - f0)
-        wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
-    conic = InnerConic(ang_momentum_k=conic.ang_momentum_k,
-                       semilatus_p=conic.semilatus_p,
-                       eccentricity_e=conic.eccentricity_e,
-                       pericenter_r=conic.pericenter_r,
-                       pericenter_angle=conic.pericenter_angle,
-                       winding=wind, is_collision=conic.is_collision)
+    wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
+    conic = dataclasses.replace(conic, winding=wind)
     return ArcSegment(region="inner", chart="lc", p0=z0, v0=v0, p1=z1, v1=v1,
                       duration=dur, sweep=sweep, xi0=xi0, xi1=xi1,
                       conic=conic, par=(w0, wd0, Om, tau1), params=params)
+
+
+def _exit_tau(w0: complex, wd0: complex, Om: float, A: float, B: float,
+              C: float, profile: PerturbationProfile,
+              params: PhysParams) -> float:
+    """Fictitious time of the Levi-Civita arc's exit.
+
+    Marches the clearance g(tau) = rho(2 arg w) - |w|^2 from its zero at
+    tau = 0 with :func:`march_to_zero`.  L = Im(conj(w) w') is conserved,
+    so theta' = 2L/|w|^2; |w|^2 = D cosh(2 Om tau + x) + C with D^2 = A^2 -
+    B^2, tanh x = B/A; and |w'|^2 = 2(E_K |w|^2 + mu).  So on the annulus
+    rlo <= |w|^2 <= rhi, |g''| <= 4 Om^2 (rhi + |C|) + |rho''| (2L/rlo)^2 +
+    4 |rho'| |L| sqrt(rhi) sqrt(2(E_K rhi + mu))/rlo^2.  In the dip below
+    rlo the clearance is positive but theta' unbounded, so no step is
+    trusted across it: a step that ends past the dip's start resumes at
+    its end, even when that moves the march back.  Raises
+    :class:`TangentialCrossing` for an entry that does not go inside.
+    """
+    rlo, rhi = profile.radius_bounds
+    d1, d2 = profile.derivative_bounds
+    Ek, mu = params.kepler_energy, params.mass_mu
+    L = w0.real * wd0.imag - w0.imag * wd0.real
+    # A^2 - B^2 = C^2 + L^2/Om^2, free of cancellation in this form
+    D = math.hypot(C, L / Om)
+    x = math.atanh(B / A)
+    bound = (4.0 * Om * Om * (rhi + abs(C)) + d2 * (2.0 * L / rlo) ** 2 +
+             4.0 * d1 * abs(L) * math.sqrt(rhi) *
+             math.sqrt(2.0 * (Ek * rhi + mu)) / (rlo * rlo))
+    t_end = (math.acosh((rhi - C) / D) - x) / (2.0 * Om)
+    dip_start = dip_end = math.inf
+    if D + C < rlo:
+        a = math.acosh((rlo - C) / D)
+        if a > x:
+            dip_start, dip_end = -(a + x) / (2.0 * Om), (a - x) / (2.0 * Om)
+
+    def clearance(tau):
+        w, wd = lc_flow(w0, wd0, Om, tau)
+        r2 = w.real * w.real + w.imag * w.imag
+        rho, rhop = profile.radius_and_slope(2.0 * math.atan2(w.imag, w.real))
+        return rho - r2, 2.0 * (L * rhop / r2 -
+                                (w.real * wd.real + w.imag * wd.imag))
+
+    def skip(tau):
+        nonlocal dip_start
+        if tau > dip_start:
+            dip_start = math.inf
+            return dip_end
+        return tau
+
+    slope = clearance(0.0)[1]
+    if slope <= 0.0:
+        raise TangentialCrossing("interior entry does not go inside")
+    return march_to_zero(clearance, 0.0, slope, bound, skip, t_end)
 
 
 def inner_arc_fixed_ends(xi0: float, xi1: float,

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ._util import shoot
-from .arcs import ArcSegment
+from .arcs import ArcSegment, lc_flow
 from .boundary import PerturbationProfile
 from .errors import DegenerateStationarity, QuadratureTolUnmet, RangeEmpty
 from .inner import inner_arc_fixed_ends
@@ -40,18 +40,16 @@ def _length_integrand(arc: ArcSegment, params: PhysParams):
         Eh, mu = params.kepler_energy, params.mass_mu
 
         def f(u):
-            tau = u * tau1
-            w = w0 * math.cosh(Om * tau) + wd0 * math.sinh(Om * tau) / Om
-            wd = w0 * Om * math.sinh(Om * tau) + wd0 * math.cosh(Om * tau)
+            w, wd = lc_flow(w0, wd0, Om, u * tau1)
             # |dz/du| sqrt(V) = 2|w||wd| tau1 sqrt(Eh + mu/|w|^2)
             return 2.0 * abs(wd) * abs(tau1) * \
                 math.sqrt(Eh * abs(w) ** 2 + mu)
         return f
 
     def f(u):
-        z = arc.point(u)
-        v = max(potential(z, arc.region, params), 0.0)
-        return abs(arc.dpoint_du(u)) * math.sqrt(v)
+        z, dz, _ = arc._flow(u)
+        v = max(potential(complex(z), arc.region, params), 0.0)
+        return abs(complex(dz)) * math.sqrt(v)
     return f
 
 
@@ -81,19 +79,13 @@ def maupertuis_product(arc: ArcSegment, params: PhysParams) -> float:
         w0, wd0, Om, tau1 = arc.par
         Eh, mu = params.kepler_energy, params.mass_mu
 
-        def wpair(u):
-            tau = u * tau1
-            w = w0 * math.cosh(Om * tau) + wd0 * math.sinh(Om * tau) / Om
-            wd = w0 * Om * math.sinh(Om * tau) + wd0 * math.cosh(Om * tau)
-            return w, wd
-
         # |v|^2 ds = 2|wd|^2 dtau ; V ds = 2(Eh |w|^2 + mu) dtau
         def kin(u):
-            _, wd = wpair(u)
+            _, wd = lc_flow(w0, wd0, Om, u * tau1)
             return 2.0 * abs(wd) ** 2 * abs(tau1)
 
         def pot(u):
-            w, _ = wpair(u)
+            w, _ = lc_flow(w0, wd0, Om, u * tau1)
             return 2.0 * (Eh * abs(w) ** 2 + mu) * abs(tau1)
     else:
         def kin(u):

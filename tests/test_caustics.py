@@ -1,5 +1,7 @@
 """Tangent circles of the integrable orbits and their perturbed envelopes."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 
 from refbilliard import (CurveProbe, PerturbationProfile,
                          circular_caustic_radii, envelope_equations, iterate,
-                         outer_propagate, outgoing_state, outgoing_velocity,
-                         perturbed_caustic, tangency_check)
+                         levi_civita_propagate, outer_propagate,
+                         outer_transit, outgoing_state, outgoing_velocity,
+                         perturbed_caustic, potential, tangency_check)
 from refbilliard.errors import (DegenerateEnvelope, OutOfActionRange)
 
 
@@ -26,6 +29,47 @@ def test_circular_radii_match_sampled_trajectory(fig1, circle):
     us = np.linspace(0.0, 1.0, 20001)
     r_in = np.array([abs(inner.point(u)) for u in us])
     assert np.min(r_in) == pytest.approx(R_I, abs=1e-6)
+
+
+def _extremal_arcs(params):
+    """An arc of each chart on a perturbed interface, and cuts of them that
+    end before their extremum or start after it."""
+    profile = PerturbationProfile.cos_profile(2, 0.02)
+    outer = outer_transit(0.4, 0.7, profile, params)
+    z0 = profile.radius(1.1) * cmath.exp(1.1j)
+    speed = math.sqrt(2.0 * potential(z0, "inner", params))
+    v0 = speed * cmath.exp(1j * (1.1 + math.pi + 0.6))
+    closed = levi_civita_propagate(z0, v0, params, profile)
+    lc = levi_civita_propagate(z0, v0, params, profile, force_chart="lc")
+    assert (closed.chart, lc.chart) == ("closed", "lc")
+    w, T = outer.par
+    e, p, th, sgn, f0, f1 = closed.par
+    w0, wd0, Om, tau1 = lc.par
+    return [
+        (outer, None), (closed, None), (lc, None),
+        (dataclasses.replace(outer, par=(w, 0.3 * T)), 1.0),
+        (dataclasses.replace(closed, par=(e, p, th, sgn, f0, 0.5 * f0)), 1.0),
+        (dataclasses.replace(closed, par=(e, p, th, sgn, 0.5 * f1, f1)), 0.0),
+        (dataclasses.replace(lc, par=(w0, wd0, Om, 0.2 * tau1)), 1.0),
+    ]
+
+
+def test_extremal_radius_matches_dense_sampling(fig1):
+    # the closed-form apocenter (outer) / pericenter (inner) of each chart
+    # against the extreme of 20001 samples of the arc's own parametrization
+    us = np.linspace(0.0, 1.0, 20001)
+    for arc, end in _extremal_arcs(fig1):
+        rad, ang = arc.extremal_radius()
+        zs = arc.point(us)
+        sign = 1.0 if arc.region == "outer" else -1.0
+        i = int(np.argmax(sign * np.abs(zs)))
+        assert sign * (rad - abs(zs[i])) >= -1e-15
+        assert sign * (rad - abs(zs[i])) < 1e-8
+        assert abs(ang - np.angle(zs[i])) < 1e-3
+        if end is None:
+            assert 0 < i < len(us) - 1
+        else:
+            assert rad == abs(arc.point(end))
 
 
 def test_circular_radii_closed_forms(fig1):

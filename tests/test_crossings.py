@@ -3,13 +3,15 @@
 Profiles carry harmonics 1-4 in cos and sin with |eps f| <= 0.05; launches
 include ones within 1e-3 of tangency.  The geometric return map must agree
 with the ODE oracle, or both must stop with a typed reason; the certified
-crossing finders must agree with the grid search they replace, except
-where it steps over a brief dip.
+crossing finders of all three charts must agree with the grid search they
+replaced, except where it steps over a brief dip.
 """
 
+import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from refbilliard import (PerturbationProfile, PhysParams, boundary,
                          critical_angle, levi_civita_propagate,
                          ode_return_map, outgoing_state, potential,
                          return_map)
-from refbilliard._util import first_crossing, wrap_pi
+from refbilliard._util import extend_and_find, first_crossing, wrap_pi
 from refbilliard.errors import (BilliardError, EventDetectionFailed,
                                 TangentialCrossing,
                                 TotalReflectionTermination)
@@ -77,12 +79,19 @@ def _near_critical(exc, profile, margin=1e-6):
     return abs(abs(exc.beta) - critical_angle(point, FIG1)) < margin
 
 
-def _agrees_with_grid(root, clearance, grid, inside_sign):
+def _agrees_with_grid(root, clearance, grid, inside_sign, window=None):
     """The certified crossing ``root`` equals the grid search's, or the grid
     search passed over it: the clearance dips across the boundary at
     ``root`` and is back on the start side within two grid steps, so no
-    grid point need fall inside the dip."""
-    found = first_crossing(lambda t: inside_sign * clearance(t), grid, +1.0)
+    grid point need fall inside the dip.  When the grid finds no crossing
+    and a ``window`` is given, the search goes on over it with
+    :func:`extend_and_find`."""
+    def signed(t):
+        return inside_sign * clearance(t)
+
+    found = first_crossing(signed, grid, +1.0)
+    if found is None and window is not None:
+        found = extend_and_find(signed, *window, 4096, +1.0)
     if found is not None and abs(found - root) <= 1e-12:
         return True
     event("grid search skipped a brief dip")
@@ -148,6 +157,41 @@ def test_exterior_exit_matches_grid_search(profile, xi0, alpha):
     assert _agrees_with_grid(s1, height, grid, +1.0)
 
 
+def _check_interior_exit(arc, profile):
+    """The interior march's exit agrees with the grid search it replaced,
+    on the clearance of the chart the arc was made in."""
+    if arc.chart == "closed":
+        e, p, th_peri, sgn, f0, f1 = arc.par
+        assert _exit_anomaly(f0, e, p, th_peri, sgn, profile) == f1
+
+        def gap(f):
+            return p / (1.0 + e * np.cos(f)) - \
+                profile.radius(th_peri + sgn * f)
+
+        grid = np.linspace(f0, math.acos(-1.0 / e) - 1e-9, 2048)
+        assert _agrees_with_grid(f1, gap, grid, -1.0)
+        return
+
+    # the Levi-Civita search the march replaced: a 2048-point grid over
+    # the time |w|^2 needs to rise past the outer radius, then a doubling
+    # window
+    w0, wd0, Om, tau1 = arc.par
+
+    def lc_gap(tau):
+        w = w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
+        return np.abs(w) ** 2 - profile.radius(2.0 * np.angle(w))
+
+    A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
+    B = (w0.conjugate() * wd0).real / Om
+    C = 0.5 * (abs(w0) ** 2 - abs(wd0) ** 2 / Om ** 2)
+    x_max = (math.acosh(max((profile.radius_bounds[1] - C) /
+                            math.sqrt(A * A - B * B), 1.0)) +
+             abs(math.atanh(B / A)) + 0.5)
+    grid = np.linspace(0.0, x_max / (2.0 * Om), 2048)
+    assert _agrees_with_grid(tau1, lc_gap, grid, -1.0,
+                             window=(0.0, x_max / Om))
+
+
 @settings(max_examples=150)
 @given(profile=profiles(), xi0=st.floats(-math.pi, math.pi),
        fraction=st.floats(-1.0, 1.0))
@@ -159,17 +203,54 @@ def test_interior_exit_matches_grid_search(profile, xi0, fraction):
     v_in = speed * (-math.cos(beta) * geom.normal_c +
                     math.sin(beta) * geom.tangent_c)
     arc = levi_civita_propagate(geom.point_c, v_in, FIG1, profile)
-    if arc.chart != "closed":
-        event("Levi-Civita chart: grid search")
-        return
-    e, p, th_peri, sgn, f0, f1 = arc.par
-    assert _exit_anomaly(f0, e, p, th_peri, sgn, profile) == f1
+    event(f"{arc.chart} chart")
+    _check_interior_exit(arc, profile)
 
-    def gap(f):
-        return p / (1.0 + e * np.cos(f)) - profile.radius(th_peri + sgn * f)
 
-    grid = np.linspace(f0, math.acos(-1.0 / e) - 1e-9, 2048)
-    assert _agrees_with_grid(f1, gap, grid, -1.0)
+@settings(max_examples=150)
+@given(profile=profiles(), xi0=st.floats(-math.pi, math.pi),
+       beta=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3),
+                      st.floats(-1.2, 1.2)),
+       radial=st.booleans())
+def test_levi_civita_exit_matches_grid_search(profile, xi0, beta, radial):
+    # entries at beta = 0 and |beta| <= 1e-3 from the inward normal or from
+    # the inward radial direction (through the centre), and generic ones;
+    # all are forced into the Levi-Civita chart
+    geom = boundary(xi0, profile)
+    speed = math.sqrt(2.0 * potential(geom.point_c, "inner", FIG1))
+    inward = -geom.point_c / abs(geom.point_c) if radial else -geom.normal_c
+    v_in = speed * (math.cos(beta) * inward + math.sin(beta) * 1j * inward)
+    arc = levi_civita_propagate(geom.point_c, v_in, FIG1, profile,
+                                force_chart="lc")
+    event("collision ray" if arc.conic.is_collision else
+          f"pericenter {'below' if arc.conic.pericenter_r < 1e-3 else 'above'}"
+          " 1e-3")
+    _check_interior_exit(arc, profile)
+
+
+@pytest.mark.parametrize("k, eps, xi0", [
+    (1, 0.3, math.pi),      # enters where rho is the certified lower radius
+    (2, 0.2, math.pi / 2),  # the same on an even harmonic
+    (1, 0.999, math.pi),    # the interface passes 1e-3 from the centre
+    (3, 0.5, 0.4),
+    (4, 0.05, -2.0),
+])
+def test_radial_ray_returns_along_itself(k, eps, xi0):
+    # the Levi-Civita flow carries a ray through the centre back out along
+    # itself: it exits where it entered, at |z1| = rho(xi0), after the
+    # fictitious time at which |w|^2 = A cosh(2 Om tau) + B sinh(2 Om tau)
+    # + C returns to its start, tau1 = -atanh(B/A)/Om
+    profile = PerturbationProfile.cos_profile(k, eps)
+    z0 = profile.radius(xi0) * cmath.exp(1j * xi0)
+    v0 = -math.sqrt(2.0 * potential(z0, "inner", FIG1)) * z0 / abs(z0)
+    arc = levi_civita_propagate(z0, v0, FIG1, profile)
+    assert arc.chart == "lc" and arc.conic.is_collision
+    w0, wd0, Om, tau1 = arc.par
+    A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
+    B = (w0.conjugate() * wd0).real / Om
+    assert tau1 == pytest.approx(-math.atanh(B / A) / Om, rel=1e-12)
+    assert abs(arc.p1) == pytest.approx(profile.radius(xi0), abs=1e-12)
+    assert abs(wrap_pi(arc.xi1 - xi0)) < 1e-12
 
 
 def test_wide_profile_map_matches_oracle():
