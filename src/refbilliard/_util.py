@@ -1,17 +1,53 @@
 """Small shared numerical helpers (angle wrapping, event location by a
-certified march or, as the tests' reference, by grid search, and shooting)."""
+certified march or, as the tests' reference, by grid search, shooting) and
+the scipy solvers the package calls, imported on first use.
+
+Importing scipy.optimize takes longer than a short run of the section,
+orbit, shift-profile or caustics command, none of which calls scipy.  So
+the package never imports scipy at module level: it calls the forwarders
+below, which pass every argument through unchanged.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (EventDetectionFailed, ShootingDiverged,
                      TangentialCrossing)
 
 TWO_PI = 2.0 * math.pi
+
+
+def brentq(*args, **kwargs):
+    """:func:`scipy.optimize.brentq`, imported on first call."""
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
+
+
+def root(*args, **kwargs):
+    """:func:`scipy.optimize.root`, imported on first call."""
+    from scipy.optimize import root
+    return root(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    """:func:`scipy.optimize.minimize`, imported on first call."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
+def solve_ivp(*args, **kwargs):
+    """:func:`scipy.integrate.solve_ivp`, imported on first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
+def quad(*args, **kwargs):
+    """:func:`scipy.integrate.quad`, imported on first call."""
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
 
 
 def wrap_pi(x):

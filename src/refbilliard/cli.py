@@ -12,7 +12,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -128,6 +127,8 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
     jobs = [(j, 0.0, float(I), cfg.iterations, cfg.profile, cfg.params)
             for j, I in enumerate(seeds_I)]
     if workers > 1:
+        # imported here: a run with one worker never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_section_seed_rows, jobs))
     else:

@@ -105,6 +105,9 @@ def _fourier_of(section: str, key: str, raw: str) -> Tuple[float, ...]:
         if idx < 0:
             raise ConfigError(
                 f"[{section}] {key}: harmonic {idx} is negative")
+        if idx in terms:
+            raise ConfigError(
+                f"[{section}] {key}: harmonic {idx} is given twice")
         terms[idx] = _float_of(section, key, w_s)
     coeffs = [0.0] * (max(terms) + 1)
     for idx, w in terms.items():

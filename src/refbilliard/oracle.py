@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from ._util import wrap_pi
+from ._util import brentq, solve_ivp, wrap_pi
 from .boundary import PerturbationProfile, boundary
 from .errors import EventDetectionFailed, TotalReflectionTermination
 from .params import PhysParams, potential

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, root
 
-from ._util import wrap_pi
+from ._util import minimize, root, wrap_pi
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
 from .errors import (BilliardError, DescentStalled, InsufficientLength,

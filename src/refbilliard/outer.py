@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._util import march_to_zero, shoot, wrap_pi
+from ._util import brentq, march_to_zero, shoot, wrap_pi
 from .arcs import ArcSegment, OuterConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._util import wrap_pi
+from ._util import brentq, wrap_pi
 from .arcs import ArcSegment
 from .boundary import BoundaryGeometry, PerturbationProfile, boundary
 from .errors import (NoFixedPoint, OutOfActionRange, TangentialCrossing,

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from ._util import shoot
+from ._util import brentq, quad, shoot
 from .arcs import ArcSegment, lc_flow
 from .boundary import PerturbationProfile
 from .errors import DegenerateStationarity, QuadratureTolUnmet, RangeEmpty

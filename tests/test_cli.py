@@ -106,6 +106,9 @@ def test_parse_config_bad_fourier():
         parse_config(head + "[profile]\nfourier_cos = x:1.0\n")
     with pytest.raises(ConfigError, match="negative"):
         parse_config(head + "[profile]\nfourier_cos = -1:1.0\n")
+    with pytest.raises(ConfigError,
+                       match=r"fourier_cos: harmonic 2 is given twice"):
+        parse_config(head + "[profile]\nfourier_cos = 2:1.0, 2:0.5\n")
 
 
 def test_parse_config_rejects_bad_physics():

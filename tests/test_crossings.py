@@ -19,7 +19,8 @@ from refbilliard import (PerturbationProfile, PhysParams, boundary,
                          critical_angle, levi_civita_propagate,
                          ode_return_map, outgoing_state, potential,
                          return_map)
-from refbilliard._util import extend_and_find, first_crossing, wrap_pi
+from refbilliard._util import (extend_and_find, first_crossing,
+                               march_to_zero, wrap_pi)
 from refbilliard.errors import (BilliardError, EventDetectionFailed,
                                 TangentialCrossing,
                                 TotalReflectionTermination)
@@ -272,3 +273,69 @@ def test_wide_profile_map_matches_oracle():
             if err is None:
                 assert abs(wrap_pi(res.state.xi - orc.xi1)) < 1e-8
                 assert abs(res.state.action_I - orc.action_I1) < 1e-9
+
+
+# -- march_to_zero on synthetic clearances -------------------------------------
+
+
+def _no_skip(t):
+    return t
+
+
+def test_march_finds_the_entry_of_a_narrow_dip():
+    # g = u^2 - delta - (1 - delta) u^3 with u = 1 - t: g(0) = 0, g'(0) > 0,
+    # |g''| <= 4 on [0, 1.3], and g < 0 only on a dip about 2e-7 wide
+    # around t = 1; a step that jumps it would land where g > 0 again
+    delta = 1e-14
+
+    def clearance(t):
+        u = 1.0 - t
+        return (u * u - delta - (1.0 - delta) * u ** 3,
+                -2.0 * u + 3.0 * (1.0 - delta) * u * u)
+
+    # the dip's entry, u^2 (1 - (1 - delta) u) = delta, by fixed point
+    u_in = math.sqrt(delta)
+    for _ in range(5):
+        u_in = math.sqrt(delta / (1.0 - (1.0 - delta) * u_in))
+    t_in = 1.0 - u_in
+    t_out = 1.0 + math.sqrt(delta)
+    assert t_out - t_in < 1e-6 and clearance(t_out + 1e-9)[0] > 0.0
+    t = march_to_zero(clearance, 0.0, clearance(0.0)[1], 4.0, _no_skip,
+                      t_end=1.3)
+    assert t == pytest.approx(t_in, abs=1e-12)
+
+
+def test_march_resumes_where_skip_sends_it_back():
+    # the bound 1 holds except on [0.5, 0.6], where g stays positive but
+    # turns down with no bound on g'' (as in the Levi-Civita chart's dip,
+    # where theta' has none); the zero is at 0.7.  From t = 0 the first
+    # step ends at 2, past the zero; skip sends it back to 0.6 once, as
+    # the Levi-Civita dip rule does
+    def clearance(t):
+        if t <= 0.5:
+            return t, 1.0
+        if t <= 0.6:
+            return 2.5 - 4.0 * t, -4.0
+        return 0.7 - t, -1.0
+
+    resumed = []
+
+    def skip(t):
+        if t > 0.5 and not resumed:
+            resumed.append(t)
+            return 0.6
+        return t
+
+    t = march_to_zero(clearance, 0.0, 1.0, 1.0, skip, t_end=3.0)
+    assert resumed and resumed[0] > 0.7
+    assert t == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("clearance, max_steps", [
+    (lambda t: (math.nan, math.nan), 100_000),
+    (lambda t: (t, 1.0), 5),
+])
+def test_march_raises_on_nan_or_exhausted_steps(clearance, max_steps):
+    with pytest.raises(EventDetectionFailed):
+        march_to_zero(clearance, 0.0, 1.0, 1.0, _no_skip, t_end=math.inf,
+                      max_steps=max_steps)
