@@ -41,11 +41,12 @@ from .returnmap import (BoundaryState, MapResult, ShiftProfile,
                         action_of_velocity, circular_shift,
                         find_nonhomothetic_fixed_point,
                         fixed_point_thresholds, outgoing_state,
-                        outgoing_velocity, return_map, total_shift_grid,
-                        twist_at_zero, twist_critical_set)
+                        outgoing_velocity, return_map, tangent_map,
+                        total_shift_grid, twist_at_zero, twist_critical_set)
+from .reference import (inner_distance, maupertuis_product, outer_distance,
+                        quadrature_length)
 from .variational import (GeneratingEval, discrete_action,
-                          generating_function, inner_distance,
-                          jacobi_length, maupertuis_product, outer_distance,
+                          generating_function, jacobi_length,
                           shift_inverse_all)
 
 __version__ = "0.1.0"

@@ -60,26 +60,35 @@ def wrap_pi(x):
 
 def shoot(resid, x: float, lo: float, hi: float, tol: float,
           what: str) -> float:
-    """Root of the scalar residual ``resid`` near ``x`` by Newton's method.
+    """Root of a scalar residual near ``x`` by Newton's method.
 
-    The slope is a forward difference with step 1e-7 (a backward one where
-    the forward step would leave [lo, hi]); every iterate is clipped to
-    [lo, hi].  Returns the first iterate with |resid| < ``tol``.  Raises
-    :class:`ShootingDiverged`, naming ``what``, on a flat or non-finite
-    slope or after 40 steps.
+    ``resid(x)`` returns the residual and its slope at ``x``; every iterate
+    is clipped to [lo, hi].  Returns the first iterate with |residual| <
+    ``tol``, so the last call of ``resid`` was at the returned point.
+    Raises :class:`ShootingDiverged`, naming ``what``, on a flat or
+    non-finite slope or after 40 steps.
     """
-    r = resid(x)
+    r, slope = resid(x)
     for _ in range(40):
         if abs(r) < tol:
             return x
-        xh = x + 1e-7 if x + 1e-7 <= hi else x - 1e-7
-        slope = (resid(xh) - r) / (xh - x)
         if slope == 0.0 or not math.isfinite(slope):
             raise ShootingDiverged(f"flat residual in {what} shooting")
         x = min(max(x - r / slope, lo), hi)
-        r = resid(x)
+        r, slope = resid(x)
     raise ShootingDiverged(
         f"{what} shooting did not converge (residual {r:.3g})")
+
+
+def difference_slope(fun, hi: float):
+    """``fun`` as a residual for :func:`shoot`, with a forward-difference
+    slope of step 1e-7 (a backward one where the forward step would pass
+    ``hi``)."""
+    def resid(x):
+        r = fun(x)
+        xh = x + 1e-7 if x + 1e-7 <= hi else x - 1e-7
+        return r, (fun(xh) - r) / (xh - x)
+    return resid
 
 
 def first_crossing(fun, grid, inside_sign: float, refine: int = 3):

@@ -9,6 +9,7 @@ re-integration.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -117,6 +118,21 @@ class ArcSegment:
         w, wd = lc_flow(w0, wd0, Om, u * tau1)
         return w * w, 2 * w * wd * tau1, 2 * np.abs(w) ** 2 * tau1
 
+    def lc_state(self):
+        """(w0, wd0, Omega, tau1): an inner arc in the Levi-Civita chart.
+
+        The "lc" chart stores these; a Kepler-chart arc gets w0 = sqrt(z0),
+        wd0 = v0 conj(w0) and tau1 = (H1 - H0)/(2 Omega) from its hyperbolic
+        anomalies, since dt = r dH/(a n), ds = 2 r dtau and a n = Omega.
+        """
+        if self.chart == "lc":
+            return self.par
+        e, _, _, _, f0, f1 = self.par
+        Om = math.sqrt(self.params.lc_Omega_sq)
+        w0 = cmath.sqrt(self.p0)
+        dH = hyperbolic_anomaly(f1, e) - hyperbolic_anomaly(f0, e)
+        return w0, self.v0 * w0.conjugate(), Om, dH / (2.0 * Om)
+
     def point(self, u):
         """Position z(u) for u in [0, 1] (scalar or array), as complex."""
         z = self._flow(u)[0]
@@ -182,3 +198,10 @@ def lc_flow(w0, wd0, Om, tau):
         x = Om * np.asarray(tau, dtype=float)
         ch, sh = np.cosh(x), np.sinh(x)
     return w0 * ch + wd0 * sh / Om, w0 * Om * sh + wd0 * ch
+
+
+def hyperbolic_anomaly(f: float, e: float) -> float:
+    """Hyperbolic anomaly H of true anomaly ``f`` on a branch of
+    eccentricity ``e``: sinh H = sqrt(e^2 - 1) sin f/(1 + e cos f)."""
+    return math.asinh(math.sqrt(e * e - 1.0) * math.sin(f) /
+                      (1.0 + e * math.cos(f)))

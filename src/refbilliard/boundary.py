@@ -131,6 +131,24 @@ class PerturbationProfile:
             fp += k * b * c
         return 1.0 + self.epsilon * f, self.epsilon * fp
 
+    def radius_jet(self, xi: float):
+        """(rho, rho', rho'') at a scalar angle."""
+        if self.epsilon == 0.0:
+            return 1.0, 0.0, 0.0
+        f = fp = fpp = 0.0
+        for k, a in self._cos_terms:
+            c, s = math.cos(k * xi), math.sin(k * xi)
+            f += a * c
+            fp -= k * a * s
+            fpp -= k * k * a * c
+        for k, b in self._sin_terms:
+            c, s = math.cos(k * xi), math.sin(k * xi)
+            f += b * s
+            fp += k * b * c
+            fpp -= k * k * b * s
+        eps = self.epsilon
+        return 1.0 + eps * f, eps * fp, eps * fpp
+
     @property
     def radius_bounds(self):
         """Certified (lower, upper) bounds on rho, the lower one positive:

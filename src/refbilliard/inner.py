@@ -13,8 +13,8 @@ import cmath
 import dataclasses
 import math
 
-from ._util import march_to_zero, shoot, wrap_pi
-from .arcs import ArcSegment, InnerConic, lc_flow
+from ._util import difference_slope, march_to_zero, shoot, wrap_pi
+from .arcs import ArcSegment, InnerConic, hyperbolic_anomaly, lc_flow
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
                      SingularityError, TangentialCrossing, WindingChanged)
@@ -203,8 +203,7 @@ def _kepler_time(f: float, e: float, params: PhysParams) -> float:
     mu = params.mass_mu
     a = mu / (2.0 * params.kepler_energy)
     n_mean = math.sqrt(mu / a ** 3)
-    sh = math.sqrt(e * e - 1.0) * math.sin(f) / (1.0 + e * math.cos(f))
-    H = math.asinh(sh)
+    H = hyperbolic_anomaly(f, e)
     return (e * math.sinh(H) - H) / n_mean
 
 
@@ -351,7 +350,8 @@ def inner_arc_fixed_ends(xi0: float, xi1: float,
     def resid(b):
         return _launch(geom, b, speed, profile, params).sweep - sw
 
-    beta = shoot(resid, beta, -lim, lim, 1e-11, "interior arc")
+    beta = shoot(difference_slope(resid, lim), beta, -lim, lim, 1e-11,
+                 "interior arc")
     arc = _launch(geom, beta, speed, profile, params)
     if arc.conic.winding != target_wind:
         raise WindingChanged(

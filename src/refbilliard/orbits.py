@@ -23,7 +23,7 @@ from .errors import (BilliardError, DescentStalled, InsufficientLength,
                      TotalReflectionTermination)
 from .params import PhysParams
 from .returnmap import (BoundaryState, circular_shift, outgoing_state,
-                        return_map, total_shift_grid)
+                        return_map, tangent_map, total_shift_grid)
 from .variational import discrete_action, shift_inverse_all
 
 
@@ -53,7 +53,7 @@ class PeriodicOrbit:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Finite-difference monodromy of an n-step return and its classification."""
+    """Exact monodromy of an n-step return and its classification."""
 
     matrix: np.ndarray
     trace: float
@@ -212,30 +212,24 @@ def cycle_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
 def _newton_fixed_points(m: int, profile: PerturbationProfile,
                          params: PhysParams, seeds_I: Sequence[float],
                          n_grid: int = 16) -> List[PeriodicOrbit]:
-    """Period-1 orbits by Newton on the map itself.
+    """Period-1 orbits by Newton on the map itself, sorted by wrapped xi,
+    then by I.
 
     Collision cycles make the discrete action's interior branch
     discontinuous, so fixed points (including the ejection–collision ones on
-    symmetry axes) are located directly on the section.
+    symmetry axes) are located directly on the section, from every seed
+    action at ``n_grid`` angles.
     """
-    found: List[PeriodicOrbit] = []
-
-    def G(u):
-        rx, rI, _, _ = _map_residual(u[0], u[1], m, 1, profile, params,
-                                     method="auto")
-        return [rx, rI]
-
+    orbits: List[PeriodicOrbit] = []
+    found: List[Tuple[float, float]] = []
     Ic = params.action_bound_Ic
     for I_seed in seeds_I:
         for xi_seed in np.linspace(-math.pi, math.pi, n_grid, endpoint=False):
-            try:
-                sol = root(G, [xi_seed, I_seed], method="hybr",
-                           options={"xtol": 1e-13, "eps": 1e-7})
-            except BilliardError:
+            sol = _newton_fixed_point(float(xi_seed), I_seed, m, profile,
+                                      params)
+            if sol is None:
                 continue
-            if not sol.success:
-                continue
-            xi_s, I_s = float(sol.x[0]), float(sol.x[1])
+            xi_s, I_s = sol
             if abs(I_s) >= Ic * (1 - 1e-9):
                 continue
             try:
@@ -246,11 +240,50 @@ def _newton_fixed_points(m: int, profile: PerturbationProfile,
             resid = max(abs(rx), abs(rI))
             if resid > 1e-8:
                 continue
-            orb = PeriodicOrbit(m=m, n=1, xis=xis[:-1], actions=acts[:-1],
-                                residual=resid, kind="map-newton")
-            if all(cycle_distance(orb, o) > 1e-6 for o in found):
-                found.append(orb)
-    return found
+            # the cycle distance of two period-1 orbits, in floats
+            if all(max(abs(wrap_pi(xi_s - x)), abs(I_s - a)) > 1e-6
+                   for x, a in found):
+                found.append((xi_s, I_s))
+                orbits.append(PeriodicOrbit(
+                    m=m, n=1, xis=xis[:-1], actions=acts[:-1],
+                    residual=resid, kind="map-newton"))
+    return sorted(orbits, key=lambda o: (wrap_pi(float(o.xis[0])),
+                                         float(o.actions[0])))
+
+
+def _newton_fixed_point(xi: float, I: float, m: int,
+                        profile: PerturbationProfile,
+                        params: PhysParams) -> Optional[Tuple[float, float]]:
+    """Newton's method on G = (lifted advance - 2 pi m, I1 - I0) from
+    ``(xi, I)``, with the exact Jacobian DF - Id of :func:`tangent_map`.
+
+    Steps are capped at 0.5 in max-norm.  Returns the first iterate with
+    max |G| < 1e-12, or None after 30 steps, on a singular Jacobian or when
+    the map fails.
+    """
+    for _ in range(30):
+        try:
+            state = outgoing_state(xi, I, profile, params)
+            res = return_map(state, profile, params)
+        except BilliardError:
+            return None
+        gx = res.delta_xi - 2.0 * math.pi * m
+        gI = res.state.action_I - I
+        if max(abs(gx), abs(gI)) < 1e-12:
+            return xi, I
+        (a, b), (c, d) = tangent_map(state, res, profile, params).tolist()
+        a -= 1.0
+        d -= 1.0
+        det = a * d - b * c
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dxi = (d * gx - b * gI) / det
+        dI = (a * gI - c * gx) / det
+        cap = max(abs(dxi), abs(dI)) / 0.5
+        if cap > 1.0:
+            dxi, dI = dxi / cap, dI / cap
+        xi, I = xi - dxi, I - dI
+    return None
 
 
 def find_periodic(m: int, n: int, profile: PerturbationProfile,
@@ -328,27 +361,35 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
         return discrete_action(x, m, n, profile, params,
                                action_hint=I_seed)[1]
 
+    # descend from two offsets and polish each descent before comparing W,
+    # so the choice does not turn on the descents' last digits; within
+    # 1e-9 relative the first offset's cycle is kept
     base = target * np.arange(n)
     best = None
     for off in (0.0, math.pi / (2 * n)):
         res = minimize(fun, base + off, jac=True, method="L-BFGS-B",
                        options={"gtol": 1e-11, "maxiter": 200})
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.all(np.isfinite(best.x)):
+        if not np.all(np.isfinite(res.x)):
+            continue
+        try:
+            pol = root(grad_only, res.x, method="hybr",
+                       options={"xtol": 1e-13, "eps": 1e-7})
+            x = pol.x if pol.success else res.x
+        except BilliardError:
+            x = res.x
+        W = float(fun(x)[0])
+        if best is None or W < best[0] - 1e-9 * max(1.0, abs(best[0])):
+            best = W, x
+    if best is None:
         raise DescentStalled("discrete-action descent failed to converge")
+    W_min, x_min = best
 
-    pol = root(grad_only, best.x, method="hybr",
-               options={"xtol": 1e-13, "eps": 1e-7})
-    x_min = pol.x if pol.success else best.x
     g_min = float(np.max(np.abs(grad_only(x_min))))
     if g_min > 1e-7:
         raise DescentStalled(
             f"minimizer gradient stalled at {g_min:.3g}")
     orbits = [_orbit_from_cycle(x_min, m, n, profile, params, I_seed,
                                 "action-minimizer", g_min)]
-
-    W_min = float(fun(x_min)[0])
 
     def polish(z_seed):
         sol = root(grad_only, z_seed, method="hybr",
@@ -408,27 +449,24 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
 
 
 def linear_stability(orbit: PeriodicOrbit, profile: PerturbationProfile,
-                     params: PhysParams, delta: float = 1e-6
-                     ) -> StabilityReport:
-    """Monodromy of the n-step return about a periodic orbit, by differences.
+                     params: PhysParams) -> StabilityReport:
+    """Monodromy of the n-step return about a periodic orbit: the product of
+    the n exact one-step derivatives of :func:`tangent_map` along it.
 
-    |trace| below 2 is elliptic, above 2 hyperbolic, and equal to 2 within
-    finite-difference resolution parabolic (the integrable I = 0 shear).
+    |trace| below 2 is elliptic, above 2 hyperbolic, and within
+    1e-7 max(1, |trace|) of 2 parabolic (the integrable shear).
     """
     if not (orbit.residual < 1e-8):
         raise ResidualTooLarge(
             f"periodicity residual {orbit.residual:.3g} too large for a "
             "meaningful monodromy")
-    xi0, I0 = float(orbit.xis[0]), float(orbit.actions[0])
-    m, n = orbit.m, orbit.n
-
-    def step(xi, I):
-        rx, rI, _, _ = _map_residual(xi, I, m, n, profile, params)
-        return np.array([xi + rx, I + rI])
-
-    col_xi = (step(xi0 + delta, I0) - step(xi0 - delta, I0)) / (2 * delta)
-    col_I = (step(xi0, I0 + delta) - step(xi0, I0 - delta)) / (2 * delta)
-    M = np.column_stack([col_xi, col_I])
+    state = outgoing_state(float(orbit.xis[0]), float(orbit.actions[0]),
+                           profile, params)
+    M = np.eye(2)
+    for _ in range(orbit.n):
+        res = return_map(state, profile, params)
+        M = tangent_map(state, res, profile, params) @ M
+        state = res.state
     tr = float(M[0, 0] + M[1, 1])
     det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
     mult = np.linalg.eigvals(M)

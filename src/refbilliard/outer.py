@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from ._util import brentq, march_to_zero, shoot, wrap_pi
+from ._util import (brentq, difference_slope, march_to_zero, shoot,
+                    wrap_pi)
 from .arcs import ArcSegment, OuterConic
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
@@ -283,5 +284,6 @@ def outer_arc_fixed_ends(xi0: float, xi1: float,
         return outer_transit(xi0, a, profile, params).sweep - delta
 
     lim = math.pi / 2 - 1e-9
-    alpha = shoot(resid, alpha, -lim, lim, 1e-12, "exterior arc")
+    alpha = shoot(difference_slope(resid, lim), alpha, -lim, lim, 1e-12,
+                  "exterior arc")
     return outer_transit(xi0, alpha, profile, params)

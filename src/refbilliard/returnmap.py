@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from ._util import brentq, wrap_pi
-from .arcs import ArcSegment
+from .arcs import ArcSegment, lc_flow
 from .boundary import BoundaryGeometry, PerturbationProfile, boundary
 from .errors import (NoFixedPoint, OutOfActionRange, TangentialCrossing,
                      TotalReflectionTermination)
@@ -311,6 +311,102 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
     new = BoundaryState(xi=wrap_pi(inner_arc.xi1), action_I=I1,
                         alpha=alpha1, direction="outgoing")
     return MapResult(state=new, delta_xi=delta, arcs=(outer_arc, inner_arc))
+
+
+def tangent_map(state: BoundaryState, result: MapResult,
+                profile: PerturbationProfile,
+                params: PhysParams) -> np.ndarray:
+    """Exact derivative DF = d(xi_1 lifted, I_1)/d(xi_0, I_0) of one return.
+
+    ``result`` is ``return_map(state, ...)``; DF is built from its arcs
+    alone, with no further map call.  On the closed-form circle path it is
+    the shear [[1, f' + g'], [0, 1]].  On the geometric path the two tangent
+    vectors (dz, dv) of the launch are pushed through the linear exterior
+    flow, Snell refraction (tangential velocity kept, normal part from
+    energy) and the linear interior flow in Levi-Civita coordinates, which
+    serve both inner charts.  Each exit time moves by the implicit-function
+    correction -grad(clearance).dx / (d clearance/dt), defined because the
+    crossing finder certified a transversal exit.  Finally I_1 = v .
+    gamma'(xi_1)/sqrt(2).  det DF = 1: the map preserves area.
+    """
+    if not result.arcs:
+        tp = circular_shift(state.action_I, params).total_prime
+        return np.array([[1.0, tp], [0.0, 1.0]])
+    outer, inner = result.arcs
+    om, w, mu = params.stiffness_om, params.omega, params.mass_mu
+
+    # launch: v0 = a t + b n, a = sqrt(2) I0/|gamma'|, b^2 = 2 V_E - a^2
+    _, g1, g2 = _boundary_jet(state.xi, profile)
+    m = abs(g1)
+    t = g1 / m
+    dm = _dot(t, g2)
+    dt = (g2 - t * dm) / m
+    a = _SQRT2 * state.action_I / m
+    b = _dot(outer.v0, -1j * t)
+    da_x, da_I = -a * dm / m, _SQRT2 / m
+    db_x = (-om * _dot(outer.p0, g1) - a * da_x) / b
+    db_I = -a * da_I / b
+    launch = ((g1, (da_x - 1j * db_x) * t + (a - 1j * b) * dt),
+              (0j, (da_I - 1j * db_I) * t))
+
+    # exterior exit: clearance h = |z| - rho(arg z)
+    s1 = outer.duration
+    c, sn = math.cos(w * s1), math.sin(w * s1)
+    z1, v1 = outer.p1, outer.v1
+    r1sq = _dot(z1, z1)
+    rp, gm1, gm2 = _boundary_jet(math.atan2(z1.imag, z1.real), profile)
+    grad_h = z1 / math.sqrt(r1sq) - rp * 1j * z1 / r1sq
+    h_dot = _dot(grad_h, v1)
+    # Snell at the interface, on the inner side: v = T t + N n, N < 0
+    mm = abs(gm1)
+    tm = gm1 / mm
+    dtm = (gm2 - tm * _dot(tm, gm2)) / mm
+    T = _dot(v1, tm)
+    N = _dot(inner.v0, -1j * tm)
+    # interior flow in Levi-Civita coordinates: clearance rho(2 arg w) - |w|^2
+    w0, wd0, Om, tau1 = inner.lc_state()
+    w1, wd1 = lc_flow(w0, wd0, Om, tau1)
+    q1 = _dot(w1, w1)
+    z2, v2 = w1 * w1, wd1 / w1.conjugate()
+    rp, ge1, ge2 = _boundary_jet(math.atan2(z2.imag, z2.real), profile)
+    grad_g = rp * 2j * w1 / q1 - 2.0 * w1
+    g_dot = _dot(grad_g, wd1)
+    z2sq = _dot(z2, z2)
+
+    cols = []
+    for dz, dv in launch:
+        dz, dv = dz * c + dv * sn / w, dv * c - dz * w * sn
+        ds = -_dot(grad_h, dz) / h_dot
+        dz, dv = dz + v1 * ds, dv - om * z1 * ds
+        dxm = _dot(1j * z1, dz) / r1sq
+        dT = _dot(dv, tm) + _dot(v1, dtm) * dxm
+        dN = (-mu * _dot(z1, dz) / r1sq ** 1.5 - T * dT) / N
+        dv = (dT - 1j * dN) * tm + (T - 1j * N) * dtm * dxm
+        dw = dz / (2.0 * w0)
+        dw, dwd = lc_flow(dw, dv * w0.conjugate() + inner.v0 * dw.conjugate(),
+                          Om, tau1)
+        dtau = -_dot(grad_g, dw) / g_dot
+        dw, dwd = dw + wd1 * dtau, dwd + Om * Om * w1 * dtau
+        dz = 2.0 * w1 * dw
+        dv = (dwd - v2 * dw.conjugate()) / w1.conjugate()
+        dx2 = _dot(1j * z2, dz) / z2sq
+        cols.append((dx2, (_dot(dv, ge1) + _dot(v2, ge2) * dx2) / _SQRT2))
+    return np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _dot(a: complex, b: complex) -> float:
+    """Euclidean inner product of two plane vectors given as complex."""
+    return a.real * b.real + a.imag * b.imag
+
+
+def _boundary_jet(xi: float, profile: PerturbationProfile):
+    """(rho', gamma'(xi), gamma''(xi)) of gamma = rho e^{i xi}."""
+    rho, rp, rpp = profile.radius_jet(xi)
+    e = complex(math.cos(xi), math.sin(xi))
+    return rp, (rp + 1j * rho) * e, (rpp - rho + 2j * rp) * e
 
 
 def _angle_from_normal(v: complex, geom: BoundaryGeometry,

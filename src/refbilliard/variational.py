@@ -11,110 +11,56 @@ I0 = -dS/dxi0, I1 = +dS/dxi1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import brentq, quad, shoot
-from .arcs import ArcSegment, lc_flow
+from ._util import brentq, shoot
+from .arcs import ArcSegment
 from .boundary import PerturbationProfile
-from .errors import DegenerateStationarity, QuadratureTolUnmet, RangeEmpty
-from .inner import inner_arc_fixed_ends
-from .outer import outer_arc_fixed_ends
-from .params import PhysParams, potential
+from .errors import DegenerateStationarity, RangeEmpty
+from .params import PhysParams
 from .returnmap import (_action_bound, circular_shift, outgoing_state,
-                        return_map, total_shift_grid)
+                        return_map, tangent_map, total_shift_grid)
 
 
-# -- Jacobi metric functionals -------------------------------------------------
+# -- Jacobi lengths ------------------------------------------------------------
 
 
-def _length_integrand(arc: ArcSegment, params: PhysParams):
-    """sqrt(V(z)) |dz/du| along the arc, collision-safe in the LC chart."""
-    if arc.chart == "lc":
-        w0, wd0, Om, tau1 = arc.par
-        Eh, mu = params.kepler_energy, params.mass_mu
+def jacobi_length(arc: ArcSegment, params: PhysParams) -> float:
+    """Length of the arc in the Jacobi metric sqrt(V)|dz|, in closed form.
 
-        def f(u):
-            w, wd = lc_flow(w0, wd0, Om, u * tau1)
-            # |dz/du| sqrt(V) = 2|w||wd| tau1 sqrt(Eh + mu/|w|^2)
-            return 2.0 * abs(wd) * abs(tau1) * \
-                math.sqrt(Eh * abs(w) ** 2 + mu)
-        return f
+    On a zero-energy arc |v|^2 = 2V, so sqrt(V)|dz| = sqrt(2) V ds and the
+    length is sqrt(2) int V ds over the kinetic time T:
 
-    def f(u):
-        z, dz, _ = arc._flow(u)
-        v = max(potential(complex(z), arc.region, params), 0.0)
-        return abs(complex(dz)) * math.sqrt(v)
-    return f
-
-
-def jacobi_length(arc: ArcSegment, params: PhysParams,
-                  tol: float = 1e-10) -> float:
-    """Length of the arc in the Jacobi metric sqrt(V)|dz| (adaptive quadrature)."""
-    if arc.duration == 0.0:
-        return 0.0
-    val, err = quad(_length_integrand(arc, params), 0.0, 1.0,
-                    epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > max(tol, tol * abs(val)) * 100.0:
-        raise QuadratureTolUnmet(
-            f"Jacobi length error estimate {err:.3g} exceeds tolerance")
-    return val
-
-
-def maupertuis_product(arc: ArcSegment, params: PhysParams) -> float:
-    """M = (1/2 int |dz/dt|^2 dt) * (int V dt) in geodesic time t = s/T.
-
-    On zero-energy arcs the Cauchy-Schwarz bound L^2 <= 2M is attained, so
-    this provides an independent check of the Jacobi length.
+    - exterior: V = E - (om/2)|z|^2, and on z = p0 cos(ws) + q0 sin(ws),
+      q0 = v0/w, |z|^2 = (|p0|^2 + |q0|^2)/2 + (|p0|^2 - |q0|^2)/2 cos(2ws)
+      + p0.q0 sin(2ws);
+    - interior: V ds = (E_K + mu/|z|) ds and ds = 2|z| dtau in the
+      Levi-Civita chart, so int V ds = E_K T + 2 mu tau1 (on a Kepler-chart
+      arc 2 mu tau1 = mu dH/(n a), H the hyperbolic anomaly).
     """
     T = arc.duration
     if T == 0.0:
         return 0.0
-    if arc.chart == "lc":
-        w0, wd0, Om, tau1 = arc.par
-        Eh, mu = params.kepler_energy, params.mass_mu
-
-        # |v|^2 ds = 2|wd|^2 dtau ; V ds = 2(Eh |w|^2 + mu) dtau
-        def kin(u):
-            _, wd = lc_flow(w0, wd0, Om, u * tau1)
-            return 2.0 * abs(wd) ** 2 * abs(tau1)
-
-        def pot(u):
-            w, _ = lc_flow(w0, wd0, Om, u * tau1)
-            return 2.0 * (Eh * abs(w) ** 2 + mu) * abs(tau1)
+    if arc.region == "outer":
+        w = arc.par[0]
+        p0, q0 = arc.p0, arc.v0 / w
+        pp = p0.real * p0.real + p0.imag * p0.imag
+        qq = q0.real * q0.real + q0.imag * q0.imag
+        dot = p0.real * q0.real + p0.imag * q0.imag
+        sn = math.sin(w * T)
+        zz = (0.5 * (pp + qq) * T +
+              (0.5 * (pp - qq) * math.sin(2.0 * w * T) +
+               2.0 * dot * sn * sn) / (2.0 * w))
+        V = params.energy_E * T - 0.5 * params.stiffness_om * zz
     else:
-        def kin(u):
-            return abs(arc.velocity(u)) ** 2 * arc.ds_du(u)
-
-        def pot(u):
-            return max(potential(arc.point(u), arc.region, params), 0.0) * \
-                arc.ds_du(u)
-
-    A = 0.5 * T * quad(kin, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
-                       limit=200)[0]
-    B = quad(pot, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)[0] / T
-    return A * B
-
-
-def outer_distance(xi0: float, xi1: float, profile: PerturbationProfile,
-                   params: PhysParams,
-                   lifted_delta: Optional[float] = None) -> float:
-    """Jacobi length d_E of the exterior arc joining two boundary angles."""
-    arc = outer_arc_fixed_ends(xi0, xi1, profile, params,
-                               lifted_delta=lifted_delta)
-    return jacobi_length(arc, params)
-
-
-def inner_distance(xi0: float, xi1: float, profile: PerturbationProfile,
-                   params: PhysParams, branch: str = "winding",
-                   lifted_sweep: Optional[float] = None) -> float:
-    """Jacobi length d_I of the interior arc joining two boundary angles."""
-    arc = inner_arc_fixed_ends(xi0, xi1, profile, params, branch=branch,
-                               lifted_sweep=lifted_sweep)
-    return jacobi_length(arc, params)
+        V = params.kepler_energy * T + 2.0 * params.mass_mu * \
+            arc.lc_state()[3]
+    return math.sqrt(2.0) * V
 
 
 # -- circular shift inversion (seeding) ----------------------------------------
@@ -127,9 +73,8 @@ def shift_inverse_all(delta: float, params: PhysParams,
     The shift can fold (twist sign changes), so several roots may exist;
     they are bracketed on a scan grid and polished by Brent's method.
     """
-    Ic = params.action_bound_Ic
-    grid = np.linspace(-Ic * (1 - 1e-9), Ic * (1 - 1e-9), n_scan)
-    vals = total_shift_grid(grid, params) - delta
+    grid, shifts = _shift_scan(params, n_scan)
+    vals = shifts - delta
     roots = []
     for i in np.nonzero(vals[1:] * vals[:-1] <= 0.0)[0]:
         if vals[i] == 0.0:
@@ -141,6 +86,17 @@ def shift_inverse_all(delta: float, params: PhysParams,
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_scan(params: PhysParams, n_scan: int):
+    """The scan grid of :func:`shift_inverse_all` and its total shifts,
+    computed once per parameter set (read-only arrays)."""
+    Ic = params.action_bound_Ic
+    grid = np.linspace(-Ic * (1 - 1e-9), Ic * (1 - 1e-9), n_scan)
+    shifts = total_shift_grid(grid, params)
+    grid.flags.writeable = shifts.flags.writeable = False
+    return grid, shifts
 
 
 def _seed_action(delta: float, params: PhysParams,
@@ -191,7 +147,10 @@ def generating_function(xi0: float, xi1: float,
     unless ``action_hint`` picks another.  The launch action I0 is shot,
     within the seed's sign and the local action bound at ``xi0``, until the
     geometric return map from (xi0, I0) advances the lifted angle by delta;
-    S is the Jacobi length of the two arcs that step traverses.
+    S is the Jacobi length of the two arcs that step traverses.  The
+    shooting slope is the exact d delta/d I0 of :func:`tangent_map`, and the
+    last shot supplies S, xi_mid, I1 and the twist without further map
+    calls.
     """
     delta = xi1 - xi0
     I_seed = _seed_action(delta, params, action_hint)
@@ -199,20 +158,23 @@ def generating_function(xi0: float, xi1: float,
     lo = -lim if I_seed <= 0.0 else 0.0
     hi = lim if I_seed >= 0.0 else 0.0
 
-    def step(I0):
-        return return_map(outgoing_state(xi0, I0, profile, params), profile,
-                          params, method="geometric")
+    last = []
 
-    I0 = shoot(lambda I: step(I).delta_xi - delta,
-               min(max(I_seed, lo), hi), lo, hi, 1e-12, "generating function")
-    h = 1e-6
-    slope = (step(I0 + h).delta_xi - step(I0 - h).delta_xi) / (2.0 * h)
+    def resid(I0):
+        state = outgoing_state(xi0, I0, profile, params)
+        res = return_map(state, profile, params, method="geometric")
+        slope = float(tangent_map(state, res, profile, params)[0, 1])
+        last[:] = res, slope
+        return res.delta_xi - delta, slope
+
+    I0 = shoot(resid, min(max(I_seed, lo), hi), lo, hi, 1e-12,
+               "generating function")
+    res, slope = last
     if abs(slope) < 1e-8:
         raise DegenerateStationarity(
             "the lifted advance is stationary in the launch action "
             "(twist-critical fiber); S is not a valid local generating "
             "function here")
-    res = step(I0)
     S = sum(jacobi_length(arc, params) for arc in res.arcs)
     return GeneratingEval(S_value=S, xi_mid=res.arcs[0].xi1,
                           action_I0=I0, action_I1=res.state.action_I,

@@ -65,6 +65,19 @@ def test_command_without_solvers_does_not_load_scipy(tmp_path, command):
     assert out.split()[-2:] == ["0", "False"]
 
 
+def test_discrete_action_does_not_load_quadrature(tmp_path):
+    # Jacobi lengths are closed-form: the variational layer needs root
+    # brackets from scipy.optimize, never scipy.integrate
+    out = _fresh_python(
+        "import sys\nfrom refbilliard import (PerturbationProfile, "
+        "PhysParams, discrete_action)\n"
+        "params = PhysParams(2.5, 2.0, 2.0, 1.0)\n"
+        "prof = PerturbationProfile.cos_profile(2, 0.01)\n"
+        "W, grad = discrete_action([0.0], 0, 1, prof, params)\n"
+        "print(W > 0, 'scipy.integrate' in sys.modules)", tmp_path)
+    assert out.split() == ["True", "False"]
+
+
 def test_orbits_solvers_are_module_level_and_return_scipy_results():
     # the benchmark's traced runs wrap these two names to count solver work
     assert callable(vars(orbits)["minimize"])

@@ -9,8 +9,9 @@ from refbilliard import (PerturbationProfile, PeriodicOrbit, boundary,
                          circular_shift, curve_eval, cycle_distance,
                          find_periodic, golden_target, invariant_curve_probe,
                          is_diophantine_surrogate, iterate, linear_stability,
-                         outgoing_state, potential, rotation_number,
-                         twist_at_zero)
+                         outgoing_state, potential, return_map,
+                         rotation_number, twist_at_zero)
+from refbilliard._util import wrap_pi
 from refbilliard.errors import (InsufficientLength, RangeEmpty,
                                 ResidualTooLarge)
 
@@ -95,6 +96,35 @@ def test_find_periodic_newton_on_perturbed_section(fig4):
     for orb in orbits:
         assert orb.residual < 1e-8
         assert orb.n == 1
+
+
+def test_find_periodic_finds_every_collision_fixed_point(light_mass):
+    # on 1 + 0.02 cos 3 xi each of the six symmetry axes carries an
+    # ejection-collision fixed point at I = 0; they come sorted by xi
+    prof = PerturbationProfile.cos_profile(3, 0.02)
+    orbits = find_periodic(0, 1, prof, light_mass)
+    assert len(orbits) == 6
+    for k, orb in enumerate(orbits):
+        assert orb.residual < 1e-8
+        assert abs(wrap_pi(float(orb.xis[0]) - (k - 3) * math.pi / 3)) < 1e-8
+        assert abs(float(orb.actions[0])) < 1e-9
+
+
+def test_linear_stability_matches_differences_on_perturbed_cycle(light_mass):
+    prof = PerturbationProfile.cos_profile(3, 0.02)
+    orb = find_periodic(0, 1, prof, light_mass)[1]
+    rep = linear_stability(orb, prof, light_mass)
+    assert rep.det == pytest.approx(1.0, abs=1e-11)
+    xi0, I0, h = float(orb.xis[0]), float(orb.actions[0]), 1e-6
+
+    def step(xi, I):
+        res = return_map(outgoing_state(xi, I, prof, light_mass), prof,
+                         light_mass)
+        return np.array([xi + res.delta_xi, res.state.action_I])
+
+    fd = np.column_stack([(step(xi0 + h, I0) - step(xi0 - h, I0)) / (2 * h),
+                          (step(xi0, I0 + h) - step(xi0, I0 - h)) / (2 * h)])
+    assert np.max(np.abs(rep.matrix - fd)) < 1e-6 * np.max(np.abs(fd))
 
 
 def test_linear_stability_integrable_shear(fig1, circle):

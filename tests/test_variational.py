@@ -11,13 +11,15 @@ from scipy.integrate import quad, solve_ivp
 from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
                          circular_shift, discrete_action, generating_function,
                          inner_arc_fixed_ends, inner_distance, jacobi_length,
-                         maupertuis_product, outer_arc_fixed_ends,
-                         outer_distance, outer_propagate, outer_transit,
-                         outgoing_state, potential, return_map,
+                         levi_civita_propagate, maupertuis_product,
+                         outer_arc_fixed_ends, outer_distance,
+                         outer_propagate, outer_transit, outgoing_state,
+                         potential, quadrature_length, return_map,
                          shift_inverse_all)
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, RangeEmpty,
                                 TotalReflectionTermination)
+from refbilliard.returnmap import _action_bound
 
 FIG1 = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0, stiffness_om=1.0)
 LIGHT_MASS = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=0.5,
@@ -67,6 +69,24 @@ def test_length_squared_equals_twice_maupertuis(fig1, circle):
         L = jacobi_length(arc, fig1)
         M = maupertuis_product(arc, fig1)
         assert L * L == pytest.approx(2.0 * M, rel=1e-9)
+
+
+def test_jacobi_length_closed_form_on_special_arcs(fig1, circle):
+    # the collision ray, a Levi-Civita arc forced on a generic entry, and
+    # its Kepler-chart twin; the two charts give one length
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    collision = inner_arc_fixed_ends(0.4, 0.4, circle, fig1)
+    assert collision.conic.is_collision and collision.chart == "lc"
+    res = return_map(outgoing_state(0.3, 0.5, prof, fig1), prof, fig1)
+    inner = res.arcs[1]
+    forced = levi_civita_propagate(inner.p0, inner.v0, fig1, prof,
+                                   force_chart="lc")
+    assert inner.chart == "closed" and forced.chart == "lc"
+    for arc in (collision, inner, forced):
+        assert jacobi_length(arc, fig1) == pytest.approx(
+            quadrature_length(arc, fig1), abs=1e-11)
+    assert jacobi_length(inner, fig1) == pytest.approx(
+        jacobi_length(forced, fig1), abs=1e-12)
 
 
 def test_distances_are_symmetric_and_positive(fig1, circle):
@@ -226,6 +246,23 @@ def test_generating_function_links_are_map_orbits(profile, params, xi0,
     assert abs(res.delta_xi - (xi1 - xi0)) < 1e-10
     assert abs(wrap_pi(res.state.xi - xi1)) < 1e-10
     assert abs(res.state.action_I - ev.action_I1) < 1e-10
+
+
+@settings(max_examples=40)
+@given(profile=_profiles(), params=st.sampled_from((FIG1, LIGHT_MASS)),
+       xi0=st.floats(-math.pi, math.pi),
+       share=st.one_of(st.floats(-0.95, 0.95), st.floats(-3e-3, 3e-3)))
+def test_jacobi_length_matches_quadrature(profile, params, xi0, share):
+    # small shares enter near-radially, in the Levi-Civita chart
+    try:
+        I0 = share * _action_bound(xi0, profile, params)
+        res = return_map(outgoing_state(xi0, I0, profile, params), profile,
+                         params, method="geometric")
+    except BilliardError:
+        return
+    for arc in res.arcs:
+        assert abs(jacobi_length(arc, params) -
+                   quadrature_length(arc, params)) < 1e-11
 
 
 def test_discrete_action_gradient_vanishes_on_periodic_orbit(fig1, circle):
