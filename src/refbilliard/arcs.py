@@ -9,10 +9,9 @@ re-integration.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,8 +34,6 @@ class OuterConic:
     semi_major_sq: float
     semi_minor_sq: float
     tilt_angle: float
-    duration_T: Optional[float] = None
-    endpoints: Optional[Tuple[complex, complex]] = None
     degenerate: bool = False
 
 
@@ -65,17 +62,19 @@ class InnerConic:
 class ArcSegment:
     """One conic arc with its closed-form parametrization.
 
-    ``region`` is "outer" or "inner"; ``chart`` records how the arc was
-    produced ("closed" conic propagation or "lc" Levi-Civita).  ``duration``
-    is the kinetic (physical) time of traversal, ``sweep`` the lifted polar
-    angle advance from start to end, and ``xi0``/``xi1`` the wrapped boundary
-    angles of the endpoints (equal for brake/collision arcs).
+    ``region`` is "outer" or "inner"; ``chart`` records the coordinates the
+    arc was propagated in: "global" (Cartesian) outside, "lc" (Levi-Civita)
+    inside.  ``duration`` is the kinetic (physical) time of traversal,
+    ``sweep`` the lifted polar angle advance from start to end, and
+    ``xi0``/``xi1`` the wrapped boundary angles of the endpoints (equal for
+    brake/collision arcs).  ``conic`` is the :class:`InnerConic` of an inner
+    arc and None on an outer one (:func:`refbilliard.outer.outer_conic_of`
+    gives its ellipse).
 
-    The parametrization payload ``par`` depends on the region/chart:
+    The parametrization payload ``par`` depends on the region:
 
-    - outer:          (omega, T)                     u in [0,1] -> s = u T
-    - inner "closed": (e, p, th_peri, sgn, f0, f1)   u -> f = f0 + u (f1-f0)
-    - inner "lc":     (w0, wd0, Omega, tau1)         u -> tau = u tau1
+    - outer: (omega, T)               u in [0,1] -> s = u T
+    - inner: (w0, wd0, Omega, tau1)   u -> tau = u tau1, w^2 = z
     """
 
     region: str
@@ -96,7 +95,7 @@ class ArcSegment:
 
     def _flow(self, u):
         """(z, dz/du, ds/du) at u in [0, 1] (scalar or array), from the
-        chart's closed-form flow."""
+        region's closed-form flow."""
         u = np.asarray(u, dtype=float)
         if self.region == "outer":
             w, T = self.par
@@ -104,34 +103,9 @@ class ArcSegment:
             c, sn = np.cos(w * s), np.sin(w * s)
             z = self.p0 * c + self.v0 * sn / w
             return z, (-self.p0 * w * sn + self.v0 * c) * T, np.full_like(u, T)
-        if self.chart == "closed":
-            e, p, thp, sgn, f0, f1 = self.par
-            df = f1 - f0
-            f = f0 + u * df
-            den = 1 + e * np.cos(f)
-            r = p / den
-            turn = np.exp(1j * (thp + sgn * f))
-            dz = (p * e * np.sin(f) / den ** 2 + 1j * sgn * r) * turn * df
-            return (r * turn, dz,
-                    r ** 2 / abs(self.conic.ang_momentum_k) * abs(df))
         w0, wd0, Om, tau1 = self.par
         w, wd = lc_flow(w0, wd0, Om, u * tau1)
         return w * w, 2 * w * wd * tau1, 2 * np.abs(w) ** 2 * tau1
-
-    def lc_state(self):
-        """(w0, wd0, Omega, tau1): an inner arc in the Levi-Civita chart.
-
-        The "lc" chart stores these; a Kepler-chart arc gets w0 = sqrt(z0),
-        wd0 = v0 conj(w0) and tau1 = (H1 - H0)/(2 Omega) from its hyperbolic
-        anomalies, since dt = r dH/(a n), ds = 2 r dtau and a n = Omega.
-        """
-        if self.chart == "lc":
-            return self.par
-        e, _, _, _, f0, f1 = self.par
-        Om = math.sqrt(self.params.lc_Omega_sq)
-        w0 = cmath.sqrt(self.p0)
-        dH = hyperbolic_anomaly(f1, e) - hyperbolic_anomaly(f0, e)
-        return w0, self.v0 * w0.conjugate(), Om, dH / (2.0 * Om)
 
     def point(self, u):
         """Position z(u) for u in [0, 1] (scalar or array), as complex."""
@@ -158,9 +132,9 @@ class ArcSegment:
         """(radius, polar angle) of the arc's apocenter (outer) / pericenter (inner).
 
         In closed form: the outer ellipse z = p0 cos(ws) + (v0/w) sin(ws)
-        has |z|^2 = m + R cos(2ws - phi), largest at 2ws = phi; the Kepler
-        chart's pericenter is f = 0; the Levi-Civita chart's |w|^2 = A cosh
-        2 Om tau + B sinh 2 Om tau + C is least at tanh 2 Om tau = -B/A.
+        has |z|^2 = m + R cos(2ws - phi), largest at 2ws = phi; inside,
+        |w|^2 = A cosh 2 Om tau + B sinh 2 Om tau + C is least at
+        tanh 2 Om tau = -B/A.
         When that parameter is off the arc, the extremum is an endpoint.
         """
         us = [0.0, 1.0]
@@ -170,10 +144,6 @@ class ArcSegment:
             dot = p0.real * q0.real + p0.imag * q0.imag
             phi = math.atan2(dot, 0.5 * (abs(p0) ** 2 - abs(q0) ** 2))
             us.append(phi % (2.0 * math.pi) / (2.0 * w * T))
-        elif self.chart == "closed":
-            f0, f1 = self.par[4:]
-            if f0 * f1 < 0.0:
-                us.append(f0 / (f0 - f1))
         else:
             w0, wd0, Om, tau1 = self.par
             A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
@@ -198,10 +168,3 @@ def lc_flow(w0, wd0, Om, tau):
         x = Om * np.asarray(tau, dtype=float)
         ch, sh = np.cosh(x), np.sinh(x)
     return w0 * ch + wd0 * sh / Om, w0 * Om * sh + wd0 * ch
-
-
-def hyperbolic_anomaly(f: float, e: float) -> float:
-    """Hyperbolic anomaly H of true anomaly ``f`` on a branch of
-    eccentricity ``e``: sinh H = sqrt(e^2 - 1) sin f/(1 + e cos f)."""
-    return math.asinh(math.sqrt(e * e - 1.0) * math.sin(f) /
-                      (1.0 + e * math.cos(f)))

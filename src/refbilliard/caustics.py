@@ -19,14 +19,12 @@ import numpy as np
 
 from .arcs import InnerConic, OuterConic
 from .boundary import PerturbationProfile, boundary
-from .errors import (DegenerateEnvelope, NewtonDiverged, OutOfActionRange,
-                     TotalReflectionTermination)
+from .errors import DegenerateEnvelope, NewtonDiverged, OutOfActionRange
 from .inner import kepler_elements
 from .orbits import CurveProbe, OrbitTrace, curve_eval
 from .outer import outer_conic_of, outer_transit
-from .params import PhysParams, potential
-from .refraction import refract_in
-from .returnmap import (_angle_from_normal, circular_shift, outgoing_state,
+from .params import PhysParams
+from .returnmap import (_refract_entry, circular_shift, outgoing_state,
                         outgoing_velocity)
 
 ActionCurve = Union[float, Callable[[float], float], CurveProbe]
@@ -97,18 +95,8 @@ def _inner_conic_at(zeta: float, action_I: float,
                     params: PhysParams) -> InnerConic:
     state = outgoing_state(zeta, action_I, profile, params)
     arc = outer_transit(zeta, state.alpha, profile, params)
-    geom1 = boundary(arc.xi1, profile)
-    a_in = _angle_from_normal(arc.v1, geom1, entering=True)
-    res = refract_in(a_in, geom1.point_c, params)
-    if not res.refracted:
-        raise TotalReflectionTermination(
-            "the exterior arc re-enters beyond the critical angle",
-            xi=arc.xi1, beta=a_in)
-    beta = res.out_angle
-    speed = math.sqrt(2.0 * potential(geom1.point_c, "inner", params))
-    v_in = speed * (-math.cos(beta) * geom1.normal_c +
-                    math.sin(beta) * geom1.tangent_c)
-    return kepler_elements(geom1.point_c, v_in, params)
+    z_in, v_in = _refract_entry(arc, profile, params)
+    return kepler_elements(z_in, v_in, params)
 
 
 def _eval_outer(conic: OuterConic, x: float, y: float

@@ -1,27 +1,22 @@
 """Keplerian arcs inside the domain.
 
 Inside the boundary the zero-energy motion is a Kepler hyperbola branch with
-(positive) two-body energy E + h.  Arcs are propagated in closed form, either
-in the polar conic chart or — near collision — in the Levi-Civita chart
-w^2 = z, where the flow is a linear hyperbolic oscillator and passes smoothly
-through the origin.
+(positive) two-body energy E + h.  Arcs are propagated in closed form in the
+Levi-Civita chart w^2 = z, where the flow is a linear hyperbolic oscillator
+and passes smoothly through the origin.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 
 from ._util import difference_slope, march_to_zero, shoot, wrap_pi
-from .arcs import ArcSegment, InnerConic, hyperbolic_anomaly, lc_flow
+from .arcs import ArcSegment, InnerConic, lc_flow
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
                      SingularityError, TangentialCrossing, WindingChanged)
 from .params import PhysParams, _as_complex, potential
-
-#: pericenter radius below which transits switch to the Levi-Civita chart
-PERICENTER_THRESHOLD = 1e-3
 
 
 def kepler_elements(z0, v0, params: PhysParams) -> InnerConic:
@@ -95,131 +90,30 @@ def inner_shift(beta0: float, params: PhysParams) -> float:
 
 
 def levi_civita_propagate(z0, v0, params: PhysParams,
-                          profile: PerturbationProfile | None = None,
-                          force_chart: str | None = None) -> ArcSegment:
+                          profile: PerturbationProfile | None = None
+                          ) -> ArcSegment:
     """Interior transit from boundary state ``(z0, v0)`` to its first exit.
 
-    Selects the polar conic chart, or the Levi-Civita chart when the
-    pericenter radius falls below :data:`PERICENTER_THRESHOLD` (or the
-    angular momentum vanishes); ``force_chart`` ("closed" or "lc") overrides
-    the choice.  Returns the :class:`ArcSegment` with endpoints, kinetic
+    Runs in the Levi-Civita chart w^2 = z, where the flow is the linear
+    oscillator w'' = Om^2 w in the fictitious time tau (ds = |w|^2 dtau)
+    and passes smoothly through the centre, so collision rays need no
+    special case.  Returns the :class:`ArcSegment` with endpoints, kinetic
     duration, lifted polar sweep and orbital elements.
     """
     profile = profile or PerturbationProfile.circle()
     z0 = _as_complex(z0)
     v0 = _as_complex(v0)
     conic = kepler_elements(z0, v0, params)
-    chart = force_chart or (
-        "lc" if (conic.is_collision or
-                 conic.pericenter_r < PERICENTER_THRESHOLD) else "closed")
-    if chart not in ("closed", "lc"):
-        raise ValueError(f"unknown chart {chart!r}")
-    if chart == "closed" and conic.is_collision:
-        raise DomainError("radial rays require the Levi-Civita chart")
-    if chart == "closed":
-        return _transit_closed(z0, v0, conic, profile, params)
-    return _transit_lc(z0, v0, conic, profile, params)
-
-
-def _transit_closed(z0: complex, v0: complex, conic: InnerConic,
-                    profile: PerturbationProfile,
-                    params: PhysParams) -> ArcSegment:
-    k, e, p = conic.ang_momentum_k, conic.eccentricity_e, conic.semilatus_p
-    sgn = 1.0 if k > 0 else -1.0
-    r0 = abs(z0)
-    rdot0 = (z0.real * v0.real + z0.imag * v0.imag) / r0
-    f0 = _true_anomaly(r0, rdot0, k, p)
-    th_peri = cmath.phase(z0) - sgn * f0
-
-    if profile.is_circle and abs(r0 - 1.0) < 1e-12 and rdot0 < 0.0:
-        f1 = -f0
-    else:
-        f1 = _exit_anomaly(f0, e, p, th_peri, sgn, profile)
-
-    r1 = p / (1.0 + e * math.cos(f1))
-    th1 = th_peri + sgn * f1
-    z1 = r1 * cmath.exp(1j * th1)
-    rdot1 = e * math.sin(f1) * abs(k) / p
-    v1 = (rdot1 + 1j * k / r1) * cmath.exp(1j * th1)
-    sweep = sgn * (f1 - f0)
-    dur = _kepler_time(f1, e, params) - _kepler_time(f0, e, params)
-    xi0 = wrap_pi(cmath.phase(z0))
-    xi1 = wrap_pi(th1)
-    wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
-    conic = InnerConic(ang_momentum_k=k, semilatus_p=p, eccentricity_e=e,
-                       pericenter_r=conic.pericenter_r,
-                       pericenter_angle=th_peri, winding=wind,
-                       is_collision=False)
-    return ArcSegment(region="inner", chart="closed", p0=z0, v0=v0, p1=z1,
-                      v1=v1, duration=dur, sweep=sweep, xi0=xi0, xi1=xi1,
-                      conic=conic, par=(e, p, th_peri, sgn, f0, f1),
-                      params=params)
-
-
-def _exit_anomaly(f0: float, e: float, p: float, th_peri: float, sgn: float,
-                  profile: PerturbationProfile):
-    """True anomaly of the interior arc's exit.
-
-    Marches the clearance g(f) = rho(th_peri + sgn f) - r(f), positive
-    inside, from its zero at f0 with :func:`march_to_zero`.  While g > 0 the
-    radius stays below rhi, and on r(f) = p/(1 + e cos f), r' = r^2 e sin
-    f/p and r'' = 2 r'^2/r + r^2 e cos f/p, so |g''| <= rhi^2 e (2 rhi e/p
-    + 1)/p + |rho''|.  A step that ends below the annulus (r < rlo <= rho)
-    moves on to the anomaly f_lo where r rises back to rlo.  Raises
-    :class:`TangentialCrossing` for an entry that does not go inside, and
-    :class:`EventDetectionFailed` when the march does not end before the
-    asymptote (it must: r grows without bound there).
-    """
-    rlo, rhi = profile.radius_bounds
-    bound = rhi * rhi * e * (2.0 * rhi * e / p + 1.0) / p + \
-        profile.derivative_bounds[1]
-    c_lo = (p / rlo - 1.0) / e
-    f_lo = math.acos(c_lo) if c_lo < 1.0 else -math.inf
-
-    def clearance(f):
-        den = 1.0 + e * math.cos(f)
-        rho, rhop = profile.radius_and_slope(th_peri + sgn * f)
-        return rho - p / den, sgn * rhop - p * e * math.sin(f) / (den * den)
-
-    def skip(f):
-        return f_lo if f < f_lo and p / (1.0 + e * math.cos(f)) < rlo else f
-
-    slope = clearance(f0)[1]
-    if slope <= 0.0:
-        raise TangentialCrossing("interior entry does not go inside")
-    return march_to_zero(clearance, f0, slope, bound, skip,
-                         t_end=math.acos(-1.0 / e))
-
-
-def _true_anomaly(r: float, rdot: float, k: float, p: float) -> float:
-    """True anomaly from the radial state: e sin f = p rdot/|k|, e cos f =
-    p/r - 1.  The atan2 form stays accurate near f = +-pi (almost-radial
-    arcs), where the acos of the cosine alone loses half the precision."""
-    return math.atan2(p * rdot / abs(k), p / r - 1.0)
-
-
-def _kepler_time(f: float, e: float, params: PhysParams) -> float:
-    """Time from pericenter to true anomaly ``f`` on the hyperbola branch."""
-    mu = params.mass_mu
-    a = mu / (2.0 * params.kepler_energy)
-    n_mean = math.sqrt(mu / a ** 3)
-    H = hyperbolic_anomaly(f, e)
-    return (e * math.sinh(H) - H) / n_mean
-
-
-def _transit_lc(z0: complex, v0: complex, conic: InnerConic,
-                profile: PerturbationProfile,
-                params: PhysParams) -> ArcSegment:
     Om = math.sqrt(params.lc_Omega_sq)
     w0 = cmath.sqrt(z0)
     wd0 = v0 * w0.conjugate()
+    # |w(tau)|^2 = A cosh(2 Om tau) + B sinh(2 Om tau) + C
     A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
     B = (w0.conjugate() * wd0).real / Om
     C = 0.5 * (abs(w0) ** 2 - abs(wd0) ** 2 / Om ** 2)
 
-    r0 = abs(z0)
-    rdot0 = (z0.real * v0.real + z0.imag * v0.imag) / r0
-    if profile.is_circle and abs(r0 - 1.0) < 1e-12 and rdot0 < 0.0:
+    if profile.is_circle and abs(abs(z0) - 1.0) < 1e-12 and \
+            z0.real * v0.real + z0.imag * v0.imag < 0.0:
         tau1 = -math.atanh(B / A) / Om
     else:
         tau1 = _exit_tau(w0, wd0, Om, A, B, C, profile, params)
@@ -232,20 +126,35 @@ def _transit_lc(z0: complex, v0: complex, conic: InnerConic,
 
     xi0 = wrap_pi(cmath.phase(z0))
     xi1 = wrap_pi(cmath.phase(z1))
-    sweep = 0.0
-    if not conic.is_collision:
-        k, p = conic.ang_momentum_k, conic.semilatus_p
-        sgn = 1.0 if k > 0 else -1.0
-        f0 = _true_anomaly(r0, rdot0, k, p)
-        r1 = abs(z1)
-        rdot1 = (z1.real * v1.real + z1.imag * v1.imag) / r1
-        f1 = _true_anomaly(r1, rdot1, k, p)
-        sweep = sgn * (f1 - f0)
+    # theta = 2 arg w, and arg w turns by less than pi along a hyperbola
+    # branch, so one atan2 gives the lifted sweep; a collision ray passes
+    # w = 0 and leaves along its entry ray
+    sweep = 0.0 if conic.is_collision else 2.0 * math.atan2(
+        w0.real * w1.imag - w0.imag * w1.real,
+        w0.real * w1.real + w0.imag * w1.imag)
     wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
-    conic = dataclasses.replace(conic, winding=wind)
+    conic = InnerConic(ang_momentum_k=conic.ang_momentum_k,
+                       semilatus_p=conic.semilatus_p,
+                       eccentricity_e=conic.eccentricity_e,
+                       pericenter_r=conic.pericenter_r,
+                       pericenter_angle=conic.pericenter_angle,
+                       winding=wind, is_collision=conic.is_collision)
     return ArcSegment(region="inner", chart="lc", p0=z0, v0=v0, p1=z1, v1=v1,
                       duration=dur, sweep=sweep, xi0=xi0, xi1=xi1,
                       conic=conic, par=(w0, wd0, Om, tau1), params=params)
+
+
+def _march_bound(Om: float, C: float, L: float, D: float,
+                 profile: PerturbationProfile, params: PhysParams) -> float:
+    """The bound on |g''| that :func:`_exit_tau` marches under, valid where
+    max(rlo, D + C) <= |w|^2 <= rhi."""
+    rlo, rhi = profile.radius_bounds
+    r_m = max(rlo, D + C)
+    d1, d2 = profile.derivative_bounds
+    Ek, mu = params.kepler_energy, params.mass_mu
+    return (4.0 * Om * Om * (rhi + abs(C)) + d2 * (2.0 * L / r_m) ** 2 +
+            4.0 * d1 * abs(L) * math.sqrt(rhi) *
+            math.sqrt(2.0 * (Ek * rhi + mu)) / (r_m * r_m))
 
 
 def _exit_tau(w0: complex, wd0: complex, Om: float, A: float, B: float,
@@ -256,24 +165,21 @@ def _exit_tau(w0: complex, wd0: complex, Om: float, A: float, B: float,
     Marches the clearance g(tau) = rho(2 arg w) - |w|^2 from its zero at
     tau = 0 with :func:`march_to_zero`.  L = Im(conj(w) w') is conserved,
     so theta' = 2L/|w|^2; |w|^2 = D cosh(2 Om tau + x) + C with D^2 = A^2 -
-    B^2, tanh x = B/A; and |w'|^2 = 2(E_K |w|^2 + mu).  So on the annulus
-    rlo <= |w|^2 <= rhi, |g''| <= 4 Om^2 (rhi + |C|) + |rho''| (2L/rlo)^2 +
-    4 |rho'| |L| sqrt(rhi) sqrt(2(E_K rhi + mu))/rlo^2.  In the dip below
-    rlo the clearance is positive but theta' unbounded, so no step is
-    trusted across it: a step that ends past the dip's start resumes at
-    its end, even when that moves the march back.  Raises
-    :class:`TangentialCrossing` for an entry that does not go inside.
+    B^2, tanh x = B/A, never below D + C; and |w'|^2 = 2(E_K |w|^2 + mu).
+    So where r_m <= |w|^2 <= rhi, with r_m = max(rlo, D + C), |g''| <=
+    4 Om^2 (rhi + |C|) + |rho''| (2L/r_m)^2 + 4 |rho'| |L| sqrt(rhi)
+    sqrt(2(E_K rhi + mu))/r_m^2.  In the dip below rlo the clearance is
+    positive but theta' unbounded, so no step is trusted across it: a step
+    that ends past the dip's start resumes at its end, even when that moves
+    the march back.  Raises :class:`TangentialCrossing` for an entry that
+    does not go inside.
     """
     rlo, rhi = profile.radius_bounds
-    d1, d2 = profile.derivative_bounds
-    Ek, mu = params.kepler_energy, params.mass_mu
     L = w0.real * wd0.imag - w0.imag * wd0.real
     # A^2 - B^2 = C^2 + L^2/Om^2, free of cancellation in this form
     D = math.hypot(C, L / Om)
     x = math.atanh(B / A)
-    bound = (4.0 * Om * Om * (rhi + abs(C)) + d2 * (2.0 * L / rlo) ** 2 +
-             4.0 * d1 * abs(L) * math.sqrt(rhi) *
-             math.sqrt(2.0 * (Ek * rhi + mu)) / (rlo * rlo))
+    bound = _march_bound(Om, C, L, D, profile, params)
     t_end = (math.acosh((rhi - C) / D) - x) / (2.0 * Om)
     dip_start = dip_end = math.inf
     if D + C < rlo:
@@ -282,11 +188,13 @@ def _exit_tau(w0: complex, wd0: complex, Om: float, A: float, B: float,
             dip_start, dip_end = -(a + x) / (2.0 * Om), (a - x) / (2.0 * Om)
 
     def clearance(tau):
-        w, wd = lc_flow(w0, wd0, Om, tau)
+        ch, sh = math.cosh(Om * tau), math.sinh(Om * tau)
+        w = w0 * ch + wd0 * sh / Om
         r2 = w.real * w.real + w.imag * w.imag
         rho, rhop = profile.radius_and_slope(2.0 * math.atan2(w.imag, w.real))
-        return rho - r2, 2.0 * (L * rhop / r2 -
-                                (w.real * wd.real + w.imag * wd.imag))
+        # d|w|^2/dtau = 2 Om (A sinh 2 Om tau + B cosh 2 Om tau)
+        return rho - r2, 2.0 * (L * rhop / r2 - Om * (
+            2.0 * A * ch * sh + B * (ch * ch + sh * sh)))
 
     def skip(tau):
         nonlocal dip_start

@@ -161,16 +161,10 @@ def _map_residual(xi0: float, I0: float, m: int, n: int,
     return res_xi, res_I, np.array(xis), np.array(acts)
 
 
-def _circular_orbits(m: int, n: int, params: PhysParams,
+def _circular_orbits(m: int, n: int, roots: Sequence[float],
+                     params: PhysParams,
                      profile: PerturbationProfile) -> List[PeriodicOrbit]:
-    target = 2.0 * math.pi * m / n
-    roots = shift_inverse_all(target, params)
-    Ic = params.action_bound_Ic
-    roots = [0.0 if abs(r) < 1e-9 * Ic else r for r in roots]
-    roots = _dedup_sorted(roots)
-    if not roots:
-        raise RangeEmpty(
-            f"the circular shift never equals 2 pi {m}/{n}")
+    """The (m, n) orbit of each action in ``roots`` on the circle."""
     orbits = []
     for r in roots:
         res_xi, res_I, xis, acts = _map_residual(0.0, r, m, n, profile,
@@ -301,15 +295,14 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
         raise ValueError("the period n must be a positive integer")
     if math.gcd(abs(m), n) != 1:
         raise ValueError("m and n must be coprime")
-    if profile.is_circle:
-        return _circular_orbits(m, n, params, profile)
-
     target = 2.0 * math.pi * m / n
     roots = shift_inverse_all(target, params)
     Ic = params.action_bound_Ic
     roots = _dedup_sorted([0.0 if abs(r) < 1e-9 * Ic else r for r in roots])
     if not roots:
         raise RangeEmpty(f"the circular shift never equals 2 pi {m}/{n}")
+    if profile.is_circle:
+        return _circular_orbits(m, n, roots, params, profile)
     if action_hint is not None:
         I_seed = min(roots, key=lambda r: abs(r - action_hint))
     else:

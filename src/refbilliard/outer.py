@@ -144,7 +144,8 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
 
     ``alpha`` is the launch angle from the outward unit normal toward the
     unit tangent.  Returns the :class:`ArcSegment` carrying endpoints,
-    kinetic duration, lifted polar sweep and the supporting ellipse.
+    kinetic duration and lifted polar sweep; :func:`outer_conic_of` gives
+    its ellipse.
     """
     if abs(alpha) > math.pi / 2 - 1e-9:
         raise TangentialCrossing(
@@ -173,14 +174,9 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
     if not on_circle:
         sweep = _exterior_sweep(p0, v0, z1, w, s1)
     xi1 = wrap_pi(math.atan2(z1.imag, z1.real))
-    conic = outer_conic_of(p0, v0, params)
-    conic = OuterConic(semi_major_sq=conic.semi_major_sq,
-                       semi_minor_sq=conic.semi_minor_sq,
-                       tilt_angle=conic.tilt_angle, duration_T=s1,
-                       endpoints=(p0, z1), degenerate=conic.degenerate)
     return ArcSegment(region="outer", chart="global", p0=p0, v0=v0, p1=z1,
                       v1=v1, duration=s1, sweep=sweep, xi0=wrap_pi(xi0),
-                      xi1=xi1, conic=conic, par=(w, s1), params=params)
+                      xi1=xi1, conic=None, par=(w, s1), params=params)
 
 
 def _exit_time(p0: complex, v0: complex, w: float,

@@ -25,7 +25,7 @@ from .params import PhysParams, potential
 
 def _length_integrand(arc: ArcSegment, params: PhysParams):
     """sqrt(V(z)) |dz/du| along the arc, collision-safe in the LC chart."""
-    if arc.chart == "lc":
+    if arc.region == "inner":
         w0, wd0, Om, tau1 = arc.par
         Eh, mu = params.kepler_energy, params.mass_mu
 
@@ -69,7 +69,7 @@ def maupertuis_product(arc: ArcSegment, params: PhysParams) -> float:
     T = arc.duration
     if T == 0.0:
         return 0.0
-    if arc.chart == "lc":
+    if arc.region == "inner":
         w0, wd0, Om, tau1 = arc.par
         Eh, mu = params.kepler_energy, params.mass_mu
 

@@ -280,19 +280,8 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
     if abs(state.alpha) > math.pi / 2 - 1e-9:
         raise TangentialCrossing("outgoing ray is tangential to the boundary")
     outer_arc = outer_transit(state.xi, state.alpha, profile, params)
-
-    geom1 = boundary(outer_arc.xi1, profile)
-    a_in = _angle_from_normal(outer_arc.v1, geom1, entering=True)
-    res_in = refract_in(a_in, geom1.point_c, params)
-    if not res_in.refracted:
-        raise TotalReflectionTermination(
-            "exterior ray reflects off the interface", xi=outer_arc.xi1,
-            beta=a_in)
-    beta = res_in.out_angle
-    speed_in = math.sqrt(2.0 * potential(geom1.point_c, "inner", params))
-    v_in = speed_in * (-math.cos(beta) * geom1.normal_c +
-                       math.sin(beta) * geom1.tangent_c)
-    inner_arc = levi_civita_propagate(geom1.point_c, v_in, params, profile)
+    z_in, v_in = _refract_entry(outer_arc, profile, params)
+    inner_arc = levi_civita_propagate(z_in, v_in, params, profile)
 
     geom2 = boundary(inner_arc.xi1, profile)
     b_out = _angle_from_normal(inner_arc.v1, geom2, entering=False)
@@ -313,6 +302,26 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
     return MapResult(state=new, delta_xi=delta, arcs=(outer_arc, inner_arc))
 
 
+def _refract_entry(outer_arc: ArcSegment, profile: PerturbationProfile,
+                   params: PhysParams) -> Tuple[complex, complex]:
+    """(point, interior velocity) where the exterior arc crosses inward.
+
+    Raises :class:`TotalReflectionTermination` when Snell's law reflects the
+    arc off the interface instead.
+    """
+    geom = boundary(outer_arc.xi1, profile)
+    a_in = _angle_from_normal(outer_arc.v1, geom, entering=True)
+    res = refract_in(a_in, geom.point_c, params)
+    if not res.refracted:
+        raise TotalReflectionTermination(
+            "exterior ray reflects off the interface", xi=outer_arc.xi1,
+            beta=a_in)
+    beta = res.out_angle
+    speed = math.sqrt(2.0 * potential(geom.point_c, "inner", params))
+    return geom.point_c, speed * (-math.cos(beta) * geom.normal_c +
+                                  math.sin(beta) * geom.tangent_c)
+
+
 def tangent_map(state: BoundaryState, result: MapResult,
                 profile: PerturbationProfile,
                 params: PhysParams) -> np.ndarray:
@@ -323,11 +332,11 @@ def tangent_map(state: BoundaryState, result: MapResult,
     the shear [[1, f' + g'], [0, 1]].  On the geometric path the two tangent
     vectors (dz, dv) of the launch are pushed through the linear exterior
     flow, Snell refraction (tangential velocity kept, normal part from
-    energy) and the linear interior flow in Levi-Civita coordinates, which
-    serve both inner charts.  Each exit time moves by the implicit-function
-    correction -grad(clearance).dx / (d clearance/dt), defined because the
-    crossing finder certified a transversal exit.  Finally I_1 = v .
-    gamma'(xi_1)/sqrt(2).  det DF = 1: the map preserves area.
+    energy) and the linear interior flow in Levi-Civita coordinates.  Each
+    exit time moves by the implicit-function correction -grad(clearance).dx
+    / (d clearance/dt), defined because the crossing finder certified a
+    transversal exit.  Finally I_1 = v . gamma'(xi_1)/sqrt(2).  det DF = 1:
+    the map preserves area.
     """
     if not result.arcs:
         tp = circular_shift(state.action_I, params).total_prime
@@ -364,7 +373,7 @@ def tangent_map(state: BoundaryState, result: MapResult,
     T = _dot(v1, tm)
     N = _dot(inner.v0, -1j * tm)
     # interior flow in Levi-Civita coordinates: clearance rho(2 arg w) - |w|^2
-    w0, wd0, Om, tau1 = inner.lc_state()
+    w0, wd0, Om, tau1 = inner.par
     w1, wd1 = lc_flow(w0, wd0, Om, tau1)
     q1 = _dot(w1, w1)
     z2, v2 = w1 * w1, wd1 / w1.conjugate()

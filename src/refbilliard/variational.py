@@ -18,12 +18,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import brentq, shoot
+from ._util import brentq, shoot, wrap_pi
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
 from .errors import DegenerateStationarity, RangeEmpty
 from .params import PhysParams
-from .returnmap import (_action_bound, circular_shift, outgoing_state,
+from .returnmap import (BoundaryState, _action_bound, circular_shift,
                         return_map, tangent_map, total_shift_grid)
 
 
@@ -40,8 +40,7 @@ def jacobi_length(arc: ArcSegment, params: PhysParams) -> float:
       q0 = v0/w, |z|^2 = (|p0|^2 + |q0|^2)/2 + (|p0|^2 - |q0|^2)/2 cos(2ws)
       + p0.q0 sin(2ws);
     - interior: V ds = (E_K + mu/|z|) ds and ds = 2|z| dtau in the
-      Levi-Civita chart, so int V ds = E_K T + 2 mu tau1 (on a Kepler-chart
-      arc 2 mu tau1 = mu dH/(n a), H the hyperbolic anomaly).
+      Levi-Civita chart, so int V ds = E_K T + 2 mu tau1.
     """
     T = arc.duration
     if T == 0.0:
@@ -58,8 +57,7 @@ def jacobi_length(arc: ArcSegment, params: PhysParams) -> float:
                2.0 * dot * sn * sn) / (2.0 * w))
         V = params.energy_E * T - 0.5 * params.stiffness_om * zz
     else:
-        V = params.kepler_energy * T + 2.0 * params.mass_mu * \
-            arc.lc_state()[3]
+        V = params.kepler_energy * T + 2.0 * params.mass_mu * arc.par[3]
     return math.sqrt(2.0) * V
 
 
@@ -154,14 +152,18 @@ def generating_function(xi0: float, xi1: float,
     """
     delta = xi1 - xi0
     I_seed = _seed_action(delta, params, action_hint)
-    lim = _action_bound(xi0, profile, params) * (1.0 - 1e-9)
+    bound = _action_bound(xi0, profile, params)
+    lim = bound * (1.0 - 1e-9)
     lo = -lim if I_seed <= 0.0 else 0.0
     hi = lim if I_seed >= 0.0 else 0.0
+    xi_start = wrap_pi(xi0)
 
     last = []
 
     def resid(I0):
-        state = outgoing_state(xi0, I0, profile, params)
+        # |I0| <= lim < bound: the state outgoing_state would build
+        state = BoundaryState(xi=xi_start, action_I=I0,
+                              alpha=math.asin(I0 / bound))
         res = return_map(state, profile, params, method="geometric")
         slope = float(tangent_map(state, res, profile, params)[0, 1])
         last[:] = res, slope

@@ -12,6 +12,7 @@ from refbilliard import (CurveProbe, PerturbationProfile,
                          levi_civita_propagate, outer_propagate,
                          outer_transit, outgoing_state, outgoing_velocity,
                          perturbed_caustic, potential, tangency_check)
+from refbilliard.arcs import lc_flow
 from refbilliard.errors import (DegenerateEnvelope, OutOfActionRange)
 
 
@@ -32,25 +33,28 @@ def test_circular_radii_match_sampled_trajectory(fig1, circle):
 
 
 def _extremal_arcs(params):
-    """An arc of each chart on a perturbed interface, and cuts of them that
-    end before their extremum or start after it."""
+    """An outer and an inner arc on a perturbed interface, and cuts of them
+    that end before their extremum or start after it."""
     profile = PerturbationProfile.cos_profile(2, 0.02)
     outer = outer_transit(0.4, 0.7, profile, params)
     z0 = profile.radius(1.1) * cmath.exp(1.1j)
     speed = math.sqrt(2.0 * potential(z0, "inner", params))
     v0 = speed * cmath.exp(1j * (1.1 + math.pi + 0.6))
-    closed = levi_civita_propagate(z0, v0, params, profile)
-    lc = levi_civita_propagate(z0, v0, params, profile, force_chart="lc")
-    assert (closed.chart, lc.chart) == ("closed", "lc")
+    inner = levi_civita_propagate(z0, v0, params, profile)
     w, T = outer.par
-    e, p, th, sgn, f0, f1 = closed.par
-    w0, wd0, Om, tau1 = lc.par
+    w0, wd0, Om, tau1 = inner.par
+    # the pericenter lies at tau with tanh(2 Om tau) = -B/A, inside the arc
+    A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
+    B = (w0.conjugate() * wd0).real / Om
+    t_peri = -math.atanh(B / A) / (2.0 * Om)
+    assert 0.0 < t_peri < tau1
+    w_mid, wd_mid = lc_flow(w0, wd0, Om, 1.5 * t_peri)
     return [
-        (outer, None), (closed, None), (lc, None),
+        (outer, None), (inner, None),
         (dataclasses.replace(outer, par=(w, 0.3 * T)), 1.0),
-        (dataclasses.replace(closed, par=(e, p, th, sgn, f0, 0.5 * f0)), 1.0),
-        (dataclasses.replace(closed, par=(e, p, th, sgn, 0.5 * f1, f1)), 0.0),
-        (dataclasses.replace(lc, par=(w0, wd0, Om, 0.2 * tau1)), 1.0),
+        (dataclasses.replace(inner, par=(w0, wd0, Om, 0.5 * t_peri)), 1.0),
+        (dataclasses.replace(inner, par=(w_mid, wd_mid, Om,
+                                         tau1 - 1.5 * t_peri)), 0.0),
     ]
 
 

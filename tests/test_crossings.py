@@ -3,8 +3,10 @@
 Profiles carry harmonics 1-4 in cos and sin with |eps f| <= 0.05; launches
 include ones within 1e-3 of tangency.  The geometric return map must agree
 with the ODE oracle, or both must stop with a typed reason; the certified
-crossing finders of all three charts must agree with the grid search they
-replaced, except where it steps over a brief dip.
+crossing finders outside and inside must agree with the grid search they
+replaced, except where it steps over a brief dip.  Interior arcs are checked
+against the polar Kepler formulas, and the interior march's bound on the
+clearance's second derivative against difference quotients.
 """
 
 import cmath
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from refbilliard import (PerturbationProfile, PhysParams, boundary,
@@ -24,10 +26,12 @@ from refbilliard._util import (extend_and_find, first_crossing,
 from refbilliard.errors import (BilliardError, EventDetectionFailed,
                                 TangentialCrossing,
                                 TotalReflectionTermination)
-from refbilliard.inner import _exit_anomaly
+from refbilliard.inner import _march_bound, kepler_elements
 from refbilliard.outer import _exit_time, outer_transit
 
 FIG1 = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0, stiffness_om=1.0)
+LIGHT_MASS = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=0.5,
+                        stiffness_om=1.0)
 
 #: the reasons a return may stop on; anything else is a defect
 TYPED_STOPS = (TotalReflectionTermination, TangentialCrossing,
@@ -35,8 +39,8 @@ TYPED_STOPS = (TotalReflectionTermination, TangentialCrossing,
 
 
 @st.composite
-def profiles(draw):
-    """Random profile with harmonics 1-4 and sup |eps f| <= 0.05."""
+def profiles(draw, max_amplitude=0.05):
+    """Random profile with harmonics 1-4 and sup |eps f| <= max_amplitude."""
     harmonics = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4,
                               unique=True))
     coefficient = st.one_of(st.just(0.0), st.floats(0.05, 1.0),
@@ -48,7 +52,7 @@ def profiles(draw):
     norm = sum(map(abs, cos)) + sum(map(abs, sin))
     if norm == 0.0:
         cos[harmonics[0]] = norm = 1.0
-    amplitude = draw(st.floats(1e-4, 0.05))
+    amplitude = draw(st.floats(1e-4, max_amplitude))
     return PerturbationProfile(tuple(cos), tuple(sin), amplitude / norm)
 
 
@@ -159,23 +163,9 @@ def test_exterior_exit_matches_grid_search(profile, xi0, alpha):
 
 
 def _check_interior_exit(arc, profile):
-    """The interior march's exit agrees with the grid search it replaced,
-    on the clearance of the chart the arc was made in."""
-    if arc.chart == "closed":
-        e, p, th_peri, sgn, f0, f1 = arc.par
-        assert _exit_anomaly(f0, e, p, th_peri, sgn, profile) == f1
-
-        def gap(f):
-            return p / (1.0 + e * np.cos(f)) - \
-                profile.radius(th_peri + sgn * f)
-
-        grid = np.linspace(f0, math.acos(-1.0 / e) - 1e-9, 2048)
-        assert _agrees_with_grid(f1, gap, grid, -1.0)
-        return
-
-    # the Levi-Civita search the march replaced: a 2048-point grid over
-    # the time |w|^2 needs to rise past the outer radius, then a doubling
-    # window
+    """The interior march's exit agrees with the grid search it replaced:
+    a 2048-point grid over the time |w|^2 needs to rise past the outer
+    radius, then a doubling window."""
     w0, wd0, Om, tau1 = arc.par
 
     def lc_gap(tau):
@@ -204,7 +194,6 @@ def test_interior_exit_matches_grid_search(profile, xi0, fraction):
     v_in = speed * (-math.cos(beta) * geom.normal_c +
                     math.sin(beta) * geom.tangent_c)
     arc = levi_civita_propagate(geom.point_c, v_in, FIG1, profile)
-    event(f"{arc.chart} chart")
     _check_interior_exit(arc, profile)
 
 
@@ -215,18 +204,128 @@ def test_interior_exit_matches_grid_search(profile, xi0, fraction):
        radial=st.booleans())
 def test_levi_civita_exit_matches_grid_search(profile, xi0, beta, radial):
     # entries at beta = 0 and |beta| <= 1e-3 from the inward normal or from
-    # the inward radial direction (through the centre), and generic ones;
-    # all are forced into the Levi-Civita chart
+    # the inward radial direction (through the centre), and generic ones
     geom = boundary(xi0, profile)
     speed = math.sqrt(2.0 * potential(geom.point_c, "inner", FIG1))
     inward = -geom.point_c / abs(geom.point_c) if radial else -geom.normal_c
     v_in = speed * (math.cos(beta) * inward + math.sin(beta) * 1j * inward)
-    arc = levi_civita_propagate(geom.point_c, v_in, FIG1, profile,
-                                force_chart="lc")
+    arc = levi_civita_propagate(geom.point_c, v_in, FIG1, profile)
     event("collision ray" if arc.conic.is_collision else
           f"pericenter {'below' if arc.conic.pericenter_r < 1e-3 else 'above'}"
           " 1e-3")
     _check_interior_exit(arc, profile)
+
+
+def _interior_entry(profile, xi0, fraction, params):
+    """Boundary point at ``xi0`` and an interior velocity entering at
+    ``fraction`` of the critical angle from the inward normal."""
+    geom = boundary(xi0, profile)
+    beta = fraction * critical_angle(geom.point_c, params)
+    speed = math.sqrt(2.0 * potential(geom.point_c, "inner", params))
+    return geom.point_c, speed * (-math.cos(beta) * geom.normal_c +
+                                  math.sin(beta) * geom.tangent_c)
+
+
+def _check_against_kepler(arc, params):
+    """The polar Kepler chart as an independent reference: the exit lies on
+    the entry's conic r (1 + e cos(theta - theta_p)) = p, the duration is
+    the Kepler-equation time and the sweep the true-anomaly difference."""
+    z0, v0, z1, v1 = arc.p0, arc.v0, arc.p1, arc.v1
+    conic = kepler_elements(z0, v0, params)
+    k, p, e = conic.ang_momentum_k, conic.semilatus_p, conic.eccentricity_e
+    mu = params.mass_mu
+    r1 = abs(z1)
+    on_conic = r1 * (1.0 + e * math.cos(cmath.phase(z1) -
+                                        conic.pericenter_angle))
+    assert abs(on_conic - p) <= 1e-12 * (r1 * e + p)
+
+    # hyperbolic anomaly from the state: e sinh H = z.v/sqrt(mu a), with
+    # a = mu/(2 E_K), and Kepler's equation n t = e sinh H - H
+    a = mu / (2.0 * params.kepler_energy)
+    n_mean = math.sqrt(mu / a ** 3)
+
+    def kepler_time(z, v):
+        esh = (z.real * v.real + z.imag * v.imag) / math.sqrt(mu * a)
+        return (esh - math.asinh(esh / e)) / n_mean
+
+    assert arc.duration == pytest.approx(
+        kepler_time(z1, v1) - kepler_time(z0, v0), rel=1e-11, abs=1e-12)
+
+    # true anomaly: e sin f = p rdot/|k|, e cos f = p/r - 1
+    def anomaly(z, v):
+        r = abs(z)
+        rdot = (z.real * v.real + z.imag * v.imag) / r
+        return math.atan2(p * rdot / abs(k), p / r - 1.0)
+
+    sweep = math.copysign(1.0, k) * (anomaly(z1, v1) - anomaly(z0, v0))
+    assert arc.sweep == pytest.approx(sweep, abs=1e-11)
+
+
+@settings(max_examples=200)
+@given(profile=profiles(0.99), xi0=st.floats(-math.pi, math.pi),
+       fraction=st.floats(-1.0, 1.0),
+       params=st.sampled_from((FIG1, LIGHT_MASS)))
+def test_interior_arc_obeys_kepler_formulas(profile, xi0, fraction, params):
+    z0, v0 = _interior_entry(profile, xi0, fraction, params)
+    arc = levi_civita_propagate(z0, v0, params, profile)
+    assume(not arc.conic.is_collision)
+    _check_against_kepler(arc, params)
+
+
+@pytest.mark.parametrize("beta", [1e-10, -1e-8, 1e-6, -1e-3])
+def test_near_radial_sweep_keeps_the_sign_of_k(beta):
+    # just off a collision ray arg w turns by almost pi, next to the branch
+    # cut of atan2: the sweep must still carry the sign of the angular
+    # momentum and match the Kepler formulas
+    profile = PerturbationProfile.cos_profile(3, 0.3)
+    z0 = profile.radius(0.7) * cmath.exp(0.7j)
+    speed = math.sqrt(2.0 * potential(z0, "inner", FIG1))
+    v0 = -speed * z0 / abs(z0) * cmath.exp(1j * beta)
+    arc = levi_civita_propagate(z0, v0, FIG1, profile)
+    assert not arc.conic.is_collision
+    assert arc.sweep * arc.conic.ang_momentum_k > 0.0
+    assert abs(arc.sweep) > 1.5 * math.pi
+    _check_against_kepler(arc, FIG1)
+
+
+@settings(max_examples=150)
+@given(profile=profiles(0.99), xi0=st.floats(-math.pi, math.pi),
+       fraction=st.floats(-1.0, 1.0),
+       params=st.sampled_from((FIG1, LIGHT_MASS)))
+def test_levi_civita_march_bound_holds(profile, xi0, fraction, params):
+    # |g''| of the clearance g = rho(2 arg w) - |w|^2, by central
+    # differences along the arc out to |w|^2 = rhi, never exceeds the bound
+    # the march uses wherever rlo <= |w|^2 <= rhi (outside the dip)
+    z0, v0 = _interior_entry(profile, xi0, fraction, params)
+    Om = math.sqrt(params.lc_Omega_sq)
+    w0 = cmath.sqrt(z0)
+    wd0 = v0 * w0.conjugate()
+    L = w0.real * wd0.imag - w0.imag * wd0.real
+    A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
+    B = (w0.conjugate() * wd0).real / Om
+    C = 0.5 * (abs(w0) ** 2 - abs(wd0) ** 2 / Om ** 2)
+    D = math.sqrt(A * A - B * B)
+    bound = _march_bound(Om, C, L, D, profile, params)
+    rlo, rhi = profile.radius_bounds
+    t_end = (math.acosh((rhi - C) / D) - math.atanh(B / A)) / (2.0 * Om)
+
+    def w_at(tau):
+        return w0 * np.cosh(Om * tau) + wd0 * np.sinh(Om * tau) / Om
+
+    def clearance(tau):
+        w = w_at(tau)
+        return profile.radius(2.0 * np.angle(w)) - np.abs(w) ** 2
+
+    # step 1e-5: the quotient's rounding error is below 16 eps rhi/h^2 <
+    # 1e-4, and its truncation error, relative (h k theta')^2/12 with
+    # theta' = 2L/|w|^2, below 1e-3 for harmonics k <= 4 and |w|^2 >= 0.01
+    taus = np.linspace(0.0, t_end, 4001)
+    h = 1e-5
+    g2 = (clearance(taus + h) - 2.0 * clearance(taus) +
+          clearance(taus - h)) / (h * h)
+    r2 = np.abs(w_at(taus)) ** 2
+    outside_dip = (r2 >= rlo) & (r2 <= rhi)
+    assert np.all(np.abs(g2[outside_dip]) <= bound * (1.0 + 1e-3) + 1e-4)
 
 
 @pytest.mark.parametrize("k, eps, xi0", [

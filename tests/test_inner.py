@@ -95,17 +95,6 @@ def test_inner_transit_matches_ode_integration(fig1, circle):
         potential(arc.p1, "inner", fig1), abs=1e-10)
 
 
-def test_inner_charts_agree(fig1, circle):
-    z0, v0 = entry_state(0.2, 1.1, fig1)
-    closed = levi_civita_propagate(z0, v0, fig1, circle, force_chart="closed")
-    lc = levi_civita_propagate(z0, v0, fig1, circle, force_chart="lc")
-    assert closed.chart == "closed" and lc.chart == "lc"
-    assert abs(closed.p1 - lc.p1) < 1e-10
-    assert abs(closed.v1 - lc.v1) < 1e-9
-    assert closed.duration == pytest.approx(lc.duration, abs=1e-10)
-    assert closed.sweep == pytest.approx(lc.sweep, abs=1e-10)
-
-
 def test_near_radial_transit_switches_to_regularized_chart(fig1, circle):
     z0, v0 = entry_state(0.4, 1e-5, fig1)
     arc = levi_civita_propagate(z0, v0, fig1, circle)
@@ -122,8 +111,6 @@ def test_collision_ray_reflects_through_centre(fig1, circle):
     # the regularized flow re-emerges along the same ray, moving outward
     assert arc.p1 == pytest.approx(z0, abs=1e-10)
     assert arc.v1 == pytest.approx(-v0, abs=1e-9)
-    with pytest.raises(DomainError):
-        levi_civita_propagate(z0, v0, fig1, circle, force_chart="closed")
 
 
 def test_inner_shift_is_odd_and_decreasing(fig1):
