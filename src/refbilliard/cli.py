@@ -31,7 +31,7 @@ from .svgplot import SvgCanvas
 
 
 def _num(v: float) -> str:
-    return f"{float(v):.12g}"
+    return "%.12g" % v
 
 
 def _write_csv(path: str, header: Sequence[str],
@@ -39,9 +39,8 @@ def _write_csv(path: str, header: Sequence[str],
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _num(c)
-                             for c in row])
+        writer.writerows([c if isinstance(c, str) else _num(c) for c in row]
+                         for row in rows)
 
 
 def _say(verbose: bool, *parts) -> None:

@@ -84,7 +84,9 @@ def iterate(initial: BoundaryState, n: int, profile: PerturbationProfile,
     """Apply the return map up to ``n`` times, recording the lifted angles.
 
     Termination (total reflection, failed event detection) truncates the
-    trace; the outcome is encoded in ``status`` rather than raised.
+    trace; the outcome is encoded in ``status`` rather than raised.  On the
+    closed-form circle path the first return fixes the shift f + g, and the
+    remaining returns repeat it.
     """
     states = [initial]
     arcs: List[ArcSegment] = []
@@ -103,6 +105,10 @@ def iterate(initial: BoundaryState, n: int, profile: PerturbationProfile,
         s = res.state
         lifted.append(lifted[-1] + res.delta_xi)
         states.append(s)
+        if not res.arcs:
+            # closed form: the action is conserved, so is the shift
+            _repeat_shift(states, lifted, res.delta_xi, n - 1)
+            break
         arcs.extend(res.arcs)
     xis = np.array(lifted)
     est = (math.nan, math.inf)
@@ -110,6 +116,20 @@ def iterate(initial: BoundaryState, n: int, profile: PerturbationProfile,
         est = _rotation_with_error(xis)
     return OrbitTrace(states=states, arcs=arcs, status=status,
                       xis_lifted=xis, rotation_estimate=est)
+
+
+def _repeat_shift(states: List[BoundaryState], lifted: List[float],
+                  theta: float, count: int) -> None:
+    """Append ``count`` closed-form returns of ``states[-1]`` by the shift
+    ``theta``: the float steps of :func:`return_map` without recomputing it."""
+    last = states[-1]
+    xi, lift = last.xi, lifted[-1]
+    I, alpha = last.action_I, last.alpha
+    for _ in range(count):
+        xi = wrap_pi(xi + theta)
+        lift += theta
+        states.append(BoundaryState(xi, I, alpha))
+        lifted.append(lift)
 
 
 def _rotation_with_error(xis: np.ndarray) -> Tuple[float, float]:

@@ -11,7 +11,7 @@ conserved by refraction and makes the map area preserving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -274,7 +274,8 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
         if not profile.is_circle:
             raise ValueError("the closed-form path requires the circle")
         shift = circular_shift(state.action_I, params)
-        new = replace(state, xi=wrap_pi(state.xi + shift.total))
+        new = BoundaryState(xi=wrap_pi(state.xi + shift.total),
+                            action_I=state.action_I, alpha=state.alpha)
         return MapResult(state=new, delta_xi=shift.total, arcs=())
 
     if abs(state.alpha) > math.pi / 2 - 1e-9:

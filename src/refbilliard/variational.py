@@ -71,19 +71,35 @@ def shift_inverse_all(delta: float, params: PhysParams,
     The shift can fold (twist sign changes), so several roots may exist;
     they are bracketed on a scan grid and polished by Brent's method.
     """
+    return [_polish(b, delta, params)
+            for b in _shift_brackets(delta, params, n_scan)]
+
+
+def _shift_brackets(delta: float, params: PhysParams,
+                    n_scan: int = 8192) -> list:
+    """Brackets (a, b) of the roots of :func:`shift_inverse_all`, one per
+    root, disjoint and ascending; a == b marks an exact grid root."""
     grid, shifts = _shift_scan(params, n_scan)
     vals = shifts - delta
-    roots = []
+    brackets = []
     for i in np.nonzero(vals[1:] * vals[:-1] <= 0.0)[0]:
         if vals[i] == 0.0:
-            roots.append(float(grid[i]))
+            brackets.append((float(grid[i]), float(grid[i])))
         elif vals[i + 1] != 0.0:
-            roots.append(brentq(
-                lambda I: circular_shift(I, params).total - delta,
-                grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
+            brackets.append((float(grid[i]), float(grid[i + 1])))
     if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+        brackets.append((float(grid[-1]), float(grid[-1])))
+    return brackets
+
+
+def _polish(bracket: Tuple[float, float], delta: float,
+            params: PhysParams) -> float:
+    """The root of the total circular shift minus ``delta`` in ``bracket``."""
+    a, b = bracket
+    if a == b:
+        return a
+    return brentq(lambda I: circular_shift(I, params).total - delta, a, b,
+                  xtol=1e-14, rtol=8.9e-16)
 
 
 @functools.lru_cache(maxsize=16)
@@ -99,16 +115,39 @@ def _shift_scan(params: PhysParams, n_scan: int):
 
 def _seed_action(delta: float, params: PhysParams,
                  action_hint: Optional[float]) -> float:
-    roots = shift_inverse_all(delta, params)
+    """The root of :func:`shift_inverse_all` nearest ``action_hint``, else
+    the one of largest |I| (first on ties); 0 on the collision family.
+
+    ``near`` bounds the key from below over each root bracket, so brackets
+    are polished best bound first until none left can beat the best root
+    found: the roots left out are strictly worse, and ties are settled on
+    polished values.  Usually one bracket is polished, two near a fold.
+    """
+    brackets = _shift_brackets(delta, params)
+    if action_hint is None:
+        def key(r):
+            return -abs(r)
+        near = [-max(abs(a), abs(b)) for a, b in brackets]
+    else:
+        def key(r):
+            return abs(r - action_hint)
+        near = [0.0 if a <= action_hint <= b else
+                min(abs(a - action_hint), abs(b - action_hint))
+                for a, b in brackets]
+    found = {}
+    best = math.inf
+    for k in sorted(range(len(brackets)), key=near.__getitem__):
+        if near[k] > best:
+            break
+        found[k] = _polish(brackets[k], delta, params)
+        best = min(best, key(found[k]))
+    roots = [found[k] for k in sorted(found)]
     if abs(delta) < 1e-12:
         roots.append(0.0)
     if not roots:
         raise RangeEmpty(
             f"no circular arc family realizes a lifted shift of {delta:.6g}")
-    if action_hint is not None:
-        pick = min(roots, key=lambda r: abs(r - action_hint))
-    else:
-        pick = max(roots, key=abs)
+    pick = min(roots, key=key)
     if abs(pick) < 1e-9 * params.action_bound_Ic:
         pick = 0.0
     return pick

@@ -22,7 +22,7 @@ from refbilliard import (PerturbationProfile, boundary, circular_caustic_radii,
                          golden_target, invariant_curve_probe,
                          is_diophantine_surrogate, iterate, linear_stability,
                          ode_return_map, outgoing_state, potential, return_map,
-                         twist_at_zero, twist_critical_set)
+                         tangent_map, twist_at_zero, twist_critical_set)
 from refbilliard._util import wrap_pi
 
 
@@ -145,7 +145,7 @@ def test_criterion_08_return_map_jacobian_determinant(fig1, epsilon):
         else PerturbationProfile.circle()
     Ic = fig1.action_bound_Ic
     h = 1e-6
-    worst = 0.0
+    worst = worst_exact = 0.0
     for xi0 in np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False):
         for I0 in np.linspace(-0.8 * Ic, 0.8 * Ic, 20):
             fpx = _lifted_return(xi0 + h, I0, prof, fig1)
@@ -154,7 +154,13 @@ def test_criterion_08_return_map_jacobian_determinant(fig1, epsilon):
             fmI = _lifted_return(xi0, I0 - h, prof, fig1)
             J = np.column_stack([(fpx - fmx) / (2 * h), (fpI - fmI) / (2 * h)])
             worst = max(worst, abs(float(np.linalg.det(J)) - 1.0))
+            st = outgoing_state(xi0, I0, prof, fig1)
+            D = tangent_map(st, return_map(st, prof, fig1, method="geometric"),
+                            prof, fig1)
+            worst_exact = max(worst_exact, abs(float(np.linalg.det(D)) - 1.0))
     assert worst < 1e-5, f"max |det J - 1| = {worst:.3e} on the 20x20 grid"
+    assert worst_exact < 1e-11, \
+        f"max |det DF - 1| = {worst_exact:.3e} for the exact tangent map"
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.01])

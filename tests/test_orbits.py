@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from refbilliard import (PerturbationProfile, PeriodicOrbit, boundary,
-                         circular_shift, curve_eval, cycle_distance,
+from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
+                         boundary, circular_shift, curve_eval, cycle_distance,
                          find_periodic, golden_target, invariant_curve_probe,
                          is_diophantine_surrogate, iterate, linear_stability,
                          outgoing_state, potential, return_map,
-                         rotation_number, twist_at_zero)
+                         returnmap, rotation_number, twist_at_zero)
 from refbilliard._util import wrap_pi
-from refbilliard.errors import (InsufficientLength, RangeEmpty,
+from refbilliard.errors import (BilliardError, InsufficientLength, RangeEmpty,
                                 ResidualTooLarge)
+from refbilliard.orbits import _rotation_with_error
 
 
 def test_iterate_records_constant_shift_on_circle(fig1, circle):
@@ -27,6 +28,94 @@ def test_iterate_records_constant_shift_on_circle(fig1, circle):
     assert all(s.action_I == I for s in tr.states)
     assert rotation_number(tr) == pytest.approx(
         circular_shift(I, fig1).total, abs=1e-12)
+
+
+def _iterate_by_hand(state, n, profile, params, method):
+    """One return_map call per return: the reference for iterate."""
+    states, lifted, status = [state], [float(state.xi)], "running"
+    for _ in range(n):
+        try:
+            res = return_map(states[-1], profile, params, method=method)
+        except BilliardError:
+            status = "failed"
+            break
+        states.append(res.state)
+        lifted.append(lifted[-1] + res.delta_xi)
+    return states, lifted, status
+
+
+def _fields(states):
+    return [(s.xi, s.action_I, s.alpha, s.direction) for s in states]
+
+
+@pytest.mark.parametrize("method", ["fast", "auto"])
+@pytest.mark.parametrize("n", [0, 1, 4000])
+@pytest.mark.parametrize("share", [0.0, 0.5, -0.5, 0.9, -0.9])
+def test_iterate_on_circle_equals_a_loop_of_return_map(fig1, circle, method,
+                                                       n, share):
+    st = outgoing_state(0.3, share * fig1.action_bound_Ic, circle, fig1)
+    tr = iterate(st, n, circle, fig1, method=method)
+    states, lifted, status = _iterate_by_hand(st, n, circle, fig1, method)
+    assert _fields(tr.states) == _fields(states)
+    assert tr.xis_lifted.tolist() == lifted
+    assert tr.status == status == "running"
+    assert tr.arcs == []
+    if n:
+        assert tr.rotation_estimate == _rotation_with_error(np.array(lifted))
+    else:
+        assert math.isnan(tr.rotation_estimate[0])
+        assert tr.rotation_estimate[1] == math.inf
+
+
+def test_iterate_on_circle_evaluates_the_shift_once(fig1, circle,
+                                                    monkeypatch):
+    calls = []
+
+    def counted(I, params):
+        calls.append(I)
+        return circular_shift(I, params)
+
+    monkeypatch.setattr(returnmap, "circular_shift", counted)
+    st = outgoing_state(0.3, 0.5, circle, fig1)
+    iterate(st, 0, circle, fig1)
+    assert calls == []
+    iterate(st, 4000, circle, fig1)
+    assert calls == [0.5]
+
+
+@pytest.mark.parametrize("share", [1.0, -1.0, 1.5])
+def test_iterate_on_circle_fails_beyond_the_action_bound(fig1, circle,
+                                                         share):
+    st = BoundaryState(xi=0.3, action_I=share * fig1.action_bound_Ic,
+                       alpha=0.0)
+    tr = iterate(st, 10, circle, fig1)
+    states, lifted, status = _iterate_by_hand(st, 10, circle, fig1, "auto")
+    assert tr.status == status == "failed"
+    assert _fields(tr.states) == _fields(states) == _fields([st])
+    assert tr.xis_lifted.tolist() == lifted == [0.3]
+
+
+def test_iterate_with_no_returns_evaluates_nothing(fig1, circle):
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    incoming = BoundaryState(xi=0.3, action_I=0.5, alpha=0.1,
+                             direction="incoming")
+    for profile, method in [(circle, "auto"), (circle, "fast"),
+                            (wavy, "fast")]:
+        tr = iterate(incoming, 0, profile, fig1, method=method)
+        assert tr.states == [incoming]
+        assert tr.status == "running"
+
+
+def test_iterate_closed_form_still_rejects_bad_requests(fig1, circle):
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    st = outgoing_state(0.3, 0.5, wavy, fig1)
+    with pytest.raises(ValueError):
+        iterate(st, 1, wavy, fig1, method="fast")
+    incoming = BoundaryState(xi=0.3, action_I=0.5, alpha=0.1,
+                             direction="incoming")
+    for method in ("auto", "fast"):
+        with pytest.raises(ValueError):
+            iterate(incoming, 3, circle, fig1, method=method)
 
 
 def test_rotation_number_needs_two_states(fig1, circle):

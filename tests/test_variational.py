@@ -14,11 +14,13 @@ from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
                          maupertuis_product, outer_arc_fixed_ends,
                          outer_distance, outer_propagate, outer_transit,
                          outgoing_state, potential, quadrature_length,
-                         return_map, shift_inverse_all)
+                         return_map, shift_inverse_all, twist_critical_set,
+                         variational)
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, RangeEmpty,
                                 TotalReflectionTermination)
 from refbilliard.returnmap import _action_bound
+from refbilliard.variational import _polish, _seed_action
 
 FIG1 = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0, stiffness_om=1.0)
 LIGHT_MASS = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=0.5,
@@ -105,6 +107,58 @@ def test_shift_inverse_all_finds_every_family(fig1, light_mass):
     assert len(pair) == 2
     assert pair[0] == pytest.approx(0.2157091846599272, abs=1e-9)
     assert pair[1] == pytest.approx(1.3080960254174632, abs=1e-9)
+
+
+def _seed_from_all_roots(delta, params, hint):
+    """The seed rule of generating_function over every polished root."""
+    roots = shift_inverse_all(delta, params)
+    if abs(delta) < 1e-12:
+        roots.append(0.0)
+    if not roots:
+        return None
+    if hint is not None:
+        pick = min(roots, key=lambda r: abs(r - hint))
+    else:
+        pick = max(roots, key=abs)
+    return 0.0 if abs(pick) < 1e-9 * params.action_bound_Ic else pick
+
+
+@pytest.mark.parametrize("params", [FIG1, LIGHT_MASS, PhysParams(
+    energy_E=7.0, offset_h=2.0, mass_mu=15.0, stiffness_om=3.0)])
+def test_seed_action_picks_as_if_every_root_were_polished(params,
+                                                         monkeypatch):
+    # the seed polishes only brackets that can hold its pick; the pick must
+    # be the one the full root list gives, also on folds (up to three roots
+    # on the third set), at roots and between two roots; just inside a fold
+    # two roots sit in neighbouring brackets of the scan
+    polished = []
+
+    def counted(bracket, delta, params):
+        polished.append(bracket)
+        return _polish(bracket, delta, params)
+
+    monkeypatch.setattr(variational, "_polish", counted)
+    Ic = params.action_bound_Ic
+    deltas = np.concatenate([np.linspace(-4.0, 1.0, 41),
+                             np.linspace(-0.8, 0.8, 33)]).tolist()
+    deltas += [circular_shift(I, params).total + d
+               for I in twist_critical_set(params)
+               for d in (-1e-5, -1e-6, -1e-7, 1e-7, 1e-6, 1e-5)]
+    for delta in deltas + [1e-13, circular_shift(1.2, FIG1).total]:
+        roots = shift_inverse_all(delta, params)
+        hints = [None, 0.0, Ic, -Ic, 0.3 * Ic, -0.7 * Ic] + roots
+        hints += [r + d for r in roots for d in (-1e-4, 1e-4)]
+        hints += [a + t * (b - a) for a, b in zip(roots, roots[1:])
+                  for t in (0.3, 0.45, 0.5, 0.55, 0.7)]
+        for hint in hints:
+            want = _seed_from_all_roots(delta, params, hint)
+            polished.clear()
+            if want is None:
+                with pytest.raises(RangeEmpty):
+                    _seed_action(delta, params, hint)
+            else:
+                assert _seed_action(delta, params, hint) == want
+            assert len(polished) <= min(len(roots), 2)
 
 
 def test_generating_function_exact_on_circle(fig1, circle):
