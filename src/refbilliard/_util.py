@@ -51,10 +51,17 @@ def quad(*args, **kwargs):
 
 
 def wrap_pi(x):
-    """Wrap angle(s) to [-pi, pi)."""
+    """Wrap angle(s) to [-pi, pi).
+
+    Just below -pi the sum x + pi is a tiny negative number whose remainder
+    rounds up to 2 pi, which would give +pi; that result is mapped to -pi,
+    so the range holds and wrapping a wrapped angle changes nothing.
+    """
     if type(x) is float:
-        return (x + math.pi) % TWO_PI - math.pi
+        w = (x + math.pi) % TWO_PI - math.pi
+        return -math.pi if w == math.pi else w
     w = np.mod(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi
+    w = np.where(w == np.pi, -np.pi, w)
     return w if np.ndim(w) else float(w)
 
 

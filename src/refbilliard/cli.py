@@ -11,8 +11,11 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
-from typing import List, Sequence, Tuple
+from itertools import chain, compress, repeat
+from time import perf_counter
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +37,37 @@ def _num(v: float) -> str:
     return "%.12g" % v
 
 
+#: a character that makes csv quote the string cell holding it
+_QUOTED = re.compile('[,"\r\n]')
+
+
 def _write_csv(path: str, header: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
+               rows: Iterable[Sequence]) -> None:
+    """Stream ``header`` and ``rows`` to ``path`` as CSV: numbers as
+    ``%.12g``, strings as they are.
+
+    Each row is one ``%`` operation on a format built from its cell types,
+    rebuilt when the types change.  A row that csv would quote (a string
+    cell holding a delimiter, quote or line break, or a lone empty field)
+    goes through :mod:`csv` instead, so the bytes are those of
+    ``csv.writer`` on the formatted cells.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([c if isinstance(c, str) else _num(c) for c in row]
-                         for row in rows)
+        types = None
+        for row in chain((header,), rows):
+            row = tuple(row)
+            row_types = tuple(map(type, row))
+            if row_types != types:
+                types = row_types
+                is_text = [issubclass(t, str) for t in types]
+                fmt = ",".join("%s" if s else "%.12g" for s in is_text) + "\n"
+            if row == ("",) or any(map(_QUOTED.search,
+                                       compress(row, is_text))):
+                writer.writerow([c if isinstance(c, str) else _num(c)
+                                 for c in row])
+            else:
+                fh.write(fmt % row)
 
 
 def _say(verbose: bool, *parts) -> None:
@@ -111,42 +138,52 @@ def _cmd_shift_profile(cfg: RunConfig, out: str, workers: int,
     return 0
 
 
-def _section_seed_rows(args) -> List[Tuple]:
-    seed_id, xi0, I0, iterations, profile, params = args
+def _section_orbit(args) -> Tuple[np.ndarray, np.ndarray, str]:
+    """One seed's orbit: xi and action_I of every state, and its status."""
+    xi0, I0, iterations, profile, params = args
     trace = iterate(outgoing_state(xi0, I0, profile, params), iterations,
                     profile, params)
-    return [(seed_id, k, wrap_pi(st.xi), st.action_I, trace.status)
-            for k, st in enumerate(trace.states)]
+    states = trace.states
+    return (np.array([st.xi for st in states]),
+            np.array([st.action_I for st in states]), trace.status)
 
 
 def _cmd_section(cfg: RunConfig, out: str, workers: int,
                  verbose: bool) -> int:
     Ic = cfg.params.action_bound_Ic
     seeds_I = np.linspace(-0.9 * Ic, 0.9 * Ic, cfg.seeds)
-    jobs = [(j, 0.0, float(I), cfg.iterations, cfg.profile, cfg.params)
-            for j, I in enumerate(seeds_I)]
+    jobs = [(0.0, float(I), cfg.iterations, cfg.profile, cfg.params)
+            for I in seeds_I]
+    t0 = perf_counter()
     if workers > 1:
         # imported here: a run with one worker never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(_section_seed_rows, jobs))
+            per_seed = list(pool.map(_section_orbit, jobs))
     else:
-        per_seed = [_section_seed_rows(job) for job in jobs]
-    rows = [row for seed_rows in per_seed for row in seed_rows]
+        per_seed = [_section_orbit(job) for job in jobs]
+    t1 = perf_counter()
     path = os.path.join(out, "section.csv")
-    _write_csv(path, ["seed_id", "k", "xi", "action_I", "status"], rows)
+    _write_csv(path, ["seed_id", "k", "xi", "action_I", "status"],
+               chain.from_iterable(
+                   zip(repeat(j), range(len(xi)), xi.tolist(), I.tolist(),
+                       repeat(status))
+                   for j, (xi, I, status) in enumerate(per_seed)))
     print(f"wrote {path}")
+    t2 = perf_counter()
 
     canvas = SvgCanvas(title="Poincare section")
-    for j, seed_rows in enumerate(per_seed):
-        pts = sorted((r[2], r[3]) for r in seed_rows)
-        canvas.add_polyline([p[0] for p in pts], [p[1] for p in pts],
-                            label=f"seed {j}")
+    for j, (xi, I, status) in enumerate(per_seed):
+        # the points in (xi, I) order; lexsort's last key is the primary one
+        order = np.lexsort((I, xi))
+        canvas.add_polyline(xi[order], I[order], label=f"seed {j}")
         _say(verbose, f"  seed {j}: I0 = {_num(seeds_I[j])}, "
-             f"{len(seed_rows)} points, {seed_rows[-1][4]}")
+             f"{len(xi)} points, {status}")
     spath = os.path.join(out, "section.svg")
     canvas.write(spath, xlabel="xi", ylabel="I")
     print(f"wrote {spath}")
+    _say(verbose, f"  seconds: iterate {t1 - t0:.3f}, csv {t2 - t1:.3f}, "
+         f"svg {perf_counter() - t2:.3f}")
     return 0
 
 
@@ -155,7 +192,7 @@ def _cmd_orbit(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
     trace = iterate(outgoing_state(0.0, I0, cfg.profile, cfg.params),
                     cfg.iterations, cfg.profile, cfg.params,
                     method="geometric")
-    rows = [(k, wrap_pi(st.xi), st.action_I, trace.status)
+    rows = [(k, st.xi, st.action_I, trace.status)
             for k, st in enumerate(trace.states)]
     path = os.path.join(out, "orbit_trace.csv")
     _write_csv(path, ["k", "xi", "action_I", "status"], rows)

@@ -3,7 +3,8 @@
 Plot geometry is polylines only: curve data, the frame, and tick marks are
 all ``<polyline>`` elements; text appears solely in axis/tick annotations.
 Coordinates are formatted with a fixed precision so identical data produces
-byte-identical files.
+byte-identical files.  Curves are kept as float64 arrays and mapped to
+pixels with numpy, one formatting operation per polyline.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
@@ -48,25 +51,28 @@ class SvgCanvas:
     margin: int = 60
     title: str = ""
     equal_aspect: bool = False
-    _curves: List[Tuple[Sequence[float], Sequence[float], str]] = \
+    _curves: List[Tuple[np.ndarray, np.ndarray, str]] = \
         field(default_factory=list)
 
     def add_polyline(self, xs: Sequence[float], ys: Sequence[float],
                      label: str = "") -> None:
-        xs = [float(x) for x in xs]
-        ys = [float(y) for y in ys]
+        xs = np.array(xs, dtype=float)
+        ys = np.array(ys, dtype=float)
         if len(xs) != len(ys):
             raise ValueError("x and y lengths differ")
-        if xs:
+        if len(xs):
             self._curves.append((xs, ys, label))
 
     def _bounds(self) -> Tuple[float, float, float, float]:
-        xs = [x for c in self._curves for x in c[0] if math.isfinite(x)]
-        ys = [y for c in self._curves for y in c[1] if math.isfinite(y)]
-        if not xs or not ys:
+        if not self._curves:
             return -1.0, 1.0, -1.0, 1.0
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+        xs = np.concatenate([c[0] for c in self._curves])
+        ys = np.concatenate([c[1] for c in self._curves])
+        xs, ys = xs[np.isfinite(xs)], ys[np.isfinite(ys)]
+        if not xs.size or not ys.size:
+            return -1.0, 1.0, -1.0, 1.0
+        x0, x1 = float(xs.min()), float(xs.max())
+        y0, y1 = float(ys.min()), float(ys.max())
         if x1 - x0 < 1e-12:
             x0, x1 = x0 - 0.5, x1 + 0.5
         if y1 - y0 < 1e-12:
@@ -87,10 +93,12 @@ class SvgCanvas:
         x0, x1, y0, y1 = self._bounds()
         W, H, M = self.width, self.height, self.margin
 
-        def px(x: float) -> float:
+        # scalars (ticks) and arrays (curves) go through the same float
+        # operations in the same order
+        def px(x):
             return M + (x - x0) / (x1 - x0) * (W - 2 * M)
 
-        def py(y: float) -> float:
+        def py(y):
             return H - M - (y - y0) / (y1 - y0) * (H - 2 * M)
 
         out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
@@ -124,9 +132,10 @@ class SvgCanvas:
                    f'{H // 2})">{ylabel}</text>')
         for i, (xs, ys, label) in enumerate(self._curves):
             color = _PALETTE[i % len(_PALETTE)]
-            coords = " ".join(
-                f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys)
-                if math.isfinite(x) and math.isfinite(y))
+            finite = np.isfinite(xs) & np.isfinite(ys)
+            pts = np.column_stack((px(xs[finite]), py(ys[finite])))
+            coords = " ".join(["%.2f,%.2f"] * len(pts)) % \
+                tuple(pts.ravel().tolist())
             out.append(f'<polyline points="{coords}" fill="none" '
                        f'stroke="{color}" stroke-width="1.2"/>')
             if label:

@@ -2,12 +2,15 @@
 
 import csv
 import math
+import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from refbilliard import ConfigError, RunConfig, parse_config
-from refbilliard.cli import main
+from refbilliard.cli import _write_csv, main
+from refbilliard.svgplot import SvgCanvas, _fmt
 
 BASE = """\
 [params]
@@ -271,3 +274,154 @@ def test_svg_output_uses_polylines_only(tmp_path):
     texts = [e.text for e in root.iter() if e.tag.endswith("text")]
     assert any(t == "I" for t in texts)
     assert any(t == "shift" for t in texts)
+
+
+def test_section_verbose_reports_stage_seconds(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "section", seeds=2, iterations=4)
+    assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    quiet = capsys.readouterr().out
+    assert main(["--config", cfg, "--out", str(tmp_path / "b"),
+                 "--verbose"]) == 0
+    loud = capsys.readouterr().out
+    assert "seconds:" not in quiet
+    assert re.search(r"seconds: iterate \d+\.\d{3}, csv \d+\.\d{3}, "
+                     r"svg \d+\.\d{3}\n", loud)
+    for name in ("section.csv", "section.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+def test_section_svg_points_run_in_xi_order(tmp_path):
+    cfg = write_cfg(tmp_path, "section", seeds=2, iterations=30,
+                    profile=PROFILE)
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    root = ET.parse(tmp_path / "section.svg").getroot()
+    curves = [e.get("points") for e in root.iter()
+              if e.tag.endswith("polyline") and e.get("stroke-width") == "1.2"]
+    assert len(curves) == 2
+    for points in curves:
+        xs = [float(p.split(",")[0]) for p in points.split()]
+        assert len(xs) == 31 and xs == sorted(xs)
+
+
+# -- the writers against the per-cell code they replaced -----------------------
+
+
+def reference_csv(path, header, rows):
+    """csv.writer on cells formatted one at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else "%.12g" % c
+                          for c in row] for row in rows)
+
+
+CSV_TABLES = {
+    "numbers": (["a", "b", "c", "d"], [
+        (0, 1, 2.5, -3),
+        (-7, 10 ** 13, math.nan, 1e13),
+        (math.inf, -math.inf, -0.0, 1e-300),
+        (np.float64(0.1), np.float64(-1e-7), np.int64(12), 1.0 / 3.0),
+        [True, 2 ** 40, 123456789012.5, -1e-320],
+    ]),
+    "strings": (["id", "x", "status"], [
+        (1, 0.5, "running"),
+        (2, 0.25, "a,b"),
+        (3, 0.125, 'say "hi"'),
+        (4, 1e-9, "line\nbreak"),
+        (5, 2e9, "carriage\rreturn"),
+        (6, math.nan, ""),
+        (7, -0.0, " padded "),
+        (8, 9.0, np.str_("numpy, str")),
+        (9, 10.0, "running"),
+    ]),
+    # a float or an exception name in one column, as periodic.csv's residual
+    "switching": (["m", "kind", "residual", "xis"], [
+        ("1", "none", "RangeEmpty", ""),
+        ("1", "circular", 1.25e-15, "0.1 0.2"),
+        ("1", "circular", 0.30000000000000004, "0.3 0.4"),
+        ("2", "none", "TotalReflectionTermination", ""),
+        ("2", "none", "Range,Empty", ""),
+        ("3", "circular", 7.0, "1"),
+    ]),
+    # csv quotes a lone empty field, and only that
+    "one column": (["v"], [("",), (1.5,), ("",), ("a",), ("",), (",",)]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(CSV_TABLES))
+def test_write_csv_matches_per_cell_reference(tmp_path, table):
+    header, rows = CSV_TABLES[table]
+    reference_csv(tmp_path / "ref.csv", header, rows)
+    # a generator: the writer streams its rows
+    _write_csv(str(tmp_path / "new.csv"), header, (row for row in rows))
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+def reference_bounds(canvas):
+    """The pure-Python bounds of the per-point renderer."""
+    xs = [x for c in canvas._curves for x in c[0].tolist() if math.isfinite(x)]
+    ys = [y for c in canvas._curves for y in c[1].tolist() if math.isfinite(y)]
+    if not xs or not ys:
+        return -1.0, 1.0, -1.0, 1.0
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    if x1 - x0 < 1e-12:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y1 - y0 < 1e-12:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    padx, pady = 0.04 * (x1 - x0), 0.04 * (y1 - y0)
+    x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
+    if canvas.equal_aspect:
+        vw = canvas.width - 2 * canvas.margin
+        vh = canvas.height - 2 * canvas.margin
+        s = max((x1 - x0) / vw, (y1 - y0) / vh)
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        x0, x1 = cx - 0.5 * s * vw, cx + 0.5 * s * vw
+        y0, y1 = cy - 0.5 * s * vh, cy + 0.5 * s * vh
+    return x0, x1, y0, y1
+
+
+def reference_points(canvas):
+    """Each curve's points attribute, one ``_fmt`` call per coordinate."""
+    x0, x1, y0, y1 = reference_bounds(canvas)
+    W, H, M = canvas.width, canvas.height, canvas.margin
+    return [" ".join(
+        f"{_fmt(M + (x - x0) / (x1 - x0) * (W - 2 * M))},"
+        f"{_fmt(H - M - (y - y0) / (y1 - y0) * (H - 2 * M))}"
+        for x, y in zip(xs.tolist(), ys.tolist())
+        if math.isfinite(x) and math.isfinite(y))
+        for xs, ys, _ in canvas._curves]
+
+
+THETA = np.linspace(0.0, 2.0 * math.pi, 97)
+SVG_CASES = {
+    "non-finite": (False, [
+        ([0.0, 1.0, math.nan, 2.0, 3.0, math.inf],
+         [1.0, math.inf, 2.0, -math.inf, 0.5, 0.0]),
+        (np.linspace(-1.3, 2.9, 41), np.sin(np.linspace(-1.3, 2.9, 41))),
+        ([math.nan, 1.0], [0.0, math.nan]),
+    ]),
+    "single point": (False, [([0.3], [0.7])]),
+    "zero width": (False, [([1.0] * 5, [0.1, 0.2, 0.15, -0.4, 0.3])]),
+    "flat": (False, [([0.0, 1e-13], [2.0, 2.0])]),
+    "equal aspect": (True, [
+        (1.3 * np.cos(THETA), 0.7 * np.sin(THETA)),
+        ([-0.2, 0.1, 0.45], [0.05, -0.3, 0.2]),
+    ]),
+    "empty": (True, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVG_CASES))
+def test_svg_render_matches_per_point_reference(case):
+    equal_aspect, curves = SVG_CASES[case]
+    canvas = SvgCanvas(title=case, equal_aspect=equal_aspect)
+    for i, (xs, ys) in enumerate(curves):
+        canvas.add_polyline(xs, ys, label=f"curve {i}")
+    assert canvas._bounds() == reference_bounds(canvas)
+    svg = canvas.render()
+    drawn = re.findall(r'<polyline points="([^"]*)" fill="none" '
+                       r'stroke="#[0-9a-f]{6}" stroke-width="1.2"/>', svg)
+    assert drawn == reference_points(canvas)

@@ -404,6 +404,32 @@ def test_march_finds_the_entry_of_a_narrow_dip():
     assert t == pytest.approx(t_in, abs=1e-12)
 
 
+def test_march_stops_at_a_short_dip_before_a_later_zero():
+    # g = p q with the narrow-dip cubic p of the test above and q = 2 - t:
+    # g < 0 on a dip about 2e-7 wide around t = 1, positive again after it,
+    # and zero again, transversally, at t = 2.  |g''| = |p'' q - 2 p'| <= 25
+    # on [0, 2.5].  A march that stepped over the dip would return the
+    # later zero instead of the dip's entry.
+    delta = 1e-14
+
+    def clearance(t):
+        u = 1.0 - t
+        p = u * u - delta - (1.0 - delta) * u ** 3
+        dp = -2.0 * u + 3.0 * (1.0 - delta) * u * u
+        return p * (2.0 - t), dp * (2.0 - t) - p
+
+    u_in = math.sqrt(delta)
+    for _ in range(5):
+        u_in = math.sqrt(delta / (1.0 - (1.0 - delta) * u_in))
+    t_in = 1.0 - u_in
+    t_out = 1.0 + math.sqrt(delta)
+    assert clearance(t_out + 1e-9)[0] > 0.0
+    assert clearance(2.0 - 1e-3)[0] > 0.0 > clearance(2.0 + 1e-3)[0]
+    t = march_to_zero(clearance, 0.0, clearance(0.0)[1], 25.0, _no_skip,
+                      t_end=2.5)
+    assert t == pytest.approx(t_in, abs=1e-12)
+
+
 def test_march_resumes_where_skip_sends_it_back():
     # the bound 1 holds except on [0.5, 0.6], where g stays positive but
     # turns down with no bound on g'' (as in the Levi-Civita chart's dip,
