@@ -1,11 +1,16 @@
-"""Small shared numerical helpers (angle wrapping, event location by a
-certified march or, as the tests' reference, by grid search, shooting) and
-the scipy solvers the package calls, imported on first use.
+"""Small shared numerical helpers (angle wrapping, Brent's root finder,
+event location by a certified march or, as the tests' reference, by grid
+search, shooting) and the scipy solvers the package calls, imported on
+first use.
 
-Importing scipy.optimize takes longer than a short run of the section,
-orbit, shift-profile or caustics command, none of which calls scipy.  So
-the package never imports scipy at module level: it calls the forwarders
-below, which pass every argument through unchanged.
+Importing scipy.optimize takes longer than most CLI runs, and every
+one-variable root of the package (the circular shift inverse, the twist
+critical set, the fixed point, the exterior shift inverse) is a bracketed
+root of a closed form.  So :func:`brentq` is a port of scipy's, bit for
+bit, and the package never imports scipy at module level: it calls the
+forwarders below, which pass every argument through unchanged.  Only the
+perturbed n >= 2 periodic search (``root``, ``minimize``), the ODE oracle
+(``solve_ivp``) and the test references (``quad``) reach them.
 """
 
 from __future__ import annotations
@@ -18,12 +23,87 @@ from .errors import (EventDetectionFailed, ShootingDiverged,
                      TangentialCrossing)
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
-def brentq(*args, **kwargs):
-    """:func:`scipy.optimize.brentq`, imported on first call."""
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4.0 * EPS, maxiter: int = 100) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method.
+
+    A port of :func:`scipy.optimize.brentq` (``Zeros/brentq.c``): the same
+    steps in the same floating-point order, so it returns the same bits,
+    and the same contract.  The root x0 meets |x - x0| <= xtol + rtol |x0|
+    for the exact root x; an endpoint where ``f`` is zero is returned as
+    is.  Raises :class:`ValueError` on a same-sign bracket, on a NaN value
+    of ``f`` or on xtol <= 0 or rtol < 4 eps, and :class:`RuntimeError`
+    after ``maxiter`` steps.  Brent, *Algorithms for Minimization Without
+    Derivatives* (1973), ch. 4.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4.0 * EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * EPS:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter should be > 0")
+
+    def fun(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fun(xpre)
+    fcur = fun(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # only underflow can zero a divisor here; in brentq.c that
+            # makes the step infinite or NaN, which fails the test for a
+            # good short step below
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre) /
+                            (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fun(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def root(*args, **kwargs):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import brentq, solve_ivp, wrap_pi
+from ._util import solve_ivp, wrap_pi
 from .boundary import PerturbationProfile, boundary
 from .errors import EventDetectionFailed, TotalReflectionTermination
 from .params import PhysParams, potential
@@ -100,6 +100,9 @@ def _integrate_leg(rhs, y0, t_max, profile, params, inside_sign, t_guard,
         if t_ext >= t_term or t_ext <= t_prev:
             continue
         if inside_sign * clearance(t_ext) < 0.0:
+            # scipy's own Brent, not the production port: the oracle shares
+            # no solver code with the map it checks
+            from scipy.optimize import brentq
             t_cross = brentq(clearance, t_prev, t_ext, xtol=1e-14)
             return t_cross, np.asarray(sol.sol(t_cross), dtype=float)
         t_prev = t_ext

@@ -240,17 +240,27 @@ def find_nonhomothetic_fixed_point(params: PhysParams,
 
     Raises :class:`NoFixedPoint` when the shift has no zero on (0, I_c).
     """
-    Ic = params.action_bound_Ic
-    grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), n_scan)
-    vals = np.array([circular_shift(I, params).total for I in grid])
-    idx = np.nonzero(vals[1:] * vals[:-1] < 0)[0]
-    if idx.size == 0:
+    bracket = _fixed_point_bracket(params, n_scan)
+    if bracket is None:
         raise NoFixedPoint(
             "total shift has constant sign on (0, I_c); no non-homothetic "
             "fixed point at these parameters")
+    return brentq(lambda I: circular_shift(I, params).total, *bracket,
+                  xtol=1e-15, rtol=8.9e-16)
+
+
+def _fixed_point_bracket(params: PhysParams, n_scan: int):
+    """The first cell (a, b) of an ``n_scan``-point grid on (0, I_c) where
+    the total shift changes sign, or None.  The scan is vectorised; the
+    root is polished on the scalar closed form."""
+    Ic = params.action_bound_Ic
+    grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), n_scan)
+    vals = total_shift_grid(grid, params)
+    idx = np.nonzero(vals[1:] * vals[:-1] < 0)[0]
+    if idx.size == 0:
+        return None
     i = int(idx[0])
-    return brentq(lambda I: circular_shift(I, params).total,
-                  grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+    return float(grid[i]), float(grid[i + 1])
 
 
 # -- the map itself ------------------------------------------------------------

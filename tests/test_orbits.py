@@ -12,8 +12,8 @@ from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
                          outgoing_state, potential, return_map,
                          returnmap, rotation_number, twist_at_zero)
 from refbilliard._util import wrap_pi
-from refbilliard.errors import (BilliardError, InsufficientLength, RangeEmpty,
-                                ResidualTooLarge)
+from refbilliard.errors import (BilliardError, InsufficientLength,
+                                OrbitTerminated, RangeEmpty, ResidualTooLarge)
 from refbilliard.orbits import _rotation_with_error
 
 
@@ -274,3 +274,12 @@ def test_invariant_curve_probe_on_circle(fig1, circle):
 def test_invariant_curve_probe_rejects_unreachable_target(fig1, circle):
     with pytest.raises(RangeEmpty):
         invariant_curve_probe(-5.0, circle, fig1, n_iter=50)
+
+
+def test_invariant_curve_probe_raises_when_its_orbit_stops(fig1):
+    # at eps = 0.05 the golden orbit meets total reflection within 200
+    # returns
+    with pytest.raises(OrbitTerminated, match="total_reflection"):
+        invariant_curve_probe(golden_target(fig1),
+                              PerturbationProfile.cos_profile(2, 0.05), fig1,
+                              n_iter=200)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from refbilliard import (PerturbationProfile, action_of_velocity,
                          circular_shift, find_nonhomothetic_fixed_point,
@@ -11,6 +12,7 @@ from refbilliard import (PerturbationProfile, action_of_velocity,
                          outgoing_velocity, return_map, total_shift_grid,
                          twist_at_zero, twist_critical_set)
 from refbilliard.errors import NoFixedPoint, OutOfActionRange
+from refbilliard.returnmap import _fixed_point_bracket
 
 
 def test_outgoing_state_and_velocity_round_trip(fig1, circle):
@@ -175,3 +177,27 @@ def test_find_nonhomothetic_fixed_point(fig4, fig1):
     assert circular_shift(I, fig4).total == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(NoFixedPoint):
         find_nonhomothetic_fixed_point(fig1)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2_mu44", "fig2_mu55", "fig4",
+                                  "light_mass", "stiff_well"])
+def test_fixed_point_scan_matches_the_scalar_scan(request, name):
+    # the vectorised scan picks the cell a scan of the scalar closed form
+    # picks, so the polished root keeps its bits
+    from scipy.optimize import brentq
+    params = request.getfixturevalue(name)
+    Ic = params.action_bound_Ic
+    grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), 4096)
+    vals = np.array([circular_shift(I, params).total for I in grid])
+    idx = np.nonzero(vals[1:] * vals[:-1] < 0)[0]
+    bracket = _fixed_point_bracket(params, 4096)
+    if idx.size == 0:
+        assert bracket is None
+        with pytest.raises(NoFixedPoint):
+            find_nonhomothetic_fixed_point(params)
+        return
+    i = int(idx[0])
+    assert bracket == (grid[i], grid[i + 1])
+    assert find_nonhomothetic_fixed_point(params) == scipy_brentq(
+        lambda I: circular_shift(I, params).total, grid[i], grid[i + 1],
+        xtol=1e-15, rtol=8.9e-16)
