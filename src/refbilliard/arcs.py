@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class OuterConic:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class InnerConic:
+class InnerConic(NamedTuple):
     """Kepler hyperbola branch of an inner arc.
 
     ``ang_momentum_k`` is signed (positive = counterclockwise);

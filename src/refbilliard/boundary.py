@@ -9,7 +9,8 @@ and the metric factor |gamma'(xi)| = sqrt(rho^2 + rho'^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,15 @@ class PerturbationProfile:
         terms = cos_terms + sin_terms
         object.__setattr__(self, "_cos_terms", cos_terms)
         object.__setattr__(self, "_sin_terms", sin_terms)
+        # the scalar evaluations: k a and k^2 a are formed here (the same
+        # products, so the same bits), and a sin term whose harmonic has a
+        # cos term too reuses that term's cos/sin pair (its position j)
+        cos_harmonics = [k for k, _ in cos_terms]
+        object.__setattr__(self, "_cos_jet", tuple(
+            (k, a, k * a, k * k * a) for k, a in cos_terms))
+        object.__setattr__(self, "_sin_jet", tuple(
+            (cos_harmonics.index(k) if k in cos_harmonics else -1,
+             k, b, k * b, k * k * b) for k, b in sin_terms))
         object.__setattr__(self, "_bounds", tuple(
             abs(self.epsilon) * sum(k ** j * abs(c) for k, c in terms)
             for j in range(3)))
@@ -117,35 +127,43 @@ class PerturbationProfile:
         return self.epsilon * self.shape_prime(xi)
 
     def radius_and_slope(self, xi: float):
-        """(rho(xi), rho'(xi)) at a scalar angle, from one set of cos/sin."""
+        """(rho(xi), rho'(xi)) at a scalar angle, from one cos/sin pair per
+        harmonic; the cos terms are summed first, then the sin terms."""
         if self.epsilon == 0.0:
             return 1.0, 0.0
         f = fp = 0.0
-        for k, a in self._cos_terms:
+        pairs = []
+        for k, a, ka, _ in self._cos_jet:
             c, s = math.cos(k * xi), math.sin(k * xi)
+            pairs.append((c, s))
             f += a * c
-            fp -= k * a * s
-        for k, b in self._sin_terms:
-            c, s = math.cos(k * xi), math.sin(k * xi)
+            fp -= ka * s
+        for j, k, b, kb, _ in self._sin_jet:
+            c, s = pairs[j] if j >= 0 else (math.cos(k * xi),
+                                            math.sin(k * xi))
             f += b * s
-            fp += k * b * c
+            fp += kb * c
         return 1.0 + self.epsilon * f, self.epsilon * fp
 
     def radius_jet(self, xi: float):
-        """(rho, rho', rho'') at a scalar angle."""
+        """(rho, rho', rho'') at a scalar angle, summed as in
+        :meth:`radius_and_slope`."""
         if self.epsilon == 0.0:
             return 1.0, 0.0, 0.0
         f = fp = fpp = 0.0
-        for k, a in self._cos_terms:
+        pairs = []
+        for k, a, ka, kka in self._cos_jet:
             c, s = math.cos(k * xi), math.sin(k * xi)
+            pairs.append((c, s))
             f += a * c
-            fp -= k * a * s
-            fpp -= k * k * a * c
-        for k, b in self._sin_terms:
-            c, s = math.cos(k * xi), math.sin(k * xi)
+            fp -= ka * s
+            fpp -= kka * c
+        for j, k, b, kb, kkb in self._sin_jet:
+            c, s = pairs[j] if j >= 0 else (math.cos(k * xi),
+                                            math.sin(k * xi))
             f += b * s
-            fp += k * b * c
-            fpp -= k * k * b * s
+            fp += kb * c
+            fpp -= kkb * s
         eps = self.epsilon
         return 1.0 + eps * f, eps * fp, eps * fpp
 
@@ -194,8 +212,7 @@ class PerturbationProfile:
         return cls(fourier_cos=tuple(coeffs), fourier_sin=(), epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class BoundaryGeometry:
+class BoundaryGeometry(NamedTuple):
     """Local boundary data at gamma(xi) = rho(xi) e^{i xi}.
 
     Points and directions are complex numbers; ``point``, ``tangent_unit``
@@ -232,18 +249,34 @@ def gamma_point(xi, profile: PerturbationProfile):
     return out if np.ndim(out) else complex(out)
 
 
+#: (profile, xi, record) of the last :func:`boundary` evaluation; one tuple,
+#: read and replaced whole, so a reader always sees a key with its record
+_last_frame = (None, math.nan, None)
+
+
 def boundary(xi: float, profile: PerturbationProfile) -> BoundaryGeometry:
     """Full local geometry record of the boundary at angle ``xi``.
 
     gamma'(xi) = (rho' + i rho) e^{i xi}; the unit tangent points
     counterclockwise and the outward normal is the tangent rotated by -pi/2.
+
+    The last record is kept and returned again for the same profile object
+    and the same bits of ``xi`` (0.0 and -0.0 differ): a return of the map
+    starts where the previous one ended.
     """
+    global _last_frame
     xi = float(xi)
+    last_profile, last_xi, last = _last_frame
+    if last_profile is profile and last_xi == xi and \
+            math.copysign(1.0, last_xi) == math.copysign(1.0, xi):
+        return last
     rho, rhop = profile.radius_and_slope(xi)
     e = complex(math.cos(xi), math.sin(xi))
     dgamma = (rhop + 1j * rho) * e
     m = abs(dgamma)
     t = dgamma / m
-    return BoundaryGeometry(xi=xi, point_c=rho * e, tangent_c=t,
+    geom = BoundaryGeometry(xi=xi, point_c=rho * e, tangent_c=t,
                             normal_c=-1j * t, radius=rho, radius_prime=rhop,
                             metric=m)
+    _last_frame = (profile, xi, geom)
+    return geom

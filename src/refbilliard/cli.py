@@ -182,7 +182,10 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
     spath = os.path.join(out, "section.svg")
     canvas.write(spath, xlabel="xi", ylabel="I")
     print(f"wrote {spath}")
-    _say(verbose, f"  seconds: iterate {t1 - t0:.3f}, csv {t2 - t1:.3f}, "
+    returns = sum(len(xi) - 1 for xi, _, _ in per_seed)
+    per_return = f"{1e6 * (t1 - t0) / returns:.1f}" if returns else "nan"
+    _say(verbose, f"  seconds: iterate {t1 - t0:.3f} ({returns} returns, "
+         f"{per_return} us/return), csv {t2 - t1:.3f}, "
          f"svg {perf_counter() - t2:.3f}")
     return 0
 

@@ -26,8 +26,15 @@ def kepler_elements(z0, v0, params: PhysParams) -> InnerConic:
     direction stay accurate down to zero angular momentum (radial rays have
     e = 1 exactly and are flagged ``is_collision``).
     """
-    z0 = _as_complex(z0)
-    v0 = _as_complex(v0)
+    k, p, e, r_peri, th_peri, collision = _elements(
+        _as_complex(z0), _as_complex(v0), params)
+    return InnerConic(k, p, e, r_peri, th_peri, 0, collision)
+
+
+def _elements(z0: complex, v0: complex, params: PhysParams) -> tuple:
+    """(k, p, e, pericenter radius, pericenter angle, collision flag) of the
+    hyperbola through ``(z0, v0)``: the fields of :func:`kepler_elements`
+    but the winding."""
     r = abs(z0)
     if r == 0.0:
         raise SingularityError("orbital elements are undefined at the centre")
@@ -46,9 +53,7 @@ def kepler_elements(z0, v0, params: PhysParams) -> InnerConic:
         p = 0.0
     else:
         th_peri = cmath.phase(evec)
-    return InnerConic(ang_momentum_k=k, semilatus_p=p, eccentricity_e=e,
-                      pericenter_r=p / (1.0 + e), pericenter_angle=th_peri,
-                      winding=0, is_collision=collision)
+    return k, p, e, p / (1.0 + e), th_peri, collision
 
 
 def _check_inner_energy(z0: complex, v0: complex, params: PhysParams) -> None:
@@ -103,7 +108,7 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     profile = profile or PerturbationProfile.circle()
     z0 = _as_complex(z0)
     v0 = _as_complex(v0)
-    conic = kepler_elements(z0, v0, params)
+    k, p, e, r_peri, th_peri, collision = _elements(z0, v0, params)
     Om = math.sqrt(params.lc_Omega_sq)
     w0 = cmath.sqrt(z0)
     wd0 = v0 * w0.conjugate()
@@ -129,16 +134,11 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     # theta = 2 arg w, and arg w turns by less than pi along a hyperbola
     # branch, so one atan2 gives the lifted sweep; a collision ray passes
     # w = 0 and leaves along its entry ray
-    sweep = 0.0 if conic.is_collision else 2.0 * math.atan2(
+    sweep = 0.0 if collision else 2.0 * math.atan2(
         w0.real * w1.imag - w0.imag * w1.real,
         w0.real * w1.real + w0.imag * w1.imag)
     wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
-    conic = InnerConic(ang_momentum_k=conic.ang_momentum_k,
-                       semilatus_p=conic.semilatus_p,
-                       eccentricity_e=conic.eccentricity_e,
-                       pericenter_r=conic.pericenter_r,
-                       pericenter_angle=conic.pericenter_angle,
-                       winding=wind, is_collision=conic.is_collision)
+    conic = InnerConic(k, p, e, r_peri, th_peri, wind, collision)
     return ArcSegment(region="inner", chart="lc", p0=z0, v0=v0, p1=z1, v1=v1,
                       duration=dur, sweep=sweep, xi0=xi0, xi1=xi1,
                       conic=conic, par=(w0, wd0, Om, tau1), params=params)

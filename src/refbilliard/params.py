@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -64,38 +65,41 @@ class PhysParams:
                 f"requires energy_E > stiffness_om, got E={E}, om={om}")
 
     # -- derived quantities -------------------------------------------------
+    #
+    # Each is computed on first use and kept in the instance ``__dict__``;
+    # equality, hashing and ``dataclasses.replace`` see the four fields only.
 
-    @property
+    @cached_property
     def action_bound_Ic(self) -> float:
         """Critical action I_c = sqrt(E - om/2); |I| = I_c is total reflection."""
         return math.sqrt(self.energy_E - self.stiffness_om / 2)
 
-    @property
+    @cached_property
     def outer_speed_unit(self) -> float:
         """Speed sqrt(2 V_E) = sqrt(2E - om) on the unit circle, outer side."""
         return math.sqrt(2 * self.energy_E - self.stiffness_om)
 
-    @property
+    @cached_property
     def inner_speed_unit(self) -> float:
         """Speed sqrt(2 V_I) = sqrt(2(E + h + mu)) on the unit circle, inner side."""
         return math.sqrt(2 * (self.energy_E + self.offset_h + self.mass_mu))
 
-    @property
+    @cached_property
     def omega(self) -> float:
         """Angular frequency sqrt(om) of the outer oscillator."""
         return math.sqrt(self.stiffness_om)
 
-    @property
+    @cached_property
     def kepler_energy(self) -> float:
         """Energy E + h of every inner Kepler arc (always hyperbolic)."""
         return self.energy_E + self.offset_h
 
-    @property
+    @cached_property
     def lc_Omega_sq(self) -> float:
         """Stiffness Omega^2 = 2(E + h) of the Levi-Civita linear oscillator."""
         return 2 * (self.energy_E + self.offset_h)
 
-    @property
+    @cached_property
     def brake_radius(self) -> float:
         """Outer turning radius sqrt(2E/om) of the radial (brake) orbit."""
         return math.sqrt(2 * self.energy_E / self.stiffness_om)
@@ -140,7 +144,7 @@ def potential(z, region: str, params: PhysParams):
     region : {"outer", "inner"}
         Which well to evaluate.
     """
-    zc = _as_complex(z)
+    zc = z if type(z) is complex else _as_complex(z)
     if isinstance(zc, complex):
         r = abs(zc)
         singular = r == 0.0

@@ -10,8 +10,7 @@ critical angle are totally reflected and the transit terminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .params import PhysParams, _as_complex, potential
@@ -20,8 +19,7 @@ from .params import PhysParams, _as_complex, potential
 CRITICAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RefractionResult:
+class RefractionResult(NamedTuple):
     """Outcome of one interface crossing.
 
     ``outcome`` is "refracted" or "total_reflection"; ``out_angle`` is the
@@ -37,7 +35,7 @@ class RefractionResult:
 
 
 def _speeds(point, params: PhysParams):
-    z = _as_complex(point)
+    z = point if type(point) is complex else _as_complex(point)
     ve = potential(z, "outer", params)
     vi = potential(z, "inner", params)
     if ve <= 0.0:

@@ -12,23 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from ._util import brentq, wrap_pi
 from .arcs import ArcSegment, lc_flow
 from .boundary import BoundaryGeometry, PerturbationProfile, boundary
-from .errors import (NoFixedPoint, OutOfActionRange, TangentialCrossing,
-                     TotalReflectionTermination)
+from .errors import (DomainError, NoFixedPoint, OutOfActionRange,
+                     TangentialCrossing, TotalReflectionTermination)
 from .inner import levi_civita_propagate
 from .outer import outer_transit
 from .params import PhysParams, potential
 from .refraction import refract_in, refract_out
 
 
-@dataclass(frozen=True)
-class BoundaryState:
+class BoundaryState(NamedTuple):
     """Point of the section: boundary angle, canonical action, launch angle.
 
     ``alpha`` is the exterior angle from the outward normal toward the unit
@@ -54,8 +53,7 @@ class ShiftProfile:
     total_prime: float
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(NamedTuple):
     """One application of the return map.
 
     ``delta_xi`` is the lifted angular advance (continuation of the circular
@@ -79,10 +77,17 @@ def action_of_velocity(xi: float, v, profile: PerturbationProfile,
 
 def outgoing_state(xi: float, action_I: float, profile: PerturbationProfile,
                    params: PhysParams) -> BoundaryState:
-    """Outgoing :class:`BoundaryState` at ``(xi, I)``; validates the action bound."""
+    """Outgoing :class:`BoundaryState` at ``(xi, I)``; validates the action bound.
+
+    Raises :class:`DomainError` for a non-finite ``xi`` and
+    :class:`OutOfActionRange` unless |I| lies below the local bound (a NaN
+    action does not).
+    """
+    if not math.isfinite(xi):
+        raise DomainError(f"boundary angle must be finite, got {xi!r}")
     bound = _action_bound(xi, profile, params)
     s = action_I / bound
-    if abs(s) >= 1.0:
+    if not abs(s) < 1.0:
         raise OutOfActionRange(
             f"|I| = {abs(action_I):.6g} exceeds the local bound {bound:.6g}")
     return BoundaryState(xi=wrap_pi(xi), action_I=action_I,
@@ -110,9 +115,12 @@ def outgoing_velocity(state: BoundaryState, profile: PerturbationProfile,
 
 
 def circular_shift(action_I: float, params: PhysParams) -> ShiftProfile:
-    """Closed-form shift split f, g and derivatives on the unit circle."""
+    """Closed-form shift split f, g and derivatives on the unit circle.
+
+    Raises :class:`OutOfActionRange` unless |I| < I_c (a NaN action does
+    not)."""
     Ic = params.action_bound_Ic
-    if abs(action_I) >= Ic:
+    if not abs(action_I) < Ic:
         raise OutOfActionRange(
             f"|I| = {abs(action_I):.6g} is not below I_c = {Ic:.6g}")
     E = params.energy_E
@@ -144,7 +152,7 @@ def total_shift_grid(actions, params: PhysParams) -> np.ndarray:
     """
     I = np.asarray(actions, dtype=float)
     Ic = params.action_bound_Ic
-    if np.any(np.abs(I) >= Ic):
+    if not np.all(np.abs(I) < Ic):
         raise OutOfActionRange("scan grid reaches the action bound I_c")
     E = params.energy_E
     Eh, mu = params.kepler_energy, params.mass_mu

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from refbilliard import PerturbationProfile, PhysParams, potential
+from refbilliard import (PerturbationProfile, PhysParams, outgoing_state,
+                         potential, return_map)
+from refbilliard.refraction import refract_out
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -58,3 +60,59 @@ def test_interior_transit_feeds_the_chart_counter(tracing):
     observe(tracer, arc)
     assert tracer.counts == {"inner.chart_lc": 1}
     assert "inner.chart_lc" in tracing.COUNTER_NAMES
+
+
+# one geometric return: the launch frame, the entry frame and the exit frame,
+# one transit per region and one refraction each way
+GEOMETRIC_RETURN_CALLS = {
+    ("boundary", "boundary"): 3,
+    ("outer", "outer_transit"): 1,
+    ("refraction", "refract_in"): 1,
+    ("refraction", "refract_out"): 1,
+    ("inner", "levi_civita_propagate"): 1,
+}
+
+
+def test_one_geometric_return_calls_each_traced_layer_as_counted(tracing):
+    """The traced per-layer calls, and the total-reflection counter that
+    reads the refraction results, see every step of a geometric return:
+    return_map reaches each layer through its module-level name."""
+    params = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0,
+                        stiffness_om=1.0)
+    profile = PerturbationProfile.cos_profile(2, 0.01)
+    state = outgoing_state(0.3, 0.5, profile, params)
+    calls = dict.fromkeys(GEOMETRIC_RETURN_CALLS, 0)
+    results = []
+    swaps = []
+    for key in GEOMETRIC_RETURN_CALLS:
+        original = _layer(tracing, *key)
+
+        def counted(*args, _key=key, _fn=original, **kwargs):
+            calls[_key] += 1
+            result = _fn(*args, **kwargs)
+            results.append((_key, result))
+            return result
+
+        swaps.append((original, counted))
+    for original, counted in swaps:
+        tracing.rebind(original, counted)
+    try:
+        for n in range(1, 4):
+            state = return_map(state, profile, params).state
+            assert calls == {key: n * count for key, count
+                             in GEOMETRIC_RETURN_CALLS.items()}
+    finally:
+        for original, counted in swaps:
+            tracing.rebind(counted, original)
+    assert _layer(tracing, "boundary", "boundary") is swaps[0][0]
+    observe = next(obs for module, attr, _, obs in tracing.SPANS
+                   if (module, attr) == ("refraction", "refract_out"))
+    tracer = tracing.Tracer()
+    for key, result in results:
+        if key[0] == "refraction":
+            observe(tracer, result)
+    assert tracer.counts == {}
+    # an interior ray far past the critical angle is reflected, and counted
+    steep = refract_out(1.5, profile.radius(0.3) * cmath.exp(0.3j), params)
+    observe(tracer, steep)
+    assert tracer.counts == {"refraction.total_reflections": 1}

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from refbilliard import BoundaryGeometry, PerturbationProfile, boundary
 from refbilliard.boundary import gamma_point
@@ -137,3 +139,74 @@ def test_boundary_returns_geometry_record(circle):
     assert g.point_c == pytest.approx(complex(math.cos(1.2), math.sin(1.2)))
     assert g.tangent_c == pytest.approx(1j * g.point_c)
     assert g.normal_c == pytest.approx(g.point_c)
+
+
+# -- the scalar evaluations against a per-term reference -----------------------
+
+
+def _per_term_jet(prof, xi):
+    """(rho, rho', rho''): one cos/sin pair per nonzero term, every cos term
+    summed before every sin term, the sin constant slot skipped."""
+    if prof.epsilon == 0.0:
+        return 1.0, 0.0, 0.0
+    f = fp = fpp = 0.0
+    for k, a in enumerate(prof.fourier_cos):
+        if a:
+            c, s = math.cos(k * xi), math.sin(k * xi)
+            f += a * c
+            fp -= k * a * s
+            fpp -= k * k * a * c
+    for k, b in enumerate(prof.fourier_sin):
+        if k and b:
+            c, s = math.cos(k * xi), math.sin(k * xi)
+            f += b * s
+            fp += k * b * c
+            fpp -= k * k * b * s
+    eps = prof.epsilon
+    return 1.0 + eps * f, eps * fp, eps * fpp
+
+
+_coeff = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+_coeffs = st.lists(_coeff, max_size=6)
+
+
+@given(cos=_coeffs, sin=_coeffs, eps=st.floats(-0.04, 0.04),
+       xi=st.floats(-50.0, 50.0))
+@example(cos=[0.0, 0.0, 0.6], sin=[0.0, 0.0, 0.8], eps=0.01, xi=0.7)
+@example(cos=[0.3, 0.0, -0.5, 0.2], sin=[0.9, 0.4, 0.0, 0.7, 0.1], eps=-0.03,
+         xi=-2.1)
+@example(cos=[0.0, 1.0], sin=[0.0, 0.0, 1.0], eps=0.0, xi=1.0)
+def test_scalar_evaluations_equal_the_per_term_sums(cos, sin, eps, xi):
+    prof = PerturbationProfile(fourier_cos=cos, fourier_sin=sin,
+                               epsilon=eps)
+    ref = _per_term_jet(prof, xi)
+    assert prof.radius_jet(xi) == ref
+    assert prof.radius_and_slope(xi) == ref[:2]
+
+
+# -- the last-frame memo of boundary() -----------------------------------------
+
+
+def _copy(prof):
+    return PerturbationProfile(prof.fourier_cos, prof.fourier_sin,
+                               prof.epsilon)
+
+
+def test_boundary_memo_returns_what_a_fresh_evaluation_does():
+    a = PerturbationProfile.cos_profile(2, 0.01)
+    b = PerturbationProfile(fourier_cos=(0.0, 0.0, 0.6),
+                            fourier_sin=(0.0, 0.0, 0.8), epsilon=0.02)
+    calls = [(0.3, a), (0.3, b), (0.3, a), (0.3, a), (0.3, _copy(a)),
+             (1.1, b), (0.3, b), (0.0, a), (-0.0, a), (0.0, a), (-0.0, a),
+             (-0.0, a), (0.0, b), (-0.0, b), (math.pi, a), (-math.pi, a)]
+    # each expected record comes from a new profile object, which the memo
+    # has never seen; all are made before the calls under test
+    expected = [boundary(xi, _copy(prof)) for xi, prof in calls]
+    got = [boundary(xi, prof) for xi, prof in calls]
+    for (xi, _), rec, exp in zip(calls, got, expected):
+        # repr tells 0.0 from -0.0, in xi and in the complex parts
+        assert rec == exp and repr(rec) == repr(exp)
+        assert math.copysign(1.0, rec.xi) == math.copysign(1.0, xi)
+    # the repeated call is served by the memo
+    assert got[3] is got[2]
+    assert got[10] is not got[9] and got[11] is got[10]

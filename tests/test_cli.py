@@ -284,8 +284,15 @@ def test_section_verbose_reports_stage_seconds(tmp_path, capsys):
                  "--verbose"]) == 0
     loud = capsys.readouterr().out
     assert "seconds:" not in quiet
-    assert re.search(r"seconds: iterate \d+\.\d{3}, csv \d+\.\d{3}, "
+    line = re.search(r"seconds: iterate (\d+\.\d{3}) \((\d+) returns, "
+                     r"(\d+\.\d) us/return\), csv \d+\.\d{3}, "
                      r"svg \d+\.\d{3}\n", loud)
+    assert line
+    # two seeds of four returns on the circle, none cut short; the seconds
+    # are printed to 1 ms and the microseconds per return to 0.1
+    assert int(line[2]) == 8
+    assert float(line[3]) == pytest.approx(1e6 * float(line[1]) / 8,
+                                           abs=1e6 * 0.0005 / 8 + 0.05)
     for name in ("section.csv", "section.svg"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()

@@ -13,7 +13,8 @@ from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
                          returnmap, rotation_number, twist_at_zero)
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, InsufficientLength,
-                                OrbitTerminated, RangeEmpty, ResidualTooLarge)
+                                OrbitTerminated, RangeEmpty, ResidualTooLarge,
+                                TotalReflectionTermination)
 from refbilliard.orbits import _rotation_with_error
 
 
@@ -30,17 +31,23 @@ def test_iterate_records_constant_shift_on_circle(fig1, circle):
         circular_shift(I, fig1).total, abs=1e-12)
 
 
-def _iterate_by_hand(state, n, profile, params, method):
-    """One return_map call per return: the reference for iterate."""
+def _iterate_by_hand(state, n, profile, params, method, between=None):
+    """One return_map call per return: the reference for iterate.
+    ``between()``, when given, runs after every return."""
     states, lifted, status = [state], [float(state.xi)], "running"
     for _ in range(n):
         try:
             res = return_map(states[-1], profile, params, method=method)
+        except TotalReflectionTermination:
+            status = "total_reflection"
+            break
         except BilliardError:
             status = "failed"
             break
         states.append(res.state)
         lifted.append(lifted[-1] + res.delta_xi)
+        if between is not None:
+            between()
     return states, lifted, status
 
 
@@ -81,6 +88,34 @@ def test_iterate_on_circle_evaluates_the_shift_once(fig1, circle,
     assert calls == []
     iterate(st, 4000, circle, fig1)
     assert calls == [0.5]
+
+
+@pytest.mark.parametrize("interleave", [False, True])
+@pytest.mark.parametrize("xi0, share", [(0.0, 0.0), (0.0, 0.5), (-0.0, -0.5),
+                                        (2.0, 0.8), (-1.0, -0.85)])
+def test_iterate_on_a_perturbed_profile_equals_a_loop_of_return_map(
+        fig1, xi0, share, interleave):
+    """Bit for bit, also when work on another profile runs between the
+    returns of the hand loop: nothing one call leaves behind changes the
+    next one's result."""
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    other = PerturbationProfile(fourier_cos=(0.0, 0.0, 0.6),
+                                fourier_sin=(0.0, 0.0, 0.8), epsilon=0.01)
+    side = [outgoing_state(0.4, 0.3, other, fig1)]
+
+    def elsewhere():
+        boundary(side[-1].xi, other)
+        side.append(return_map(side[-1], other, fig1).state)
+        boundary(side[-1].xi, wavy)
+
+    st = outgoing_state(xi0, share * fig1.action_bound_Ic, wavy, fig1)
+    tr = iterate(st, 60, wavy, fig1)
+    states, lifted, status = _iterate_by_hand(
+        st, 60, wavy, fig1, "auto", elsewhere if interleave else None)
+    assert tr.status == status
+    assert repr(_fields(tr.states)) == repr(_fields(states))
+    assert tr.xis_lifted.tolist() == lifted
+    assert len(tr.arcs) == 2 * (len(states) - 1)
 
 
 @pytest.mark.parametrize("share", [1.0, -1.0, 1.5])

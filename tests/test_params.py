@@ -1,6 +1,8 @@
 """Parameter validation and the two potentials."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -69,3 +71,47 @@ def test_levi_civita_constants(fig1):
 def test_inner_potential_singular_at_origin(fig1):
     with pytest.raises(SingularityError):
         potential(0.0 + 0.0j, "inner", fig1)
+
+
+# -- derived constants, computed once per instance -----------------------------
+
+
+def _formulas(p):
+    E, h, mu, om = p.energy_E, p.offset_h, p.mass_mu, p.stiffness_om
+    return {"action_bound_Ic": math.sqrt(E - om / 2),
+            "outer_speed_unit": math.sqrt(2 * E - om),
+            "inner_speed_unit": math.sqrt(2 * (E + h + mu)),
+            "omega": math.sqrt(om),
+            "kepler_energy": E + h,
+            "lc_Omega_sq": 2 * (E + h),
+            "brake_radius": math.sqrt(2 * E / om)}
+
+
+def test_derived_constants_equal_their_formulas(fig1, fig4):
+    for p in (fig1, fig4):
+        for _ in range(2):  # computed, then cached
+            assert {name: getattr(p, name) for name in _formulas(p)} == \
+                _formulas(p)
+
+
+def test_cached_constants_leave_equality_hash_and_pickle_alone(fig1):
+    fresh = PhysParams(2.5, 2.0, 2.0, 1.0)
+    used = PhysParams(2.5, 2.0, 2.0, 1.0)
+    assert used.omega == 1.0 and used.kepler_energy == 4.5
+    assert used == fresh and hash(used) == hash(fresh)
+    assert len({used, fresh, fig1}) == 1
+    for p in (fresh, used):
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p)
+        assert {name: getattr(back, name) for name in _formulas(p)} == \
+            _formulas(p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        used.energy_E = 3.0
+
+
+def test_replace_gives_fresh_derived_constants(fig1):
+    assert fig1.kepler_energy == 4.5 and fig1.omega == 1.0
+    q = dataclasses.replace(fig1, offset_h=3.0, stiffness_om=2.0)
+    assert q.kepler_energy == 5.5 and q.omega == math.sqrt(2.0)
+    assert {name: getattr(q, name) for name in _formulas(q)} == _formulas(q)
+    assert fig1.kepler_energy == 4.5

@@ -11,7 +11,7 @@ from refbilliard import (PerturbationProfile, action_of_velocity,
                          fixed_point_thresholds, outgoing_state,
                          outgoing_velocity, return_map, total_shift_grid,
                          twist_at_zero, twist_critical_set)
-from refbilliard.errors import NoFixedPoint, OutOfActionRange
+from refbilliard.errors import DomainError, NoFixedPoint, OutOfActionRange
 from refbilliard.returnmap import _fixed_point_bracket
 
 
@@ -39,6 +39,41 @@ def test_outgoing_state_validates_action_bound(fig1, circle):
     with pytest.raises(OutOfActionRange):
         outgoing_state(0.0, math.sqrt(2.0) + 1e-12, circle, fig1)
     outgoing_state(0.0, math.sqrt(2.0) - 1e-9, circle, fig1)  # just inside
+
+
+# -- non-finite inputs get a typed error, not a NaN orbit ----------------------
+
+
+def test_outgoing_state_rejects_a_nan_action_on_the_circle(fig1, circle):
+    # a NaN action used to give a NaN state, which iterate then ran with
+    # status "running"
+    with pytest.raises(OutOfActionRange):
+        outgoing_state(0.0, math.nan, circle, fig1)
+
+
+def test_outgoing_state_rejects_a_nan_action_on_a_perturbed_profile(fig1):
+    # a NaN action used to surface in the first return as a misleading
+    # EventDetectionFailed
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    with pytest.raises(OutOfActionRange):
+        outgoing_state(0.3, math.nan, prof, fig1)
+
+
+@pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_outgoing_state_rejects_a_non_finite_angle(fig1, xi, eps):
+    # an infinite angle used to raise a bare ValueError (math domain error),
+    # which is no BilliardError
+    prof = PerturbationProfile.cos_profile(2, eps)
+    with pytest.raises(DomainError):
+        outgoing_state(xi, 0.5, prof, fig1)
+
+
+def test_circular_shift_rejects_a_nan_action(fig1):
+    with pytest.raises(OutOfActionRange):
+        circular_shift(math.nan, fig1)
+    with pytest.raises(OutOfActionRange):
+        total_shift_grid(np.array([0.0, math.nan]), fig1)
 
 
 def test_circular_shift_anchor_values(fig1):
