@@ -19,10 +19,9 @@ from .errors import (AntipodalEndpoints, BilliardError, DegenerateEnvelope,
                      DegenerateStationarity, DescentStalled, DomainError,
                      EnergyMismatch, EventDetectionFailed,
                      InsufficientLength, NewtonDiverged, OrbitTerminated,
-                     OutOfActionRange, QuadratureTolUnmet, RangeEmpty,
-                     ResidualTooLarge, ShootingDiverged, SingularityError,
-                     TangentialCrossing, TotalReflectionTermination,
-                     WindingChanged)
+                     OutOfActionRange, RangeEmpty, ResidualTooLarge,
+                     ShootingDiverged, SingularityError, TangentialCrossing,
+                     TotalReflectionTermination, WindingChanged)
 from .inner import (inner_arc_fixed_ends, inner_shift, kepler_elements,
                     levi_civita_propagate, transversality_bound)
 from .oracle import OracleReturn, ode_return_map
@@ -34,7 +33,7 @@ from .orbits import (CurveProbe, OrbitTrace, PeriodicOrbit, StabilityReport,
 from .outer import (outer_arc_fixed_ends, outer_conic_of, outer_propagate,
                     outer_shift, outer_shift_inverse, outer_shift_prime,
                     outer_transit)
-from .params import PhysParams, potential, validate_params
+from .params import PhysParams, potential
 from .refraction import (CRITICAL_TOL, RefractionResult, critical_angle,
                          refract_in, refract_out)
 from .returnmap import (BoundaryState, MapResult, ShiftProfile,
@@ -43,8 +42,6 @@ from .returnmap import (BoundaryState, MapResult, ShiftProfile,
                         fixed_point_thresholds, outgoing_state,
                         outgoing_velocity, return_map, tangent_map,
                         total_shift_grid, twist_at_zero, twist_critical_set)
-from .reference import (inner_distance, maupertuis_product, outer_distance,
-                        quadrature_length)
 from .variational import (GeneratingEval, discrete_action,
                           generating_function, jacobi_length,
                           shift_inverse_all)

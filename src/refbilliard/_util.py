@@ -9,8 +9,8 @@ critical set, the fixed point, the exterior shift inverse) is a bracketed
 root of a closed form.  So :func:`brentq` is a port of scipy's, bit for
 bit, and the package never imports scipy at module level: it calls the
 forwarders below, which pass every argument through unchanged.  Only the
-perturbed n >= 2 periodic search (``root``, ``minimize``), the ODE oracle
-(``solve_ivp``) and the test references (``quad``) reach them.
+perturbed n >= 2 periodic search (``root``, ``minimize``) and the ODE
+oracle (``solve_ivp``) reach them.
 """
 
 from __future__ import annotations
@@ -122,12 +122,6 @@ def solve_ivp(*args, **kwargs):
     """:func:`scipy.integrate.solve_ivp`, imported on first call."""
     from scipy.integrate import solve_ivp
     return solve_ivp(*args, **kwargs)
-
-
-def quad(*args, **kwargs):
-    """:func:`scipy.integrate.quad`, imported on first call."""
-    from scipy.integrate import quad
-    return quad(*args, **kwargs)
 
 
 def wrap_pi(x):

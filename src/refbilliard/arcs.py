@@ -3,7 +3,7 @@
 Every piece of a billiard orbit is one conic arc: an origin-centered ellipse
 arc outside the domain, a Kepler hyperbola arc inside, or the degenerate
 radial ejection-collision segment.  :class:`ArcSegment` stores the closed-form
-parametrization so that sampling, quadrature, and extremal radii never require
+parametrization so that sampling and extremal radii never require
 re-integration.
 """
 
@@ -92,35 +92,19 @@ class ArcSegment:
 
     # -- closed-form geometry along the arc -----------------------------------
 
-    def _flow(self, u):
-        """(z, dz/du, ds/du) at u in [0, 1] (scalar or array), from the
-        region's closed-form flow."""
+    def point(self, u):
+        """Position z(u) for u in [0, 1] (scalar or array), as complex, from
+        the region's closed-form flow."""
         u = np.asarray(u, dtype=float)
         if self.region == "outer":
             w, T = self.par
             s = u * T
-            c, sn = np.cos(w * s), np.sin(w * s)
-            z = self.p0 * c + self.v0 * sn / w
-            return z, (-self.p0 * w * sn + self.v0 * c) * T, np.full_like(u, T)
-        w0, wd0, Om, tau1 = self.par
-        w, wd = lc_flow(w0, wd0, Om, u * tau1)
-        return w * w, 2 * w * wd * tau1, 2 * np.abs(w) ** 2 * tau1
-
-    def point(self, u):
-        """Position z(u) for u in [0, 1] (scalar or array), as complex."""
-        z = self._flow(u)[0]
+            z = self.p0 * np.cos(w * s) + self.v0 * np.sin(w * s) / w
+        else:
+            w0, wd0, Om, tau1 = self.par
+            w = lc_flow(w0, wd0, Om, u * tau1)[0]
+            z = w * w
         return z if np.ndim(z) else complex(z)
-
-    def ds_du(self, u):
-        """Kinetic-time derivative ds/du along the arc."""
-        ds = self._flow(u)[2]
-        return ds if np.ndim(ds) else float(ds)
-
-    def velocity(self, u):
-        """Physical velocity z'(s) at parameter u."""
-        _, dz, ds = self._flow(u)
-        v = dz / ds
-        return v if np.ndim(v) else complex(v)
 
     def sample(self, n: int) -> np.ndarray:
         """(n, 2) array of positions at n uniform parameter values."""

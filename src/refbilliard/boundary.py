@@ -25,23 +25,17 @@ class PerturbationProfile:
 
     ``fourier_cos[k]`` multiplies cos(k xi) and ``fourier_sin[k]`` multiplies
     sin(k xi) (index = harmonic; the sin constant slot is ignored).
-    ``smoothness_k`` records the differentiability class assumed by the
-    perturbative results; finite trigonometric profiles are smooth, so any
-    k >= 2 is accepted.
     """
 
     fourier_cos: tuple = ()
     fourier_sin: tuple = ()
     epsilon: float = 0.0
-    smoothness_k: int = 6
 
     def __post_init__(self):
         object.__setattr__(self, "fourier_cos",
                            tuple(float(c) for c in self.fourier_cos))
         object.__setattr__(self, "fourier_sin",
                            tuple(float(c) for c in self.fourier_sin))
-        if self.smoothness_k < 2:
-            raise DomainError("smoothness_k must be >= 2")
         if not all(map(math.isfinite, (self.epsilon,) + self.fourier_cos +
                        self.fourier_sin)):
             raise DomainError("epsilon and Fourier coefficients must be finite")
@@ -240,13 +234,6 @@ class BoundaryGeometry(NamedTuple):
     @property
     def normal_out_unit(self) -> np.ndarray:
         return np.array([self.normal_c.real, self.normal_c.imag])
-
-
-def gamma_point(xi, profile: PerturbationProfile):
-    """Boundary point(s) as complex rho(xi) e^{i xi}."""
-    xi = np.asarray(xi, dtype=float)
-    out = profile.radius(xi) * np.exp(1j * xi)
-    return out if np.ndim(out) else complex(out)
 
 
 #: (profile, xi, record) of the last :func:`boundary` evaluation; one tuple,

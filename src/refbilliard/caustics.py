@@ -129,26 +129,31 @@ def _eval_inner(conic: InnerConic, x: float, y: float
     return G, x / r + e * c, y / r + e * s
 
 
+#: step of the centred difference of G across the conic family
+_FD_STEP = 1e-5
+
+
 def envelope_equations(zeta: float, xy: Tuple[float, float],
                        invariant_curve: ActionCurve, kind: str,
-                       profile: PerturbationProfile, params: PhysParams,
-                       fd_step: float = 1e-5) -> Tuple[float, float]:
+                       profile: PerturbationProfile, params: PhysParams
+                       ) -> Tuple[float, float]:
     """Envelope system ``(G, dG/dzeta)`` at a candidate point.
 
     ``G`` is the level function of the conic attached to boundary parameter
     ``zeta`` (exterior ellipse or interior focal hyperbola) and the second
-    component is the centered difference of ``G`` across the family.  Both
+    component is the centered difference of ``G`` across the family, of
+    step 1e-5 (the one :func:`perturbed_caustic` solves with).  Both
     vanish, to solver tolerance, on a :class:`CausticCurve`.
     """
     I_of = _as_action_function(invariant_curve)
     conic_at, evaluate = _family(kind)
     x, y = float(xy[0]), float(xy[1])
     G0 = evaluate(conic_at(zeta, I_of(zeta), profile, params), x, y)[0]
-    Gp = evaluate(conic_at(zeta + fd_step, I_of(zeta + fd_step),
+    Gp = evaluate(conic_at(zeta + _FD_STEP, I_of(zeta + _FD_STEP),
                            profile, params), x, y)[0]
-    Gm = evaluate(conic_at(zeta - fd_step, I_of(zeta - fd_step),
+    Gm = evaluate(conic_at(zeta - _FD_STEP, I_of(zeta - _FD_STEP),
                            profile, params), x, y)[0]
-    return G0, (Gp - Gm) / (2.0 * fd_step)
+    return G0, (Gp - Gm) / (2.0 * _FD_STEP)
 
 
 def _family(kind: str):
@@ -163,12 +168,12 @@ def _family(kind: str):
 
 
 def _solve_node(zeta: float, seed: Tuple[float, float], conics, evaluate,
-                r_ref: float, tol: float, max_iter: int
-                ) -> Tuple[float, float, int, float]:
+                r_ref: float) -> Tuple[float, float, int, float]:
     """Newton iterate of {G=0, dG/dzeta=0} at fixed ``zeta``.
 
     The three conics of the centered stencil are built once; every iteration
-    is then closed-form algebra.  Returns ``(x, y, iterations, residual)``.
+    is then closed-form algebra.  The iteration stops below a residual of
+    1e-12, or after 25 steps.  Returns ``(x, y, iterations, residual)``.
     """
     cm, c0, cp = conics
     x, y = float(seed[0]), float(seed[1])
@@ -183,8 +188,8 @@ def _solve_node(zeta: float, seed: Tuple[float, float], conics, evaluate,
         resid = max(abs(G0), abs(F1))
         # done once below tolerance, once the finite-difference noise floor
         # stops the residual from contracting, or out of budget
-        if resid < tol or (it >= 2 and resid > 0.5 * prev_resid) or \
-                it >= max_iter:
+        if resid < 1e-12 or (it >= 2 and resid > 0.5 * prev_resid) or \
+                it >= 25:
             break
         prev_resid = resid
         j10, j11 = (gpx - gmx) / h2, (gpy - gmy) / h2
@@ -212,9 +217,6 @@ def _solve_node(zeta: float, seed: Tuple[float, float], conics, evaluate,
     return x, y, it, resid
 
 
-_FD_STEP = 1e-5
-
-
 def _circular_seed(zeta: float, action_I: float, kind: str, conic,
                    params: PhysParams) -> Tuple[float, float]:
     if kind == "inner":
@@ -231,8 +233,7 @@ def _circular_seed(zeta: float, action_I: float, kind: str, conic,
 
 def perturbed_caustic(invariant_curve: ActionCurve, kind: str,
                       profile: PerturbationProfile, params: PhysParams,
-                      n_base: int = 512, tol: float = 1e-12,
-                      max_iter: int = 25) -> CausticCurve:
+                      n_base: int = 512) -> CausticCurve:
     """Envelope of the conic family carried by an invariant curve.
 
     For each boundary parameter ``zeta`` on a closed grid of ``n_base``
@@ -260,15 +261,12 @@ def perturbed_caustic(invariant_curve: ActionCurve, kind: str,
         r_ref = r_ref_at(z)
         if seed is None:
             seed = _circular_seed(z, I_of(z), kind, stencil[1], params)
-            return _solve_node(z, seed, stencil, evaluate, r_ref,
-                               tol, max_iter)
+            return _solve_node(z, seed, stencil, evaluate, r_ref)
         try:
-            return _solve_node(z, seed, stencil, evaluate, r_ref,
-                               tol, max_iter)
+            return _solve_node(z, seed, stencil, evaluate, r_ref)
         except NewtonDiverged:
             seed = _circular_seed(z, I_of(z), kind, stencil[1], params)
-            return _solve_node(z, seed, stencil, evaluate, r_ref,
-                               tol, max_iter)
+            return _solve_node(z, seed, stencil, evaluate, r_ref)
 
     zetas = np.linspace(0.0, 2.0 * math.pi, n_base + 1)
     records = []

@@ -23,7 +23,7 @@ from ._util import wrap_pi
 from .boundary import PerturbationProfile, boundary
 from .caustics import circular_caustic_radii, perturbed_caustic
 from .config import ConfigError, RunConfig, load_config
-from .errors import BilliardError, RangeEmpty
+from .errors import BilliardError
 from .orbits import find_periodic, iterate
 from .oracle import ode_return_map
 from .params import PhysParams, potential
@@ -154,6 +154,8 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
     seeds_I = np.linspace(-0.9 * Ic, 0.9 * Ic, cfg.seeds)
     jobs = [(0.0, float(I), cfg.iterations, cfg.profile, cfg.params)
             for I in seeds_I]
+    # a fork pool starts all its workers up front: no more than the seeds
+    workers = min(workers, len(jobs))
     t0 = perf_counter()
     if workers > 1:
         # imported here: a run with one worker never loads multiprocessing
@@ -230,7 +232,7 @@ def _cmd_periodic(cfg: RunConfig, out: str, workers: int,
     for m, n in _CATALOGUE:
         try:
             orbits = find_periodic(m, n, cfg.profile, cfg.params)
-        except (RangeEmpty, BilliardError) as exc:
+        except BilliardError as exc:
             rows.append((str(m), str(n), "none", type(exc).__name__, "", ""))
             _say(verbose, f"  ({m},{n}): {type(exc).__name__}")
             continue

@@ -69,10 +69,6 @@ class NoFixedPoint(BilliardError):
     """No non-homothetic fixed point exists for these parameters."""
 
 
-class QuadratureTolUnmet(BilliardError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class DegenerateStationarity(BilliardError):
     """The generating function is degenerate: the return map's lifted
     advance is stationary in the launch action (|d delta/d I0| too small)."""

@@ -75,17 +75,17 @@ def _clearance_rate_event(profile: PerturbationProfile):
 
 
 def _integrate_leg(rhs, y0, t_max, profile, params, inside_sign, t_guard,
-                   max_step, rtol, atol, leg):
+                   max_step, leg):
     """Integrate one leg and return (crossing time, state at crossing).
 
     The terminal event locates the generic transversal crossing; clearance
     extrema found on the wrong side of the interface before it reveal a
     crossing the stepper jumped over, which is then bracketed between
     consecutive extrema (clearance is monotone there) and refined on the
-    dense output.
+    dense output.  DOP853 runs at rtol = atol = 1e-12.
     """
-    sol = solve_ivp(rhs, (0.0, t_max), y0, method="DOP853", rtol=rtol,
-                    atol=atol, max_step=max_step, dense_output=True,
+    sol = solve_ivp(rhs, (0.0, t_max), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-12, max_step=max_step, dense_output=True,
                     events=[_crossing_event(profile, inside_sign, t_guard),
                             _clearance_rate_event(profile)])
 
@@ -112,8 +112,7 @@ def _integrate_leg(rhs, y0, t_max, profile, params, inside_sign, t_guard,
 
 
 def ode_return_map(xi0: float, alpha: float, profile: PerturbationProfile,
-                   params: PhysParams, rtol: float = 1e-12,
-                   atol: float = 1e-12) -> OracleReturn:
+                   params: PhysParams) -> OracleReturn:
     """Apply the return map to ``(xi0, alpha)`` by integrating the flow.
 
     Returns the next outgoing crossing's boundary angle, canonical action
@@ -135,7 +134,7 @@ def ode_return_map(xi0: float, alpha: float, profile: PerturbationProfile,
     t_out, y1 = _integrate_leg(rhs_outer, [z0.real, z0.imag, v0.real,
                                            v0.imag], 3.0 * period, profile,
                                params, +1.0, 1e-8 * period, period / 50.0,
-                               rtol, atol, "outer")
+                               "outer")
     z1 = complex(y1[0], y1[1])
     v1 = complex(y1[2], y1[3])
 
@@ -161,7 +160,7 @@ def ode_return_map(xi0: float, alpha: float, profile: PerturbationProfile,
     t_in, y2 = _integrate_leg(rhs_inner, [z1.real, z1.imag, v_in.real,
                                           v_in.imag], 20.0 * t_scale,
                               profile, params, -1.0, 1e-9 * t_scale,
-                              t_scale / 100.0, rtol, atol, "inner")
+                              t_scale / 100.0, "inner")
     z2 = complex(y2[0], y2[1])
     v2 = complex(y2[2], y2[3])
 

@@ -154,24 +154,24 @@ def rotation_number(trace: OrbitTrace) -> float:
 # -- periodic orbits -------------------------------------------------------------
 
 
-def _dedup_sorted(vals: Sequence[float], tol: float = 1e-9) -> List[float]:
+def _dedup_sorted(vals: Sequence[float]) -> List[float]:
+    """``vals`` sorted, without values within 1e-9 of the one before."""
     out: List[float] = []
     for v in sorted(vals):
-        if not out or abs(v - out[-1]) > tol:
+        if not out or abs(v - out[-1]) > 1e-9:
             out.append(v)
     return out
 
 
 def _map_residual(xi0: float, I0: float, m: int, n: int,
-                  profile: PerturbationProfile, params: PhysParams,
-                  method: str = "auto"):
+                  profile: PerturbationProfile, params: PhysParams):
     """Lifted n-step return from (xi0, I0) and its periodicity defect."""
     s = outgoing_state(xi0, I0, profile, params)
     lift = float(xi0)
     xis = [lift]
     acts = [I0]
     for _ in range(n):
-        res = return_map(s, profile, params, method=method)
+        res = return_map(s, profile, params)
         lift += res.delta_xi
         s = res.state
         xis.append(lift)
@@ -188,7 +188,7 @@ def _circular_orbits(m: int, n: int, roots: Sequence[float],
     orbits = []
     for r in roots:
         res_xi, res_I, xis, acts = _map_residual(0.0, r, m, n, profile,
-                                                 params, method="fast")
+                                                 params)
         orbits.append(PeriodicOrbit(
             m=m, n=n, xis=xis[:-1], actions=acts[:-1],
             residual=max(abs(res_xi), abs(res_I)),
@@ -205,16 +205,21 @@ def _orbit_from_cycle(cycle: np.ndarray, m: int, n: int,
                              else float(cycle[0]) + 2.0 * math.pi * m,
                              profile, params, action_hint=action_hint)
     res_xi, res_I, xis, acts = _map_residual(float(cycle[0]), ev.action_I0,
-                                             m, n, profile, params,
-                                             method="auto")
+                                             m, n, profile, params)
     return PeriodicOrbit(m=m, n=n, xis=xis[:-1], actions=acts[:-1],
                          residual=max(abs(res_xi), abs(res_I)), kind=kind,
                          grad_norm=grad_norm)
 
 
 def cycle_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
-    """Minimal state separation of two cycles over cyclic relabelings."""
+    """Minimal state separation of two cycles over cyclic relabelings.
+
+    Raises :class:`ValueError` unless the two cycles have the same period.
+    """
     n = a.n
+    if b.n != n:
+        raise ValueError(
+            f"cannot compare cycles of periods {a.n} and {b.n}")
     best = math.inf
     for j in range(n):
         dx = np.abs(wrap_pi(a.xis - np.roll(b.xis, -j)))
@@ -224,21 +229,21 @@ def cycle_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
 
 
 def _newton_fixed_points(m: int, profile: PerturbationProfile,
-                         params: PhysParams, seeds_I: Sequence[float],
-                         n_grid: int = 16) -> List[PeriodicOrbit]:
+                         params: PhysParams, seeds_I: Sequence[float]
+                         ) -> List[PeriodicOrbit]:
     """Period-1 orbits by Newton on the map itself, sorted by wrapped xi,
     then by I.
 
     Collision cycles make the discrete action's interior branch
     discontinuous, so fixed points (including the ejection–collision ones on
     symmetry axes) are located directly on the section, from every seed
-    action at ``n_grid`` angles.
+    action at 16 angles.
     """
     orbits: List[PeriodicOrbit] = []
     found: List[Tuple[float, float]] = []
     Ic = params.action_bound_Ic
     for I_seed in seeds_I:
-        for xi_seed in np.linspace(-math.pi, math.pi, n_grid, endpoint=False):
+        for xi_seed in np.linspace(-math.pi, math.pi, 16, endpoint=False):
             sol = _newton_fixed_point(float(xi_seed), I_seed, m, profile,
                                       params)
             if sol is None:
@@ -248,7 +253,7 @@ def _newton_fixed_points(m: int, profile: PerturbationProfile,
                 continue
             try:
                 rx, rI, xis, acts = _map_residual(xi_s, I_s, m, 1, profile,
-                                                  params, method="auto")
+                                                  params)
             except BilliardError:
                 continue
             resid = max(abs(rx), abs(rI))
@@ -301,15 +306,15 @@ def _newton_fixed_point(xi: float, I: float, m: int,
 
 
 def find_periodic(m: int, n: int, profile: PerturbationProfile,
-                  params: PhysParams, action_hint: Optional[float] = None,
-                  n_path: int = 33) -> List[PeriodicOrbit]:
+                  params: PhysParams) -> List[PeriodicOrbit]:
     """All (m, n)-periodic orbits the search can certify.
 
     Integrable case: every action with total shift 2 pi m/n (one orbit per
     root, the I = 0 ejection–collision line included for m = 0).  Perturbed
     case: the minimizer of the discrete action, descended from the circular
-    seed, plus a minimax orbit on the path joining the minimizer to its
-    cyclic shift; period-1 cycles use Newton on the section map instead.
+    seed of largest |I|, plus a minimax orbit found from the maximum of the
+    action at 33 points on the path joining the minimizer to its cyclic
+    shift; period-1 cycles use Newton on the section map instead.
     """
     if n < 1:
         raise ValueError("the period n must be a positive integer")
@@ -323,17 +328,12 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
         raise RangeEmpty(f"the circular shift never equals 2 pi {m}/{n}")
     if profile.is_circle:
         return _circular_orbits(m, n, roots, params, profile)
-    if action_hint is not None:
-        I_seed = min(roots, key=lambda r: abs(r - action_hint))
-    else:
-        I_seed = max(roots, key=abs)
-
     if n == 1:
-        seeds = _dedup_sorted(roots + [I_seed])
-        orbits = _newton_fixed_points(m, profile, params, seeds)
+        orbits = _newton_fixed_points(m, profile, params, roots)
         if not orbits:
             raise DescentStalled("no period-1 orbit converged on the section")
         return orbits
+    I_seed = max(roots, key=abs)
 
     # Per-link angular shifts only exist for the variational links while they
     # stay inside the range swept by the circular family; a quadratic wall
@@ -422,7 +422,7 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     # with uniform-rotation seeds as backups (the saddle of a near-integrable
     # twist map interleaves the minimizing cycles along the rotation family)
     y = np.r_[x_min[1:], x_min[0] + 2.0 * math.pi * m]
-    ts = np.linspace(0.0, 1.0, n_path)
+    ts = np.linspace(0.0, 1.0, 33)
     Ws = np.array([fun((1 - t) * x_min + t * y)[0] for t in ts])
     t_star = float(ts[int(np.argmax(Ws))])
     z0 = (1 - t_star) * x_min + t_star * y
@@ -497,49 +497,44 @@ def linear_stability(orbit: PeriodicOrbit, profile: PerturbationProfile,
 # -- invariant-curve probe -------------------------------------------------------
 
 
-def is_diophantine_surrogate(rho: float, qmax: int = 20,
-                             dist: float = 1e-3) -> bool:
-    """Whether rho/2pi keeps distance ``dist`` from all p/q with q <= qmax."""
+def is_diophantine_surrogate(rho: float) -> bool:
+    """Whether rho/2pi keeps distance 1e-3 from all p/q with q <= 20."""
     x = rho / (2.0 * math.pi)
-    for q in range(1, qmax + 1):
+    for q in range(1, 21):
         p = round(x * q)
-        if abs(x - p / q) < dist:
+        if abs(x - p / q) < 1e-3:
             return False
     return True
 
 
-def golden_target(params: PhysParams, fraction: float = 1.0) -> float:
+def golden_target(params: PhysParams) -> float:
     """A noble rotation-number target inside the circular shift range.
 
-    Scales -2 pi/(2 + golden mean) to ``fraction`` of itself; the default
-    lands in the Fig-1-like range and passes the rational-distance surrogate.
+    -2 pi/(2 + golden mean) lands in the Fig-1-like range and passes the
+    rational-distance surrogate.
     """
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    return -2.0 * math.pi / (2.0 + phi) * fraction
+    return -2.0 * math.pi / (2.0 + phi)
 
 
 def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
                           params: PhysParams, n_iter: int = 5000,
-                          harmonics: int = 32,
-                          action_hint: Optional[float] = None,
-                          refine: bool = True) -> CurveProbe:
+                          harmonics: int = 32) -> CurveProbe:
     """Probe for an invariant curve with the given rotation number.
 
-    Seeds the action from the circular inverse of the shift, refines it by a
-    secant on the measured rotation number, iterates ``n_iter`` returns and
-    fits I as a truncated trigonometric polynomial of xi.  The fit residual
-    is the numeric evidence for (or against) a surviving curve.
+    Seeds the action from the circular inverse of the shift (the root of
+    largest twist |f' + g'|), refines it off the circle by a secant on the
+    rotation number measured over 1500 returns, iterates ``n_iter`` returns
+    and fits I as a truncated trigonometric polynomial of xi.  The fit
+    residual is the numeric evidence for (or against) a surviving curve.
     """
     roots = shift_inverse_all(target_rho, params)
     if not roots:
         raise RangeEmpty(
             f"target rotation number {target_rho:.6g} is outside the "
             "circular shift range")
-    if action_hint is not None:
-        I0 = min(roots, key=lambda r: abs(r - action_hint))
-    else:
-        I0 = max(roots, key=lambda r: abs(circular_shift(r, params)
-                                          .total_prime))
+    I0 = max(roots, key=lambda r: abs(circular_shift(r, params)
+                                      .total_prime))
 
     def measured(I, N):
         tr = iterate(outgoing_state(0.0, I, profile, params), N, profile,
@@ -549,7 +544,7 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
                 f"probe orbit terminated with status {tr.status!r}")
         return tr, tr.rotation_estimate[0]
 
-    if refine and not profile.is_circle:
+    if not profile.is_circle:
         Ia, N_ref = I0, 1500
         _, ra = measured(Ia, N_ref)
         slope = circular_shift(I0, params).total_prime

@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, SingularityError
 
-__all__ = ["PhysParams", "validate_params", "potential"]
+__all__ = ["PhysParams", "potential"]
 
 
 @dataclass(frozen=True)
@@ -103,22 +102,6 @@ class PhysParams:
     def brake_radius(self) -> float:
         """Outer turning radius sqrt(2E/om) of the radial (brake) orbit."""
         return math.sqrt(2 * self.energy_E / self.stiffness_om)
-
-
-def validate_params(energy_E=None, offset_h=None, mass_mu=None,
-                    stiffness_om=None) -> PhysParams:
-    """Build a validated :class:`PhysParams` from raw values or a mapping.
-
-    Accepts either four keyword/positional floats or a single mapping with the
-    field names as keys.  Raises :class:`DomainError` when the constraints
-    E + h > 0, mu > 0, om > 0, E > om are violated.
-    """
-    if isinstance(energy_E, Mapping):
-        m = energy_E
-        return PhysParams(float(m["energy_E"]), float(m["offset_h"]),
-                          float(m["mass_mu"]), float(m["stiffness_om"]))
-    return PhysParams(float(energy_E), float(offset_h), float(mass_mu),
-                      float(stiffness_om))
 
 
 def _as_complex(z):

@@ -30,15 +30,13 @@ from .refraction import refract_in, refract_out
 class BoundaryState(NamedTuple):
     """Point of the section: boundary angle, canonical action, launch angle.
 
-    ``alpha`` is the exterior angle from the outward normal toward the unit
-    tangent; ``direction`` records whether the ray leaves ("outgoing") or
-    approaches ("incoming") the boundary.
+    Every state is outgoing: ``alpha`` is the exterior angle of the launch,
+    from the outward normal toward the unit tangent.
     """
 
     xi: float
     action_I: float
     alpha: float
-    direction: str = "outgoing"
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ def outgoing_state(xi: float, action_I: float, profile: PerturbationProfile,
         raise OutOfActionRange(
             f"|I| = {abs(action_I):.6g} exceeds the local bound {bound:.6g}")
     return BoundaryState(xi=wrap_pi(xi), action_I=action_I,
-                         alpha=math.asin(s), direction="outgoing")
+                         alpha=math.asin(s))
 
 
 def _action_bound(xi: float, profile: PerturbationProfile,
@@ -241,14 +239,13 @@ def fixed_point_thresholds(params: PhysParams) -> Tuple[float, float]:
     return mu_bar, h_bar
 
 
-def find_nonhomothetic_fixed_point(params: PhysParams,
-                                   n_scan: int = 4096) -> float:
+def find_nonhomothetic_fixed_point(params: PhysParams) -> float:
     """Positive action I with vanishing total shift (a period-1 orbit off
     the collision line), found by sign-change bracketing of the closed form.
 
     Raises :class:`NoFixedPoint` when the shift has no zero on (0, I_c).
     """
-    bracket = _fixed_point_bracket(params, n_scan)
+    bracket = _fixed_point_bracket(params)
     if bracket is None:
         raise NoFixedPoint(
             "total shift has constant sign on (0, I_c); no non-homothetic "
@@ -257,12 +254,12 @@ def find_nonhomothetic_fixed_point(params: PhysParams,
                   xtol=1e-15, rtol=8.9e-16)
 
 
-def _fixed_point_bracket(params: PhysParams, n_scan: int):
-    """The first cell (a, b) of an ``n_scan``-point grid on (0, I_c) where
-    the total shift changes sign, or None.  The scan is vectorised; the
-    root is polished on the scalar closed form."""
+def _fixed_point_bracket(params: PhysParams):
+    """The first cell (a, b) of a 4096-point grid on (0, I_c) where the
+    total shift changes sign, or None.  The scan is vectorised; the root is
+    polished on the scalar closed form."""
     Ic = params.action_bound_Ic
-    grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), n_scan)
+    grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), 4096)
     vals = total_shift_grid(grid, params)
     idx = np.nonzero(vals[1:] * vals[:-1] < 0)[0]
     if idx.size == 0:
@@ -278,19 +275,14 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
                params: PhysParams, method: str = "auto") -> MapResult:
     """Apply the first return map to an outgoing boundary state.
 
-    ``method`` "fast" uses the circular closed form (circle profiles only),
-    "geometric" composes the arcs and refractions explicitly, "auto" picks
-    the closed form exactly when the profile is the circle.  Raises
-    :class:`TotalReflectionTermination` when the interior ray exceeds the
-    critical angle at its exit point.
+    ``method`` "auto" takes the circular closed form exactly when the
+    profile is the circle; "geometric" composes the arcs and refractions
+    explicitly on any profile.  Raises :class:`TotalReflectionTermination`
+    when the interior ray exceeds the critical angle at its exit point.
     """
-    if state.direction != "outgoing":
-        raise ValueError("return_map expects an outgoing state")
-    if method not in ("auto", "fast", "geometric"):
+    if method not in ("auto", "geometric"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "fast" or (method == "auto" and profile.is_circle):
-        if not profile.is_circle:
-            raise ValueError("the closed-form path requires the circle")
+    if method == "auto" and profile.is_circle:
         shift = circular_shift(state.action_I, params)
         new = BoundaryState(xi=wrap_pi(state.xi + shift.total),
                             action_I=state.action_I, alpha=state.alpha)
@@ -317,7 +309,7 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
         math.copysign(1.0, inner_arc.conic.ang_momentum_k)
     delta = outer_arc.sweep + inner_arc.sweep - 2.0 * math.pi * sigma
     new = BoundaryState(xi=wrap_pi(inner_arc.xi1), action_I=I1,
-                        alpha=alpha1, direction="outgoing")
+                        alpha=alpha1)
     return MapResult(state=new, delta_xi=delta, arcs=(outer_arc, inner_arc))
 
 

@@ -64,22 +64,20 @@ def jacobi_length(arc: ArcSegment, params: PhysParams) -> float:
 # -- circular shift inversion (seeding) ----------------------------------------
 
 
-def shift_inverse_all(delta: float, params: PhysParams,
-                      n_scan: int = 8192) -> list:
+def shift_inverse_all(delta: float, params: PhysParams) -> list:
     """All actions I in (-I_c, I_c) whose circular total shift equals ``delta``.
 
     The shift can fold (twist sign changes), so several roots may exist;
-    they are bracketed on a scan grid and polished by Brent's method.
+    they are bracketed on a grid of 8192 actions and polished by Brent's
+    method.
     """
-    return [_polish(b, delta, params)
-            for b in _shift_brackets(delta, params, n_scan)]
+    return [_polish(b, delta, params) for b in _shift_brackets(delta, params)]
 
 
-def _shift_brackets(delta: float, params: PhysParams,
-                    n_scan: int = 8192) -> list:
+def _shift_brackets(delta: float, params: PhysParams) -> list:
     """Brackets (a, b) of the roots of :func:`shift_inverse_all`, one per
     root, disjoint and ascending; a == b marks an exact grid root."""
-    grid, shifts = _shift_scan(params, n_scan)
+    grid, shifts = _shift_scan(params)
     vals = shifts - delta
     brackets = []
     for i in np.nonzero(vals[1:] * vals[:-1] <= 0.0)[0]:
@@ -103,11 +101,11 @@ def _polish(bracket: Tuple[float, float], delta: float,
 
 
 @functools.lru_cache(maxsize=16)
-def _shift_scan(params: PhysParams, n_scan: int):
-    """The scan grid of :func:`shift_inverse_all` and its total shifts,
-    computed once per parameter set (read-only arrays)."""
+def _shift_scan(params: PhysParams):
+    """The 8192-point scan grid of :func:`shift_inverse_all` and its total
+    shifts, computed once per parameter set (read-only arrays)."""
     Ic = params.action_bound_Ic
-    grid = np.linspace(-Ic * (1 - 1e-9), Ic * (1 - 1e-9), n_scan)
+    grid = np.linspace(-Ic * (1 - 1e-9), Ic * (1 - 1e-9), 8192)
     shifts = total_shift_grid(grid, params)
     grid.flags.writeable = shifts.flags.writeable = False
     return grid, shifts

@@ -1,12 +1,15 @@
-"""Quadrature references for the Jacobi lengths and the geodesic distances.
+"""Slow, independent references the tests check the package against.
 
 :func:`refbilliard.variational.jacobi_length` is closed-form.  This module
-keeps the slower constructions it replaced, as independent checks for the
-tests: the Jacobi length by adaptive quadrature of sqrt(V)|dz|, the
-Maupertuis product (whose Cauchy-Schwarz identity L^2 = 2M ties the two
-together), and the distances d_E and d_I of arcs with prescribed boundary
-endpoints, built by the fixed-end shooting solvers rather than the return
-map.  Nothing on the production path calls it.
+keeps the constructions it replaced: the Jacobi length by adaptive
+quadrature of sqrt(V)|dz|, the Maupertuis product (whose Cauchy-Schwarz
+identity L^2 = 2M ties the two together), and the distances d_E and d_I of
+arcs with prescribed boundary endpoints, built by the fixed-end shooting
+solvers rather than the return map.  It also gives the boundary point
+gamma(xi) = rho(xi) e^{i xi} directly from the radius profile, as a
+reference for :func:`refbilliard.boundary`.
+
+Every integral goes through :func:`scipy.integrate.quad`.
 """
 
 from __future__ import annotations
@@ -14,13 +17,35 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ._util import quad
-from .arcs import ArcSegment, lc_flow
-from .boundary import PerturbationProfile
-from .errors import QuadratureTolUnmet
-from .inner import inner_arc_fixed_ends
-from .outer import outer_arc_fixed_ends
-from .params import PhysParams, potential
+import numpy as np
+from scipy.integrate import quad
+
+from refbilliard import (ArcSegment, PerturbationProfile, PhysParams,
+                         inner_arc_fixed_ends, outer_arc_fixed_ends,
+                         potential)
+from refbilliard.arcs import lc_flow
+from refbilliard.errors import BilliardError
+
+
+class QuadratureTolUnmet(BilliardError):
+    """Adaptive quadrature could not reach the requested tolerance."""
+
+
+def gamma_point(xi, profile: PerturbationProfile):
+    """Boundary point(s) as complex rho(xi) e^{i xi}."""
+    xi = np.asarray(xi, dtype=float)
+    out = profile.radius(xi) * np.exp(1j * xi)
+    return out if np.ndim(out) else complex(out)
+
+
+def _outer_flow(arc: ArcSegment, u):
+    """(z, dz/du, ds/du) at u in [0, 1] on an exterior arc, whose payload is
+    (omega, T): z = p0 cos(omega s) + (v0/omega) sin(omega s), s = u T."""
+    w, T = arc.par
+    s = np.asarray(u, dtype=float) * T
+    c, sn = np.cos(w * s), np.sin(w * s)
+    z = arc.p0 * c + arc.v0 * sn / w
+    return complex(z), complex((-arc.p0 * w * sn + arc.v0 * c) * T), T
 
 
 def _length_integrand(arc: ArcSegment, params: PhysParams):
@@ -37,9 +62,9 @@ def _length_integrand(arc: ArcSegment, params: PhysParams):
         return f
 
     def f(u):
-        z, dz, _ = arc._flow(u)
-        v = max(potential(complex(z), arc.region, params), 0.0)
-        return abs(complex(dz)) * math.sqrt(v)
+        z, dz, _ = _outer_flow(arc, u)
+        v = max(potential(z, arc.region, params), 0.0)
+        return abs(dz) * math.sqrt(v)
     return f
 
 
@@ -82,12 +107,14 @@ def maupertuis_product(arc: ArcSegment, params: PhysParams) -> float:
             w, _ = lc_flow(w0, wd0, Om, u * tau1)
             return 2.0 * (Eh * abs(w) ** 2 + mu) * abs(tau1)
     else:
+        # |v|^2 ds/du = |dz/du|^2 / (ds/du)
         def kin(u):
-            return abs(arc.velocity(u)) ** 2 * arc.ds_du(u)
+            _, dz, ds = _outer_flow(arc, u)
+            return abs(dz / ds) ** 2 * ds
 
         def pot(u):
-            return max(potential(arc.point(u), arc.region, params), 0.0) * \
-                arc.ds_du(u)
+            z, _, ds = _outer_flow(arc, u)
+            return max(potential(z, arc.region, params), 0.0) * ds
 
     A = 0.5 * T * quad(kin, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
                        limit=200)[0]

@@ -13,7 +13,8 @@ from refbilliard import (CurveProbe, PerturbationProfile,
                          outer_transit, outgoing_state, outgoing_velocity,
                          perturbed_caustic, potential, tangency_check)
 from refbilliard.arcs import lc_flow
-from refbilliard.errors import (DegenerateEnvelope, OutOfActionRange)
+from refbilliard.errors import (DegenerateEnvelope, NewtonDiverged,
+                                OutOfActionRange)
 
 
 def test_circular_radii_match_sampled_trajectory(fig1, circle):
@@ -166,6 +167,15 @@ def test_perturbed_caustic_follows_a_curve_probe(fig1):
         radii = np.hypot(c.samples[:, 1], c.samples[:, 2])
         ref_radii = np.hypot(ref.samples[:, 1], ref.samples[:, 2])
         assert abs(np.max(radii) - np.max(ref_radii)) > 1e-4
+
+
+def test_perturbed_caustic_reports_a_lost_envelope(fig1):
+    # at eps = 0.05 the interior envelope at I_c/2 leaves the branch near
+    # its tangent circle: Newton lands more than a quarter radius away
+    prof = PerturbationProfile.cos_profile(2, 0.05)
+    with pytest.raises(NewtonDiverged, match="left the tangent-circle"):
+        perturbed_caustic(0.5 * fig1.action_bound_Ic, "inner", prof, fig1,
+                          n_base=32)
 
 
 def test_tangency_of_integrable_orbits(fig1, circle):

@@ -192,6 +192,40 @@ def test_section_pipeline_is_deterministic(tmp_path):
     assert len(rows) == 1 + 3 * 6
 
 
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, seeds, pool", [
+    (10000, 9, [9]), (4, 9, [4]), (3, 2, [2]), (8, 1, []), (1, 9, [])])
+def test_section_pool_never_exceeds_the_seeds(tmp_path, monkeypatch,
+                                               workers, seeds, pool):
+    import concurrent.futures
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _PoolRecorder)
+    cfg = write_cfg(tmp_path, "section", seeds=seeds, iterations=2)
+    assert main(["--config", cfg, "--out", str(tmp_path),
+                 "--workers", str(workers)]) == 0
+    assert _PoolRecorder.sizes == pool
+    assert len(read_csv(tmp_path / "section.csv")) == 1 + seeds * 3
+
+
 def test_orbit_pipeline(tmp_path):
     cfg = write_cfg(tmp_path, "orbit", iterations=3)
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0

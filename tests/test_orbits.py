@@ -31,13 +31,13 @@ def test_iterate_records_constant_shift_on_circle(fig1, circle):
         circular_shift(I, fig1).total, abs=1e-12)
 
 
-def _iterate_by_hand(state, n, profile, params, method, between=None):
+def _iterate_by_hand(state, n, profile, params, between=None):
     """One return_map call per return: the reference for iterate.
     ``between()``, when given, runs after every return."""
     states, lifted, status = [state], [float(state.xi)], "running"
     for _ in range(n):
         try:
-            res = return_map(states[-1], profile, params, method=method)
+            res = return_map(states[-1], profile, params)
         except TotalReflectionTermination:
             status = "total_reflection"
             break
@@ -51,18 +51,35 @@ def _iterate_by_hand(state, n, profile, params, method, between=None):
     return states, lifted, status
 
 
+def _closed_form_by_hand(state, n, params):
+    """The closed-form shift f + g added to xi, wrapped, once per return."""
+    states, lifted = [state], [float(state.xi)]
+    for _ in range(n):
+        s = states[-1]
+        theta = circular_shift(s.action_I, params).total
+        states.append(BoundaryState(wrap_pi(s.xi + theta), s.action_I,
+                                    s.alpha))
+        lifted.append(lifted[-1] + theta)
+    return states, lifted, "running"
+
+
 def _fields(states):
-    return [(s.xi, s.action_I, s.alpha, s.direction) for s in states]
+    return [(s.xi, s.action_I, s.alpha) for s in states]
 
 
+# "auto": a loop of return_map; "fast": a loop of the closed form itself,
+# the path return_map takes on the circle
 @pytest.mark.parametrize("method", ["fast", "auto"])
 @pytest.mark.parametrize("n", [0, 1, 4000])
 @pytest.mark.parametrize("share", [0.0, 0.5, -0.5, 0.9, -0.9])
 def test_iterate_on_circle_equals_a_loop_of_return_map(fig1, circle, method,
                                                        n, share):
     st = outgoing_state(0.3, share * fig1.action_bound_Ic, circle, fig1)
-    tr = iterate(st, n, circle, fig1, method=method)
-    states, lifted, status = _iterate_by_hand(st, n, circle, fig1, method)
+    tr = iterate(st, n, circle, fig1)
+    if method == "fast":
+        states, lifted, status = _closed_form_by_hand(st, n, fig1)
+    else:
+        states, lifted, status = _iterate_by_hand(st, n, circle, fig1)
     assert _fields(tr.states) == _fields(states)
     assert tr.xis_lifted.tolist() == lifted
     assert tr.status == status == "running"
@@ -111,7 +128,7 @@ def test_iterate_on_a_perturbed_profile_equals_a_loop_of_return_map(
     st = outgoing_state(xi0, share * fig1.action_bound_Ic, wavy, fig1)
     tr = iterate(st, 60, wavy, fig1)
     states, lifted, status = _iterate_by_hand(
-        st, 60, wavy, fig1, "auto", elsewhere if interleave else None)
+        st, 60, wavy, fig1, elsewhere if interleave else None)
     assert tr.status == status
     assert repr(_fields(tr.states)) == repr(_fields(states))
     assert tr.xis_lifted.tolist() == lifted
@@ -124,33 +141,33 @@ def test_iterate_on_circle_fails_beyond_the_action_bound(fig1, circle,
     st = BoundaryState(xi=0.3, action_I=share * fig1.action_bound_Ic,
                        alpha=0.0)
     tr = iterate(st, 10, circle, fig1)
-    states, lifted, status = _iterate_by_hand(st, 10, circle, fig1, "auto")
+    states, lifted, status = _iterate_by_hand(st, 10, circle, fig1)
     assert tr.status == status == "failed"
     assert _fields(tr.states) == _fields(states) == _fields([st])
     assert tr.xis_lifted.tolist() == lifted == [0.3]
 
 
 def test_iterate_with_no_returns_evaluates_nothing(fig1, circle):
+    # a state beyond the action bound and an unknown method both fail on
+    # the first return, so zero returns never see them
     wavy = PerturbationProfile.cos_profile(2, 0.01)
-    incoming = BoundaryState(xi=0.3, action_I=0.5, alpha=0.1,
-                             direction="incoming")
+    beyond = BoundaryState(xi=0.3, action_I=2.0 * fig1.action_bound_Ic,
+                           alpha=0.1)
     for profile, method in [(circle, "auto"), (circle, "fast"),
                             (wavy, "fast")]:
-        tr = iterate(incoming, 0, profile, fig1, method=method)
-        assert tr.states == [incoming]
+        tr = iterate(beyond, 0, profile, fig1, method=method)
+        assert tr.states == [beyond]
         assert tr.status == "running"
 
 
 def test_iterate_closed_form_still_rejects_bad_requests(fig1, circle):
+    # the closed-form shortcut still goes through return_map's checks
     wavy = PerturbationProfile.cos_profile(2, 0.01)
-    st = outgoing_state(0.3, 0.5, wavy, fig1)
-    with pytest.raises(ValueError):
-        iterate(st, 1, wavy, fig1, method="fast")
-    incoming = BoundaryState(xi=0.3, action_I=0.5, alpha=0.1,
-                             direction="incoming")
-    for method in ("auto", "fast"):
-        with pytest.raises(ValueError):
-            iterate(incoming, 3, circle, fig1, method=method)
+    for profile in (circle, wavy):
+        st = outgoing_state(0.3, 0.5, profile, fig1)
+        for method in ("fast", "closed"):
+            with pytest.raises(ValueError, match="unknown method"):
+                iterate(st, 3, profile, fig1, method=method)
 
 
 def test_rotation_number_needs_two_states(fig1, circle):
@@ -184,6 +201,22 @@ def test_find_periodic_circle_families(fig1, circle):
             pytest.approx(math.pi / 2, abs=1e-10)
     # distinct action families
     assert cycle_distance(orbits[0], orbits[1]) > 0.1
+
+
+def test_cycle_distance_rejects_different_periods(light_mass, circle):
+    # a 3-cycle against a 1-cycle used to broadcast to a number, and
+    # against a 2-cycle to fail inside numpy
+    three = find_periodic(-1, 3, circle, light_mass)[0]
+    one = find_periodic(0, 1, circle, light_mass)[0]
+    two = PeriodicOrbit(m=1, n=2, xis=np.array([0.0, math.pi]),
+                        actions=np.zeros(2), residual=0.0, kind="circular")
+    assert (three.n, one.n) == (3, 1)
+    assert cycle_distance(three, three) == 0.0
+    for other in (one, two):
+        with pytest.raises(ValueError, match=f"periods 3 and {other.n}"):
+            cycle_distance(three, other)
+        with pytest.raises(ValueError, match=f"periods {other.n} and 3"):
+            cycle_distance(other, three)
 
 
 def test_find_periodic_includes_collision_line(fig1, circle):
@@ -283,8 +316,6 @@ def test_golden_target_and_surrogate(fig1):
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     rho = golden_target(fig1)
     assert rho == pytest.approx(-2.0 * math.pi / (2.0 + phi), abs=1e-14)
-    assert golden_target(fig1, fraction=0.5) == pytest.approx(rho / 2.0,
-                                                              abs=1e-14)
     assert is_diophantine_surrogate(rho)
     assert not is_diophantine_surrogate(2.0 * math.pi / 3.0)
     assert not is_diophantine_surrogate(2.0 * math.pi * (1.0 / 3.0 + 5e-4))

@@ -7,15 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from refbilliard import PhysParams, potential, validate_params
+from refbilliard import PhysParams, potential
 from refbilliard.errors import DomainError, SingularityError
-
-
-def test_validate_params_accepts_values_and_mapping():
-    p = validate_params(2.5, 2.0, 2.0, 1.0)
-    q = validate_params({"energy_E": 2.5, "offset_h": 2.0,
-                         "mass_mu": 2.0, "stiffness_om": 1.0})
-    assert p == q == PhysParams(2.5, 2.0, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("kwargs", [

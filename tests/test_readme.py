@@ -1,0 +1,23 @@
+"""The README's code runs against the package as it is."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _block_after(marker):
+    """The first ```python block after the line ``marker`` in the README."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(marker + "\n")
+    match = re.compile(r"```python\n(.*?)```", re.S).search(text, start)
+    assert match is not None, f"no python block after {marker!r}"
+    return match.group(1)
+
+
+def test_library_tour_short_session_runs():
+    code = _block_after("A short session:")
+    namespace = {"__name__": "readme_session"}
+    exec(compile(code, str(README), "exec"), namespace)
+    # the session ran to its last statement
+    assert namespace["res_w"].arcs

@@ -127,7 +127,7 @@ def test_total_shift_grid_matches_scalar_form(fig1):
 def test_fast_and_geometric_paths_agree_on_circle(fig1, circle):
     for I in np.linspace(-1.3, 1.3, 9):
         st = outgoing_state(0.37, I, circle, fig1)
-        fast = return_map(st, circle, fig1, method="fast")
+        fast = return_map(st, circle, fig1)
         geo = return_map(st, circle, fig1, method="geometric")
         assert geo.state.xi == pytest.approx(fast.state.xi, abs=1e-12)
         assert geo.delta_xi == pytest.approx(fast.delta_xi, abs=1e-12)
@@ -225,7 +225,7 @@ def test_fixed_point_scan_matches_the_scalar_scan(request, name):
     grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), 4096)
     vals = np.array([circular_shift(I, params).total for I in grid])
     idx = np.nonzero(vals[1:] * vals[:-1] < 0)[0]
-    bracket = _fixed_point_bracket(params, 4096)
+    bracket = _fixed_point_bracket(params)
     if idx.size == 0:
         assert bracket is None
         with pytest.raises(NoFixedPoint):

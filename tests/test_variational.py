@@ -10,17 +10,17 @@ from scipy.integrate import quad, solve_ivp
 
 from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
                          circular_shift, discrete_action, generating_function,
-                         inner_arc_fixed_ends, inner_distance, jacobi_length,
-                         maupertuis_product, outer_arc_fixed_ends,
-                         outer_distance, outer_propagate, outer_transit,
-                         outgoing_state, potential, quadrature_length,
-                         return_map, shift_inverse_all, twist_critical_set,
-                         variational)
+                         inner_arc_fixed_ends, jacobi_length,
+                         outer_arc_fixed_ends, outer_propagate, outer_transit,
+                         outgoing_state, potential, return_map,
+                         shift_inverse_all, twist_critical_set, variational)
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, RangeEmpty,
                                 TotalReflectionTermination)
 from refbilliard.returnmap import _action_bound
 from refbilliard.variational import _polish, _seed_action
+from reference import (inner_distance, maupertuis_product, outer_distance,
+                       quadrature_length)
 
 FIG1 = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0, stiffness_om=1.0)
 LIGHT_MASS = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=0.5,
