@@ -1,7 +1,8 @@
-"""Small shared numerical helpers (angle wrapping, Brent's root finder,
-event location by a certified march or, as the tests' reference, by grid
-search, shooting) and the scipy solvers the package calls, imported on
-first use.
+"""Small shared numerical helpers, one per job: angle wrapping, the
+sign-change scan that brackets the roots of a tabulated closed form,
+Brent's root finder, event location by a certified march (or, as the
+tests' reference, by grid search) and Newton shooting; and the scipy
+solvers the package calls, imported on first use.
 
 Importing scipy.optimize takes longer than most CLI runs, and every
 one-variable root of the package (the circular shift inverse, the twist
@@ -104,6 +105,21 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
             xcur += delta if sbis > 0 else -delta
         fcur = fun(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def sign_change_brackets(grid, vals) -> list:
+    """Cells (a, b) of ``grid`` where ``vals`` changes sign, disjoint,
+    ascending and one per root, for :func:`brentq` to polish; a == b marks
+    an exact zero at a grid point."""
+    brackets = []
+    for i in np.nonzero(vals[1:] * vals[:-1] <= 0.0)[0]:
+        if vals[i] == 0.0:
+            brackets.append((float(grid[i]), float(grid[i])))
+        elif vals[i + 1] != 0.0:
+            brackets.append((float(grid[i]), float(grid[i + 1])))
+    if vals[-1] == 0.0:
+        brackets.append((float(grid[-1]), float(grid[-1])))
+    return brackets
 
 
 def root(*args, **kwargs):

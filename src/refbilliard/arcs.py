@@ -15,8 +15,6 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .params import PhysParams
-
 __all__ = ["OuterConic", "InnerConic", "ArcSegment"]
 
 
@@ -61,14 +59,13 @@ class InnerConic(NamedTuple):
 class ArcSegment:
     """One conic arc with its closed-form parametrization.
 
-    ``region`` is "outer" or "inner"; ``chart`` records the coordinates the
-    arc was propagated in: "global" (Cartesian) outside, "lc" (Levi-Civita)
-    inside.  ``duration`` is the kinetic (physical) time of traversal,
-    ``sweep`` the lifted polar angle advance from start to end, and
-    ``xi0``/``xi1`` the wrapped boundary angles of the endpoints (equal for
-    brake/collision arcs).  ``conic`` is the :class:`InnerConic` of an inner
-    arc and None on an outer one (:func:`refbilliard.outer.outer_conic_of`
-    gives its ellipse).
+    ``region`` is "outer" or "inner" (:attr:`chart` names its coordinates).
+    ``duration`` is the kinetic (physical) time of traversal, ``sweep`` the
+    lifted polar angle advance from start to end, and ``xi0``/``xi1`` the
+    wrapped boundary angles of the endpoints (equal for brake/collision
+    arcs).  ``conic`` is the :class:`InnerConic` of an inner arc and None on
+    an outer one (:func:`refbilliard.outer.outer_conic_of` gives its
+    ellipse).
 
     The parametrization payload ``par`` depends on the region:
 
@@ -77,7 +74,6 @@ class ArcSegment:
     """
 
     region: str
-    chart: str
     p0: complex
     v0: complex
     p1: complex
@@ -88,7 +84,11 @@ class ArcSegment:
     xi1: float
     conic: object
     par: tuple
-    params: PhysParams
+
+    @property
+    def chart(self) -> str:
+        """"global" (Cartesian) outside, "lc" (Levi-Civita) inside."""
+        return "global" if self.region == "outer" else "lc"
 
     # -- closed-form geometry along the arc -----------------------------------
 
@@ -98,8 +98,7 @@ class ArcSegment:
         u = np.asarray(u, dtype=float)
         if self.region == "outer":
             w, T = self.par
-            s = u * T
-            z = self.p0 * np.cos(w * s) + self.v0 * np.sin(w * s) / w
+            z = osc_flow(self.p0, self.v0, w, u * T)[0]
         else:
             w0, wd0, Om, tau1 = self.par
             w = lc_flow(w0, wd0, Om, u * tau1)[0]
@@ -136,6 +135,21 @@ class ArcSegment:
         z = max((self.point(u) for u in us if 0.0 <= u <= 1.0),
                 key=lambda z: sign * abs(z))
         return abs(z), math.atan2(z.imag, z.real)
+
+
+def osc_flow(p0, v0, w, s):
+    """Oscillator flow (z, dz/ds) at time(s) ``s``.
+
+    Outside the interface the motion is z'' = -w^2 z, so
+    z = p0 cos(ws) + v0 sin(ws)/w.  A float ``s`` takes a math-only path;
+    anything else is treated as an array.
+    """
+    if type(s) is float:
+        c, sn = math.cos(w * s), math.sin(w * s)
+    else:
+        x = w * np.asarray(s, dtype=float)
+        c, sn = np.cos(x), np.sin(x)
+    return p0 * c + v0 * sn / w, -p0 * w * sn + v0 * c
 
 
 def lc_flow(w0, wd0, Om, tau):

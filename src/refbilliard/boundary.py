@@ -176,8 +176,9 @@ class PerturbationProfile:
 
     @property
     def is_circle(self) -> bool:
-        return self.epsilon == 0.0 or (not self.fourier_cos and
-                                       not self.fourier_sin)
+        """rho = 1: eps = 0, or no nonzero term (sin 0 xi is no term)."""
+        return self.epsilon == 0.0 or not (self._cos_terms or
+                                           self._sin_terms)
 
     # -- presets --------------------------------------------------------------
 

@@ -148,12 +148,18 @@ def envelope_equations(zeta: float, xy: Tuple[float, float],
     I_of = _as_action_function(invariant_curve)
     conic_at, evaluate = _family(kind)
     x, y = float(xy[0]), float(xy[1])
-    G0 = evaluate(conic_at(zeta, I_of(zeta), profile, params), x, y)[0]
-    Gp = evaluate(conic_at(zeta + _FD_STEP, I_of(zeta + _FD_STEP),
-                           profile, params), x, y)[0]
-    Gm = evaluate(conic_at(zeta - _FD_STEP, I_of(zeta - _FD_STEP),
-                           profile, params), x, y)[0]
+    Gm, G0, Gp = (evaluate(c, x, y)[0]
+                  for c in _stencil(zeta, I_of, conic_at, profile, params))
     return G0, (Gp - Gm) / (2.0 * _FD_STEP)
+
+
+def _stencil(zeta: float, I_of, conic_at, profile: PerturbationProfile,
+             params: PhysParams) -> tuple:
+    """The conics at zeta - h, zeta and zeta + h, h = 1e-5: the centred
+    difference of G across the family."""
+    return (conic_at(zeta - _FD_STEP, I_of(zeta - _FD_STEP), profile, params),
+            conic_at(zeta, I_of(zeta), profile, params),
+            conic_at(zeta + _FD_STEP, I_of(zeta + _FD_STEP), profile, params))
 
 
 def _family(kind: str):
@@ -247,17 +253,12 @@ def perturbed_caustic(invariant_curve: ActionCurve, kind: str,
     I_of = _as_action_function(invariant_curve)
     conic_at, evaluate = _family(kind)
 
-    def conics_at(z: float):
-        return (conic_at(z - _FD_STEP, I_of(z - _FD_STEP), profile, params),
-                conic_at(z, I_of(z), profile, params),
-                conic_at(z + _FD_STEP, I_of(z + _FD_STEP), profile, params))
-
     def r_ref_at(z: float) -> float:
         R_E, R_I = circular_caustic_radii(I_of(z), params)
         return R_E if kind == "outer" else R_I
 
     def solve(z: float, seed) -> Tuple[float, float, int, float]:
-        stencil = conics_at(z)
+        stencil = _stencil(z, I_of, conic_at, profile, params)
         r_ref = r_ref_at(z)
         if seed is None:
             seed = _circular_seed(z, I_of(z), kind, stencil[1], params)

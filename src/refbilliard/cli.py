@@ -41,10 +41,10 @@ def _num(v: float) -> str:
 _QUOTED = re.compile('[,"\r\n]')
 
 
-def _write_csv(path: str, header: Sequence[str],
+def _write_csv(out: str, name: str, header: Sequence[str],
                rows: Iterable[Sequence]) -> None:
-    """Stream ``header`` and ``rows`` to ``path`` as CSV: numbers as
-    ``%.12g``, strings as they are.
+    """Stream ``header`` and ``rows`` to ``out``/``name`` as CSV, numbers
+    as ``%.12g``, strings as they are, and print the ``wrote`` line.
 
     Each row is one ``%`` operation on a format built from its cell types,
     rebuilt when the types change.  A row that csv would quote (a string
@@ -52,6 +52,7 @@ def _write_csv(path: str, header: Sequence[str],
     goes through :mod:`csv` instead, so the bytes are those of
     ``csv.writer`` on the formatted cells.
     """
+    path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         types = None
@@ -68,6 +69,15 @@ def _write_csv(path: str, header: Sequence[str],
                                  for c in row])
             else:
                 fh.write(fmt % row)
+    print(f"wrote {path}")
+
+
+def _write_svg(out: str, name: str, canvas: SvgCanvas, xlabel: str,
+               ylabel: str) -> None:
+    """Write ``canvas`` to ``out``/``name`` and print the ``wrote`` line."""
+    path = os.path.join(out, name)
+    canvas.write(path, xlabel=xlabel, ylabel=ylabel)
+    print(f"wrote {path}")
 
 
 def _say(verbose: bool, *parts) -> None:
@@ -98,9 +108,7 @@ def _cmd_params_report(cfg: RunConfig, out: str, workers: int,
     rows += [("mu_bar", mu_bar), ("h_bar", h_bar)]
     roots = twist_critical_set(p)
     rows.append(("n_twist_roots", float(len(roots))))
-    path = os.path.join(out, "params_report.csv")
-    _write_csv(path, ["key", "value"], rows)
-    print(f"wrote {path}")
+    _write_csv(out, "params_report.csv", ["key", "value"], rows)
     for key, value in rows:
         _say(verbose, f"  {key} = {_num(value)}")
     return 0
@@ -123,18 +131,14 @@ def _cmd_shift_profile(cfg: RunConfig, out: str, workers: int,
         s = circular_shift(float(I), cfg.params)
         rows.append((I, s.f_val, s.g_val, s.total, s.f_prime, s.g_prime,
                      s.total_prime))
-    path = os.path.join(out, "shift_profile.csv")
-    _write_csv(path, ["I", "f", "g", "theta", "f_prime", "g_prime",
-                      "theta_prime"], rows)
-    print(f"wrote {path}")
+    _write_csv(out, "shift_profile.csv", ["I", "f", "g", "theta", "f_prime",
+                                          "g_prime", "theta_prime"], rows)
     canvas = SvgCanvas(title="circular shift components")
     cols = list(zip(*rows))
     canvas.add_polyline(cols[0], cols[1], label="f")
     canvas.add_polyline(cols[0], cols[2], label="g")
     canvas.add_polyline(cols[0], cols[3], label="theta")
-    spath = os.path.join(out, "shift_profile.svg")
-    canvas.write(spath, xlabel="I", ylabel="shift")
-    print(f"wrote {spath}")
+    _write_svg(out, "shift_profile.svg", canvas, "I", "shift")
     return 0
 
 
@@ -165,13 +169,12 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
     else:
         per_seed = [_section_orbit(job) for job in jobs]
     t1 = perf_counter()
-    path = os.path.join(out, "section.csv")
-    _write_csv(path, ["seed_id", "k", "xi", "action_I", "status"],
+    _write_csv(out, "section.csv",
+               ["seed_id", "k", "xi", "action_I", "status"],
                chain.from_iterable(
                    zip(repeat(j), range(len(xi)), xi.tolist(), I.tolist(),
                        repeat(status))
                    for j, (xi, I, status) in enumerate(per_seed)))
-    print(f"wrote {path}")
     t2 = perf_counter()
 
     canvas = SvgCanvas(title="Poincare section")
@@ -181,9 +184,7 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
         canvas.add_polyline(xi[order], I[order], label=f"seed {j}")
         _say(verbose, f"  seed {j}: I0 = {_num(seeds_I[j])}, "
              f"{len(xi)} points, {status}")
-    spath = os.path.join(out, "section.svg")
-    canvas.write(spath, xlabel="xi", ylabel="I")
-    print(f"wrote {spath}")
+    _write_svg(out, "section.svg", canvas, "xi", "I")
     returns = sum(len(xi) - 1 for xi, _, _ in per_seed)
     per_return = f"{1e6 * (t1 - t0) / returns:.1f}" if returns else "nan"
     _say(verbose, f"  seconds: iterate {t1 - t0:.3f} ({returns} returns, "
@@ -199,9 +200,7 @@ def _cmd_orbit(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
                     method="geometric")
     rows = [(k, st.xi, st.action_I, trace.status)
             for k, st in enumerate(trace.states)]
-    path = os.path.join(out, "orbit_trace.csv")
-    _write_csv(path, ["k", "xi", "action_I", "status"], rows)
-    print(f"wrote {path}")
+    _write_csv(out, "orbit_trace.csv", ["k", "xi", "action_I", "status"], rows)
 
     canvas = SvgCanvas(title="physical-plane trajectory", equal_aspect=True)
     xs_b, ys_b = _boundary_polyline(cfg.profile)
@@ -209,9 +208,7 @@ def _cmd_orbit(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
     pts = np.vstack([arc.sample(64) for arc in trace.arcs]) \
         if trace.arcs else np.zeros((0, 2))
     canvas.add_polyline(pts[:, 0], pts[:, 1], label="orbit")
-    spath = os.path.join(out, "orbit.svg")
-    canvas.write(spath, xlabel="x", ylabel="y")
-    print(f"wrote {spath}")
+    _write_svg(out, "orbit.svg", canvas, "x", "y")
     _say(verbose, f"  I0 = {_num(I0)}, status {trace.status}, "
          f"rotation {trace.rotation_estimate[0]:.6f}")
     return 0
@@ -241,9 +238,8 @@ def _cmd_periodic(cfg: RunConfig, out: str, workers: int,
                          " ".join(_num(x) for x in orb.xis),
                          " ".join(_num(a) for a in orb.actions)))
         _say(verbose, f"  ({m},{n}): {len(orbits)} orbit(s)")
-    path = os.path.join(out, "periodic.csv")
-    _write_csv(path, ["m", "n", "kind", "residual", "xis", "actions"], rows)
-    print(f"wrote {path}")
+    _write_csv(out, "periodic.csv",
+               ["m", "n", "kind", "residual", "xis", "actions"], rows)
     return 0
 
 
@@ -254,20 +250,14 @@ def _cmd_twist(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
     rows = [(I, circular_shift(float(I), p).total_prime) for I in grid]
     rows = [(I, tp, "+" if tp > 0 else ("-" if tp < 0 else "0"))
             for I, tp in rows]
-    path = os.path.join(out, "twist_profile.csv")
-    _write_csv(path, ["I", "theta_prime", "sign"], rows)
-    print(f"wrote {path}")
-    rpath = os.path.join(out, "twist_roots.csv")
-    _write_csv(rpath, ["root_I"], [(r,) for r in roots])
-    print(f"wrote {rpath}")
+    _write_csv(out, "twist_profile.csv", ["I", "theta_prime", "sign"], rows)
+    _write_csv(out, "twist_roots.csv", ["root_I"], [(r,) for r in roots])
 
     canvas = SvgCanvas(title="twist profile")
     canvas.add_polyline([r[0] for r in rows], [r[1] for r in rows],
                         label="theta_prime")
     canvas.add_polyline([rows[0][0], rows[-1][0]], [0.0, 0.0], label="zero")
-    spath = os.path.join(out, "twist.svg")
-    canvas.write(spath, xlabel="I", ylabel="d theta / d I")
-    print(f"wrote {spath}")
+    _write_svg(out, "twist.svg", canvas, "I", "d theta / d I")
     _say(verbose, f"  twist_at_zero = {_num(twist_at_zero(p))}, "
          f"{len(roots)} critical root(s)")
     return 0
@@ -285,9 +275,7 @@ def _cmd_caustics(cfg: RunConfig, out: str, workers: int,
         rows += [(kind, z, x, y) for z, x, y in curve.samples]
         _say(verbose, f"  {kind}: {len(curve.samples)} samples, residual "
              f"{curve.max_envelope_residual:.3g}")
-    path = os.path.join(out, "caustics.csv")
-    _write_csv(path, ["kind", "zeta", "x", "y"], rows)
-    print(f"wrote {path}")
+    _write_csv(out, "caustics.csv", ["kind", "zeta", "x", "y"], rows)
 
     canvas = SvgCanvas(title=f"caustics at I0 = {I0:.4f}", equal_aspect=True)
     xs_b, ys_b = _boundary_polyline(cfg.profile)
@@ -295,9 +283,7 @@ def _cmd_caustics(cfg: RunConfig, out: str, workers: int,
     for kind in ("outer", "inner"):
         s = curves[kind].samples
         canvas.add_polyline(s[:, 1], s[:, 2], label=f"{kind} caustic")
-    spath = os.path.join(out, "caustics.svg")
-    canvas.write(spath, xlabel="x", ylabel="y")
-    print(f"wrote {spath}")
+    _write_svg(out, "caustics.svg", canvas, "x", "y")
     _say(verbose, f"  circular radii R_E = {_num(R_E)}, R_I = {_num(R_I)}")
     return 0
 
@@ -324,9 +310,8 @@ def _cmd_oracle_check(cfg: RunConfig, out: str, workers: int,
         dI = abs(res.state.action_I - orc.action_I1)
         worst_xi, worst_I = max(worst_xi, dxi), max(worst_I, dI)
         rows.append((a, res.state.xi, orc.xi1, dxi, dI))
-    path = os.path.join(out, "oracle_check.csv")
-    _write_csv(path, ["alpha0", "xi1_map", "xi1_ode", "dxi", "dI"], rows)
-    print(f"wrote {path}")
+    _write_csv(out, "oracle_check.csv",
+               ["alpha0", "xi1_map", "xi1_ode", "dxi", "dI"], rows)
     print(f"max |dxi| = {worst_xi:.3e}, max |dI| = {worst_I:.3e}")
     return 0
 

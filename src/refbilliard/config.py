@@ -20,8 +20,9 @@ to run with its generic knobs::
     iterations = 400
 
 Fourier coefficients are ``harmonic:weight`` pairs separated by commas; the
-harmonic index is the angular frequency of the term.  Unknown sections or
-keys are rejected with the offending location in the message.
+harmonic index is the angular frequency of the term (``fourier_sin`` has
+no harmonic 0, since sin 0 xi = 0).  Unknown sections or keys are rejected
+with the offending location in the message.
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ def _fourier_of(section: str, key: str, raw: str) -> Tuple[float, ...]:
         if idx < 0:
             raise ConfigError(
                 f"[{section}] {key}: harmonic {idx} is negative")
+        if idx == 0 and key == "fourier_sin":
+            raise ConfigError(
+                f"[{section}] {key}: harmonic 0 has no sine term "
+                "(sin 0 xi = 0)")
         if idx in terms:
             raise ConfigError(
                 f"[{section}] {key}: harmonic {idx} is given twice")

@@ -139,9 +139,9 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
         w0.real * w1.real + w0.imag * w1.imag)
     wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
     conic = InnerConic(k, p, e, r_peri, th_peri, wind, collision)
-    return ArcSegment(region="inner", chart="lc", p0=z0, v0=v0, p1=z1, v1=v1,
+    return ArcSegment(region="inner", p0=z0, v0=v0, p1=z1, v1=v1,
                       duration=dur, sweep=sweep, xi0=xi0, xi1=xi1,
-                      conic=conic, par=(w0, wd0, Om, tau1), params=params)
+                      conic=conic, par=(w0, wd0, Om, tau1))
 
 
 def _march_bound(Om: float, C: float, L: float, D: float,

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ._util import (brentq, difference_slope, march_to_zero, shoot,
                     wrap_pi)
-from .arcs import ArcSegment, OuterConic
+from .arcs import ArcSegment, OuterConic, osc_flow
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
                      TangentialCrossing)
@@ -26,22 +24,14 @@ from .params import PhysParams, _as_complex, potential
 def outer_propagate(p0, v0, s, params: PhysParams):
     """Closed-form oscillator flow: positions and velocities at times ``s``.
 
-    Returns ``(z, v)`` with the same shape as ``s`` (complex).  The pair
-    ``(p0, v0)`` must satisfy the zero-energy relation |v|^2/2 = V_E(p0).
+    Returns ``(z, v)`` shaped as ``s`` (:func:`refbilliard.arcs.osc_flow`).
+    The pair ``(p0, v0)`` must satisfy the zero-energy relation
+    |v|^2/2 = V_E(p0).
     """
     p0 = _as_complex(p0)
     v0 = _as_complex(v0)
     _check_outer_energy(p0, v0, params)
-    w = params.omega
-    if isinstance(s, (float, int)):
-        c, sn = math.cos(w * s), math.sin(w * s)
-        return p0 * c + v0 * sn / w, -p0 * w * sn + v0 * c
-    s = np.asarray(s, dtype=float)
-    z = p0 * np.cos(w * s) + v0 * np.sin(w * s) / w
-    v = -p0 * w * np.sin(w * s) + v0 * np.cos(w * s)
-    if np.ndim(z):
-        return z, v
-    return complex(z), complex(v)
+    return osc_flow(p0, v0, params.omega, s)
 
 
 def _check_outer_energy(p0: complex, v0: complex, params: PhysParams) -> None:
@@ -170,13 +160,13 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
         sweep = outer_shift(alpha, params)
     else:
         s1 = _exit_time(p0, v0, w, profile)
-    z1, v1 = outer_propagate(p0, v0, s1, params)
+    z1, v1 = osc_flow(p0, v0, w, s1)
     if not on_circle:
         sweep = _exterior_sweep(p0, v0, z1, w, s1)
     xi1 = wrap_pi(math.atan2(z1.imag, z1.real))
-    return ArcSegment(region="outer", chart="global", p0=p0, v0=v0, p1=z1,
-                      v1=v1, duration=s1, sweep=sweep, xi0=wrap_pi(xi0),
-                      xi1=xi1, conic=None, par=(w, s1), params=params)
+    return ArcSegment(region="outer", p0=p0, v0=v0, p1=z1, v1=v1,
+                      duration=s1, sweep=sweep, xi0=wrap_pi(xi0), xi1=xi1,
+                      conic=None, par=(w, s1))
 
 
 def _exit_time(p0: complex, v0: complex, w: float,
@@ -216,9 +206,7 @@ def _exit_time(p0: complex, v0: complex, w: float,
     c_hi = (rhi * rhi - m) / R if R > 0.0 else 1.0
 
     def clearance(s):
-        c, sn = math.cos(w * s), math.sin(w * s)
-        z = p0 * c + v0 * sn / w
-        v = -p0 * w * sn + v0 * c
+        z, v = osc_flow(p0, v0, w, s)
         r = abs(z)
         rho, rhop = profile.radius_and_slope(math.atan2(z.imag, z.real))
         r_dot = (z.real * v.real + z.imag * v.imag) / r

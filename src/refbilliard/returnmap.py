@@ -16,8 +16,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from ._util import brentq, wrap_pi
-from .arcs import ArcSegment, lc_flow
+from ._util import brentq, sign_change_brackets, wrap_pi
+from .arcs import ArcSegment, lc_flow, osc_flow
 from .boundary import BoundaryGeometry, PerturbationProfile, boundary
 from .errors import (DomainError, NoFixedPoint, OutOfActionRange,
                      TangentialCrossing, TotalReflectionTermination)
@@ -205,24 +205,10 @@ def twist_critical_set(params: PhysParams) -> list:
         return A2 * D2 - B2 * C2
 
     xs = np.linspace(0.0, Ic2 * (1.0 - 1e-12), 4097)
-    vals = p(xs)
-    roots_x = []
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            if i == 0 or vals[i - 1] * b < 0:
-                roots_x.append(xs[i])
-        elif a * b < 0.0:
-            roots_x.append(brentq(p, xs[i], xs[i + 1], xtol=1e-13,
-                                  rtol=8.9e-16))
-    out = []
-    for x in roots_x:
-        r = math.sqrt(max(x, 0.0))
-        if r == 0.0:
-            out.append(0.0)
-        else:
-            out.extend([-r, r])
-    return sorted(out)
+    roots_x = [a if a == b else brentq(p, a, b, xtol=1e-13, rtol=8.9e-16)
+               for a, b in sign_change_brackets(xs, p(xs))]
+    rs = [math.sqrt(max(x, 0.0)) for x in roots_x]
+    return sorted(rs + [-r for r in rs if r])
 
 
 def fixed_point_thresholds(params: PhysParams) -> Tuple[float, float]:
@@ -255,17 +241,13 @@ def find_nonhomothetic_fixed_point(params: PhysParams) -> float:
 
 
 def _fixed_point_bracket(params: PhysParams):
-    """The first cell (a, b) of a 4096-point grid on (0, I_c) where the
-    total shift changes sign, or None.  The scan is vectorised; the root is
-    polished on the scalar closed form."""
+    """The first cell (a, b), a < b, of a 4096-point grid on (0, I_c) where
+    the total shift changes sign, or None.  The scan is vectorised; the root
+    is polished on the scalar closed form."""
     Ic = params.action_bound_Ic
     grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), 4096)
-    vals = total_shift_grid(grid, params)
-    idx = np.nonzero(vals[1:] * vals[:-1] < 0)[0]
-    if idx.size == 0:
-        return None
-    i = int(idx[0])
-    return float(grid[i]), float(grid[i + 1])
+    return next((ab for ab in sign_change_brackets(
+        grid, total_shift_grid(grid, params)) if ab[0] < ab[1]), None)
 
 
 # -- the map itself ------------------------------------------------------------
@@ -371,7 +353,6 @@ def tangent_map(state: BoundaryState, result: MapResult,
 
     # exterior exit: clearance h = |z| - rho(arg z)
     s1 = outer.duration
-    c, sn = math.cos(w * s1), math.sin(w * s1)
     z1, v1 = outer.p1, outer.v1
     r1sq = _dot(z1, z1)
     rp, gm1, gm2 = _boundary_jet(math.atan2(z1.imag, z1.real), profile)
@@ -395,7 +376,7 @@ def tangent_map(state: BoundaryState, result: MapResult,
 
     cols = []
     for dz, dv in launch:
-        dz, dv = dz * c + dv * sn / w, dv * c - dz * w * sn
+        dz, dv = osc_flow(dz, dv, w, s1)
         ds = -_dot(grad_h, dz) / h_dot
         dz, dv = dz + v1 * ds, dv - om * z1 * ds
         dxm = _dot(1j * z1, dz) / r1sq

@@ -18,13 +18,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import brentq, shoot, wrap_pi
+from ._util import brentq, shoot, sign_change_brackets, wrap_pi
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
 from .errors import DegenerateStationarity, RangeEmpty
 from .params import PhysParams
 from .returnmap import (BoundaryState, _action_bound, circular_shift,
-                        return_map, tangent_map, total_shift_grid)
+                        return_map, tangent_map, total_shift_grid,
+                        twist_critical_set)
 
 
 # -- Jacobi lengths ------------------------------------------------------------
@@ -76,18 +77,16 @@ def shift_inverse_all(delta: float, params: PhysParams) -> list:
 
 def _shift_brackets(delta: float, params: PhysParams) -> list:
     """Brackets (a, b) of the roots of :func:`shift_inverse_all`, one per
-    root, disjoint and ascending; a == b marks an exact grid root."""
+    root, disjoint and ascending; a == b marks an exact root.
+
+    At a twist fold the shift touches its extreme value without changing
+    sign, so no scan brackets that double root; a fold whose shift equals
+    ``delta`` is added as an exact root.
+    """
     grid, shifts = _shift_scan(params)
-    vals = shifts - delta
-    brackets = []
-    for i in np.nonzero(vals[1:] * vals[:-1] <= 0.0)[0]:
-        if vals[i] == 0.0:
-            brackets.append((float(grid[i]), float(grid[i])))
-        elif vals[i + 1] != 0.0:
-            brackets.append((float(grid[i]), float(grid[i + 1])))
-    if vals[-1] == 0.0:
-        brackets.append((float(grid[-1]), float(grid[-1])))
-    return brackets
+    brackets = sign_change_brackets(grid, shifts - delta)
+    folds = [(I, I) for I, shift in _fold_shifts(params) if shift == delta]
+    return sorted(brackets + folds)
 
 
 def _polish(bracket: Tuple[float, float], delta: float,
@@ -109,6 +108,14 @@ def _shift_scan(params: PhysParams):
     shifts = total_shift_grid(grid, params)
     grid.flags.writeable = shifts.flags.writeable = False
     return grid, shifts
+
+
+@functools.lru_cache(maxsize=16)
+def _fold_shifts(params: PhysParams) -> tuple:
+    """(I, total shift) at each action of :func:`twist_critical_set`,
+    computed once per parameter set."""
+    return tuple((I, circular_shift(I, params).total)
+                 for I in twist_critical_set(params))
 
 
 def _seed_action(delta: float, params: PhysParams,

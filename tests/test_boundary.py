@@ -22,6 +22,13 @@ def test_circle_profile_is_trivial(circle):
     assert np.all(circle.radius(xi) == 1.0)
     assert np.all(circle.radius_prime(xi) == 0.0)
     assert circle.radius(0.3) == 1.0
+    # eps != 0 with no nonzero term (sin 0 xi is none) is still the circle
+    for prof in (PerturbationProfile(fourier_cos=(0.0, 0.0, 0.0),
+                                     epsilon=0.01),
+                 PerturbationProfile(fourier_sin=(1.0,), epsilon=0.01)):
+        assert prof.is_circle
+        assert np.all(prof.radius(xi) == 1.0)
+    assert not PerturbationProfile(fourier_cos=(0.5,), epsilon=0.01).is_circle
 
 
 def test_shape_evaluates_fourier_sum():

@@ -112,6 +112,9 @@ def test_parse_config_bad_fourier():
     with pytest.raises(ConfigError,
                        match=r"fourier_cos: harmonic 2 is given twice"):
         parse_config(head + "[profile]\nfourier_cos = 2:1.0, 2:0.5\n")
+    # sin 0 xi = 0: the term would be dropped without a word
+    with pytest.raises(ConfigError, match=r"fourier_sin: harmonic 0"):
+        parse_config(head + "[profile]\nfourier_sin = 0:1.0, 2:0.5\n")
 
 
 def test_parse_config_rejects_bad_physics():
@@ -252,6 +255,20 @@ def test_periodic_pipeline(tmp_path):
     assert by_mn[("1", "2")][0][3] == "RangeEmpty"
     # quarter-turn resonances come in two action families
     assert len(by_mn[("1", "4")]) == 2
+
+
+def test_periodic_on_zero_coefficients_is_the_circle(tmp_path):
+    # eps != 0 with every coefficient zero is the unit circle: the same
+    # closed-form families, to the byte
+    for name, profile in (("circle", ""), ("zeros", "[profile]\n"
+                                           "epsilon = 0.01\n"
+                                           "fourier_cos = 2:0.0\n")):
+        out = tmp_path / name
+        out.mkdir()
+        cfg = write_cfg(out, "periodic", profile=profile)
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert (tmp_path / "zeros" / "periodic.csv").read_bytes() == \
+        (tmp_path / "circle" / "periodic.csv").read_bytes()
 
 
 def test_twist_pipeline(tmp_path):
@@ -395,7 +412,7 @@ def test_write_csv_matches_per_cell_reference(tmp_path, table):
     header, rows = CSV_TABLES[table]
     reference_csv(tmp_path / "ref.csv", header, rows)
     # a generator: the writer streams its rows
-    _write_csv(str(tmp_path / "new.csv"), header, (row for row in rows))
+    _write_csv(str(tmp_path), "new.csv", header, (row for row in rows))
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
 

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from refbilliard import (outer_arc_fixed_ends, outer_conic_of, outer_propagate,
                          outer_shift, outer_shift_inverse, outer_shift_prime,
                          outer_transit, potential)
+from refbilliard.arcs import osc_flow
 from refbilliard.errors import (AntipodalEndpoints, DomainError,
                                 EnergyMismatch, TangentialCrossing)
 
@@ -45,6 +46,21 @@ def test_outer_propagate_conserves_energy(fig1):
     z, v = outer_propagate(p0, v0, ss, fig1)
     energy = 0.5 * np.abs(v) ** 2 + 0.5 * fig1.stiffness_om * np.abs(z) ** 2
     assert np.allclose(energy, fig1.energy_E, atol=1e-12)
+
+
+def test_osc_flow_float_and_array_paths_agree(fig1):
+    # the math-only path serves the exit march, the array path the samples
+    p0, v0 = launch(0.4, 0.8, fig1)
+    w = fig1.omega
+    ss = np.linspace(-1.0, 9.0, 37)
+    zs, vs = osc_flow(p0, v0, w, ss)
+    for s, z, v in zip(ss.tolist(), zs, vs):
+        zf, vf = osc_flow(p0, v0, w, s)
+        assert type(zf) is complex and type(vf) is complex
+        assert abs(zf - z) < 1e-14 and abs(vf - v) < 1e-14
+    # the ellipse is centred: half a period later the state is reversed
+    zh, vh = osc_flow(p0, v0, w, math.pi / w)
+    assert abs(zh + p0) < 1e-14 and abs(vh + v0) < 1e-14
 
 
 def test_outer_propagate_rejects_wrong_speed(fig1):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from refbilliard import _util, outer, returnmap, variational
-from refbilliard._util import brentq, shoot, wrap_pi
+from refbilliard._util import brentq, shoot, sign_change_brackets, wrap_pi
 from refbilliard.errors import NoFixedPoint, ShootingDiverged
 
 #: the parameter fixtures of conftest.py
@@ -116,6 +116,17 @@ def test_brentq_raises_as_scipy_does(f, a, b, kw):
     ours = _outcome(brentq, f, a, b, **kw)
     assert ours in (ValueError, RuntimeError)
     assert ours is _outcome(scipy_brentq, f, a, b, **kw)
+
+
+def test_sign_change_brackets_one_per_root():
+    grid = np.arange(7.0)
+    # a crossing, an exact zero with a sign change, a touching zero, and an
+    # exact zero at the last point
+    vals = np.array([1.0, -1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
+    assert sign_change_brackets(grid, vals) == [
+        (0.0, 1.0), (2.0, 2.0), (4.0, 4.0), (6.0, 6.0)]
+    assert sign_change_brackets(grid, np.full(7, 0.5)) == []
+    assert sign_change_brackets(grid, grid - 2.5) == [(2.0, 3.0)]
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
                          outgoing_state, potential, return_map,
                          shift_inverse_all, twist_critical_set, variational)
 from refbilliard._util import wrap_pi
-from refbilliard.errors import (BilliardError, RangeEmpty,
+from refbilliard.errors import (BilliardError, DegenerateStationarity,
+                                RangeEmpty, ShootingDiverged,
                                 TotalReflectionTermination)
 from refbilliard.returnmap import _action_bound
 from refbilliard.variational import _polish, _seed_action
@@ -107,6 +108,27 @@ def test_shift_inverse_all_finds_every_family(fig1, light_mass):
     assert len(pair) == 2
     assert pair[0] == pytest.approx(0.2157091846599272, abs=1e-9)
     assert pair[1] == pytest.approx(1.3080960254174632, abs=1e-9)
+
+
+def test_shift_inverse_all_finds_the_fold_root(fig1):
+    # at a twist fold the shift touches its extreme value: a double root no
+    # sign-change scan can bracket
+    folds = twist_critical_set(fig1)
+    assert folds == pytest.approx([-0.9511883, 0.9511883], abs=1e-7)
+    for I in folds:
+        assert I in shift_inverse_all(circular_shift(I, fig1).total, fig1)
+
+
+def test_generating_function_at_the_twist_fold(fig1, circle):
+    # on the circle the fold's fiber is stationary in the launch action; off
+    # it the fold has moved and the shooting from the circular fold fails
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    for I in twist_critical_set(fig1):
+        delta = circular_shift(I, fig1).total
+        with pytest.raises(DegenerateStationarity):
+            generating_function(0.0, delta, circle, fig1)
+        with pytest.raises(ShootingDiverged):
+            generating_function(0.0, delta, wavy, fig1)
 
 
 def _seed_from_all_roots(delta, params, hint):
