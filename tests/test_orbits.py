@@ -7,15 +7,18 @@ import pytest
 
 from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
                          boundary, circular_shift, curve_eval, cycle_distance,
-                         find_periodic, golden_target, invariant_curve_probe,
-                         is_diophantine_surrogate, iterate, linear_stability,
+                         discrete_action, find_periodic, golden_target,
+                         invariant_curve_probe, is_diophantine_surrogate,
+                         iterate, linear_stability,
                          outgoing_state, potential, return_map,
-                         returnmap, rotation_number, twist_at_zero)
+                         returnmap, rotation_number, shift_inverse_all,
+                         twist_at_zero)
 from refbilliard._util import wrap_pi
-from refbilliard.errors import (BilliardError, InsufficientLength,
-                                OrbitTerminated, RangeEmpty, ResidualTooLarge,
+from refbilliard.errors import (BilliardError, DescentStalled,
+                                InsufficientLength, OrbitTerminated,
+                                RangeEmpty, ResidualTooLarge,
                                 TotalReflectionTermination)
-from refbilliard.orbits import _rotation_with_error
+from refbilliard.orbits import _critical_cycle, _rotation_with_error
 
 
 def test_iterate_records_constant_shift_on_circle(fig1, circle):
@@ -265,6 +268,92 @@ def test_find_periodic_finds_every_collision_fixed_point(light_mass):
         assert orb.residual < 1e-8
         assert abs(wrap_pi(float(orb.xis[0]) - (k - 3) * math.pi / 3)) < 1e-8
         assert abs(float(orb.actions[0])) < 1e-9
+
+
+def _seed_hint(m, n, params):
+    """The seed action find_periodic shoots every link from."""
+    return max(shift_inverse_all(2.0 * math.pi * m / n, params), key=abs)
+
+
+@pytest.mark.parametrize("m", [2, -2])
+def test_find_periodic_two_fifths_pair_at_light_mass(light_mass, m):
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    orbits = find_periodic(m, 5, prof, light_mass)
+    assert [o.kind for o in orbits] == ["action-minimizer", "action-minimax"]
+    for orb in orbits:
+        assert orb.residual < 1e-8
+    assert cycle_distance(orbits[0], orbits[1]) > 1e-4
+
+
+def test_find_periodic_mirror_classes_at_light_mass(light_mass):
+    # cos 2 xi is even, so (xi, I) -> (-xi, -I) maps (1, 3) cycles to
+    # (-1, 3) cycles of the same action
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    plus = find_periodic(1, 3, prof, light_mass)
+    minus = find_periodic(-1, 3, prof, light_mass)
+    assert [o.kind for o in plus] == [o.kind for o in minus]
+    for p_orb, m_orb in zip(plus, minus):
+        W_plus, _ = discrete_action(p_orb.xis, 1, 3, prof, light_mass,
+                                    _seed_hint(1, 3, light_mass))
+        W_minus, _ = discrete_action(m_orb.xis, -1, 3, prof, light_mass,
+                                     _seed_hint(-1, 3, light_mass))
+        assert W_plus == pytest.approx(W_minus, abs=1e-10)
+        start = outgoing_state(-float(p_orb.xis[0]),
+                               -float(p_orb.actions[0]), prof, light_mass)
+        trace = iterate(start, 3, prof, light_mass)
+        assert trace.status == "running"
+        lifted = trace.xis_lifted
+        assert abs(lifted[3] - lifted[0] + 2.0 * math.pi) < 1e-8
+        assert abs(trace.states[3].action_I - start.action_I) < 1e-8
+
+
+def test_action_hessian_determinant_gives_the_monodromy_trace(fig1,
+                                                              light_mass):
+    # MacKay & Meiss (1983): 2 - tr M = -det(H) prod b_k, with the Hessian
+    # H of the discrete action taken by central differences of its gradient
+    # and b_k = -1/H_{k,k+1}, so no tangent map enters that side
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    for params, m, n in ((light_mass, 1, 3), (light_mass, -1, 3),
+                         (fig1, 1, 4)):
+        hint = _seed_hint(m, n, params)
+        orbits = find_periodic(m, n, prof, params)
+        assert len(orbits) == 2
+        for index, orb in enumerate(orbits):
+            h = 1e-6
+            H = np.empty((n, n))
+            for j in range(n):
+                e = h * np.eye(n)[j]
+                H[:, j] = (discrete_action(orb.xis + e, m, n, prof, params,
+                                           hint)[1] -
+                           discrete_action(orb.xis - e, m, n, prof, params,
+                                           hint)[1]) / (2 * h)
+            b = np.array([-1.0 / H[k, (k + 1) % n] for k in range(n)])
+            rep = linear_stability(orb, prof, params)
+            assert 2.0 - rep.trace == pytest.approx(
+                -np.linalg.det(H) * np.prod(b), abs=1e-6)
+            lam = np.linalg.eigvalsh(np.sign(b[0]) * H)
+            assert np.count_nonzero(lam < 0.0) == index
+            assert rep.classification == ("hyperbolic", "elliptic")[index]
+
+
+def test_critical_cycle_rejects_a_cycle_of_another_index(light_mass):
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    hint = _seed_hint(-1, 3, light_mass)
+    seed = -2.0 * math.pi / 3.0 * np.arange(3) + math.pi / 6.0
+    saddle, _ = _critical_cycle(seed, 1, -1, 3, prof, light_mass, hint)
+    with pytest.raises(DescentStalled, match="index 1, not 0"):
+        _critical_cycle(saddle, 0, -1, 3, prof, light_mass, hint)
+
+
+def test_find_periodic_raises_when_newton_stalls(light_mass, monkeypatch):
+    # a stand-in action whose gradient never vanishes
+    def sloped(cycle, m, n, profile, params, action_hint):
+        return 0.0, np.full(n, 1e-3), np.eye(n), np.ones(n)
+
+    monkeypatch.setattr("refbilliard.orbits._action_terms", sloped)
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    with pytest.raises(DescentStalled, match="after 40 Newton steps"):
+        find_periodic(-1, 3, prof, light_mass)
 
 
 def test_linear_stability_matches_differences_on_perturbed_cycle(light_mass):

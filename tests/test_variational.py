@@ -119,6 +119,25 @@ def test_shift_inverse_all_finds_the_fold_root(fig1):
         assert I in shift_inverse_all(circular_shift(I, fig1).total, fig1)
 
 
+def test_shift_inverse_all_splits_the_fold_cell(fig1):
+    # just inside a fold's extreme shift its two roots share one cell of
+    # the scan, whose ends have the same sign; just outside there is none
+    for I in twist_critical_set(fig1):
+        theta = circular_shift(I, fig1).total
+        inside = math.copysign(1.0, I)  # +I* is a minimum of the shift
+        for gap in (1e-12, 1e-9, 1e-7):
+            delta = theta + inside * gap
+            near = [r for r in shift_inverse_all(delta, fig1)
+                    if abs(r - I) < 1e-3]
+            assert len(near) == 2 and near[0] < I < near[1]
+            for r in near:
+                assert circular_shift(r, fig1).total == pytest.approx(
+                    delta, abs=1e-14)
+            assert not [r for r in shift_inverse_all(theta - inside * gap,
+                                                     fig1)
+                        if abs(r - I) < 1e-3]
+
+
 def test_generating_function_at_the_twist_fold(fig1, circle):
     # on the circle the fold's fiber is stationary in the launch action; off
     # it the fold has moved and the shooting from the circular fold fails
@@ -381,3 +400,23 @@ def test_discrete_action_on_perturbed_boundary(fig1):
     Wp, _ = discrete_action(xp, 1, 4, prof, fig1, action_hint=I_star)
     Wm, _ = discrete_action(xm, 1, 4, prof, fig1, action_hint=I_star)
     assert grad[2] == pytest.approx((Wp - Wm) / (2 * h), abs=1e-6)
+
+
+@pytest.mark.parametrize("params, m, n", [(LIGHT_MASS, -1, 3), (FIG1, 1, 4)])
+def test_action_hessian_matches_differences_of_the_gradient(params, m, n):
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    hint = max(shift_inverse_all(2.0 * math.pi * m / n, params), key=abs)
+    k = np.arange(n)
+    xs = 2.0 * math.pi * m / n * k + 0.3 + 0.02 * np.cos(k)
+    W, grad, H, _ = variational._action_terms(xs, m, n, prof, params, hint)
+    W0, grad0 = discrete_action(xs, m, n, prof, params, action_hint=hint)
+    assert W == W0 and np.array_equal(grad, grad0)
+    assert np.max(np.abs(grad)) > 1e-3  # off every critical cycle
+    h = 1e-6
+    fd = np.empty((n, n))
+    for j in range(n):
+        e = h * np.eye(n)[j]
+        fd[:, j] = (discrete_action(xs + e, m, n, prof, params, hint)[1] -
+                    discrete_action(xs - e, m, n, prof, params, hint)[1]) / (
+                        2 * h)
+    assert np.max(np.abs(H - fd)) < 1e-7
