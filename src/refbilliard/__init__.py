@@ -18,9 +18,9 @@ from .config import COMMANDS, ConfigError, RunConfig, load_config, \
 from .errors import (AntipodalEndpoints, BilliardError, DegenerateEnvelope,
                      DegenerateStationarity, DescentStalled, DomainError,
                      EnergyMismatch, EventDetectionFailed,
-                     InsufficientLength, NewtonDiverged, OrbitTerminated,
-                     OutOfActionRange, RangeEmpty, ResidualTooLarge,
-                     ShootingDiverged, SingularityError, TangentialCrossing,
+                     InsufficientLength, OrbitTerminated, OutOfActionRange,
+                     RangeEmpty, ResidualTooLarge, ShootingDiverged,
+                     SingularityError, TangentialCrossing,
                      TotalReflectionTermination, WindingChanged)
 from .inner import (inner_arc_fixed_ends, inner_shift, kepler_elements,
                     levi_civita_propagate, transversality_bound)

@@ -5,12 +5,18 @@ to two circles: an exterior one at the apocenters of the oscillator arcs and
 an interior one at the pericenters of the Kepler arcs.  Under a boundary
 perturbation the tangent circles deform into the envelopes of the one-
 parameter conic families attached to an invariant curve I(xi); this module
-computes the circular radii in closed form and the perturbed envelopes by a
-Newton continuation on the envelope system {G = 0, dG/dzeta = 0}.
+computes the circular radii in closed form, and the perturbed envelopes
+from the envelope system {G = 0, dG/dzeta = 0}, with dG/dzeta a centred
+difference across the family, also in closed form (Bruce & Giblin, *Curves
+and Singularities*, 1992): for the centred exterior ellipses the difference
+is a homogeneous quadratic form, two lines through the centre that meet the
+middle ellipse; for the interior focal conics r + e.u = p it is a line
+that meets the middle conic at the roots of one quadratic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -19,7 +25,7 @@ import numpy as np
 
 from .arcs import InnerConic, OuterConic
 from .boundary import PerturbationProfile, boundary
-from .errors import DegenerateEnvelope, NewtonDiverged, OutOfActionRange
+from .errors import DegenerateEnvelope, OutOfActionRange
 from .inner import kepler_elements
 from .orbits import CurveProbe, OrbitTrace, curve_eval
 from .outer import outer_conic_of, outer_transit
@@ -34,9 +40,9 @@ ActionCurve = Union[float, Callable[[float], float], CurveProbe]
 class CausticCurve:
     """Sampled envelope of the conic family attached to an invariant curve.
 
-    ``samples`` has one row ``(zeta, x, y)`` per converged envelope point,
-    ordered by the boundary parameter ``zeta`` and closed (the last row sits
-    at ``zeta = 2 pi``).  ``circular_radius`` is the tangent-circle radius of
+    ``samples`` has one row ``(zeta, x, y)`` per node of a uniform grid of
+    the boundary parameter ``zeta``, closed (the last row sits at
+    ``zeta = 2 pi``).  ``circular_radius`` is the tangent-circle radius of
     the comparison circular orbit at the mean action, when defined.
     """
 
@@ -99,34 +105,92 @@ def _inner_conic_at(zeta: float, action_I: float,
     return kepler_elements(z_in, v_in, params)
 
 
-def _eval_outer(conic: OuterConic, x: float, y: float
-                ) -> Tuple[float, float, float]:
+def _outer_axes(conic: OuterConic) -> Tuple[float, float, float, float]:
+    """(1/a^2, 1/b^2, cos, sin of the tilt) of an exterior ellipse."""
     if conic.degenerate or conic.semi_minor_sq <= 1e-14:
         raise DegenerateEnvelope(
             "a radial exterior arc supports no envelope")
-    a2, b2 = conic.semi_major_sq, conic.semi_minor_sq
-    ct, st = math.cos(conic.tilt_angle), math.sin(conic.tilt_angle)
+    return (1.0 / conic.semi_major_sq, 1.0 / conic.semi_minor_sq,
+            math.cos(conic.tilt_angle), math.sin(conic.tilt_angle))
+
+
+def _eval_outer(conic: OuterConic, x: float, y: float) -> float:
+    # in the principal frame: near the tangency point the (A, B, C) form
+    # sums terms of size a^2/b^2 that cancel
+    ia, ib, ct, st = _outer_axes(conic)
     u = x * ct + y * st
     w = -x * st + y * ct
-    G = u * u / a2 + w * w / b2 - 1.0
-    gx = 2.0 * (u * ct / a2 - w * st / b2)
-    gy = 2.0 * (u * st / a2 + w * ct / b2)
-    return G, gx, gy
+    return u * u * ia + w * w * ib - 1.0
 
 
-def _eval_inner(conic: InnerConic, x: float, y: float
-                ) -> Tuple[float, float, float]:
+def _outer_form(conic: OuterConic) -> Tuple[float, float, float]:
+    """(A, B, C) of the exterior ellipse A x^2 + 2 B xy + C y^2 = 1."""
+    ia, ib, ct, st = _outer_axes(conic)
+    return (ct * ct * ia + st * st * ib, ct * st * (ia - ib),
+            st * st * ia + ct * ct * ib)
+
+
+def _outer_points(stencil) -> list:
+    """Solutions of the discrete envelope system of the exterior family.
+
+    The level functions differ across the stencil by the homogeneous form
+    dA x^2 + 2 dB xy + dC y^2, which vanishes on (at most) two lines through
+    the centre; each meets the middle ellipse at two opposite points.
+    """
+    (Am, Bm, Cm), (A, B, C), (Ap, Bp, Cp) = map(_outer_form, stencil)
+    dA, dB, dC = Ap - Am, Bp - Bm, Cp - Cm
+    disc = dB * dB - dA * dC
+    if disc < 0.0:
+        return []
+    # the null directions (u, v), by the stable quadratic formula
+    q = -(dB + math.copysign(math.sqrt(disc), dB))
+    points = []
+    for u, v in ((q, dA), (dC, q)):
+        Q = A * u * u + 2.0 * B * u * v + C * v * v
+        if Q > 0.0:
+            s = 1.0 / math.sqrt(Q)
+            points += [(s * u, s * v), (-s * u, -s * v)]
+    return points
+
+
+def _inner_form(conic: InnerConic) -> Tuple[complex, float]:
+    """(k, p) of the interior focal conic |z| + k.z = p, k = e exp(i w)."""
     if conic.is_collision:
         raise DegenerateEnvelope(
             "a collision ray supports no envelope")
-    r = math.hypot(x, y)
-    if r < 1e-12:
-        raise DegenerateEnvelope("the envelope iterate reached the centre")
-    c = math.cos(conic.pericenter_angle)
-    s = math.sin(conic.pericenter_angle)
-    e, p = conic.eccentricity_e, conic.semilatus_p
-    G = r + e * (x * c + y * s) - p
-    return G, x / r + e * c, y / r + e * s
+    return (conic.eccentricity_e * cmath.exp(1j * conic.pericenter_angle),
+            conic.semilatus_p)
+
+
+def _eval_inner(conic: InnerConic, x: float, y: float) -> float:
+    k, p = _inner_form(conic)
+    return math.hypot(x, y) + k.real * x + k.imag * y - p
+
+
+def _inner_points(stencil) -> list:
+    """Solutions of the discrete envelope system of the interior family.
+
+    The level function |z| + k.z - p differs across the stencil by the
+    line dk.z = dp.  On it, z = z0 + t n with z0 the foot of the centre and
+    n the unit direction, and squaring |z| = p - k.z gives a quadratic in t;
+    roots with p - k.z < 0 come from the squaring and are dropped.
+    """
+    (km, pm), (k, p), (kp, pp) = map(_inner_form, stencil)
+    dk, dp = kp - km, pp - pm
+    if dk == 0.0:
+        return []
+    z0, n = dp / dk.conjugate(), 1j * dk / abs(dk)
+    P = p - (k.conjugate() * z0).real
+    c = (k.conjugate() * n).real
+    # (1 - c^2) t^2 + 2 P c t + |z0|^2 - P^2 = 0
+    alpha, beta, gamma = 1.0 - c * c, P * c, abs(z0) ** 2 - P * P
+    disc = beta * beta - alpha * gamma
+    if disc < 0.0:
+        return []
+    Q = -(beta + math.copysign(math.sqrt(disc), beta))
+    ts = ([Q / alpha] if alpha else []) + ([gamma / Q] if Q else [])
+    zs = [z0 + t * n for t in ts if P - c * t >= 0.0]
+    return [(z.real, z.imag) for z in zs]
 
 
 #: step of the centred difference of G across the conic family
@@ -142,15 +206,13 @@ def envelope_equations(zeta: float, xy: Tuple[float, float],
     ``G`` is the level function of the conic attached to boundary parameter
     ``zeta`` (exterior ellipse or interior focal hyperbola) and the second
     component is the centered difference of ``G`` across the family, of
-    step 1e-5 (the one :func:`perturbed_caustic` solves with).  Both
-    vanish, to solver tolerance, on a :class:`CausticCurve`.
+    step 1e-5 (the one :func:`perturbed_caustic` solves).  Both vanish, to
+    rounding, on a :class:`CausticCurve`.
     """
     I_of = _as_action_function(invariant_curve)
-    conic_at, evaluate = _family(kind)
-    x, y = float(xy[0]), float(xy[1])
-    Gm, G0, Gp = (evaluate(c, x, y)[0]
-                  for c in _stencil(zeta, I_of, conic_at, profile, params))
-    return G0, (Gp - Gm) / (2.0 * _FD_STEP)
+    conic_at, evaluate, _ = _family(kind)
+    return _system(_stencil(zeta, I_of, conic_at, profile, params), evaluate,
+                   float(xy[0]), float(xy[1]))
 
 
 def _stencil(zeta: float, I_of, conic_at, profile: PerturbationProfile,
@@ -162,65 +224,20 @@ def _stencil(zeta: float, I_of, conic_at, profile: PerturbationProfile,
             conic_at(zeta + _FD_STEP, I_of(zeta + _FD_STEP), profile, params))
 
 
+def _system(stencil, evaluate, x: float, y: float) -> Tuple[float, float]:
+    Gm, G0, Gp = (evaluate(conic, x, y) for conic in stencil)
+    return G0, (Gp - Gm) / (2.0 * _FD_STEP)
+
+
 def _family(kind: str):
     if kind == "outer":
-        return _outer_conic_at, _eval_outer
+        return _outer_conic_at, _eval_outer, _outer_points
     if kind == "inner":
-        return _inner_conic_at, _eval_inner
+        return _inner_conic_at, _eval_inner, _inner_points
     raise ValueError(f"kind must be 'outer' or 'inner', got {kind!r}")
 
 
-# -- Newton on the envelope system ------------------------------------------------
-
-
-def _solve_node(zeta: float, seed: Tuple[float, float], conics, evaluate,
-                r_ref: float) -> Tuple[float, float, int, float]:
-    """Newton iterate of {G=0, dG/dzeta=0} at fixed ``zeta``.
-
-    The three conics of the centered stencil are built once; every iteration
-    is then closed-form algebra.  The iteration stops below a residual of
-    1e-12, or after 25 steps.  Returns ``(x, y, iterations, residual)``.
-    """
-    cm, c0, cp = conics
-    x, y = float(seed[0]), float(seed[1])
-    h2 = 2.0 * _FD_STEP
-    prev_resid = math.inf
-    it = 0
-    while True:
-        G0, g0x, g0y = evaluate(c0, x, y)
-        Gp, gpx, gpy = evaluate(cp, x, y)
-        Gm, gmx, gmy = evaluate(cm, x, y)
-        F1 = (Gp - Gm) / h2
-        resid = max(abs(G0), abs(F1))
-        # done once below tolerance, once the finite-difference noise floor
-        # stops the residual from contracting, or out of budget
-        if resid < 1e-12 or (it >= 2 and resid > 0.5 * prev_resid) or \
-                it >= 25:
-            break
-        prev_resid = resid
-        j10, j11 = (gpx - gmx) / h2, (gpy - gmy) / h2
-        det = g0x * j11 - g0y * j10
-        if not math.isfinite(det) or abs(det) < 1e-14:
-            raise NewtonDiverged(
-                f"singular envelope Jacobian at zeta = {zeta:.6f}")
-        x += (-G0 * j11 + F1 * g0y) / det
-        y += (-F1 * g0x + G0 * j10) / det
-        it += 1
-        if not (math.isfinite(x) and math.isfinite(y)) or \
-                math.hypot(x, y) > 4.0 * r_ref:
-            raise NewtonDiverged(
-                f"envelope iterate escaped at zeta = {zeta:.6f}")
-    if resid > 1e-8:
-        raise NewtonDiverged(
-            f"envelope residual stalled at {resid:.3g} for zeta = {zeta:.6f}")
-    cross = g0x * (gpy - gmy) / h2 - g0y * (gpx - gmx) / h2
-    if abs(cross) < 1e-10:
-        raise DegenerateEnvelope(
-            f"tangent envelope gradients at zeta = {zeta:.6f}")
-    if abs(math.hypot(x, y) - r_ref) > 0.25 * r_ref:
-        raise NewtonDiverged(
-            f"envelope left the tangent-circle branch at zeta = {zeta:.6f}")
-    return x, y, it, resid
+# -- the envelope, node by node -------------------------------------------------
 
 
 def _circular_seed(zeta: float, action_I: float, kind: str, conic,
@@ -244,63 +261,35 @@ def perturbed_caustic(invariant_curve: ActionCurve, kind: str,
 
     For each boundary parameter ``zeta`` on a closed grid of ``n_base``
     intervals the arc launched at ``(zeta, I(zeta))`` supports a conic; the
-    envelope point solves {G = 0, dG/dzeta = 0} by a Newton continuation
-    seeded from the previous node (circular tangency geometry at the first).
-    Intervals whose endpoints needed more than five Newton steps are bisected
-    recursively.  The interior family refracts the exterior arc's arrival
-    state, so its parameter is the launch angle of the preceding arc.
+    envelope point solves {G = 0, dG/dzeta = 0} in closed form, and of its
+    solutions the one nearest the circular tangency point of that conic is
+    kept.  Raises :class:`DegenerateEnvelope` when a node has no real
+    solution, or when the kept one lies more than a quarter of the tangent
+    circle's radius off that circle.  The interior family refracts the
+    exterior arc's arrival state, so its parameter is the launch angle of
+    the preceding arc.
     """
     I_of = _as_action_function(invariant_curve)
-    conic_at, evaluate = _family(kind)
-
-    def r_ref_at(z: float) -> float:
-        R_E, R_I = circular_caustic_radii(I_of(z), params)
-        return R_E if kind == "outer" else R_I
-
-    def solve(z: float, seed) -> Tuple[float, float, int, float]:
-        stencil = _stencil(z, I_of, conic_at, profile, params)
-        r_ref = r_ref_at(z)
-        if seed is None:
-            seed = _circular_seed(z, I_of(z), kind, stencil[1], params)
-            return _solve_node(z, seed, stencil, evaluate, r_ref)
-        try:
-            return _solve_node(z, seed, stencil, evaluate, r_ref)
-        except NewtonDiverged:
-            seed = _circular_seed(z, I_of(z), kind, stencil[1], params)
-            return _solve_node(z, seed, stencil, evaluate, r_ref)
-
+    conic_at, evaluate, solve = _family(kind)
     zetas = np.linspace(0.0, 2.0 * math.pi, n_base + 1)
-    records = []
-    prev = None
-    dz = zetas[1] - zetas[0]
-    rot = complex(math.cos(dz), math.sin(dz))
-    for z in zetas:
-        x, y, it, resid = solve(float(z), prev)
-        records.append((float(z), x, y, it, resid))
-        carried = complex(x, y) * rot
-        prev = (carried.real, carried.imag)
-
-    # bisect intervals whose endpoints worked hard, up to four levels deep
-    stack = [(records[j], records[j + 1], 0)
-             for j in range(len(records) - 1)
-             if records[j][3] > 5 or records[j + 1][3] > 5]
-    extra = []
-    while stack:
-        left, right, depth = stack.pop()
-        if depth >= 4:
-            continue
-        zm = 0.5 * (left[0] + right[0])
-        seed = (0.5 * (left[1] + right[1]), 0.5 * (left[2] + right[2]))
-        x, y, it, resid = solve(zm, seed)
-        rec = (zm, x, y, it, resid)
-        extra.append(rec)
-        if it > 5:
-            stack.append((left, rec, depth + 1))
-            stack.append((rec, right, depth + 1))
-    records = sorted(records + extra, key=lambda r: r[0])
-
-    samples = np.array([(z, x, y) for z, x, y, _, _ in records])
-    worst = max(r[4] for r in records)
+    samples = np.empty((len(zetas), 3))
+    worst = 0.0
+    for j, z in enumerate(zetas.tolist()):
+        stencil = _stencil(z, I_of, conic_at, profile, params)
+        R_E, R_I = circular_caustic_radii(I_of(z), params)
+        r_ref = R_E if kind == "outer" else R_I
+        points = solve(stencil)
+        if not points:
+            raise DegenerateEnvelope(
+                f"no real envelope point at zeta = {z:.6f}")
+        sx, sy = _circular_seed(z, I_of(z), kind, stencil[1], params)
+        x, y = min(points, key=lambda pt: math.hypot(pt[0] - sx, pt[1] - sy))
+        if abs(math.hypot(x, y) - r_ref) > 0.25 * r_ref:
+            raise DegenerateEnvelope(
+                f"envelope left the tangent-circle branch at zeta = {z:.6f}")
+        G, dG = _system(stencil, evaluate, x, y)
+        worst = max(worst, abs(G), abs(dG))
+        samples[j] = z, x, y
     I_mean = float(np.mean([I_of(z) for z in zetas[:-1]]))
     try:
         R_E, R_I = circular_caustic_radii(I_mean, params)

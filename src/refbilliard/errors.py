@@ -94,10 +94,8 @@ class ResidualTooLarge(BilliardError):
     """A polished solution still violates its defining equations."""
 
 
-class NewtonDiverged(BilliardError):
-    """Newton iteration left its basin or exceeded the iteration budget."""
-
-
 class DegenerateEnvelope(BilliardError):
-    """Envelope system gradients are parallel; the caustic point is degenerate."""
+    """A conic family has no caustic point near its tangent circle: a radial
+    arc or collision ray supports no envelope, the envelope system has no
+    real solution, or its solution lies off the tangent-circle branch."""
 

@@ -27,8 +27,7 @@ from .errors import (BilliardError, DescentStalled, InsufficientLength,
 from .params import PhysParams
 from .returnmap import (BoundaryState, circular_shift, outgoing_state,
                         return_map, tangent_map)
-from .variational import (_action_terms, generating_function,
-                          shift_inverse_all)
+from .variational import _action_terms, shift_inverse_all
 
 
 @dataclass
@@ -200,13 +199,10 @@ def _circular_orbits(m: int, n: int, roots: Sequence[float],
     return orbits
 
 
-def _orbit_from_cycle(cycle: np.ndarray, m: int, n: int,
+def _orbit_from_cycle(cycle: np.ndarray, action_I0: float, m: int, n: int,
                       profile: PerturbationProfile, params: PhysParams,
-                      action_hint: float, kind: str,
-                      grad_norm: float) -> PeriodicOrbit:
-    ev = generating_function(float(cycle[0]), float(cycle[1]), profile,
-                             params, action_hint=action_hint)
-    res_xi, res_I, xis, acts = _map_residual(float(cycle[0]), ev.action_I0,
+                      kind: str, grad_norm: float) -> PeriodicOrbit:
+    res_xi, res_I, xis, acts = _map_residual(float(cycle[0]), action_I0,
                                              m, n, profile, params)
     return PeriodicOrbit(m=m, n=n, xis=xis[:-1], actions=acts[:-1],
                          residual=max(abs(res_xi), abs(res_I)), kind=kind,
@@ -343,9 +339,10 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     orbits: List[PeriodicOrbit] = []
     for index, kind in enumerate(("action-minimizer", "action-minimax")):
         try:
-            x, g_max = _critical_cycle(base + index * math.pi / (2 * n),
-                                       index, m, n, profile, params, I_seed)
-            orb = _orbit_from_cycle(x, m, n, profile, params, I_seed, kind,
+            x, I0, g_max = _critical_cycle(base + index * math.pi / (2 * n),
+                                           index, m, n, profile, params,
+                                           I_seed)
+            orb = _orbit_from_cycle(x, I0, m, n, profile, params, kind,
                                     g_max)
         except BilliardError:
             if index == 0:
@@ -362,9 +359,10 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
 
 def _critical_cycle(x: np.ndarray, index: int, m: int, n: int,
                     profile: PerturbationProfile, params: PhysParams,
-                    action_hint: float) -> Tuple[np.ndarray, float]:
+                    action_hint: float) -> Tuple[np.ndarray, float, float]:
     """A critical cycle of the discrete action of Morse index ``index``,
-    by eigenvector-following Newton from ``x``; returns it and max |grad W|.
+    by eigenvector-following Newton from ``x``; returns it, the launch
+    action of its link 0 and max |grad W|.
 
     Over the eigenpairs (l_i, v_i) of s H, with H the exact Hessian and s
     the sign of the twist b, each step is -sum v_i (v_i . s g)/|l_i|,
@@ -374,7 +372,8 @@ def _critical_cycle(x: np.ndarray, index: int, m: int, n: int,
     another index.
     """
     for _ in range(40):
-        _, g, H, b = _action_terms(x, m, n, profile, params, action_hint)
+        _, g, H, b, I0 = _action_terms(x, m, n, profile, params,
+                                       action_hint)
         s = math.copysign(1.0, b[0])
         lam, V = np.linalg.eigh(s * H)
         g_max = float(np.max(np.abs(g)))
@@ -384,7 +383,7 @@ def _critical_cycle(x: np.ndarray, index: int, m: int, n: int,
                 raise DescentStalled(
                     f"Newton reached a critical cycle of index {found}, "
                     f"not {index}")
-            return x, g_max
+            return x, I0, g_max
         c = (V.T @ (s * g)) / np.abs(lam)
         c[:index] = -c[:index]
         step = V @ c

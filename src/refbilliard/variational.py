@@ -69,34 +69,17 @@ def shift_inverse_all(delta: float, params: PhysParams) -> list:
     """All actions I in (-I_c, I_c) whose circular total shift equals ``delta``.
 
     The shift can fold (twist sign changes), so several roots may exist;
-    they are bracketed on a grid of 8192 actions and polished by Brent's
-    method.
+    they are bracketed on a grid of 8192 actions and the folds, and polished
+    by Brent's method.
     """
     return [_polish(b, delta, params) for b in _shift_brackets(delta, params)]
 
 
 def _shift_brackets(delta: float, params: PhysParams) -> list:
     """Brackets (a, b) of the roots of :func:`shift_inverse_all`, one per
-    root, disjoint and ascending; a == b marks an exact root.
-
-    At a twist fold the shift touches its extreme value without changing
-    sign, so no scan brackets that double root; a fold whose shift equals
-    ``delta`` is added as an exact root.  Just inside the fold's extreme
-    value its two roots can share one scan cell, whose ends then both have
-    the sign opposite to the fold's; the fold splits that cell into one
-    bracket per root.
-    """
+    root, disjoint and ascending; a == b marks an exact root."""
     grid, shifts = _shift_scan(params)
-    brackets = sign_change_brackets(grid, shifts - delta)
-    for I, shift, cell in _fold_shifts(params):
-        if shift == delta:
-            brackets.append((I, I))
-        elif cell is not None:
-            a, b, shift_a, shift_b = cell
-            if ((shift - delta) * (shift_a - delta) < 0.0
-                    and (shift - delta) * (shift_b - delta) < 0.0):
-                brackets += [(a, I), (I, b)]
-    return sorted(brackets)
+    return sign_change_brackets(grid, shifts - delta)
 
 
 def _polish(bracket: Tuple[float, float], delta: float,
@@ -111,31 +94,25 @@ def _polish(bracket: Tuple[float, float], delta: float,
 
 @functools.lru_cache(maxsize=16)
 def _shift_scan(params: PhysParams):
-    """The 8192-point scan grid of :func:`shift_inverse_all` and its total
-    shifts, computed once per parameter set (read-only arrays)."""
+    """The scan grid of :func:`shift_inverse_all` and its total shifts,
+    computed once per parameter set (read-only arrays).
+
+    The grid is 8192 evenly spaced actions plus every action of
+    :func:`twist_critical_set`.  At a twist fold the shift touches its
+    extreme value without changing sign, so the fold as a grid point turns
+    that double root into an exact zero, and splits a cell that holds both
+    roots just inside the extreme value into one bracket per root.
+    """
     Ic = params.action_bound_Ic
     grid = np.linspace(-Ic * (1 - 1e-9), Ic * (1 - 1e-9), 8192)
     shifts = total_shift_grid(grid, params)
+    folds = [I for I in twist_critical_set(params) if I not in grid]
+    at = np.searchsorted(grid, folds)
+    grid = np.insert(grid, at, folds)
+    shifts = np.insert(shifts, at,
+                       [circular_shift(I, params).total for I in folds])
     grid.flags.writeable = shifts.flags.writeable = False
     return grid, shifts
-
-
-@functools.lru_cache(maxsize=16)
-def _fold_shifts(params: PhysParams) -> tuple:
-    """(I, total shift, cell) at each action of :func:`twist_critical_set`,
-    computed once per parameter set.  ``cell`` is (a, b, shift at a, shift
-    at b) for the cell of the :func:`_shift_scan` grid that holds I
-    strictly inside, or None when I is a grid point."""
-    grid, shifts = _shift_scan(params)
-    folds = []
-    for I in twist_critical_set(params):
-        i = int(np.searchsorted(grid, I))
-        cell = None
-        if 0 < i < len(grid) and I < grid[i]:
-            cell = (float(grid[i - 1]), float(grid[i]), float(shifts[i - 1]),
-                    float(shifts[i]))
-        folds.append((I, circular_shift(I, params).total, cell))
-    return tuple(folds)
 
 
 def _seed_action(delta: float, params: PhysParams,
@@ -270,8 +247,8 @@ def discrete_action(cycle: Sequence[float], m: int, n: int,
 def _action_terms(cycle: Sequence[float], m: int, n: int,
                   profile: PerturbationProfile, params: PhysParams,
                   action_hint: Optional[float]):
-    """W, its gradient, its exact Hessian and the twists b_k of an (m, n)
-    cycle, from one pass over its links.
+    """W, its gradient, its exact Hessian, the twists b_k and the launch
+    action I_0 of link 0 of an (m, n) cycle, from one pass over its links.
 
     With DF = [[a, b], [c, d]] the tangent map of link k (det DF = 1), its
     second derivatives are S_00 = a/b, S_01 = -1/b and S_11 = d/b, so the
@@ -299,4 +276,4 @@ def _action_terms(cycle: Sequence[float], m: int, n: int,
         H[k, j] -= 1.0 / bk
         H[j, k] -= 1.0 / bk
         b[k] = bk
-    return W, grad, H, b
+    return W, grad, H, b, links[0].action_I0

@@ -13,8 +13,7 @@ from refbilliard import (CurveProbe, PerturbationProfile,
                          outer_transit, outgoing_state, outgoing_velocity,
                          perturbed_caustic, potential, tangency_check)
 from refbilliard.arcs import lc_flow
-from refbilliard.errors import (DegenerateEnvelope, NewtonDiverged,
-                                OutOfActionRange)
+from refbilliard.errors import DegenerateEnvelope, OutOfActionRange
 
 
 def test_circular_radii_match_sampled_trajectory(fig1, circle):
@@ -171,11 +170,22 @@ def test_perturbed_caustic_follows_a_curve_probe(fig1):
 
 def test_perturbed_caustic_reports_a_lost_envelope(fig1):
     # at eps = 0.05 the interior envelope at I_c/2 leaves the branch near
-    # its tangent circle: Newton lands more than a quarter radius away
+    # its tangent circle: the solution nearest the circular tangency point
+    # lies more than a quarter radius away
     prof = PerturbationProfile.cos_profile(2, 0.05)
-    with pytest.raises(NewtonDiverged, match="left the tangent-circle"):
+    with pytest.raises(DegenerateEnvelope, match="left the tangent-circle"):
         perturbed_caustic(0.5 * fig1.action_bound_Ic, "inner", prof, fig1,
                           n_base=32)
+
+
+def test_perturbed_caustic_reports_a_missing_envelope(fig1):
+    # at eps = 0.1 and I0 = 1 the envelope line of the interior family at
+    # zeta = 0 meets the squared conic only where p - k.z < 0, that is on
+    # the other branch: the envelope system has no real solution
+    prof = PerturbationProfile.cos_profile(2, 0.1)
+    with pytest.raises(DegenerateEnvelope,
+                       match="no real envelope point at zeta = 0.000000"):
+        perturbed_caustic(1.0, "inner", prof, fig1, n_base=32)
 
 
 def test_tangency_of_integrable_orbits(fig1, circle):

@@ -340,7 +340,7 @@ def test_critical_cycle_rejects_a_cycle_of_another_index(light_mass):
     prof = PerturbationProfile.cos_profile(2, 0.01)
     hint = _seed_hint(-1, 3, light_mass)
     seed = -2.0 * math.pi / 3.0 * np.arange(3) + math.pi / 6.0
-    saddle, _ = _critical_cycle(seed, 1, -1, 3, prof, light_mass, hint)
+    saddle, _, _ = _critical_cycle(seed, 1, -1, 3, prof, light_mass, hint)
     with pytest.raises(DescentStalled, match="index 1, not 0"):
         _critical_cycle(saddle, 0, -1, 3, prof, light_mass, hint)
 
@@ -348,7 +348,7 @@ def test_critical_cycle_rejects_a_cycle_of_another_index(light_mass):
 def test_find_periodic_raises_when_newton_stalls(light_mass, monkeypatch):
     # a stand-in action whose gradient never vanishes
     def sloped(cycle, m, n, profile, params, action_hint):
-        return 0.0, np.full(n, 1e-3), np.eye(n), np.ones(n)
+        return 0.0, np.full(n, 1e-3), np.eye(n), np.ones(n), 0.5
 
     monkeypatch.setattr("refbilliard.orbits._action_terms", sloped)
     prof = PerturbationProfile.cos_profile(2, 0.01)
