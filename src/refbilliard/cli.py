@@ -146,7 +146,7 @@ def _section_orbit(args) -> Tuple[np.ndarray, np.ndarray, str]:
     """One seed's orbit: xi and action_I of every state, and its status."""
     xi0, I0, iterations, profile, params = args
     trace = iterate(outgoing_state(xi0, I0, profile, params), iterations,
-                    profile, params)
+                    profile, params, keep_arcs=False)
     states = trace.states
     return (np.array([st.xi for st in states]),
             np.array([st.action_I for st in states]), trace.status)

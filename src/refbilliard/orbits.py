@@ -1,12 +1,13 @@
 """Orbit iteration, rotation numbers, periodic orbits, stability, curve probes.
 
 The return map is iterated on the lifted section (xi real, I bounded);
-rotation numbers are tail averages of the angular advance.  Periodic orbits
-come from root isolation of the circular shift (integrable case), from
-Newton on the section map (period 1), or from critical points of the
-discrete action W — its minimizer and a minimax cycle (the twist-map pair,
-of Morse index 0 and 1), each found by Newton on the exact gradient and
-Hessian of W.
+rotation numbers are weighted Birkhoff averages of the angular advance per
+return, with the gap between the averages over N and N/2 returns as their
+error.  Periodic orbits come from root isolation of the circular shift
+(integrable case), from Newton on the section map (period 1), or from
+critical points of the discrete action W — its minimizer and a minimax
+cycle (the twist-map pair, of Morse index 0 and 1), each found by Newton on
+the exact gradient and Hessian of W.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from .variational import _action_terms, shift_inverse_all
 
 @dataclass
 class OrbitTrace:
-    """Iterated section states with their lifted angles and connecting arcs."""
+    """Iterated section states with their lifted angles and connecting arcs.
+
+    ``arcs`` is empty when the orbit was iterated with ``keep_arcs=False``
+    or on the closed-form circle path.  ``rotation_estimate`` is (rotation
+    number, error): the weighted Birkhoff average of the advances per
+    return and its gap to the average over the first half of them; (nan,
+    inf) with no return, an infinite error with one.
+    """
 
     states: List[BoundaryState]
     arcs: List[ArcSegment]
@@ -67,7 +75,12 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class CurveProbe:
-    """Fit of a long orbit by a single-valued curve I(xi) (invariant-curve test)."""
+    """Fit of a long orbit by a single-valued curve I(xi) (invariant-curve test).
+
+    ``rho_error`` is the orbit's rotation-number error (see
+    :class:`OrbitTrace`); it stays small on an invariant curve and stalls
+    on a chaotic orbit.
+    """
 
     target_rho: float
     seed_action: float
@@ -83,40 +96,51 @@ class CurveProbe:
 
 
 def iterate(initial: BoundaryState, n: int, profile: PerturbationProfile,
-            params: PhysParams, method: str = "auto") -> OrbitTrace:
+            params: PhysParams, method: str = "auto",
+            keep_arcs: bool = True) -> OrbitTrace:
     """Apply the return map up to ``n`` times, recording the lifted angles.
 
     Termination (total reflection, failed event detection) truncates the
     trace; the outcome is encoded in ``status`` rather than raised.  On the
     closed-form circle path the first return fixes the shift f + g, and the
-    remaining returns repeat it.
+    remaining returns repeat it.  With ``keep_arcs=False`` the trace holds
+    no arcs (``arcs == []``) and is otherwise the same: callers that read
+    only the section states skip keeping two arcs per return.
     """
-    states = [initial]
-    arcs: List[ArcSegment] = []
-    lifted = [float(initial.xi)]
-    status = "running"
-    s = initial
-    for _ in range(n):
+    states, arcs, lifted = [initial], [], [float(initial.xi)]
+    status = _advance(states, arcs, lifted, n, profile, params, method,
+                      keep_arcs)
+    return _trace(states, arcs, status, lifted)
+
+
+def _advance(states: List[BoundaryState], arcs: List[ArcSegment],
+             lifted: List[float], n: int, profile: PerturbationProfile,
+             params: PhysParams, method: str, keep_arcs: bool) -> str:
+    """Apply the return map up to ``n`` more times from ``states[-1]``,
+    appending to ``states``, ``lifted`` and (with ``keep_arcs``) ``arcs``;
+    the status the orbit ends in."""
+    for k in range(n):
         try:
-            res = return_map(s, profile, params, method=method)
+            res = return_map(states[-1], profile, params, method=method)
         except TotalReflectionTermination:
-            status = "total_reflection"
-            break
+            return "total_reflection"
         except BilliardError:
-            status = "failed"
-            break
-        s = res.state
+            return "failed"
         lifted.append(lifted[-1] + res.delta_xi)
-        states.append(s)
+        states.append(res.state)
         if not res.arcs:
             # closed form: the action is conserved, so is the shift
-            _repeat_shift(states, lifted, res.delta_xi, n - 1)
+            _repeat_shift(states, lifted, res.delta_xi, n - 1 - k)
             break
-        arcs.extend(res.arcs)
+        if keep_arcs:
+            arcs.extend(res.arcs)
+    return "running"
+
+
+def _trace(states: List[BoundaryState], arcs: List[ArcSegment], status: str,
+           lifted: List[float]) -> OrbitTrace:
     xis = np.array(lifted)
-    est = (math.nan, math.inf)
-    if len(xis) >= 2:
-        est = _rotation_with_error(xis)
+    est = _rotation_with_error(xis)
     return OrbitTrace(states=states, arcs=arcs, status=status,
                       xis_lifted=xis, rotation_estimate=est)
 
@@ -135,15 +159,32 @@ def _repeat_shift(states: List[BoundaryState], lifted: List[float],
         lifted.append(lift)
 
 
+def _birkhoff_mean(steps: np.ndarray) -> float:
+    """Weighted Birkhoff average of ``steps``: weights exp(-1/(t(1 - t)))
+    at t = (k + 1/2)/N, normalised (Das, Saiki, Sander & Yorke,
+    Nonlinearity 30, 2017).  On a quasi-periodic orbit it converges faster
+    than any power of 1/N."""
+    t = (np.arange(len(steps)) + 0.5) / len(steps)
+    w = np.exp(-1.0 / (t * (1.0 - t)))
+    return float(w @ steps / w.sum())
+
+
 def _rotation_with_error(xis: np.ndarray) -> Tuple[float, float]:
-    N = len(xis) - 1
-    K = max(N // 2, 1)
-    vals = (xis[K:] - xis[:-K]) / K
-    est = float(np.mean(vals))
-    q = max(len(vals) // 4, 1)
-    tail = vals[-q:]
-    err = float(max(tail.max() - tail.min(), 1e-14))
-    return est, err
+    """(rotation number, error) of the lifted angles ``xis``.
+
+    The rotation number is the weighted Birkhoff average of the N advances
+    per return; the error is its gap to the same average over the first N/2.
+    The gap stalls on a chaotic orbit.  (nan, inf) for no return, and an
+    infinite error for one return, which has no two halves.
+    """
+    steps = np.diff(xis)
+    N = len(steps)
+    if N == 0:
+        return math.nan, math.inf
+    est = _birkhoff_mean(steps)
+    if N < 2:
+        return est, math.inf
+    return est, abs(est - _birkhoff_mean(steps[:N // 2]))
 
 
 def rotation_number(trace: OrbitTrace) -> float:
@@ -151,7 +192,7 @@ def rotation_number(trace: OrbitTrace) -> float:
     if len(trace.states) < 2:
         raise InsufficientLength(
             "rotation number requires at least two section states")
-    return _rotation_with_error(trace.xis_lifted)[0]
+    return trace.rotation_estimate[0]
 
 
 # -- periodic orbits -------------------------------------------------------------
@@ -462,9 +503,14 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
 
     Seeds the action from the circular inverse of the shift (the root of
     largest twist |f' + g'|), refines it off the circle by a secant on the
-    rotation number measured over 1500 returns, iterates ``n_iter`` returns
-    and fits I as a truncated trigonometric polynomial of xi.  The fit
-    residual is the numeric evidence for (or against) a surviving curve.
+    rotation number measured over 300 returns, extends the secant's orbit
+    at the action it settles on to ``n_iter`` returns (or cuts it there),
+    and fits I as a truncated trigonometric polynomial of xi.  The fitted
+    orbit is bit for bit the fresh ``n_iter``-return orbit from that
+    action, and its arcs are not kept.  The fit residual is the numeric
+    evidence for (or against) a surviving curve; ``rho_error`` is the
+    N-versus-N/2 gap of the weighted Birkhoff average, which stalls on a
+    chaotic orbit.
     """
     roots = shift_inverse_all(target_rho, params)
     if not roots:
@@ -474,42 +520,60 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
     I0 = max(roots, key=lambda r: abs(circular_shift(r, params)
                                       .total_prime))
 
-    def measured(I, N):
-        tr = iterate(outgoing_state(0.0, I, profile, params), N, profile,
-                     params)
-        if tr.status != "running":
+    def running(trace):
+        if trace.status != "running":
             raise OrbitTerminated(
-                f"probe orbit terminated with status {tr.status!r}")
-        return tr, tr.rotation_estimate[0]
+                f"probe orbit terminated with status {trace.status!r}")
+        return trace
 
+    def measured(I, N):
+        return running(iterate(outgoing_state(0.0, I, profile, params), N,
+                               profile, params, keep_arcs=False))
+
+    # the circle needs no secant: its shift is exact at the seed action
+    N_ref = n_iter if profile.is_circle else 300
+    orbit = measured(I0, N_ref)
     if not profile.is_circle:
-        Ia, N_ref = I0, 1500
-        _, ra = measured(Ia, N_ref)
+        Ia, ra = I0, orbit.rotation_estimate[0]
         slope = circular_shift(I0, params).total_prime
         Ib = Ia + (target_rho - ra) / slope
         for _ in range(6):
             if abs(ra - target_rho) < 3e-5:
                 break
-            _, rb = measured(Ib, N_ref)
+            orbit_b = measured(Ib, N_ref)
+            rb = orbit_b.rotation_estimate[0]
             if abs(rb - ra) < 1e-15:
                 break
             Ia, ra, Ib = Ib, rb, Ib + (target_rho - rb) * (Ib - Ia) / (rb - ra)
+            orbit = orbit_b
         I0 = Ia
 
-    trace, rho = measured(I0, n_iter)
-    xs = np.array([s.xi for s in trace.states])
-    ys = np.array([s.action_I for s in trace.states])
+    # the orbit at the adopted action, cut or continued to n_iter returns
+    states = orbit.states[:n_iter + 1]
+    lifted = orbit.xis_lifted[:n_iter + 1].tolist()
+    status = _advance(states, [], lifted, n_iter + 1 - len(states), profile,
+                      params, "auto", False)
+    trace = running(_trace(states, [], status, lifted))
+    coef, resid = _curve_fit(trace.states, harmonics)
+    rho, rho_error = trace.rotation_estimate
+    return CurveProbe(target_rho=target_rho, seed_action=float(I0),
+                      measured_rho=rho, rho_error=rho_error,
+                      max_residual=resid, coefficients=coef,
+                      n_iter=len(trace.states) - 1, status=trace.status)
+
+
+def _curve_fit(states: Sequence[BoundaryState],
+               harmonics: int) -> Tuple[np.ndarray, float]:
+    """Least-squares fit of I by a trigonometric polynomial of xi of degree
+    ``harmonics`` over the states: (coefficients, max |residual|)."""
+    xs = np.array([s.xi for s in states])
+    ys = np.array([s.action_I for s in states])
     cols = [np.ones_like(xs)]
     for j in range(1, harmonics + 1):
         cols.extend([np.cos(j * xs), np.sin(j * xs)])
     A = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    resid = float(np.max(np.abs(A @ coef - ys)))
-    return CurveProbe(target_rho=target_rho, seed_action=float(I0),
-                      measured_rho=float(rho),
-                      rho_error=float(trace.rotation_estimate[1]),
-                      max_residual=resid, coefficients=coef,
-                      n_iter=len(trace.states) - 1, status=trace.status)
+    return coef, float(np.max(np.abs(A @ coef - ys)))
 
 
 def curve_eval(probe: CurveProbe, xi) -> np.ndarray:

@@ -13,12 +13,14 @@ from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
                          outgoing_state, potential, return_map,
                          returnmap, rotation_number, shift_inverse_all,
                          twist_at_zero)
+from refbilliard import orbits as orbits_module
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, DescentStalled,
                                 InsufficientLength, OrbitTerminated,
                                 RangeEmpty, ResidualTooLarge,
                                 TotalReflectionTermination)
-from refbilliard.orbits import _critical_cycle, _rotation_with_error
+from refbilliard.orbits import (_critical_cycle, _curve_fit,
+                                _rotation_with_error)
 
 
 def test_iterate_records_constant_shift_on_circle(fig1, circle):
@@ -178,6 +180,110 @@ def test_rotation_number_needs_two_states(fig1, circle):
     tr = iterate(st, 0, circle, fig1)
     with pytest.raises(InsufficientLength):
         rotation_number(tr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 4000])
+def test_birkhoff_rotation_on_circle_is_the_shift(fig1, circle, n):
+    I = 0.8
+    tr = iterate(outgoing_state(0.1, I, circle, fig1), n, circle, fig1)
+    assert tr.rotation_estimate[0] == pytest.approx(
+        circular_shift(I, fig1).total, abs=1e-12)
+
+
+def test_rotation_error_is_infinite_without_two_halves(fig1, circle):
+    """One return has no two halves to compare: no error bound, not a tiny
+    one.  From two returns on, a perturbed orbit reports a finite gap."""
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    for profile in (circle, wavy):
+        st = outgoing_state(0.0, 0.5, profile, fig1)
+        rho, err = iterate(st, 0, profile, fig1).rotation_estimate
+        assert math.isnan(rho) and err == math.inf
+        rho, err = iterate(st, 1, profile, fig1).rotation_estimate
+        assert math.isfinite(rho) and err == math.inf
+    for n in range(2, 8):
+        tr = iterate(outgoing_state(0.0, 0.5, wavy, fig1), n, wavy, fig1)
+        assert 1e-3 < tr.rotation_estimate[1] < 0.1
+
+
+@pytest.mark.parametrize("profile", [
+    PerturbationProfile(), PerturbationProfile.cos_profile(2, 0.01),
+    PerturbationProfile(fourier_cos=(0.0, 0.0, 0.6),
+                        fourier_sin=(0.0, 0.0, 0.8), epsilon=0.01)])
+def test_iterate_without_arcs_changes_nothing_else(fig1, profile):
+    st = outgoing_state(0.3, 0.5, profile, fig1)
+    full = iterate(st, 40, profile, fig1)
+    bare = iterate(st, 40, profile, fig1, keep_arcs=False)
+    assert bare.arcs == []
+    assert repr(_fields(bare.states)) == repr(_fields(full.states))
+    assert bare.xis_lifted.tolist() == full.xis_lifted.tolist()
+    assert bare.status == full.status == "running"
+    assert bare.rotation_estimate == full.rotation_estimate
+
+
+def _probe_with_its_orbit(monkeypatch, *args, **kwargs):
+    """Run the probe; return it and the last trace it built, the orbit it
+    fitted."""
+    built = []
+
+    def recorded(*a):
+        built.append(trace_of(*a))
+        return built[-1]
+
+    trace_of = orbits_module._trace
+    monkeypatch.setattr(orbits_module, "_trace", recorded)
+    probe = invariant_curve_probe(*args, **kwargs)
+    return probe, built[-1]
+
+
+def _assert_fits_a_fresh_orbit(probe, orbit, profile, params):
+    fresh = iterate(outgoing_state(0.0, probe.seed_action, profile, params),
+                    probe.n_iter, profile, params)
+    assert repr(_fields(orbit.states)) == repr(_fields(fresh.states))
+    assert orbit.xis_lifted.tolist() == fresh.xis_lifted.tolist()
+    coef, resid = _curve_fit(fresh.states, 32)
+    assert (probe.measured_rho, probe.rho_error) == fresh.rotation_estimate
+    assert probe.max_residual == resid
+    assert probe.coefficients.tolist() == coef.tolist()
+
+
+# 200 returns cut the 300-return secant orbit, 800 continue it
+@pytest.mark.parametrize("n_iter", [200, 800])
+def test_probe_fits_a_fresh_orbit_bit_for_bit(fig1, monkeypatch, n_iter):
+    wavy = PerturbationProfile.cos_profile(2, 1e-3)
+    probe, orbit = _probe_with_its_orbit(monkeypatch, golden_target(fig1),
+                                         wavy, fig1, n_iter=n_iter)
+    assert probe.n_iter == n_iter
+    _assert_fits_a_fresh_orbit(probe, orbit, wavy, fig1)
+
+
+def test_probe_keeps_the_older_orbit_when_the_secant_stalls(fig1,
+                                                            monkeypatch):
+    """A secant step that leaves the rotation number unchanged adopts the
+    older action, and the probe fits that action's orbit."""
+    wavy = PerturbationProfile.cos_profile(2, 1e-3)
+    target = golden_target(fig1)
+    seed = max(shift_inverse_all(target, fig1),
+               key=lambda r: abs(circular_shift(r, fig1).total_prime))
+    monkeypatch.setattr(orbits_module, "_birkhoff_mean", lambda steps: 0.0)
+    probe, orbit = _probe_with_its_orbit(monkeypatch, target, wavy, fig1,
+                                         n_iter=400)
+    assert probe.seed_action == seed
+    _assert_fits_a_fresh_orbit(probe, orbit, wavy, fig1)
+
+
+def test_birkhoff_rotation_converges_on_the_golden_orbit(fig1):
+    """On the probe's golden orbit the weighted average over 300 returns is
+    within 1e-9 of that over 5000."""
+    wavy = PerturbationProfile.cos_profile(2, 1e-3)
+    probe = invariant_curve_probe(golden_target(fig1), wavy, fig1,
+                                  n_iter=300)
+    xis = iterate(outgoing_state(0.0, probe.seed_action, wavy, fig1), 5000,
+                  wavy, fig1, keep_arcs=False).xis_lifted
+    rho_300 = _rotation_with_error(xis[:301])[0]
+    rho_5000, err_5000 = _rotation_with_error(xis)
+    assert rho_300 == probe.measured_rho
+    assert abs(rho_300 - rho_5000) < 1e-9
+    assert err_5000 < 1e-11
 
 
 def test_iterate_stops_on_total_reflection(fig1):
