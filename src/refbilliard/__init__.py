@@ -21,7 +21,7 @@ from .errors import (AntipodalEndpoints, BilliardError, DegenerateEnvelope,
                      InsufficientLength, OrbitTerminated, OutOfActionRange,
                      RangeEmpty, ResidualTooLarge, ShootingDiverged,
                      SingularityError, TangentialCrossing,
-                     TotalReflectionTermination, WindingChanged)
+                     TotalReflectionTermination)
 from .inner import (inner_arc_fixed_ends, inner_shift, kepler_elements,
                     levi_civita_propagate, transversality_bound)
 from .oracle import OracleReturn, ode_return_map

@@ -5,10 +5,9 @@ tests' reference, by grid search) and Newton shooting.
 
 Importing scipy.optimize takes longer than most CLI runs, and every
 one-variable root of the package (the circular shift inverse, the twist
-critical set, the fixed point, the exterior shift inverse) is a bracketed
-root of a closed form.  So :func:`brentq` is a port of scipy's, bit for
-bit, and only the ODE oracle loads scipy, for its own integrator and root
-finder.  The forwarders ``root`` and ``minimize`` below import scipy's
+critical set, the fixed point) is a bracketed root of a closed form.  So
+:func:`brentq` is a port of scipy's, bit for bit, and only the ODE oracle
+loads scipy, for its own integrator and root finder.  The forwarders ``root`` and ``minimize`` below import scipy's
 solvers on first call; nothing in the package calls them, and they stay
 only because the benchmark's traced runs resolve them by name.
 """

@@ -79,7 +79,7 @@ class PerturbationProfile:
     # -- profile evaluations --------------------------------------------------
     #
     # ``radius`` and ``radius_prime`` take a Python float on the math-only
-    # path of ``radius_and_slope``, and anything else as an array.
+    # path of ``radius_jet``, and anything else as an array.
 
     def shape(self, xi):
         """f(xi)."""
@@ -105,7 +105,7 @@ class PerturbationProfile:
     def radius(self, xi):
         """rho(xi) = 1 + eps f(xi)."""
         if isinstance(xi, (float, int)):
-            return self.radius_and_slope(xi)[0]
+            return self.radius_jet(xi)[0]
         if self.epsilon == 0.0:
             out = np.ones_like(np.asarray(xi, dtype=float))
             return out if np.ndim(out) else 1.0
@@ -114,34 +114,15 @@ class PerturbationProfile:
     def radius_prime(self, xi):
         """rho'(xi) = eps f'(xi)."""
         if isinstance(xi, (float, int)):
-            return self.radius_and_slope(xi)[1]
+            return self.radius_jet(xi)[1]
         if self.epsilon == 0.0:
             out = np.zeros_like(np.asarray(xi, dtype=float))
             return out if np.ndim(out) else 0.0
         return self.epsilon * self.shape_prime(xi)
 
-    def radius_and_slope(self, xi: float):
-        """(rho(xi), rho'(xi)) at a scalar angle, from one cos/sin pair per
-        harmonic; the cos terms are summed first, then the sin terms."""
-        if self.epsilon == 0.0:
-            return 1.0, 0.0
-        f = fp = 0.0
-        pairs = []
-        for k, a, ka, _ in self._cos_jet:
-            c, s = math.cos(k * xi), math.sin(k * xi)
-            pairs.append((c, s))
-            f += a * c
-            fp -= ka * s
-        for j, k, b, kb, _ in self._sin_jet:
-            c, s = pairs[j] if j >= 0 else (math.cos(k * xi),
-                                            math.sin(k * xi))
-            f += b * s
-            fp += kb * c
-        return 1.0 + self.epsilon * f, self.epsilon * fp
-
     def radius_jet(self, xi: float):
-        """(rho, rho', rho'') at a scalar angle, summed as in
-        :meth:`radius_and_slope`."""
+        """(rho, rho', rho'') at a scalar angle, from one cos/sin pair per
+        harmonic; the cos terms are summed first, then the sin terms."""
         if self.epsilon == 0.0:
             return 1.0, 0.0, 0.0
         f = fp = fpp = 0.0
@@ -258,7 +239,7 @@ def boundary(xi: float, profile: PerturbationProfile) -> BoundaryGeometry:
     if last_profile is profile and last_xi == xi and \
             math.copysign(1.0, last_xi) == math.copysign(1.0, xi):
         return last
-    rho, rhop = profile.radius_and_slope(xi)
+    rho, rhop, _ = profile.radius_jet(xi)
     e = complex(math.cos(xi), math.sin(xi))
     dgamma = (rhop + 1j * rho) * e
     m = abs(dgamma)

@@ -146,7 +146,7 @@ def _section_orbit(args) -> Tuple[np.ndarray, np.ndarray, str]:
     """One seed's orbit: xi and action_I of every state, and its status."""
     xi0, I0, iterations, profile, params = args
     trace = iterate(outgoing_state(xi0, I0, profile, params), iterations,
-                    profile, params, keep_arcs=False)
+                    profile, params)
     states = trace.states
     return (np.array([st.xi for st in states]),
             np.array([st.action_I for st in states]), trace.status)
@@ -196,8 +196,7 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
 def _cmd_orbit(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
     I0 = 0.5 * cfg.params.action_bound_Ic
     trace = iterate(outgoing_state(0.0, I0, cfg.profile, cfg.params),
-                    cfg.iterations, cfg.profile, cfg.params,
-                    method="geometric")
+                    cfg.iterations, cfg.profile, cfg.params, keep_arcs=True)
     rows = [(k, st.xi, st.action_I, trace.status)
             for k, st in enumerate(trace.states)]
     _write_csv(out, "orbit_trace.csv", ["k", "xi", "action_I", "status"], rows)

@@ -32,10 +32,6 @@ class ShootingDiverged(BilliardError):
     to converge."""
 
 
-class WindingChanged(BilliardError):
-    """A shot arc settled on a different winding branch than requested."""
-
-
 class OutOfActionRange(BilliardError):
     """Action outside the admissible band (-I_c, I_c) (or radius outside it)."""
 

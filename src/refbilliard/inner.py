@@ -15,7 +15,7 @@ from ._util import difference_slope, march_to_zero, shoot, wrap_pi
 from .arcs import ArcSegment, InnerConic, lc_flow
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
-                     SingularityError, TangentialCrossing, WindingChanged)
+                     SingularityError, TangentialCrossing)
 from .params import PhysParams, _as_complex, potential
 
 
@@ -95,8 +95,7 @@ def inner_shift(beta0: float, params: PhysParams) -> float:
 
 
 def levi_civita_propagate(z0, v0, params: PhysParams,
-                          profile: PerturbationProfile | None = None
-                          ) -> ArcSegment:
+                          profile: PerturbationProfile) -> ArcSegment:
     """Interior transit from boundary state ``(z0, v0)`` to its first exit.
 
     Runs in the Levi-Civita chart w^2 = z, where the flow is the linear
@@ -105,7 +104,6 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     special case.  Returns the :class:`ArcSegment` with endpoints, kinetic
     duration, lifted polar sweep and orbital elements.
     """
-    profile = profile or PerturbationProfile.circle()
     z0 = _as_complex(z0)
     v0 = _as_complex(v0)
     k, p, e, r_peri, th_peri, collision = _elements(z0, v0, params)
@@ -116,13 +114,7 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
     B = (w0.conjugate() * wd0).real / Om
     C = 0.5 * (abs(w0) ** 2 - abs(wd0) ** 2 / Om ** 2)
-
-    if profile.is_circle and abs(abs(z0) - 1.0) < 1e-12 and \
-            z0.real * v0.real + z0.imag * v0.imag < 0.0:
-        tau1 = -math.atanh(B / A) / Om
-    else:
-        tau1 = _exit_tau(w0, wd0, Om, A, B, C, profile, params)
-
+    tau1 = _exit_tau(w0, wd0, Om, A, B, C, profile, params)
     w1, wd1 = lc_flow(w0, wd0, Om, tau1)
     z1 = w1 * w1
     v1 = wd1 * w1 / abs(w1) ** 2
@@ -191,7 +183,7 @@ def _exit_tau(w0: complex, wd0: complex, Om: float, A: float, B: float,
         ch, sh = math.cosh(Om * tau), math.sinh(Om * tau)
         w = w0 * ch + wd0 * sh / Om
         r2 = w.real * w.real + w.imag * w.imag
-        rho, rhop = profile.radius_and_slope(2.0 * math.atan2(w.imag, w.real))
+        rho, rhop, _ = profile.radius_jet(2.0 * math.atan2(w.imag, w.real))
         # d|w|^2/dtau = 2 Om (A sinh 2 Om tau + B cosh 2 Om tau)
         return rho - r2, 2.0 * (L * rhop / r2 - Om * (
             2.0 * A * ch * sh + B * (ch * ch + sh * sh)))
@@ -220,7 +212,8 @@ def inner_arc_fixed_ends(xi0: float, xi1: float,
     difference is +-pi the two coincide and the orientation is ambiguous;
     pass ``lifted_sweep`` (the signed polar advance, |sweep| in (0, 2*pi))
     to resolve it — it overrides ``branch`` entirely.  Coinciding endpoints
-    give the radial collision ray.
+    give the radial collision ray.  Otherwise the entry angle is shot
+    (:func:`shoot`) on the transit's sweep from the unit-circle chord's.
     """
     delta = wrap_pi(xi1 - xi0)
     if lifted_sweep is not None:
@@ -247,25 +240,14 @@ def inner_arc_fixed_ends(xi0: float, xi1: float,
         vin = -speed * geom.point_c / abs(geom.point_c)
         return levi_civita_propagate(geom.point_c, vin, params, profile)
 
-    beta = _chord_entry_angle(sw, params)
-    if profile.is_circle:
-        arc = _launch(geom, beta, speed, profile, params)
-        return arc
-
-    target_wind = int(round((sw - delta) / (2.0 * math.pi)))
     lim = math.pi / 2 - 1e-9
 
     def resid(b):
         return _launch(geom, b, speed, profile, params).sweep - sw
 
-    beta = shoot(difference_slope(resid, lim), beta, -lim, lim, 1e-11,
-                 "interior arc")
-    arc = _launch(geom, beta, speed, profile, params)
-    if arc.conic.winding != target_wind:
-        raise WindingChanged(
-            f"converged arc winds {arc.conic.winding} times, "
-            f"expected {target_wind}")
-    return arc
+    beta = shoot(difference_slope(resid, lim), _chord_entry_angle(sw, params),
+                 -lim, lim, 1e-11, "interior arc")
+    return _launch(geom, beta, speed, profile, params)
 
 
 def _launch(geom, beta: float, speed: float, profile: PerturbationProfile,

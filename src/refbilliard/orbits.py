@@ -35,11 +35,11 @@ from .variational import _action_terms, shift_inverse_all
 class OrbitTrace:
     """Iterated section states with their lifted angles and connecting arcs.
 
-    ``arcs`` is empty when the orbit was iterated with ``keep_arcs=False``
-    or on the closed-form circle path.  ``rotation_estimate`` is (rotation
-    number, error): the weighted Birkhoff average of the advances per
-    return and its gap to the average over the first half of them; (nan,
-    inf) with no return, an infinite error with one.
+    ``arcs`` is empty unless the orbit was iterated with ``keep_arcs=True``.
+    ``rotation_estimate`` is (rotation number, error): the weighted
+    Birkhoff average of the advances per return and its gap to the average
+    over the first half of them; (nan, inf) with no return, an infinite
+    error with one.
     """
 
     states: List[BoundaryState]
@@ -96,29 +96,28 @@ class CurveProbe:
 
 
 def iterate(initial: BoundaryState, n: int, profile: PerturbationProfile,
-            params: PhysParams, method: str = "auto",
-            keep_arcs: bool = True) -> OrbitTrace:
+            params: PhysParams, keep_arcs: bool = False) -> OrbitTrace:
     """Apply the return map up to ``n`` times, recording the lifted angles.
 
     Termination (total reflection, failed event detection) truncates the
-    trace; the outcome is encoded in ``status`` rather than raised.  On the
-    closed-form circle path the first return fixes the shift f + g, and the
-    remaining returns repeat it.  With ``keep_arcs=False`` the trace holds
-    no arcs (``arcs == []``) and is otherwise the same: callers that read
-    only the section states skip keeping two arcs per return.
+    trace; the outcome is encoded in ``status`` rather than raised.  With
+    ``keep_arcs`` every return takes the geometric path, on the circle too,
+    and the trace keeps its two arcs.  Without, the trace holds no arcs
+    (``arcs == []``), and on the circle the first return fixes the
+    closed-form shift f + g, which the remaining returns repeat.
     """
     states, arcs, lifted = [initial], [], [float(initial.xi)]
-    status = _advance(states, arcs, lifted, n, profile, params, method,
-                      keep_arcs)
+    status = _advance(states, arcs, lifted, n, profile, params, keep_arcs)
     return _trace(states, arcs, status, lifted)
 
 
 def _advance(states: List[BoundaryState], arcs: List[ArcSegment],
              lifted: List[float], n: int, profile: PerturbationProfile,
-             params: PhysParams, method: str, keep_arcs: bool) -> str:
+             params: PhysParams, keep_arcs: bool) -> str:
     """Apply the return map up to ``n`` more times from ``states[-1]``,
     appending to ``states``, ``lifted`` and (with ``keep_arcs``) ``arcs``;
     the status the orbit ends in."""
+    method = "geometric" if keep_arcs else "auto"
     for k in range(n):
         try:
             res = return_map(states[-1], profile, params, method=method)
@@ -229,22 +228,18 @@ def _circular_orbits(m: int, n: int, roots: Sequence[float],
                      params: PhysParams,
                      profile: PerturbationProfile) -> List[PeriodicOrbit]:
     """The (m, n) orbit of each action in ``roots`` on the circle."""
-    orbits = []
-    for r in roots:
-        res_xi, res_I, xis, acts = _map_residual(0.0, r, m, n, profile,
-                                                 params)
-        orbits.append(PeriodicOrbit(
-            m=m, n=n, xis=xis[:-1], actions=acts[:-1],
-            residual=max(abs(res_xi), abs(res_I)),
-            kind="circular", grad_norm=0.0))
-    return orbits
+    return [_orbit_from_cycle(0.0, r, m, n, profile, params, "circular", 0.0)
+            for r in roots]
 
 
-def _orbit_from_cycle(cycle: np.ndarray, action_I0: float, m: int, n: int,
+def _orbit_from_cycle(xi0: float, action_I0: float, m: int, n: int,
                       profile: PerturbationProfile, params: PhysParams,
-                      kind: str, grad_norm: float) -> PeriodicOrbit:
-    res_xi, res_I, xis, acts = _map_residual(float(cycle[0]), action_I0,
-                                             m, n, profile, params)
+                      kind: str, grad_norm: float = math.nan
+                      ) -> PeriodicOrbit:
+    """The (m, n) orbit of the map from ``(xi0, action_I0)``, with its
+    periodicity residual."""
+    res_xi, res_I, xis, acts = _map_residual(xi0, action_I0, m, n, profile,
+                                             params)
     return PeriodicOrbit(m=m, n=n, xis=xis[:-1], actions=acts[:-1],
                          residual=max(abs(res_xi), abs(res_I)), kind=kind,
                          grad_norm=grad_norm)
@@ -279,7 +274,6 @@ def _newton_fixed_points(m: int, profile: PerturbationProfile,
     action at 16 angles.
     """
     orbits: List[PeriodicOrbit] = []
-    found: List[Tuple[float, float]] = []
     Ic = params.action_bound_Ic
     for I_seed in seeds_I:
         for xi_seed in np.linspace(-math.pi, math.pi, 16, endpoint=False):
@@ -291,20 +285,17 @@ def _newton_fixed_points(m: int, profile: PerturbationProfile,
             if abs(I_s) >= Ic * (1 - 1e-9):
                 continue
             try:
-                rx, rI, xis, acts = _map_residual(xi_s, I_s, m, 1, profile,
-                                                  params)
+                orb = _orbit_from_cycle(xi_s, I_s, m, 1, profile, params,
+                                        "map-newton")
             except BilliardError:
                 continue
-            resid = max(abs(rx), abs(rI))
-            if resid > 1e-8:
+            if orb.residual > 1e-8:
                 continue
             # the cycle distance of two period-1 orbits, in floats
-            if all(max(abs(wrap_pi(xi_s - x)), abs(I_s - a)) > 1e-6
-                   for x, a in found):
-                found.append((xi_s, I_s))
-                orbits.append(PeriodicOrbit(
-                    m=m, n=1, xis=xis[:-1], actions=acts[:-1],
-                    residual=resid, kind="map-newton"))
+            if all(max(abs(wrap_pi(xi_s - float(o.xis[0]))),
+                       abs(I_s - float(o.actions[0]))) > 1e-6
+                   for o in orbits):
+                orbits.append(orb)
     return sorted(orbits, key=lambda o: (wrap_pi(float(o.xis[0])),
                                          float(o.actions[0])))
 
@@ -383,8 +374,8 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
             x, I0, g_max = _critical_cycle(base + index * math.pi / (2 * n),
                                            index, m, n, profile, params,
                                            I_seed)
-            orb = _orbit_from_cycle(x, I0, m, n, profile, params, kind,
-                                    g_max)
+            orb = _orbit_from_cycle(float(x[0]), I0, m, n, profile, params,
+                                    kind, g_max)
         except BilliardError:
             if index == 0:
                 raise
@@ -528,7 +519,7 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
 
     def measured(I, N):
         return running(iterate(outgoing_state(0.0, I, profile, params), N,
-                               profile, params, keep_arcs=False))
+                               profile, params))
 
     # the circle needs no secant: its shift is exact at the seed action
     N_ref = n_iter if profile.is_circle else 300
@@ -552,7 +543,7 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
     states = orbit.states[:n_iter + 1]
     lifted = orbit.xis_lifted[:n_iter + 1].tolist()
     status = _advance(states, [], lifted, n_iter + 1 - len(states), profile,
-                      params, "auto", False)
+                      params, False)
     trace = running(_trace(states, [], status, lifted))
     coef, resid = _curve_fit(trace.states, harmonics)
     rho, rho_error = trace.rotation_estimate

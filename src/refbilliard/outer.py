@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ._util import (brentq, difference_slope, march_to_zero, shoot,
-                    wrap_pi)
+from ._util import difference_slope, march_to_zero, shoot, wrap_pi
 from .arcs import ArcSegment, OuterConic, osc_flow
 from .boundary import PerturbationProfile, boundary
 from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
@@ -81,15 +80,16 @@ def outer_shift_inverse(theta: float, params: PhysParams) -> float:
     """Launch angle whose exterior arc advances the polar angle by ``theta``.
 
     The shift is an odd, strictly increasing bijection (-pi/2, pi/2) ->
-    (-pi, pi), so the inverse exists for |theta| < pi.
+    (-pi, pi), so the inverse exists for |theta| < pi.  cot theta =
+    (om/K + cos 2 alpha)/sin 2 alpha with K = 2E - om (see
+    :func:`outer_shift`) gives sin(2 alpha - theta) = (om/K) sin theta.
     """
     if abs(theta) >= math.pi:
         raise DomainError("exterior arcs advance the angle by less than pi")
-    if theta == 0.0:
-        return 0.0
     t = abs(theta)
-    a = brentq(lambda al: outer_shift(al, params) - t,
-               1e-300, math.pi / 2 - 1e-15, xtol=1e-15, rtol=8.9e-16)
+    om = params.stiffness_om
+    a = 0.5 * (t + math.asin(om / (2.0 * params.energy_E - om) *
+                             math.sin(t)))
     return math.copysign(a, theta)
 
 
@@ -150,22 +150,12 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
     v0 = speed * (math.cos(alpha) * geom.normal_c +
                   math.sin(alpha) * geom.tangent_c)
     w = params.omega
-
-    on_circle = profile.is_circle and abs(abs(p0) - 1.0) < 1e-12
-    if on_circle:
-        om = params.stiffness_om
-        B1 = (om * abs(p0) ** 2 - abs(v0) ** 2) / (2.0 * om)
-        B2 = (p0.real * v0.real + p0.imag * v0.imag) / w
-        s1 = -math.atan2(-B2, B1) / w
-        sweep = outer_shift(alpha, params)
-    else:
-        s1 = _exit_time(p0, v0, w, profile)
+    s1 = _exit_time(p0, v0, w, profile)
     z1, v1 = osc_flow(p0, v0, w, s1)
-    if not on_circle:
-        sweep = _exterior_sweep(p0, v0, z1, w, s1)
     xi1 = wrap_pi(math.atan2(z1.imag, z1.real))
     return ArcSegment(region="outer", p0=p0, v0=v0, p1=z1, v1=v1,
-                      duration=s1, sweep=sweep, xi0=wrap_pi(xi0), xi1=xi1,
+                      duration=s1, sweep=_exterior_sweep(p0, v0, z1, w, s1),
+                      xi0=wrap_pi(xi0), xi1=xi1,
                       conic=None, par=(w, s1))
 
 
@@ -208,7 +198,7 @@ def _exit_time(p0: complex, v0: complex, w: float,
     def clearance(s):
         z, v = osc_flow(p0, v0, w, s)
         r = abs(z)
-        rho, rhop = profile.radius_and_slope(math.atan2(z.imag, z.real))
+        rho, rhop, _ = profile.radius_jet(math.atan2(z.imag, z.real))
         r_dot = (z.real * v.real + z.imag * v.imag) / r
         return r - rho, r_dot - rhop * w * k / (r * r)
 
@@ -252,22 +242,19 @@ def outer_arc_fixed_ends(xi0: float, xi1: float,
     """Exterior arc joining boundary angles ``xi0`` -> ``xi1``.
 
     ``lifted_delta`` fixes the signed polar advance when it differs from the
-    wrapped difference xi1 - xi0.  On the circle this inverts the shift in
-    closed form; otherwise the launch angle is shot (:func:`shoot`) on the
-    transit's sweep.
+    wrapped difference xi1 - xi0.  The launch angle is shot (:func:`shoot`)
+    on the transit's sweep from the circle's closed-form inverse.
     """
     delta = wrap_pi(xi1 - xi0) if lifted_delta is None else float(lifted_delta)
     if abs(delta) >= math.pi - 1e-9:
         raise AntipodalEndpoints(
             "exterior arcs cannot advance the polar angle by +-pi")
-    alpha = outer_shift_inverse(delta, params)
-    if profile.is_circle:
-        return outer_transit(xi0, alpha, profile, params)
 
     def resid(a):
         return outer_transit(xi0, a, profile, params).sweep - delta
 
     lim = math.pi / 2 - 1e-9
-    alpha = shoot(difference_slope(resid, lim), alpha, -lim, lim, 1e-12,
+    alpha = shoot(difference_slope(resid, lim),
+                  outer_shift_inverse(delta, params), -lim, lim, 1e-12,
                   "exterior arc")
     return outer_transit(xi0, alpha, profile, params)

@@ -20,7 +20,7 @@ from ._util import brentq, sign_change_brackets, wrap_pi
 from .arcs import ArcSegment, lc_flow, osc_flow
 from .boundary import BoundaryGeometry, PerturbationProfile, boundary
 from .errors import (DomainError, NoFixedPoint, OutOfActionRange,
-                     TangentialCrossing, TotalReflectionTermination)
+                     TotalReflectionTermination)
 from .inner import levi_civita_propagate
 from .outer import outer_transit
 from .params import PhysParams, potential
@@ -260,7 +260,9 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
     ``method`` "auto" takes the circular closed form exactly when the
     profile is the circle; "geometric" composes the arcs and refractions
     explicitly on any profile.  Raises :class:`TotalReflectionTermination`
-    when the interior ray exceeds the critical angle at its exit point.
+    when the interior ray exceeds the critical angle at its exit point, and
+    :class:`TangentialCrossing` (from :func:`outer_transit`) on a launch
+    within 1e-9 of the tangent.
     """
     if method not in ("auto", "geometric"):
         raise ValueError(f"unknown method {method!r}")
@@ -270,8 +272,6 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
                             action_I=state.action_I, alpha=state.alpha)
         return MapResult(state=new, delta_xi=shift.total, arcs=())
 
-    if abs(state.alpha) > math.pi / 2 - 1e-9:
-        raise TangentialCrossing("outgoing ray is tangential to the boundary")
     outer_arc = outer_transit(state.xi, state.alpha, profile, params)
     z_in, v_in = _refract_entry(outer_arc, profile, params)
     inner_arc = levi_civita_propagate(z_in, v_in, params, profile)

@@ -15,6 +15,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+#: canvas size and frame margin, in pixels
+WIDTH, HEIGHT, MARGIN = 640, 480, 60
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 
@@ -46,9 +49,6 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
 class SvgCanvas:
     """Collects labelled polylines and writes one framed SVG plot."""
 
-    width: int = 640
-    height: int = 480
-    margin: int = 60
     title: str = ""
     equal_aspect: bool = False
     _curves: List[Tuple[np.ndarray, np.ndarray, str]] = \
@@ -80,8 +80,8 @@ class SvgCanvas:
         padx, pady = 0.04 * (x1 - x0), 0.04 * (y1 - y0)
         x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
         if self.equal_aspect:
-            vw = self.width - 2 * self.margin
-            vh = self.height - 2 * self.margin
+            vw = WIDTH - 2 * MARGIN
+            vh = HEIGHT - 2 * MARGIN
             sx, sy = (x1 - x0) / vw, (y1 - y0) / vh
             s = max(sx, sy)
             cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
@@ -91,7 +91,7 @@ class SvgCanvas:
 
     def render(self, xlabel: str = "x", ylabel: str = "y") -> str:
         x0, x1, y0, y1 = self._bounds()
-        W, H, M = self.width, self.height, self.margin
+        W, H, M = WIDTH, HEIGHT, MARGIN
 
         # scalars (ticks) and arrays (curves) go through the same float
         # operations in the same order

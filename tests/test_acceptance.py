@@ -114,7 +114,7 @@ def test_criterion_07_tangent_circle_radii_and_tangency(fig1, circle):
     R_E, R_I = circular_caustic_radii(1.0, fig1)
 
     trace = iterate(outgoing_state(0.1, 1.0, circle, fig1), 200, circle,
-                    fig1, method="geometric")
+                    fig1, keep_arcs=True)
     assert trace.status == "running"
     apo = [a.extremal_radius()[0] for a in trace.arcs if a.region == "outer"]
     peri = [a.extremal_radius()[0] for a in trace.arcs if a.region == "inner"]

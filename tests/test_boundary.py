@@ -186,7 +186,7 @@ def test_scalar_evaluations_equal_the_per_term_sums(cos, sin, eps, xi):
                                epsilon=eps)
     ref = _per_term_jet(prof, xi)
     assert prof.radius_jet(xi) == ref
-    assert prof.radius_and_slope(xi) == ref[:2]
+    assert (prof.radius(xi), prof.radius_prime(xi)) == ref[:2]
 
 
 # -- the last-frame memo of boundary() -----------------------------------------

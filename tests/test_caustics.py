@@ -20,7 +20,7 @@ def test_circular_radii_match_sampled_trajectory(fig1, circle):
     I0 = 1.0
     R_E, R_I = circular_caustic_radii(I0, fig1)
     tr = iterate(outgoing_state(0.0, I0, circle, fig1), 3, circle, fig1,
-                 method="geometric")
+                 keep_arcs=True)
     outer = next(a for a in tr.arcs if a.region == "outer")
     inner = next(a for a in tr.arcs if a.region == "inner")
     # oracle: extremal radius by dense sampling of the flows themselves
@@ -191,7 +191,7 @@ def test_perturbed_caustic_reports_a_missing_envelope(fig1):
 def test_tangency_of_integrable_orbits(fig1, circle):
     I0 = 1.0
     tr = iterate(outgoing_state(0.2, I0, circle, fig1), 40, circle, fig1,
-                 method="geometric")
+                 keep_arcs=True)
     for kind in ("outer", "inner"):
         c = perturbed_caustic(I0, kind, circle, fig1, n_base=128)
         assert tangency_check(tr, c) < 1e-9

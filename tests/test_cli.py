@@ -10,7 +10,7 @@ import pytest
 
 from refbilliard import ConfigError, RunConfig, parse_config
 from refbilliard.cli import _write_csv, main
-from refbilliard.svgplot import SvgCanvas, _fmt
+from refbilliard.svgplot import HEIGHT, MARGIN, WIDTH, SvgCanvas, _fmt
 
 BASE = """\
 [params]
@@ -432,8 +432,8 @@ def reference_bounds(canvas):
     padx, pady = 0.04 * (x1 - x0), 0.04 * (y1 - y0)
     x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
     if canvas.equal_aspect:
-        vw = canvas.width - 2 * canvas.margin
-        vh = canvas.height - 2 * canvas.margin
+        vw = WIDTH - 2 * MARGIN
+        vh = HEIGHT - 2 * MARGIN
         s = max((x1 - x0) / vw, (y1 - y0) / vh)
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         x0, x1 = cx - 0.5 * s * vw, cx + 0.5 * s * vw
@@ -444,7 +444,7 @@ def reference_bounds(canvas):
 def reference_points(canvas):
     """Each curve's points attribute, one ``_fmt`` call per coordinate."""
     x0, x1, y0, y1 = reference_bounds(canvas)
-    W, H, M = canvas.width, canvas.height, canvas.margin
+    W, H, M = WIDTH, HEIGHT, MARGIN
     return [" ".join(
         f"{_fmt(M + (x - x0) / (x1 - x0) * (W - 2 * M))},"
         f"{_fmt(H - M - (y - y0) / (y1 - y0) * (H - 2 * M))}"

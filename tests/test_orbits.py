@@ -36,13 +36,14 @@ def test_iterate_records_constant_shift_on_circle(fig1, circle):
         circular_shift(I, fig1).total, abs=1e-12)
 
 
-def _iterate_by_hand(state, n, profile, params, between=None):
+def _iterate_by_hand(state, n, profile, params, between=None,
+                     method="auto"):
     """One return_map call per return: the reference for iterate.
     ``between()``, when given, runs after every return."""
     states, lifted, status = [state], [float(state.xi)], "running"
     for _ in range(n):
         try:
-            res = return_map(states[-1], profile, params)
+            res = return_map(states[-1], profile, params, method=method)
         except TotalReflectionTermination:
             status = "total_reflection"
             break
@@ -131,7 +132,7 @@ def test_iterate_on_a_perturbed_profile_equals_a_loop_of_return_map(
         boundary(side[-1].xi, wavy)
 
     st = outgoing_state(xi0, share * fig1.action_bound_Ic, wavy, fig1)
-    tr = iterate(st, 60, wavy, fig1)
+    tr = iterate(st, 60, wavy, fig1, keep_arcs=True)
     states, lifted, status = _iterate_by_hand(
         st, 60, wavy, fig1, elsewhere if interleave else None)
     assert tr.status == status
@@ -153,26 +154,16 @@ def test_iterate_on_circle_fails_beyond_the_action_bound(fig1, circle,
 
 
 def test_iterate_with_no_returns_evaluates_nothing(fig1, circle):
-    # a state beyond the action bound and an unknown method both fail on
-    # the first return, so zero returns never see them
+    # a state beyond the action bound fails on the first return, on either
+    # path, so zero returns never see it
     wavy = PerturbationProfile.cos_profile(2, 0.01)
     beyond = BoundaryState(xi=0.3, action_I=2.0 * fig1.action_bound_Ic,
                            alpha=0.1)
-    for profile, method in [(circle, "auto"), (circle, "fast"),
-                            (wavy, "fast")]:
-        tr = iterate(beyond, 0, profile, fig1, method=method)
+    for profile, keep_arcs in [(circle, False), (circle, True),
+                               (wavy, False)]:
+        tr = iterate(beyond, 0, profile, fig1, keep_arcs=keep_arcs)
         assert tr.states == [beyond]
         assert tr.status == "running"
-
-
-def test_iterate_closed_form_still_rejects_bad_requests(fig1, circle):
-    # the closed-form shortcut still goes through return_map's checks
-    wavy = PerturbationProfile.cos_profile(2, 0.01)
-    for profile in (circle, wavy):
-        st = outgoing_state(0.3, 0.5, profile, fig1)
-        for method in ("fast", "closed"):
-            with pytest.raises(ValueError, match="unknown method"):
-                iterate(st, 3, profile, fig1, method=method)
 
 
 def test_rotation_number_needs_two_states(fig1, circle):
@@ -210,13 +201,24 @@ def test_rotation_error_is_infinite_without_two_halves(fig1, circle):
     PerturbationProfile(fourier_cos=(0.0, 0.0, 0.6),
                         fourier_sin=(0.0, 0.0, 0.8), epsilon=0.01)])
 def test_iterate_without_arcs_changes_nothing_else(fig1, profile):
+    """With arcs every return is the geometric map's, on the circle too.
+    Off the circle the trace without arcs is the same orbit, bit for bit;
+    on the circle it repeats the closed form, within 1e-11 of the march."""
     st = outgoing_state(0.3, 0.5, profile, fig1)
-    full = iterate(st, 40, profile, fig1)
-    bare = iterate(st, 40, profile, fig1, keep_arcs=False)
+    full = iterate(st, 40, profile, fig1, keep_arcs=True)
+    bare = iterate(st, 40, profile, fig1)
+    states, lifted, status = _iterate_by_hand(st, 40, profile, fig1,
+                                              method="geometric")
+    assert repr(_fields(full.states)) == repr(_fields(states))
+    assert full.xis_lifted.tolist() == lifted
+    assert len(full.arcs) == 80
     assert bare.arcs == []
+    assert bare.status == full.status == status == "running"
+    if profile.is_circle:
+        assert np.max(np.abs(bare.xis_lifted - full.xis_lifted)) < 1e-11
+        return
     assert repr(_fields(bare.states)) == repr(_fields(full.states))
     assert bare.xis_lifted.tolist() == full.xis_lifted.tolist()
-    assert bare.status == full.status == "running"
     assert bare.rotation_estimate == full.rotation_estimate
 
 

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies
 from scipy.optimize import brentq as scipy_brentq
 
-from refbilliard import (PerturbationProfile, action_of_velocity,
+from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
                          circular_shift, find_nonhomothetic_fixed_point,
                          fixed_point_thresholds, outgoing_state,
                          outgoing_velocity, return_map, total_shift_grid,
                          twist_at_zero, twist_critical_set)
-from refbilliard.errors import DomainError, NoFixedPoint, OutOfActionRange
+from refbilliard._util import wrap_pi
+from refbilliard.errors import (DomainError, NoFixedPoint, OutOfActionRange,
+                                TangentialCrossing)
 from refbilliard.returnmap import _fixed_point_bracket
 
 
@@ -124,19 +128,49 @@ def test_total_shift_grid_matches_scalar_form(fig1):
         total_shift_grid(np.array([0.0, fig1.action_bound_Ic]), fig1)
 
 
-def test_fast_and_geometric_paths_agree_on_circle(fig1, circle):
-    for I in np.linspace(-1.3, 1.3, 9):
-        st = outgoing_state(0.37, I, circle, fig1)
-        fast = return_map(st, circle, fig1)
-        geo = return_map(st, circle, fig1, method="geometric")
-        assert geo.state.xi == pytest.approx(fast.state.xi, abs=1e-12)
-        assert geo.delta_xi == pytest.approx(fast.delta_xi, abs=1e-12)
-        assert geo.state.action_I == pytest.approx(I, abs=1e-12)
-        assert fast.arcs == ()
-        assert len(geo.arcs) == 2
+# the trajectory-example set and its light-mass variant (mu = 0.5)
+_CIRCLE_PARAMS = [PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=mu,
+                             stiffness_om=1.0) for mu in (2.0, 0.5)]
+
+
+@given(params=strategies.sampled_from(_CIRCLE_PARAMS),
+       xi=strategies.floats(-math.pi, math.pi),
+       share=strategies.floats(-0.9999, 0.9999))
+@example(params=_CIRCLE_PARAMS[0], xi=0.37, share=0.0)
+@example(params=_CIRCLE_PARAMS[1], xi=-3.0, share=-0.9999)
+def test_fast_and_geometric_paths_agree_on_circle(params, xi, share):
+    """The geometric map marches the circle like any profile; it lands on
+    the closed form f + g.  At an action as small as 1e-12 the interior arc
+    counts as a collision ray and drops g(I) ~ g'(0) I, so 0 < |I| < 1e-9
+    is left out."""
+    I = share * params.action_bound_Ic
+    assume(not 0.0 < abs(I) < 1e-9)
+    circle = PerturbationProfile.circle()
+    state = outgoing_state(xi, I, circle, params)
+    fast = return_map(state, circle, params)
+    geo = return_map(state, circle, params, method="geometric")
+    assert abs(wrap_pi(geo.state.xi - fast.state.xi)) < 1e-12
+    assert geo.delta_xi == pytest.approx(fast.delta_xi, abs=1e-12)
+    assert geo.state.action_I == pytest.approx(I, abs=1e-12)
     # auto picks the closed form on the circle
-    st = outgoing_state(0.0, 0.5, circle, fig1)
-    assert return_map(st, circle, fig1).arcs == ()
+    assert fast.arcs == ()
+    assert len(geo.arcs) == 2
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    for profile in (circle, wavy):
+        for method in ("fast", "closed"):
+            with pytest.raises(ValueError, match="unknown method"):
+                return_map(state, profile, params, method=method)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_geometric_map_rejects_a_tangential_launch(fig1, eps):
+    """The exterior transit refuses a launch within 1e-9 of the tangent, so
+    the geometric map raises its TangentialCrossing, on the circle too."""
+    prof = PerturbationProfile.cos_profile(2, eps)
+    for alpha in (math.pi / 2 - 5e-10, -math.pi / 2):
+        state = outgoing_state(0.4, 0.0, prof, fig1)._replace(alpha=alpha)
+        with pytest.raises(TangentialCrossing):
+            return_map(state, prof, fig1, method="geometric")
 
 
 def test_return_map_rotates_by_total_shift(fig1, circle):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from refbilliard import _util, outer, returnmap, variational
+from refbilliard import _util, returnmap, variational
 from refbilliard._util import brentq, shoot, sign_change_brackets, wrap_pi
 from refbilliard.errors import NoFixedPoint, ShootingDiverged
 
@@ -140,7 +140,7 @@ def scipy_checked(monkeypatch):
         assert x == scipy_brentq(f, a, b, **kw)
         roots.append(x)
         return x
-    for module in (variational, returnmap, outer):
+    for module in (variational, returnmap):
         assert module.brentq is brentq
         monkeypatch.setattr(module, "brentq", checked)
     return roots
@@ -172,13 +172,6 @@ def test_fixed_point_matches_scipy(request, scipy_checked):
         except NoFixedPoint:
             pass
     assert len(scipy_checked) == 2  # fig2_mu44 and fig4
-
-
-def test_outer_shift_inverse_matches_scipy(request, scipy_checked):
-    for params in _each_param_set(request):
-        for theta in (1e-6, 0.3, -1.7, 3.1):
-            outer.outer_shift_inverse(theta, params)
-    assert len(scipy_checked) == 4 * len(PARAM_SETS)
 
 
 # -- shooting -------------------------------------------------------------------
