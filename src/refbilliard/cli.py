@@ -13,7 +13,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, compress, repeat
+from itertools import chain
 from time import perf_counter
 from typing import Iterable, List, Sequence, Tuple
 
@@ -41,35 +41,81 @@ def _num(v: float) -> str:
 _QUOTED = re.compile('[,"\r\n]')
 
 
+#: a cell of these types is a column: it stands for one cell per row
+_COLUMN_TYPES = (range, list, np.ndarray)
+
+
 def _write_csv(out: str, name: str, header: Sequence[str],
-               rows: Iterable[Sequence]) -> None:
-    """Stream ``header`` and ``rows`` to ``out``/``name`` as CSV, numbers
+               blocks: Iterable[Sequence]) -> None:
+    """Stream ``header`` and ``blocks`` to ``out``/``name`` as CSV, numbers
     as ``%.12g``, strings as they are, and print the ``wrote`` line.
 
-    Each row is one ``%`` operation on a format built from its cell types,
-    rebuilt when the types change.  A row that csv would quote (a string
-    cell holding a delimiter, quote or line break, or a lone empty field)
-    goes through :mod:`csv` instead, so the bytes are those of
-    ``csv.writer`` on the formatted cells.
+    A block is a row whose cells may be columns (a ``range``, a list or a
+    1-D array, all of one length); it stands for ``len(column)`` rows, its
+    scalar cells repeated on each.  A row of scalars is a block of one row.
+    Each scalar is formatted once into a ``%`` format, which then formats
+    the block's rows from its columns.  A block that csv would quote (a
+    string cell holding a delimiter, quote or line break, or a lone empty
+    field) goes through :mod:`csv` instead, so the bytes are those of
+    ``csv.writer`` on the formatted cells of the expanded rows.
     """
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        types = None
-        for row in chain((header,), rows):
-            row = tuple(row)
-            row_types = tuple(map(type, row))
-            if row_types != types:
-                types = row_types
-                is_text = [issubclass(t, str) for t in types]
-                fmt = ",".join("%s" if s else "%.12g" for s in is_text) + "\n"
-            if row == ("",) or any(map(_QUOTED.search,
-                                       compress(row, is_text))):
-                writer.writerow([c if isinstance(c, str) else _num(c)
-                                 for c in row])
-            else:
-                fh.write(fmt % row)
+        for block in chain((header,), blocks):
+            _write_block(fh, writer, tuple(block))
     print(f"wrote {path}")
+
+
+def _column(cell) -> Tuple[Sequence, str, bool]:
+    """A column cell's values, its ``%`` piece, and whether csv must write
+    it (a string that csv quotes, or strings among numbers)."""
+    if isinstance(cell, range):
+        # below 1e12 an int's %.12g is its digits, which %d writes sooner
+        small = not cell or max(abs(cell[0]), abs(cell[-1])) < 10 ** 12
+        return cell, "%d" if small else "%.12g", False
+    if isinstance(cell, np.ndarray):
+        numeric = cell.dtype.kind in "biuf"
+        cell = cell.tolist()
+        if numeric:
+            return cell, "%.12g", False
+    text = {issubclass(t, str) for t in set(map(type, cell))}
+    if text == {True}:
+        return cell, "%s", any(map(_QUOTED.search, set(cell)))
+    return cell, "%.12g", True in text
+
+
+def _write_block(fh, writer, block: tuple) -> None:
+    """Write the rows ``block`` stands for (see :func:`_write_csv`)."""
+    is_column = [isinstance(c, _COLUMN_TYPES) for c in block]
+    columns, pieces, quoted = [], [], False
+    for cell, column in zip(block, is_column):
+        if column:
+            values, piece, needs_csv = _column(cell)
+            columns.append(values)
+        elif isinstance(cell, str):
+            piece = cell.replace("%", "%%")
+            needs_csv = _QUOTED.search(cell) is not None
+        else:
+            piece, needs_csv = _num(cell), False
+        pieces.append(piece)
+        quoted = quoted or needs_csv
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("the columns of a block differ in length")
+    rows = zip(*columns) if columns else [()]
+    if len(block) == 1:
+        # csv quotes a lone empty field
+        quoted = quoted or "" in (columns[0] if columns else block)
+    if not quoted:
+        fmt = ",".join(pieces) + "\n"
+        fh.writelines(map(fmt.__mod__, rows))
+        return
+    for row in rows:
+        values = iter(row)
+        cells = [next(values) if column else cell
+                 for cell, column in zip(block, is_column)]
+        writer.writerow([c if isinstance(c, str) else _num(c)
+                         for c in cells])
 
 
 def _write_svg(out: str, name: str, canvas: SvgCanvas, xlabel: str,
@@ -171,10 +217,8 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
     t1 = perf_counter()
     _write_csv(out, "section.csv",
                ["seed_id", "k", "xi", "action_I", "status"],
-               chain.from_iterable(
-                   zip(repeat(j), range(len(xi)), xi.tolist(), I.tolist(),
-                       repeat(status))
-                   for j, (xi, I, status) in enumerate(per_seed)))
+               [(j, range(len(xi)), xi, I, status)
+                for j, (xi, I, status) in enumerate(per_seed)])
     t2 = perf_counter()
 
     canvas = SvgCanvas(title="Poincare section")

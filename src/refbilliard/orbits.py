@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 # minimize and root go uncalled; the benchmark's traced runs count by name
-from ._util import minimize, root, wrap_pi  # noqa: F401
+from ._util import TWO_PI, minimize, root, wrap_pi  # noqa: F401
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
 from .errors import (BilliardError, DescentStalled, InsufficientLength,
@@ -64,13 +64,19 @@ class PeriodicOrbit:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Exact monodromy of an n-step return and its classification."""
+    """Exact monodromy of an n-step return and its classification.
+
+    ``residue`` is Greene's residue (2 - trace)/4 (J. Math. Phys. 20,
+    1979): negative or above 1 on a hyperbolic orbit, between 0 and 1 on an
+    elliptic one.
+    """
 
     matrix: np.ndarray
     trace: float
     det: float
     multipliers: np.ndarray
     classification: str
+    residue: float
 
 
 @dataclass(frozen=True)
@@ -147,12 +153,18 @@ def _trace(states: List[BoundaryState], arcs: List[ArcSegment], status: str,
 def _repeat_shift(states: List[BoundaryState], lifted: List[float],
                   theta: float, count: int) -> None:
     """Append ``count`` closed-form returns of ``states[-1]`` by the shift
-    ``theta``: the float steps of :func:`return_map` without recomputing it."""
+    ``theta``: the float steps of :func:`return_map` without recomputing it.
+
+    ``wrap_pi(xi + theta)`` is inlined: the same operations in the same
+    order, with -pi where the sum lands on +pi."""
     last = states[-1]
     xi, lift = last.xi, lifted[-1]
     I, alpha = last.action_I, last.alpha
+    pi, two_pi = math.pi, TWO_PI
     for _ in range(count):
-        xi = wrap_pi(xi + theta)
+        xi = (xi + theta + pi) % two_pi - pi
+        if xi == pi:
+            xi = -pi
         lift += theta
         states.append(BoundaryState(xi, I, alpha))
         lifted.append(lift)
@@ -461,7 +473,7 @@ def linear_stability(orbit: PeriodicOrbit, profile: PerturbationProfile,
     else:
         cls = "hyperbolic"
     return StabilityReport(matrix=M, trace=tr, det=det, multipliers=mult,
-                           classification=cls)
+                           classification=cls, residue=(2.0 - tr) / 4.0)
 
 
 # -- invariant-curve probe -------------------------------------------------------

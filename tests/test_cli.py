@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from refbilliard import ConfigError, RunConfig, parse_config
 from refbilliard.cli import _write_csv, main
@@ -415,6 +417,76 @@ def test_write_csv_matches_per_cell_reference(tmp_path, table):
     _write_csv(str(tmp_path), "new.csv", header, (row for row in rows))
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+#: strings csv must quote, or that a ``%`` format must escape
+TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n%'), max_size=3)
+NUMBER = st.one_of(
+    st.floats(),  # nan, +-inf and -0.0 among them
+    st.integers(-10 ** 14, 10 ** 14),
+    # %.12g writes 1e+12 where %d would write the digits
+    st.sampled_from([10 ** 12 - 1, 10 ** 12, -10 ** 12, 2 ** 53 + 1, True]),
+    st.floats().map(np.float64),
+    st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+)
+SCALAR = st.one_of(NUMBER, TEXT, TEXT.map(np.str_), st.just(""))
+RANGE_START = st.one_of(st.integers(-5, 5),
+                        st.integers(10 ** 12 - 3, 10 ** 12 + 3),
+                        st.integers(-10 ** 12 - 3, -10 ** 12 + 3))
+COLUMN_TYPES = (range, list, np.ndarray)
+
+
+def columns(n):
+    """Column cells of ``n`` values, of every kind the writer takes."""
+    def rows(values):
+        return st.lists(values, min_size=n, max_size=n)
+    return st.one_of(
+        st.tuples(RANGE_START, st.sampled_from([1, -1])).map(
+            lambda a: range(a[0], a[0] + a[1] * n, a[1])),
+        rows(TEXT), rows(NUMBER), rows(SCALAR),
+        rows(st.floats()).map(np.array),
+        rows(st.integers(-2 ** 62, 2 ** 62)).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        rows(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+        rows(TEXT).map(lambda v: np.array(v, dtype=str)),
+    )
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and blocks of one width, the blocks mixing scalar and
+    column cells; one-column tables of empty strings are among them."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 3))
+        blocks.append(tuple(draw(st.one_of(SCALAR, columns(n)))
+                            for _ in range(width)))
+    return header, blocks
+
+
+def expand(block):
+    """The rows a block stands for."""
+    cols = [c for c in block if isinstance(c, COLUMN_TYPES)]
+    if not cols:
+        return [tuple(block)]
+    return [tuple(c[i] if isinstance(c, COLUMN_TYPES) else c for c in block)
+            for i in range(len(cols[0]))]
+
+
+@settings(max_examples=300)
+@given(table=csv_tables())
+@example(table=(["v"], [("",), ([""],), (["", "a", ""],), ([],), (1.5,)]))
+@example(table=(["k", "s"], [(range(10 ** 12 - 2, 10 ** 12 + 1), "x%sy"),
+                             (range(3, -1, -1), np.str_("a,b"))]))
+def test_write_csv_blocks_match_the_expanded_rows(tmp_path_factory, table):
+    header, blocks = table
+    rows = [row for block in blocks for row in expand(block)]
+    tmp = tmp_path_factory.mktemp("blocks")
+    reference_csv(tmp / "ref.csv", header, rows)
+    _write_csv(str(tmp), "new.csv", header, iter(blocks))
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
 def reference_bounds(canvas):

@@ -1,6 +1,7 @@
 """Orbit iteration, rotation numbers, periodic orbits, stability, probes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,24 @@ def test_iterate_on_circle_equals_a_loop_of_return_map(fig1, circle, method,
     else:
         assert math.isnan(tr.rotation_estimate[0])
         assert tr.rotation_estimate[1] == math.inf
+
+
+@pytest.mark.parametrize("theta", [math.pi, -math.pi,
+                                   math.nextafter(-math.pi, -math.inf)])
+def test_closed_form_trace_wraps_like_wrap_pi_at_the_seam(fig1, circle,
+                                                          monkeypatch, theta):
+    # a shift of +-pi lands on the seam every return; just below -pi the
+    # remainder rounds up to 2 pi and the wrap must still give -pi
+    monkeypatch.setattr(returnmap, "circular_shift",
+                        lambda I, params: SimpleNamespace(total=theta))
+    tr = iterate(outgoing_state(0.0, 0.5, circle, fig1), 40, circle, fig1)
+    xis = [0.0]
+    for _ in range(40):
+        xis.append(wrap_pi(xis[-1] + theta))
+    got = [st.xi for st in tr.states]
+    assert all(-math.pi <= xi < math.pi for xi in got)
+    assert [x.hex() for x in got] == [x.hex() for x in xis]
+    assert -math.pi in got
 
 
 def test_iterate_on_circle_evaluates_the_shift_once(fig1, circle,
@@ -439,9 +458,35 @@ def test_action_hessian_determinant_gives_the_monodromy_trace(fig1,
             rep = linear_stability(orb, prof, params)
             assert 2.0 - rep.trace == pytest.approx(
                 -np.linalg.det(H) * np.prod(b), abs=1e-6)
+            # Greene's residue is that determinant over 4
+            assert rep.residue == (2.0 - rep.trace) / 4.0
+            assert rep.residue == pytest.approx(
+                -np.linalg.det(H) * np.prod(b) / 4.0, abs=2.5e-7)
             lam = np.linalg.eigvalsh(np.sign(b[0]) * H)
             assert np.count_nonzero(lam < 0.0) == index
             assert rep.classification == ("hyperbolic", "elliptic")[index]
+
+
+def test_residue_sign_agrees_with_the_classification(fig1, light_mass,
+                                                     circle):
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    seen = set()
+    for params, m, n, prof in ((light_mass, 1, 3, wavy),
+                               (light_mass, -1, 3, wavy),
+                               (fig1, 1, 4, wavy), (fig1, 0, 1, wavy),
+                               (light_mass, 1, 3, circle)):
+        for orb in find_periodic(m, n, prof, params):
+            rep = linear_stability(orb, prof, params)
+            R = rep.residue
+            seen.add(rep.classification)
+            if rep.classification == "hyperbolic":
+                assert R < 0.0 or R > 1.0
+            elif rep.classification == "elliptic":
+                assert 0.0 < R < 1.0
+            else:
+                # the integrable shear: trace 2 to within the parabolic band
+                assert abs(R) <= 1e-7 * max(1.0, abs(rep.trace)) / 4.0
+    assert seen == {"hyperbolic", "elliptic", "parabolic"}
 
 
 def test_critical_cycle_rejects_a_cycle_of_another_index(light_mass):

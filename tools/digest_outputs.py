@@ -8,7 +8,8 @@ Runs every CLI command on the unit circle and on r = 1 + 0.01 cos 2 xi at
 the trajectory-example parameters (E = 2.5, h = 2, mu = 2, om = 1), plus
 ``periodic`` at the light mass mu = 0.5 on both boundaries, plus
 ``section`` on the perturbed boundary with ``--workers 2`` (its orbits then
-run in worker processes): 19 runs, each in a fresh interpreter with
+run in worker processes), plus ``section`` on the circle at 32 seeds of 4000
+returns (128 000 CSV rows): 20 runs, each in a fresh interpreter with
 ``--verbose``, against the ``src`` tree next to this script, as many at once
 as there are CPUs.  Each run writes its artifacts and its stdout (without
 the ``seconds:`` timing line) under OUTDIR/<run>/.  The script prints a
@@ -62,6 +63,11 @@ def runs():
     yield ("cos2-section-workers2",
            CONFIG.format(mu=2.0, profile=PROFILES["cos2"], command="section"),
            ("--workers", "2"))
+    # the size of the benchmark's circle-closed section
+    yield ("circle-section-large",
+           CONFIG.format(mu=2.0, profile=PROFILES["circle"],
+                         command="section")
+           + "seeds = 32\niterations = 4000\n", ())
 
 
 def header() -> str:
