@@ -42,8 +42,8 @@ class InnerConic(NamedTuple):
     ``semilatus_p`` = k^2/mu, ``eccentricity_e`` = sqrt(1 + 2(E+h)k^2/mu^2) > 1,
     ``pericenter_r`` = p/(1+e), ``pericenter_angle`` the polar angle of the
     pericenter direction.  ``winding`` is the index of the closed curve formed
-    by the arc plus the shortest boundary chord; ``is_collision`` marks the
-    k = 0 ejection-collision ray.
+    by the arc plus the shortest boundary chord; ``is_collision`` marks an
+    ejection-collision ray, |k| <= 1e-12 max(r |v|, 1).
     """
 
     ang_momentum_k: float

@@ -191,8 +191,7 @@ class PerturbationProfile:
 class BoundaryGeometry(NamedTuple):
     """Local boundary data at gamma(xi) = rho(xi) e^{i xi}.
 
-    Points and directions are complex numbers; ``point``, ``tangent_unit``
-    and ``normal_out_unit`` give them as (x, y) arrays.  ``metric`` is
+    Points and directions are complex numbers.  ``metric`` is
     |gamma'(xi)| = sqrt(rho^2 + rho'^2), the factor converting d xi to
     arclength; it equals 1 on the unit circle.
     """
@@ -204,18 +203,6 @@ class BoundaryGeometry(NamedTuple):
     radius: float
     radius_prime: float
     metric: float
-
-    @property
-    def point(self) -> np.ndarray:
-        return np.array([self.point_c.real, self.point_c.imag])
-
-    @property
-    def tangent_unit(self) -> np.ndarray:
-        return np.array([self.tangent_c.real, self.tangent_c.imag])
-
-    @property
-    def normal_out_unit(self) -> np.ndarray:
-        return np.array([self.normal_c.real, self.normal_c.imag])
 
 
 #: (profile, xi, record) of the last :func:`boundary` evaluation; one tuple,

@@ -41,23 +41,20 @@ def _num(v: float) -> str:
 _QUOTED = re.compile('[,"\r\n]')
 
 
-#: a cell of these types is a column: it stands for one cell per row
-_COLUMN_TYPES = (range, list, np.ndarray)
-
-
 def _write_csv(out: str, name: str, header: Sequence[str],
                blocks: Iterable[Sequence]) -> None:
     """Stream ``header`` and ``blocks`` to ``out``/``name`` as CSV, numbers
     as ``%.12g``, strings as they are, and print the ``wrote`` line.
 
-    A block is a row whose cells may be columns (a ``range``, a list or a
-    1-D array, all of one length); it stands for ``len(column)`` rows, its
-    scalar cells repeated on each.  A row of scalars is a block of one row.
-    Each scalar is formatted once into a ``%`` format, which then formats
-    the block's rows from its columns.  A block that csv would quote (a
-    string cell holding a delimiter, quote or line break, or a lone empty
-    field) goes through :mod:`csv` instead, so the bytes are those of
-    ``csv.writer`` on the formatted cells of the expanded rows.
+    A block is a row whose cells may be columns (a ``range`` or a 1-D
+    numeric array, all of one length); it stands for ``len(column)`` rows,
+    its scalar cells repeated on each.  A row of scalars is a block of one
+    row.  Each scalar is formatted once into a ``%`` format, which then
+    formats the block's rows from its columns.  A row of scalars that csv
+    would quote (a string cell holding a delimiter, quote or line break, or
+    a lone empty field) goes through :mod:`csv` instead, so the bytes are
+    those of ``csv.writer`` on the formatted cells; a block with columns
+    raises :class:`ValueError` for such a cell.
     """
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -67,55 +64,41 @@ def _write_csv(out: str, name: str, header: Sequence[str],
     print(f"wrote {path}")
 
 
-def _column(cell) -> Tuple[Sequence, str, bool]:
-    """A column cell's values, its ``%`` piece, and whether csv must write
-    it (a string that csv quotes, or strings among numbers)."""
+def _column(cell) -> Tuple[Sequence, str]:
+    """A column cell's values and its ``%`` piece."""
     if isinstance(cell, range):
         # below 1e12 an int's %.12g is its digits, which %d writes sooner
         small = not cell or max(abs(cell[0]), abs(cell[-1])) < 10 ** 12
-        return cell, "%d" if small else "%.12g", False
-    if isinstance(cell, np.ndarray):
-        numeric = cell.dtype.kind in "biuf"
-        cell = cell.tolist()
-        if numeric:
-            return cell, "%.12g", False
-    text = {issubclass(t, str) for t in set(map(type, cell))}
-    if text == {True}:
-        return cell, "%s", any(map(_QUOTED.search, set(cell)))
-    return cell, "%.12g", True in text
+        return cell, "%d" if small else "%.12g"
+    if cell.dtype.kind not in "biuf":
+        raise ValueError(f"a column holds numbers, not {cell.dtype}")
+    return cell.tolist(), "%.12g"
 
 
 def _write_block(fh, writer, block: tuple) -> None:
     """Write the rows ``block`` stands for (see :func:`_write_csv`)."""
-    is_column = [isinstance(c, _COLUMN_TYPES) for c in block]
     columns, pieces, quoted = [], [], False
-    for cell, column in zip(block, is_column):
-        if column:
-            values, piece, needs_csv = _column(cell)
+    for cell in block:
+        if isinstance(cell, (range, np.ndarray)):
+            values, piece = _column(cell)
             columns.append(values)
         elif isinstance(cell, str):
             piece = cell.replace("%", "%%")
-            needs_csv = _QUOTED.search(cell) is not None
+            quoted = quoted or _QUOTED.search(cell) is not None
         else:
-            piece, needs_csv = _num(cell), False
+            piece = _num(cell)
         pieces.append(piece)
-        quoted = quoted or needs_csv
+    # csv quotes a lone empty field
+    if not columns and (quoted or block == ("",)):
+        writer.writerow([c if isinstance(c, str) else _num(c)
+                         for c in block])
+        return
+    if quoted:
+        raise ValueError("csv would quote a scalar of a block with columns")
     if len({len(c) for c in columns}) > 1:
         raise ValueError("the columns of a block differ in length")
-    rows = zip(*columns) if columns else [()]
-    if len(block) == 1:
-        # csv quotes a lone empty field
-        quoted = quoted or "" in (columns[0] if columns else block)
-    if not quoted:
-        fmt = ",".join(pieces) + "\n"
-        fh.writelines(map(fmt.__mod__, rows))
-        return
-    for row in rows:
-        values = iter(row)
-        cells = [next(values) if column else cell
-                 for cell, column in zip(block, is_column)]
-        writer.writerow([c if isinstance(c, str) else _num(c)
-                         for c in cells])
+    fmt = ",".join(pieces) + "\n"
+    fh.writelines(map(fmt.__mod__, zip(*columns) if columns else [()]))
 
 
 def _write_svg(out: str, name: str, canvas: SvgCanvas, xlabel: str,

@@ -124,11 +124,16 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     xi0 = wrap_pi(cmath.phase(z0))
     xi1 = wrap_pi(cmath.phase(z1))
     # theta = 2 arg w, and arg w turns by less than pi along a hyperbola
-    # branch, so one atan2 gives the lifted sweep; a collision ray passes
-    # w = 0 and leaves along its entry ray
-    sweep = 0.0 if collision else 2.0 * math.atan2(
-        w0.real * w1.imag - w0.imag * w1.real,
-        w0.real * w1.real + w0.imag * w1.imag)
+    # branch, so one atan2 gives the lifted sweep, which has the sign of k;
+    # near a collision the turn is close to pi, and a rounded atan2 that
+    # lands on the other side of the cut is moved back by 4 pi.  A ray with
+    # k = 0 passes w = 0 and leaves along its entry ray
+    sweep = 0.0
+    if k:
+        sweep = 2.0 * math.atan2(w0.real * w1.imag - w0.imag * w1.real,
+                                 w0.real * w1.real + w0.imag * w1.imag)
+        if sweep * k < 0.0:
+            sweep += math.copysign(4.0 * math.pi, k)
     wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
     conic = InnerConic(k, p, e, r_peri, th_peri, wind, collision)
     return ArcSegment(region="inner", p0=z0, v0=v0, p1=z1, v1=v1,

@@ -23,8 +23,8 @@ from ._util import TWO_PI, minimize, root, wrap_pi  # noqa: F401
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
 from .errors import (BilliardError, DescentStalled, InsufficientLength,
-                     OrbitTerminated, RangeEmpty, ResidualTooLarge,
-                     TotalReflectionTermination)
+                     OrbitTerminated, OutOfActionRange, RangeEmpty,
+                     ResidualTooLarge, TotalReflectionTermination)
 from .params import PhysParams
 from .returnmap import (BoundaryState, circular_shift, outgoing_state,
                         return_map, tangent_map)
@@ -107,10 +107,10 @@ def iterate(initial: BoundaryState, n: int, profile: PerturbationProfile,
 
     Termination (total reflection, failed event detection) truncates the
     trace; the outcome is encoded in ``status`` rather than raised.  With
-    ``keep_arcs`` every return takes the geometric path, on the circle too,
-    and the trace keeps its two arcs.  Without, the trace holds no arcs
-    (``arcs == []``), and on the circle the first return fixes the
-    closed-form shift f + g, which the remaining returns repeat.
+    ``keep_arcs`` every return is :func:`return_map`, on the circle too, and
+    the trace keeps its two arcs.  Without, the trace holds no arcs
+    (``arcs == []``), and on the circle the closed-form shift f + g of the
+    launch action is evaluated once and repeated ``n`` times.
     """
     states, arcs, lifted = [initial], [], [float(initial.xi)]
     status = _advance(states, arcs, lifted, n, profile, params, keep_arcs)
@@ -123,20 +123,24 @@ def _advance(states: List[BoundaryState], arcs: List[ArcSegment],
     """Apply the return map up to ``n`` more times from ``states[-1]``,
     appending to ``states``, ``lifted`` and (with ``keep_arcs``) ``arcs``;
     the status the orbit ends in."""
-    method = "geometric" if keep_arcs else "auto"
-    for k in range(n):
+    if profile.is_circle and not keep_arcs:
+        # closed form: the action is conserved, so is the shift
+        if n > 0:
+            try:
+                theta = circular_shift(states[-1].action_I, params).total
+            except OutOfActionRange:
+                return "failed"
+            _repeat_shift(states, lifted, theta, n)
+        return "running"
+    for _ in range(n):
         try:
-            res = return_map(states[-1], profile, params, method=method)
+            res = return_map(states[-1], profile, params)
         except TotalReflectionTermination:
             return "total_reflection"
         except BilliardError:
             return "failed"
         lifted.append(lifted[-1] + res.delta_xi)
         states.append(res.state)
-        if not res.arcs:
-            # closed form: the action is conserved, so is the shift
-            _repeat_shift(states, lifted, res.delta_xi, n - 1 - k)
-            break
         if keep_arcs:
             arcs.extend(res.arcs)
     return "running"
@@ -153,10 +157,10 @@ def _trace(states: List[BoundaryState], arcs: List[ArcSegment], status: str,
 def _repeat_shift(states: List[BoundaryState], lifted: List[float],
                   theta: float, count: int) -> None:
     """Append ``count`` closed-form returns of ``states[-1]`` by the shift
-    ``theta``: the float steps of :func:`return_map` without recomputing it.
+    ``theta``: xi goes to ``wrap_pi(xi + theta)``, the lift to lift + theta.
 
-    ``wrap_pi(xi + theta)`` is inlined: the same operations in the same
-    order, with -pi where the sum lands on +pi."""
+    ``wrap_pi`` is inlined: the same operations in the same order, with
+    -pi where the sum lands on +pi."""
     last = states[-1]
     xi, lift = last.xi, lifted[-1]
     I, alpha = last.action_I, last.alpha
@@ -239,9 +243,20 @@ def _map_residual(xi0: float, I0: float, m: int, n: int,
 def _circular_orbits(m: int, n: int, roots: Sequence[float],
                      params: PhysParams,
                      profile: PerturbationProfile) -> List[PeriodicOrbit]:
-    """The (m, n) orbit of each action in ``roots`` on the circle."""
-    return [_orbit_from_cycle(0.0, r, m, n, profile, params, "circular", 0.0)
-            for r in roots]
+    """The (m, n) orbit from xi = 0 of each action in ``roots`` on the
+    circle: its closed-form trace, with residual |lift - 2 pi m| (the action
+    is conserved)."""
+    orbits = []
+    for r in roots:
+        trace = iterate(outgoing_state(0.0, r, profile, params), n, profile,
+                        params)
+        xis = trace.xis_lifted
+        orbits.append(PeriodicOrbit(
+            m=m, n=n, xis=xis[:-1],
+            actions=np.array([s.action_I for s in trace.states[:-1]]),
+            residual=float(abs(xis[-1] - 2.0 * math.pi * m)),
+            kind="circular", grad_norm=0.0))
+    return orbits
 
 
 def _orbit_from_cycle(xi0: float, action_I0: float, m: int, n: int,
@@ -352,7 +367,8 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     """All (m, n)-periodic orbits the search can certify.
 
     Integrable case: every action with total shift 2 pi m/n (one orbit per
-    root, the I = 0 ejection–collision line included for m = 0).  Perturbed
+    root, the I = 0 ejection–collision line included for m = 0), each the
+    closed-form :func:`iterate` trace from xi = 0.  Perturbed
     case: period-1 cycles by Newton on the section map; for n >= 2 the
     minimizer of the discrete action (Morse index 0), from the uniform
     cycle 2 pi m k/n, and a minimax cycle (index 1), from that cycle turned

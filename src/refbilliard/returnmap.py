@@ -1,11 +1,12 @@
 """The first return map on the interface in (xi, action) coordinates.
 
-On the circle the map is an integrable shift (xi, I) -> (xi + f(I) + g(I), I)
-with explicit f (exterior) and g (interior) contributions and closed-form
-derivatives.  On perturbed domains the map is composed geometrically: an
-exterior oscillator arc, Snell refraction inward, an interior Kepler arc,
-and Snell refraction outward.  The action I = (1/sqrt(2)) v . gamma'(xi) is
-conserved by refraction and makes the map area preserving.
+The map is composed geometrically on every profile: an exterior oscillator
+arc, Snell refraction inward, an interior Kepler arc, and Snell refraction
+outward.  The action I = (1/sqrt(2)) v . gamma'(xi) is conserved by
+refraction and makes the map area preserving.  On the circle the map is the
+integrable shift (xi, I) -> (xi + f(I) + g(I), I), with explicit f
+(exterior) and g (interior) contributions and closed-form derivatives
+(:func:`circular_shift`).
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ class MapResult(NamedTuple):
     """One application of the return map.
 
     ``delta_xi`` is the lifted angular advance (continuation of the circular
-    shift f + g), and ``arcs`` holds the traversed (outer, inner) segments on
-    the geometric path (empty on the closed-form circle path).
+    shift f + g), and ``arcs`` holds the traversed (outer, inner) segments.
     """
 
     state: BoundaryState
     delta_xi: float
-    arcs: Tuple[ArcSegment, ...] = ()
+    arcs: Tuple[ArcSegment, ArcSegment]
 
 
 def action_of_velocity(xi: float, v, profile: PerturbationProfile,
@@ -254,24 +254,15 @@ def _fixed_point_bracket(params: PhysParams):
 
 
 def return_map(state: BoundaryState, profile: PerturbationProfile,
-               params: PhysParams, method: str = "auto") -> MapResult:
+               params: PhysParams) -> MapResult:
     """Apply the first return map to an outgoing boundary state.
 
-    ``method`` "auto" takes the circular closed form exactly when the
-    profile is the circle; "geometric" composes the arcs and refractions
-    explicitly on any profile.  Raises :class:`TotalReflectionTermination`
-    when the interior ray exceeds the critical angle at its exit point, and
-    :class:`TangentialCrossing` (from :func:`outer_transit`) on a launch
-    within 1e-9 of the tangent.
+    Composes the exterior arc, the refractions and the interior arc on
+    every profile, the circle included.  Raises
+    :class:`TotalReflectionTermination` when the interior ray exceeds the
+    critical angle at its exit point, and :class:`TangentialCrossing` (from
+    :func:`outer_transit`) on a launch within 1e-9 of the tangent.
     """
-    if method not in ("auto", "geometric"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and profile.is_circle:
-        shift = circular_shift(state.action_I, params)
-        new = BoundaryState(xi=wrap_pi(state.xi + shift.total),
-                            action_I=state.action_I, alpha=state.alpha)
-        return MapResult(state=new, delta_xi=shift.total, arcs=())
-
     outer_arc = outer_transit(state.xi, state.alpha, profile, params)
     z_in, v_in = _refract_entry(outer_arc, profile, params)
     inner_arc = levi_civita_propagate(z_in, v_in, params, profile)
@@ -287,8 +278,8 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
 
     ve1 = potential(geom2.point_c, "outer", params)
     I1 = math.sqrt(ve1) * math.sin(alpha1) * geom2.metric
-    sigma = 0.0 if inner_arc.conic.is_collision else \
-        math.copysign(1.0, inner_arc.conic.ang_momentum_k)
+    k = inner_arc.conic.ang_momentum_k
+    sigma = math.copysign(1.0, k) if k else 0.0
     delta = outer_arc.sweep + inner_arc.sweep - 2.0 * math.pi * sigma
     new = BoundaryState(xi=wrap_pi(inner_arc.xi1), action_I=I1,
                         alpha=alpha1)
@@ -321,19 +312,16 @@ def tangent_map(state: BoundaryState, result: MapResult,
     """Exact derivative DF = d(xi_1 lifted, I_1)/d(xi_0, I_0) of one return.
 
     ``result`` is ``return_map(state, ...)``; DF is built from its arcs
-    alone, with no further map call.  On the closed-form circle path it is
-    the shear [[1, f' + g'], [0, 1]].  On the geometric path the two tangent
-    vectors (dz, dv) of the launch are pushed through the linear exterior
-    flow, Snell refraction (tangential velocity kept, normal part from
-    energy) and the linear interior flow in Levi-Civita coordinates.  Each
+    alone, with no further map call (on the circle it is the shear
+    [[1, f' + g'], [0, 1]] to rounding).  The two tangent vectors (dz, dv)
+    of the launch are pushed through the linear exterior flow, Snell
+    refraction (tangential velocity kept, normal part from energy) and the
+    linear interior flow in Levi-Civita coordinates.  Each
     exit time moves by the implicit-function correction -grad(clearance).dx
     / (d clearance/dt), defined because the crossing finder certified a
     transversal exit.  Finally I_1 = v . gamma'(xi_1)/sqrt(2).  det DF = 1:
     the map preserves area.
     """
-    if not result.arcs:
-        tp = circular_shift(state.action_I, params).total_prime
-        return np.array([[1.0, tp], [0.0, 1.0]])
     outer, inner = result.arcs
     om, w, mu = params.stiffness_om, params.omega, params.mass_mu
 

@@ -207,7 +207,7 @@ def generating_function(xi0: float, xi1: float,
         # |I0| <= lim < bound: the state outgoing_state would build
         state = BoundaryState(xi=xi_start, action_I=I0,
                               alpha=math.asin(I0 / bound))
-        res = return_map(state, profile, params, method="geometric")
+        res = return_map(state, profile, params)
         tangent = tangent_map(state, res, profile, params)
         last[:] = res, tangent
         return res.delta_xi - delta, float(tangent[0, 1])

@@ -99,8 +99,7 @@ def test_criterion_06_nonhomothetic_fixed_points(fig4, circle):
     I_bar = acts[1]
     assert acts[0] == pytest.approx(-I_bar, abs=1e-12)
     assert abs(circular_shift(I_bar, fig4).total) < 1e-10
-    res = return_map(outgoing_state(0.3, I_bar, circle, fig4), circle, fig4,
-                     method="geometric")
+    res = return_map(outgoing_state(0.3, I_bar, circle, fig4), circle, fig4)
     assert abs(wrap_pi(res.state.xi - 0.3)) < 1e-6
 
 
@@ -134,8 +133,7 @@ def test_criterion_07_tangent_circle_radii_and_tangency(fig1, circle):
 
 
 def _lifted_return(xi, I, profile, params):
-    res = return_map(outgoing_state(xi, I, profile, params), profile, params,
-                     method="geometric")
+    res = return_map(outgoing_state(xi, I, profile, params), profile, params)
     return np.array([xi + res.delta_xi, res.state.action_I])
 
 
@@ -155,7 +153,7 @@ def test_criterion_08_return_map_jacobian_determinant(fig1, epsilon):
             J = np.column_stack([(fpx - fmx) / (2 * h), (fpI - fmI) / (2 * h)])
             worst = max(worst, abs(float(np.linalg.det(J)) - 1.0))
             st = outgoing_state(xi0, I0, prof, fig1)
-            D = tangent_map(st, return_map(st, prof, fig1, method="geometric"),
+            D = tangent_map(st, return_map(st, prof, fig1),
                             prof, fig1)
             worst_exact = max(worst_exact, abs(float(np.linalg.det(D)) - 1.0))
     assert worst < 1e-5, f"max |det J - 1| = {worst:.3e} on the 20x20 grid"

@@ -126,8 +126,7 @@ def test_geometric_map_matches_oracle(profile, xi0, alpha):
     I0 = math.sqrt(potential(geom.point_c, "outer", FIG1)) * \
         math.sin(alpha) * geom.metric
     res, err = _outcome(lambda: return_map(
-        outgoing_state(xi0, I0, profile, FIG1), profile, FIG1,
-        method="geometric"))
+        outgoing_state(xi0, I0, profile, FIG1), profile, FIG1))
     orc, err_orc = _outcome(lambda: ode_return_map(xi0, alpha, profile,
                                                    FIG1))
     event(f"map: {type(err).__name__}, oracle: {type(err_orc).__name__}")
@@ -364,8 +363,7 @@ def test_wide_profile_map_matches_oracle():
             I0 = math.sqrt(potential(geom.point_c, "outer", FIG1)) * \
                 math.sin(alpha) * geom.metric
             res, err = _outcome(lambda: return_map(
-                outgoing_state(xi0, I0, profile, FIG1), profile, FIG1,
-                method="geometric"))
+                outgoing_state(xi0, I0, profile, FIG1), profile, FIG1))
             orc, err_orc = _outcome(lambda: ode_return_map(
                 xi0, alpha, profile, FIG1))
             assert type(err) is type(err_orc)

@@ -30,8 +30,7 @@ def test_oracle_matches_geometric_map_when_perturbed(fig1):
     prof = PerturbationProfile.cos_profile(2, 0.01)
     for alpha in (0.5, -0.8):
         I0 = action_of_alpha(0.3, alpha, prof, fig1)
-        res = return_map(outgoing_state(0.3, I0, prof, fig1), prof, fig1,
-                         method="geometric")
+        res = return_map(outgoing_state(0.3, I0, prof, fig1), prof, fig1)
         orc = ode_return_map(0.3, alpha, prof, fig1)
         assert abs(wrap_pi(res.state.xi - orc.xi1)) < 1e-8
         assert res.state.action_I == pytest.approx(orc.action_I1, abs=1e-9)
@@ -40,8 +39,7 @@ def test_oracle_matches_geometric_map_when_perturbed(fig1):
 def test_oracle_travel_times_match_arcs(fig1, circle):
     alpha = 0.7
     I0 = action_of_alpha(0.0, alpha, circle, fig1)
-    res = return_map(outgoing_state(0.0, I0, circle, fig1), circle, fig1,
-                     method="geometric")
+    res = return_map(outgoing_state(0.0, I0, circle, fig1), circle, fig1)
     orc = ode_return_map(0.0, alpha, circle, fig1)
     outer, inner = res.arcs
     assert orc.t_outer == pytest.approx(outer.duration, abs=1e-9)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies
 from scipy.optimize import brentq as scipy_brentq
 
@@ -138,28 +138,20 @@ _CIRCLE_PARAMS = [PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=mu,
        share=strategies.floats(-0.9999, 0.9999))
 @example(params=_CIRCLE_PARAMS[0], xi=0.37, share=0.0)
 @example(params=_CIRCLE_PARAMS[1], xi=-3.0, share=-0.9999)
+@example(params=_CIRCLE_PARAMS[1], xi=0.37, share=1e-12)
 def test_fast_and_geometric_paths_agree_on_circle(params, xi, share):
     """The geometric map marches the circle like any profile; it lands on
-    the closed form f + g.  At an action as small as 1e-12 the interior arc
-    counts as a collision ray and drops g(I) ~ g'(0) I, so 0 < |I| < 1e-9
-    is left out."""
+    the closed form f + g, at every action (near-collision interior arcs
+    keep their O(I) sweep)."""
     I = share * params.action_bound_Ic
-    assume(not 0.0 < abs(I) < 1e-9)
     circle = PerturbationProfile.circle()
     state = outgoing_state(xi, I, circle, params)
-    fast = return_map(state, circle, params)
-    geo = return_map(state, circle, params, method="geometric")
-    assert abs(wrap_pi(geo.state.xi - fast.state.xi)) < 1e-12
-    assert geo.delta_xi == pytest.approx(fast.delta_xi, abs=1e-12)
+    shift = circular_shift(I, params).total
+    geo = return_map(state, circle, params)
+    assert abs(wrap_pi(geo.state.xi - (state.xi + shift))) < 1e-12
+    assert geo.delta_xi == pytest.approx(shift, abs=1e-12)
     assert geo.state.action_I == pytest.approx(I, abs=1e-12)
-    # auto picks the closed form on the circle
-    assert fast.arcs == ()
     assert len(geo.arcs) == 2
-    wavy = PerturbationProfile.cos_profile(2, 0.01)
-    for profile in (circle, wavy):
-        for method in ("fast", "closed"):
-            with pytest.raises(ValueError, match="unknown method"):
-                return_map(state, profile, params, method=method)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.01])
@@ -170,15 +162,15 @@ def test_geometric_map_rejects_a_tangential_launch(fig1, eps):
     for alpha in (math.pi / 2 - 5e-10, -math.pi / 2):
         state = outgoing_state(0.4, 0.0, prof, fig1)._replace(alpha=alpha)
         with pytest.raises(TangentialCrossing):
-            return_map(state, prof, fig1, method="geometric")
+            return_map(state, prof, fig1)
 
 
 def test_return_map_rotates_by_total_shift(fig1, circle):
     st = outgoing_state(1.2, 0.8, circle, fig1)
     res = return_map(st, circle, fig1)
-    assert res.delta_xi == pytest.approx(
-        circular_shift(0.8, fig1).total, abs=1e-15)
-    assert res.state.action_I == 0.8
+    shift = circular_shift(0.8, fig1).total
+    assert res.delta_xi == pytest.approx(shift, abs=1e-15)
+    assert res.state.action_I == pytest.approx(0.8, abs=1e-14)
 
 
 def test_geometric_map_preserves_area_on_perturbed_boundary(fig1):
@@ -186,8 +178,7 @@ def test_geometric_map_preserves_area_on_perturbed_boundary(fig1):
     h = 1e-6
 
     def lifted(xi, I):
-        res = return_map(outgoing_state(xi, I, prof, fig1), prof, fig1,
-                         method="geometric")
+        res = return_map(outgoing_state(xi, I, prof, fig1), prof, fig1)
         return xi + res.delta_xi, res.state.action_I
 
     for xi0, I0 in ((0.5, 0.6), (2.0, -0.4), (4.1, 1.0)):

@@ -39,7 +39,7 @@ def _cos_profiles(draw):
 def _step(xi, I, profile, params):
     """One geometric return from (xi, I): its state, result and DF."""
     state = outgoing_state(xi, I, profile, params)
-    res = return_map(state, profile, params, method="geometric")
+    res = return_map(state, profile, params)
     return state, res, tangent_map(state, res, profile, params)
 
 

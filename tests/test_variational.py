@@ -330,7 +330,7 @@ def test_generating_function_links_are_map_orbits(profile, params, xi0,
     except BilliardError:
         return
     res = return_map(outgoing_state(xi0, ev.action_I0, profile, params),
-                     profile, params, method="geometric")
+                     profile, params)
     assert abs(res.delta_xi - (xi1 - xi0)) < 1e-10
     assert abs(wrap_pi(res.state.xi - xi1)) < 1e-10
     assert abs(res.state.action_I - ev.action_I1) < 1e-10
@@ -345,7 +345,7 @@ def test_jacobi_length_matches_quadrature(profile, params, xi0, share):
     try:
         I0 = share * _action_bound(xi0, profile, params)
         res = return_map(outgoing_state(xi0, I0, profile, params), profile,
-                         params, method="geometric")
+                         params)
     except BilliardError:
         return
     for arc in res.arcs:
