@@ -8,7 +8,6 @@ fixed grids, fixed iteration orders, fixed float formatting.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import re
@@ -37,7 +36,8 @@ def _num(v: float) -> str:
     return "%.12g" % v
 
 
-#: a character that makes csv quote the string cell holding it
+#: a delimiter, quote or line break: csv would quote the cell holding it
+#: (or write a bare carriage return, which reads back as a line end)
 _QUOTED = re.compile('[,"\r\n]')
 
 
@@ -50,17 +50,14 @@ def _write_csv(out: str, name: str, header: Sequence[str],
     numeric array, all of one length); it stands for ``len(column)`` rows,
     its scalar cells repeated on each.  A row of scalars is a block of one
     row.  Each scalar is formatted once into a ``%`` format, which then
-    formats the block's rows from its columns.  A row of scalars that csv
-    would quote (a string cell holding a delimiter, quote or line break, or
-    a lone empty field) goes through :mod:`csv` instead, so the bytes are
-    those of ``csv.writer`` on the formatted cells; a block with columns
-    raises :class:`ValueError` for such a cell.
+    formats the block's rows from its columns.  No cell is quoted: a string
+    cell that csv would quote (one holding a delimiter, quote or line
+    break, or a lone empty field) raises :class:`ValueError`.
     """
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         for block in chain((header,), blocks):
-            _write_block(fh, writer, tuple(block))
+            _write_block(fh, tuple(block))
     print(f"wrote {path}")
 
 
@@ -75,26 +72,20 @@ def _column(cell) -> Tuple[Sequence, str]:
     return cell.tolist(), "%.12g"
 
 
-def _write_block(fh, writer, block: tuple) -> None:
+def _write_block(fh, block: tuple) -> None:
     """Write the rows ``block`` stands for (see :func:`_write_csv`)."""
-    columns, pieces, quoted = [], [], False
+    columns, pieces = [], []
     for cell in block:
         if isinstance(cell, (range, np.ndarray)):
             values, piece = _column(cell)
             columns.append(values)
         elif isinstance(cell, str):
+            if _QUOTED.search(cell) or (not cell and len(block) == 1):
+                raise ValueError(f"csv would quote the cell {cell!r}")
             piece = cell.replace("%", "%%")
-            quoted = quoted or _QUOTED.search(cell) is not None
         else:
             piece = _num(cell)
         pieces.append(piece)
-    # csv quotes a lone empty field
-    if not columns and (quoted or block == ("",)):
-        writer.writerow([c if isinstance(c, str) else _num(c)
-                         for c in block])
-        return
-    if quoted:
-        raise ValueError("csv would quote a scalar of a block with columns")
     if len({len(c) for c in columns}) > 1:
         raise ValueError("the columns of a block differ in length")
     fmt = ",".join(pieces) + "\n"
@@ -117,8 +108,7 @@ def _say(verbose: bool, *parts) -> None:
 # -- command pipelines -------------------------------------------------------------
 
 
-def _cmd_params_report(cfg: RunConfig, out: str, workers: int,
-                       verbose: bool) -> int:
+def _cmd_params_report(cfg: RunConfig, out: str, verbose: bool) -> int:
     p = cfg.params
     rows: List[Tuple[str, float]] = [
         ("energy_E", p.energy_E), ("offset_h", p.offset_h),
@@ -152,8 +142,7 @@ def _shift_grid(params: PhysParams, n: int) -> np.ndarray:
     return np.array(sorted(set(float(g) for g in grid)))
 
 
-def _cmd_shift_profile(cfg: RunConfig, out: str, workers: int,
-                       verbose: bool) -> int:
+def _cmd_shift_profile(cfg: RunConfig, out: str, verbose: bool) -> int:
     grid = _shift_grid(cfg.params, 201)
     rows = []
     for I in grid:
@@ -171,32 +160,22 @@ def _cmd_shift_profile(cfg: RunConfig, out: str, workers: int,
     return 0
 
 
-def _section_orbit(args) -> Tuple[np.ndarray, np.ndarray, str]:
-    """One seed's orbit: xi and action_I of every state, and its status."""
-    xi0, I0, iterations, profile, params = args
-    trace = iterate(outgoing_state(xi0, I0, profile, params), iterations,
-                    profile, params)
+def _section_orbit(I0: float, cfg: RunConfig
+                   ) -> Tuple[np.ndarray, np.ndarray, str]:
+    """The orbit from (0, ``I0``): xi and action_I of every state, and its
+    status."""
+    trace = iterate(outgoing_state(0.0, I0, cfg.profile, cfg.params),
+                    cfg.iterations, cfg.profile, cfg.params)
     states = trace.states
     return (np.array([st.xi for st in states]),
             np.array([st.action_I for st in states]), trace.status)
 
 
-def _cmd_section(cfg: RunConfig, out: str, workers: int,
-                 verbose: bool) -> int:
+def _cmd_section(cfg: RunConfig, out: str, verbose: bool) -> int:
     Ic = cfg.params.action_bound_Ic
     seeds_I = np.linspace(-0.9 * Ic, 0.9 * Ic, cfg.seeds)
-    jobs = [(0.0, float(I), cfg.iterations, cfg.profile, cfg.params)
-            for I in seeds_I]
-    # a fork pool starts all its workers up front: no more than the seeds
-    workers = min(workers, len(jobs))
     t0 = perf_counter()
-    if workers > 1:
-        # imported here: a run with one worker never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(_section_orbit, jobs))
-    else:
-        per_seed = [_section_orbit(job) for job in jobs]
+    per_seed = [_section_orbit(float(I), cfg) for I in seeds_I]
     t1 = perf_counter()
     _write_csv(out, "section.csv",
                ["seed_id", "k", "xi", "action_I", "status"],
@@ -220,7 +199,7 @@ def _cmd_section(cfg: RunConfig, out: str, workers: int,
     return 0
 
 
-def _cmd_orbit(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
+def _cmd_orbit(cfg: RunConfig, out: str, verbose: bool) -> int:
     I0 = 0.5 * cfg.params.action_bound_Ic
     trace = iterate(outgoing_state(0.0, I0, cfg.profile, cfg.params),
                     cfg.iterations, cfg.profile, cfg.params, keep_arcs=True)
@@ -249,8 +228,7 @@ def _boundary_polyline(profile: PerturbationProfile, n: int = 721):
 _CATALOGUE = ((0, 1), (1, 2), (-1, 2), (1, 3), (-1, 3), (1, 4), (-1, 4))
 
 
-def _cmd_periodic(cfg: RunConfig, out: str, workers: int,
-                  verbose: bool) -> int:
+def _cmd_periodic(cfg: RunConfig, out: str, verbose: bool) -> int:
     rows = []
     for m, n in _CATALOGUE:
         try:
@@ -269,7 +247,7 @@ def _cmd_periodic(cfg: RunConfig, out: str, workers: int,
     return 0
 
 
-def _cmd_twist(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
+def _cmd_twist(cfg: RunConfig, out: str, verbose: bool) -> int:
     p = cfg.params
     roots = twist_critical_set(p)
     grid = _shift_grid(p, 201)
@@ -289,8 +267,7 @@ def _cmd_twist(cfg: RunConfig, out: str, workers: int, verbose: bool) -> int:
     return 0
 
 
-def _cmd_caustics(cfg: RunConfig, out: str, workers: int,
-                  verbose: bool) -> int:
+def _cmd_caustics(cfg: RunConfig, out: str, verbose: bool) -> int:
     I0 = 0.5 * cfg.params.action_bound_Ic
     R_E, R_I = circular_caustic_radii(I0, cfg.params)
     rows = []
@@ -314,8 +291,7 @@ def _cmd_caustics(cfg: RunConfig, out: str, workers: int,
     return 0
 
 
-def _cmd_oracle_check(cfg: RunConfig, out: str, workers: int,
-                      verbose: bool) -> int:
+def _cmd_oracle_check(cfg: RunConfig, out: str, verbose: bool) -> int:
     xi0 = 0.3
     geom = boundary(xi0, cfg.profile)
     ve = potential(geom.point_c, "outer", cfg.params)
@@ -362,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for CSV/SVG artifacts")
-    parser.add_argument("--workers", metavar="N", type=int, default=1,
-                        help="worker processes for parallel sweeps")
     parser.add_argument("--verbose", action="store_true",
                         help="print per-artifact summaries")
     return parser
@@ -384,8 +358,7 @@ def main(argv=None) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)
     try:
-        return _PIPELINES[cfg.command](cfg, args.out, max(args.workers, 1),
-                                       args.verbose)
+        return _PIPELINES[cfg.command](cfg, args.out, args.verbose)
     except BilliardError as exc:
         print(f"{cfg.command} failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -222,52 +222,23 @@ def _dedup_sorted(vals: Sequence[float]) -> List[float]:
     return out
 
 
-def _map_residual(xi0: float, I0: float, m: int, n: int,
-                  profile: PerturbationProfile, params: PhysParams):
-    """Lifted n-step return from (xi0, I0) and its periodicity defect."""
-    s = outgoing_state(xi0, I0, profile, params)
-    lift = float(xi0)
-    xis = [lift]
-    acts = [I0]
-    for _ in range(n):
-        res = return_map(s, profile, params)
-        lift += res.delta_xi
-        s = res.state
-        xis.append(lift)
-        acts.append(s.action_I)
-    res_xi = lift - (xi0 + 2.0 * math.pi * m)
-    res_I = s.action_I - I0
-    return res_xi, res_I, np.array(xis), np.array(acts)
-
-
-def _circular_orbits(m: int, n: int, roots: Sequence[float],
-                     params: PhysParams,
-                     profile: PerturbationProfile) -> List[PeriodicOrbit]:
-    """The (m, n) orbit from xi = 0 of each action in ``roots`` on the
-    circle: its closed-form trace, with residual |lift - 2 pi m| (the action
-    is conserved)."""
-    orbits = []
-    for r in roots:
-        trace = iterate(outgoing_state(0.0, r, profile, params), n, profile,
-                        params)
-        xis = trace.xis_lifted
-        orbits.append(PeriodicOrbit(
-            m=m, n=n, xis=xis[:-1],
-            actions=np.array([s.action_I for s in trace.states[:-1]]),
-            residual=float(abs(xis[-1] - 2.0 * math.pi * m)),
-            kind="circular", grad_norm=0.0))
-    return orbits
-
-
 def _orbit_from_cycle(xi0: float, action_I0: float, m: int, n: int,
                       profile: PerturbationProfile, params: PhysParams,
                       kind: str, grad_norm: float = math.nan
                       ) -> PeriodicOrbit:
     """The (m, n) orbit of the map from ``(xi0, action_I0)``, with its
-    periodicity residual."""
-    res_xi, res_I, xis, acts = _map_residual(xi0, action_I0, m, n, profile,
-                                             params)
-    return PeriodicOrbit(m=m, n=n, xis=xis[:-1], actions=acts[:-1],
+    periodicity residual: the n returns of :func:`_advance` (the closed
+    form on the circle).  Raises :class:`OrbitTerminated` when the orbit
+    stops before them."""
+    states = [outgoing_state(xi0, action_I0, profile, params)]
+    lifted = [float(xi0)]
+    status = _advance(states, [], lifted, n, profile, params, False)
+    if status != "running":
+        raise OrbitTerminated(f"the ({m}, {n}) cycle ended in {status!r}")
+    res_xi = lifted[-1] - (xi0 + 2.0 * math.pi * m)
+    res_I = states[-1].action_I - action_I0
+    return PeriodicOrbit(m=m, n=n, xis=np.array(lifted[:-1]),
+                         actions=np.array([s.action_I for s in states[:-1]]),
                          residual=max(abs(res_xi), abs(res_I)), kind=kind,
                          grad_norm=grad_norm)
 
@@ -281,12 +252,13 @@ def cycle_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
     if b.n != n:
         raise ValueError(
             f"cannot compare cycles of periods {a.n} and {b.n}")
-    best = math.inf
-    for j in range(n):
-        dx = np.abs(wrap_pi(a.xis - np.roll(b.xis, -j)))
-        dI = np.abs(a.actions - np.roll(b.actions, -j))
-        best = min(best, float(np.maximum(dx, dI).max()))
-    return best
+    # in floats: cycles are short, and the period-1 search calls this for
+    # every converged seed
+    xa, Ia = a.xis.tolist(), a.actions.tolist()
+    xb, Ib = b.xis.tolist(), b.actions.tolist()
+    return min(max(max(abs(wrap_pi(xa[k] - xb[(k + j) % n])),
+                       abs(Ia[k] - Ib[(k + j) % n])) for k in range(n))
+               for j in range(n))
 
 
 def _newton_fixed_points(m: int, profile: PerturbationProfile,
@@ -318,10 +290,7 @@ def _newton_fixed_points(m: int, profile: PerturbationProfile,
                 continue
             if orb.residual > 1e-8:
                 continue
-            # the cycle distance of two period-1 orbits, in floats
-            if all(max(abs(wrap_pi(xi_s - float(o.xis[0]))),
-                       abs(I_s - float(o.actions[0]))) > 1e-6
-                   for o in orbits):
+            if all(cycle_distance(orb, o) > 1e-6 for o in orbits):
                 orbits.append(orb)
     return sorted(orbits, key=lambda o: (wrap_pi(float(o.xis[0])),
                                          float(o.actions[0])))
@@ -367,8 +336,8 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     """All (m, n)-periodic orbits the search can certify.
 
     Integrable case: every action with total shift 2 pi m/n (one orbit per
-    root, the I = 0 ejection–collision line included for m = 0), each the
-    closed-form :func:`iterate` trace from xi = 0.  Perturbed
+    root, the I = 0 ejection–collision line included for m = 0), each
+    iterated from xi = 0 in closed form.  Perturbed
     case: period-1 cycles by Newton on the section map; for n >= 2 the
     minimizer of the discrete action (Morse index 0), from the uniform
     cycle 2 pi m k/n, and a minimax cycle (index 1), from that cycle turned
@@ -388,7 +357,8 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     if not roots:
         raise RangeEmpty(f"the circular shift never equals 2 pi {m}/{n}")
     if profile.is_circle:
-        return _circular_orbits(m, n, roots, params, profile)
+        return [_orbit_from_cycle(0.0, r, m, n, profile, params, "circular",
+                                  0.0) for r in roots]
     if n == 1:
         orbits = _newton_fixed_points(m, profile, params, roots)
         if not orbits:
@@ -516,15 +486,16 @@ def golden_target(params: PhysParams) -> float:
 
 
 def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
-                          params: PhysParams, n_iter: int = 5000,
-                          harmonics: int = 32) -> CurveProbe:
+                          params: PhysParams, n_iter: int = 5000
+                          ) -> CurveProbe:
     """Probe for an invariant curve with the given rotation number.
 
     Seeds the action from the circular inverse of the shift (the root of
-    largest twist |f' + g'|), refines it off the circle by a secant on the
-    rotation number measured over 300 returns, extends the secant's orbit
-    at the action it settles on to ``n_iter`` returns (or cuts it there),
-    and fits I as a truncated trigonometric polynomial of xi.  The fitted
+    largest twist |f' + g'|), refines it by a secant on the rotation number
+    measured over 300 returns (on the circle the seed is exact and the
+    secant stops at its first test), extends the secant's orbit at the
+    action it settles on to ``n_iter`` returns (or cuts it there), and fits
+    I as a trigonometric polynomial of xi of degree 32.  The fitted
     orbit is bit for bit the fresh ``n_iter``-return orbit from that
     action, and its arcs are not kept.  The fit residual is the numeric
     evidence for (or against) a surviving curve; ``rho_error`` is the
@@ -549,23 +520,21 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
         return running(iterate(outgoing_state(0.0, I, profile, params), N,
                                profile, params))
 
-    # the circle needs no secant: its shift is exact at the seed action
-    N_ref = n_iter if profile.is_circle else 300
-    orbit = measured(I0, N_ref)
-    if not profile.is_circle:
-        Ia, ra = I0, orbit.rotation_estimate[0]
-        slope = circular_shift(I0, params).total_prime
-        Ib = Ia + (target_rho - ra) / slope
-        for _ in range(6):
-            if abs(ra - target_rho) < 3e-5:
-                break
-            orbit_b = measured(Ib, N_ref)
-            rb = orbit_b.rotation_estimate[0]
-            if abs(rb - ra) < 1e-15:
-                break
-            Ia, ra, Ib = Ib, rb, Ib + (target_rho - rb) * (Ib - Ia) / (rb - ra)
-            orbit = orbit_b
-        I0 = Ia
+    # on the circle the seed's shift is the target: the secant stops at once
+    orbit = measured(I0, 300)
+    Ia, ra = I0, orbit.rotation_estimate[0]
+    slope = circular_shift(I0, params).total_prime
+    Ib = Ia + (target_rho - ra) / slope
+    for _ in range(6):
+        if abs(ra - target_rho) < 3e-5:
+            break
+        orbit_b = measured(Ib, 300)
+        rb = orbit_b.rotation_estimate[0]
+        if abs(rb - ra) < 1e-15:
+            break
+        Ia, ra, Ib = Ib, rb, Ib + (target_rho - rb) * (Ib - Ia) / (rb - ra)
+        orbit = orbit_b
+    I0 = Ia
 
     # the orbit at the adopted action, cut or continued to n_iter returns
     states = orbit.states[:n_iter + 1]
@@ -573,7 +542,7 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
     status = _advance(states, [], lifted, n_iter + 1 - len(states), profile,
                       params, False)
     trace = running(_trace(states, [], status, lifted))
-    coef, resid = _curve_fit(trace.states, harmonics)
+    coef, resid = _curve_fit(trace.states, 32)
     rho, rho_error = trace.rotation_estimate
     return CurveProbe(target_rho=target_rho, seed_action=float(I0),
                       measured_rho=rho, rho_error=rho_error,

@@ -1,7 +1,7 @@
 """Byte identity of the CLI's outputs against the checked-in listing.
 
 ``tools/digests.txt`` holds the SHA-256 of every artifact and stdout of the
-20 runs of ``tools/digest_outputs.py``, headed with the Python and numpy
+19 runs of ``tools/digest_outputs.py``, headed with the Python and numpy
 versions it was made with: the bits depend on the toolchain.  A change that
 moves a byte regenerates the listing with
 

@@ -1,6 +1,7 @@
 """What importing and running the package loads: scipy only once the ODE
 oracle integrates; every other command and library path, whose solvers are
-Brent's method and Newton's, loads none."""
+Brent's method and Newton's, loads none.  No command but the oracle's loads
+csv, multiprocessing or concurrent.futures."""
 
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 import refbilliard
-from refbilliard import orbits
+from refbilliard import cli, orbits
 
 SRC = os.path.dirname(os.path.dirname(refbilliard.__file__))
 
@@ -61,6 +62,27 @@ def test_import_does_not_load_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         tmp_path)
     assert out.split() == [refbilliard.__file__, "[]"]
+
+
+def test_cli_and_its_commands_load_no_csv_or_process_pool(tmp_path):
+    # oracle-check is left out: scipy's integrators load csv themselves
+    commands = sorted(set(cli._PIPELINES) - {"oracle-check"})
+    for command in commands:
+        (tmp_path / f"{command}.cfg").write_text(
+            CONFIG.format(command=command))
+    out = _fresh_python(
+        "import sys\nfrom refbilliard.cli import main\n"
+        "def loaded(step, code=0):\n"
+        "    names = ('csv', 'multiprocessing', 'concurrent.futures')\n"
+        "    print('loaded', step, code,\n"
+        "          [m for m in names if m in sys.modules])\n"
+        "loaded('import')\n"
+        f"for command in {commands!r}:\n"
+        "    loaded(command, main(['--config', command + '.cfg',\n"
+        "                          '--out', command]))", tmp_path)
+    assert [line for line in out.splitlines()
+            if line.startswith("loaded ")] == [
+        f"loaded {step} 0 []" for step in ["import", *commands]]
 
 
 def _loads_scipy(tmp_path, config, command):

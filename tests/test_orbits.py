@@ -276,14 +276,18 @@ def _assert_fits_a_fresh_orbit(probe, orbit, profile, params):
     assert probe.coefficients.tolist() == coef.tolist()
 
 
-# 200 returns cut the 300-return secant orbit, 800 continue it
-@pytest.mark.parametrize("n_iter", [200, 800])
-def test_probe_fits_a_fresh_orbit_bit_for_bit(fig1, monkeypatch, n_iter):
-    wavy = PerturbationProfile.cos_profile(2, 1e-3)
+# 200 returns cut the 300-return secant orbit, 800 continue it; on the
+# circle the secant stops at the seed and the closed form continues
+@pytest.mark.parametrize("profile, n_iter", [
+    pytest.param(PerturbationProfile.cos_profile(2, 1e-3), 200, id="200"),
+    pytest.param(PerturbationProfile.cos_profile(2, 1e-3), 800, id="800"),
+    pytest.param(PerturbationProfile(), 800, id="circle")])
+def test_probe_fits_a_fresh_orbit_bit_for_bit(fig1, monkeypatch, profile,
+                                              n_iter):
     probe, orbit = _probe_with_its_orbit(monkeypatch, golden_target(fig1),
-                                         wavy, fig1, n_iter=n_iter)
+                                         profile, fig1, n_iter=n_iter)
     assert probe.n_iter == n_iter
-    _assert_fits_a_fresh_orbit(probe, orbit, wavy, fig1)
+    _assert_fits_a_fresh_orbit(probe, orbit, profile, fig1)
 
 
 def test_probe_keeps_the_older_orbit_when_the_secant_stalls(fig1,
@@ -575,8 +579,7 @@ def test_golden_target_and_surrogate(fig1):
 
 def test_invariant_curve_probe_on_circle(fig1, circle):
     target = golden_target(fig1)
-    probe = invariant_curve_probe(target, circle, fig1, n_iter=400,
-                                  harmonics=8)
+    probe = invariant_curve_probe(target, circle, fig1, n_iter=400)
     assert probe.status == "running"
     assert probe.n_iter == 400
     # the integrable curve is flat: I(xi) = seed action

@@ -7,17 +7,16 @@ Usage::
 Runs every CLI command on the unit circle and on r = 1 + 0.01 cos 2 xi at
 the trajectory-example parameters (E = 2.5, h = 2, mu = 2, om = 1), plus
 ``periodic`` at the light mass mu = 0.5 on both boundaries, plus
-``section`` on the perturbed boundary with ``--workers 2`` (its orbits then
-run in worker processes), plus ``section`` on the circle at 32 seeds of 4000
-returns (128 000 CSV rows): 20 runs, each in a fresh interpreter with
-``--verbose``, against the ``src`` tree next to this script, as many at once
-as there are CPUs.  Each run writes its artifacts and its stdout (without
-the ``seconds:`` timing line) under OUTDIR/<run>/.  The script prints a
-header line with the Python and numpy versions, then one ``sha256  path``
-line per file, paths relative to OUTDIR.  Run it on two checkouts and
-``diff`` the two listings: equal digests mean byte-identical CSV, SVG and
-stdout.  ``tools/digests.txt`` is the listing of the current tree;
-``tests/test_digests.py`` checks it.  Exits 1 if any run fails.
+``section`` on the circle at 32 seeds of 4000 returns (128 000 CSV rows):
+19 runs, each in a fresh interpreter with ``--verbose``, against the ``src``
+tree next to this script, as many at once as there are CPUs.  Each run
+writes its artifacts and its stdout (without the ``seconds:`` timing line)
+under OUTDIR/<run>/.  The script prints a header line with the Python and
+numpy versions, then one ``sha256  path`` line per file, paths relative to
+OUTDIR.  Run it on two checkouts and ``diff`` the two listings: equal
+digests mean byte-identical CSV, SVG and stdout.  ``tools/digests.txt`` is
+the listing of the current tree; ``tests/test_digests.py`` checks it.
+Exits 1 if any run fails.
 """
 
 from __future__ import annotations
@@ -52,22 +51,18 @@ command = {command}
 
 
 def runs():
-    """(name, config text, extra CLI arguments) of every run, in a fixed
-    order."""
+    """(name, config text) of every run, in a fixed order."""
     for prof, text in PROFILES.items():
         for command in COMMANDS:
             yield (f"{prof}-{command}",
-                   CONFIG.format(mu=2.0, profile=text, command=command), ())
+                   CONFIG.format(mu=2.0, profile=text, command=command))
         yield (f"{prof}-periodic-mu0.5",
-               CONFIG.format(mu=0.5, profile=text, command="periodic"), ())
-    yield ("cos2-section-workers2",
-           CONFIG.format(mu=2.0, profile=PROFILES["cos2"], command="section"),
-           ("--workers", "2"))
+               CONFIG.format(mu=0.5, profile=text, command="periodic"))
     # the size of the benchmark's circle-closed section
     yield ("circle-section-large",
            CONFIG.format(mu=2.0, profile=PROFILES["circle"],
                          command="section")
-           + "seeds = 32\niterations = 4000\n", ())
+           + "seeds = 32\niterations = 4000\n")
 
 
 def header() -> str:
@@ -76,13 +71,13 @@ def header() -> str:
     return f"# python {platform.python_version()} numpy {numpy.__version__}"
 
 
-def run(outdir: Path, name: str, text: str, extra: tuple) -> tuple:
+def run(outdir: Path, name: str, text: str) -> tuple:
     """Run one config under OUTDIR/<name>/; (name, returncode, stderr)."""
     (outdir / f"{name}.ini").write_text(text)
     # relative paths, so that stdout does not depend on OUTDIR
     proc = subprocess.run(
         [sys.executable, "-m", "refbilliard", "--config", f"{name}.ini",
-         "--out", name, "--verbose", *extra],
+         "--out", name, "--verbose"],
         cwd=outdir, env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True)
     (outdir / name).mkdir(exist_ok=True)
