@@ -6,10 +6,13 @@ tests' reference, by grid search) and Newton shooting.
 Importing scipy.optimize takes longer than most CLI runs, and every
 one-variable root of the package (the circular shift inverse, the twist
 critical set, the fixed point) is a bracketed root of a closed form.  So
-:func:`brentq` is a port of scipy's, bit for bit, and only the ODE oracle
-loads scipy, for its own integrator and root finder.  The forwarders ``root`` and ``minimize`` below import scipy's
-solvers on first call; nothing in the package calls them, and they stay
-only because the benchmark's traced runs resolve them by name.
+:func:`brentq` is a port of scipy's, bit for bit, and no part of the
+package loads scipy: the ODE oracle integrates by Taylor series in numpy
+and polishes its crossings itself, on purpose using none of these helpers
+but :func:`wrap_pi`.  The forwarders ``root`` and ``minimize`` below
+import scipy's solvers on first call; nothing in the package calls them,
+and they stay only because the benchmark's traced runs resolve them by
+name.
 """
 
 from __future__ import annotations

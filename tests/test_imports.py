@@ -1,7 +1,9 @@
-"""What importing and running the package loads: scipy only once the ODE
-oracle integrates; every other command and library path, whose solvers are
-Brent's method and Newton's, loads none.  No command but the oracle's loads
-csv, multiprocessing or concurrent.futures."""
+"""What importing and running the package loads: no scipy module, on import
+or in any CLI command or library path.  The solvers are the package's own
+Brent's method and Newton's, and the ODE oracle is a Taylor integrator in
+numpy with its own root polishing; scipy is a test dependency only, a
+reference for those solvers.  No command loads csv, multiprocessing or
+concurrent.futures."""
 
 import os
 import subprocess
@@ -65,8 +67,8 @@ def test_import_does_not_load_scipy(tmp_path):
 
 
 def test_cli_and_its_commands_load_no_csv_or_process_pool(tmp_path):
-    # oracle-check is left out: scipy's integrators load csv themselves
-    commands = sorted(set(cli._PIPELINES) - {"oracle-check"})
+    commands = sorted(cli._PIPELINES)
+    assert len(commands) == 8
     for command in commands:
         (tmp_path / f"{command}.cfg").write_text(
             CONFIG.format(command=command))
@@ -100,14 +102,31 @@ def _loads_scipy(tmp_path, config, command):
 
 
 @pytest.mark.parametrize("command", ["section", "orbit", "shift-profile",
-                                     "caustics", "params-report", "twist"])
+                                     "caustics", "params-report", "twist",
+                                     "oracle-check"])
 def test_command_without_solvers_does_not_load_scipy(tmp_path, command):
     assert not _loads_scipy(tmp_path, CONFIG, command)
 
 
-@pytest.mark.parametrize("command", ["params-report", "twist", "periodic"])
+@pytest.mark.parametrize("command", ["params-report", "twist", "periodic",
+                                     "oracle-check"])
 def test_command_on_the_circle_does_not_load_scipy(tmp_path, command):
     assert not _loads_scipy(tmp_path, CIRCLE, command)
+
+
+def test_ode_oracle_does_not_load_scipy(tmp_path):
+    # one return by the Taylor integrator, through both legs and both
+    # refractions, on r = 1 + 0.01 cos 2 xi
+    out = _fresh_python(
+        "import sys\nfrom refbilliard import (PerturbationProfile, "
+        "PhysParams, ode_return_map)\n"
+        "params = PhysParams(2.5, 2.0, 2.0, 1.0)\n"
+        "prof = PerturbationProfile.cos_profile(2, 0.01)\n"
+        "orc = ode_return_map(0.3, 0.5, prof, params)\n"
+        "print(orc.t_outer > 0 and orc.t_inner > 0,\n"
+        "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        tmp_path)
+    assert out.split() == ["True", "[]"]
 
 
 # the n >= 2 classes are found by Newton on the discrete action's exact
