@@ -22,23 +22,20 @@ from .errors import (AntipodalEndpoints, BilliardError, DegenerateEnvelope,
                      RangeEmpty, ResidualTooLarge, ShootingDiverged,
                      SingularityError, TangentialCrossing,
                      TotalReflectionTermination)
-from .inner import (inner_arc_fixed_ends, inner_shift, kepler_elements,
-                    levi_civita_propagate, transversality_bound)
+from .inner import (inner_arc_fixed_ends, kepler_elements,
+                    levi_civita_propagate)
 from .oracle import OracleReturn, ode_return_map
 from .orbits import (CurveProbe, OrbitTrace, PeriodicOrbit, StabilityReport,
                      curve_eval, cycle_distance, find_periodic,
-                     golden_target, invariant_curve_probe,
-                     is_diophantine_surrogate, iterate, linear_stability,
-                     rotation_number)
-from .outer import (outer_arc_fixed_ends, outer_conic_of, outer_propagate,
-                    outer_shift, outer_shift_inverse, outer_shift_prime,
-                    outer_transit)
+                     golden_target, invariant_curve_probe, iterate,
+                     linear_stability, rotation_number)
+from .outer import (outer_arc_fixed_ends, outer_conic_of,
+                    outer_shift_inverse, outer_transit)
 from .params import PhysParams, potential
 from .refraction import (CRITICAL_TOL, RefractionResult, critical_angle,
                          refract_in, refract_out)
 from .returnmap import (BoundaryState, MapResult, ShiftProfile,
-                        action_of_velocity, circular_shift,
-                        find_nonhomothetic_fixed_point,
+                        circular_shift, find_nonhomothetic_fixed_point,
                         fixed_point_thresholds, outgoing_state,
                         outgoing_velocity, return_map, tangent_map,
                         total_shift_grid, twist_at_zero, twist_critical_set)

@@ -41,9 +41,8 @@ class InnerConic(NamedTuple):
     ``ang_momentum_k`` is signed (positive = counterclockwise);
     ``semilatus_p`` = k^2/mu, ``eccentricity_e`` = sqrt(1 + 2(E+h)k^2/mu^2) > 1,
     ``pericenter_r`` = p/(1+e), ``pericenter_angle`` the polar angle of the
-    pericenter direction.  ``winding`` is the index of the closed curve formed
-    by the arc plus the shortest boundary chord; ``is_collision`` marks an
-    ejection-collision ray, |k| <= 1e-12 max(r |v|, 1).
+    pericenter direction.  ``is_collision`` marks an ejection-collision ray,
+    |k| <= 1e-12 max(r |v|, 1).
     """
 
     ang_momentum_k: float
@@ -51,7 +50,6 @@ class InnerConic(NamedTuple):
     eccentricity_e: float
     pericenter_r: float
     pericenter_angle: float
-    winding: int = 0
     is_collision: bool = False
 
 
@@ -61,11 +59,10 @@ class ArcSegment:
 
     ``region`` is "outer" or "inner" (:attr:`chart` names its coordinates).
     ``duration`` is the kinetic (physical) time of traversal, ``sweep`` the
-    lifted polar angle advance from start to end, and ``xi0``/``xi1`` the
-    wrapped boundary angles of the endpoints (equal for brake/collision
-    arcs).  ``conic`` is the :class:`InnerConic` of an inner arc and None on
-    an outer one (:func:`refbilliard.outer.outer_conic_of` gives its
-    ellipse).
+    lifted polar angle advance from start to end, and ``xi1`` the wrapped
+    polar angle of the end point.  ``conic`` is the :class:`InnerConic` of
+    an inner arc and None on an outer one
+    (:func:`refbilliard.outer.outer_conic_of` gives its ellipse).
 
     The parametrization payload ``par`` depends on the region:
 
@@ -80,7 +77,6 @@ class ArcSegment:
     v1: complex
     duration: float
     sweep: float
-    xi0: float
     xi1: float
     conic: object
     par: tuple

@@ -193,15 +193,14 @@ class BoundaryGeometry(NamedTuple):
 
     Points and directions are complex numbers.  ``metric`` is
     |gamma'(xi)| = sqrt(rho^2 + rho'^2), the factor converting d xi to
-    arclength; it equals 1 on the unit circle.
+    arclength; it equals 1 on the unit circle.  rho and rho' come from
+    :meth:`PerturbationProfile.radius_jet`.
     """
 
     xi: float
     point_c: complex
     tangent_c: complex
     normal_c: complex
-    radius: float
-    radius_prime: float
     metric: float
 
 
@@ -232,7 +231,6 @@ def boundary(xi: float, profile: PerturbationProfile) -> BoundaryGeometry:
     m = abs(dgamma)
     t = dgamma / m
     geom = BoundaryGeometry(xi=xi, point_c=rho * e, tangent_c=t,
-                            normal_c=-1j * t, radius=rho, radius_prime=rhop,
-                            metric=m)
+                            normal_c=-1j * t, metric=m)
     _last_frame = (profile, xi, geom)
     return geom

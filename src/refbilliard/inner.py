@@ -26,15 +26,8 @@ def kepler_elements(z0, v0, params: PhysParams) -> InnerConic:
     direction stay accurate down to zero angular momentum (radial rays have
     e = 1 exactly and are flagged ``is_collision``).
     """
-    k, p, e, r_peri, th_peri, collision = _elements(
-        _as_complex(z0), _as_complex(v0), params)
-    return InnerConic(k, p, e, r_peri, th_peri, 0, collision)
-
-
-def _elements(z0: complex, v0: complex, params: PhysParams) -> tuple:
-    """(k, p, e, pericenter radius, pericenter angle, collision flag) of the
-    hyperbola through ``(z0, v0)``: the fields of :func:`kepler_elements`
-    but the winding."""
+    z0 = _as_complex(z0)
+    v0 = _as_complex(v0)
     r = abs(z0)
     if r == 0.0:
         raise SingularityError("orbital elements are undefined at the centre")
@@ -53,7 +46,7 @@ def _elements(z0: complex, v0: complex, params: PhysParams) -> tuple:
         p = 0.0
     else:
         th_peri = cmath.phase(evec)
-    return k, p, e, p / (1.0 + e), th_peri, collision
+    return InnerConic(k, p, e, p / (1.0 + e), th_peri, collision)
 
 
 def _check_inner_energy(z0: complex, v0: complex, params: PhysParams) -> None:
@@ -62,36 +55,6 @@ def _check_inner_energy(z0: complex, v0: complex, params: PhysParams) -> None:
     if err > 1e-9 * max(vi, 1.0):
         raise EnergyMismatch(
             f"|v|^2/2 differs from the interior potential by {err:.3g}")
-
-
-def inner_shift(beta0: float, params: PhysParams) -> float:
-    """Lifted polar-angle shift of one interior arc entering at angle ``beta0``.
-
-    ``beta0`` is measured from the inward normal of the unit circle toward
-    the tangent.  Odd in beta0, continuous on (0, pi/2] with limit 0 at 0+
-    and -2*pi at pi/2; the geometric polar advance of the arc is this shift
-    plus 2*pi*sign(beta0).
-    """
-    if abs(beta0) > math.pi / 2 + 1e-15:
-        raise DomainError("entry angle must lie in [-pi/2, pi/2]")
-    if beta0 == 0.0:
-        return 0.0
-    Eh = params.kepler_energy
-    mu = params.mass_mu
-    s2 = math.sin(beta0) ** 2
-    num = 2.0 * (Eh + mu) * s2 - mu
-    den = math.sqrt(4.0 * Eh * (Eh + mu) * s2 + mu * mu)
-    # theta = 2 acos(num/den) - 2 pi, via half-angle forms that avoid the
-    # precision loss of acos near +-1 (beta0 near 0 or pi/2); uses
-    # den^2 - num^2 = 4 (Eh+mu)^2 s2 (1-s2) exactly
-    G = 4.0 * (Eh + mu) ** 2 * s2 * (1.0 - s2)
-    if num <= 0.0:
-        theta = -4.0 * math.asin(min(
-            math.sqrt(G / (2.0 * den * (den - num))), 1.0))
-    else:
-        theta = 4.0 * math.asin(min(
-            math.sqrt(G / (2.0 * den * (den + num))), 1.0)) - 2.0 * math.pi
-    return math.copysign(theta, -beta0) if theta != 0.0 else 0.0
 
 
 def levi_civita_propagate(z0, v0, params: PhysParams,
@@ -106,7 +69,8 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     """
     z0 = _as_complex(z0)
     v0 = _as_complex(v0)
-    k, p, e, r_peri, th_peri, collision = _elements(z0, v0, params)
+    conic = kepler_elements(z0, v0, params)
+    k = conic.ang_momentum_k
     Om = math.sqrt(params.lc_Omega_sq)
     w0 = cmath.sqrt(z0)
     wd0 = v0 * w0.conjugate()
@@ -121,7 +85,6 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     x = 2.0 * Om * tau1
     dur = (A * math.sinh(x) + B * (math.cosh(x) - 1.0)) / Om + 2.0 * C * tau1
 
-    xi0 = wrap_pi(cmath.phase(z0))
     xi1 = wrap_pi(cmath.phase(z1))
     # theta = 2 arg w, and arg w turns by less than pi along a hyperbola
     # branch, so one atan2 gives the lifted sweep, which has the sign of k;
@@ -134,11 +97,9 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
                                  w0.real * w1.real + w0.imag * w1.imag)
         if sweep * k < 0.0:
             sweep += math.copysign(4.0 * math.pi, k)
-    wind = int(round((sweep - wrap_pi(xi1 - xi0)) / (2.0 * math.pi)))
-    conic = InnerConic(k, p, e, r_peri, th_peri, wind, collision)
     return ArcSegment(region="inner", p0=z0, v0=v0, p1=z1, v1=v1,
-                      duration=dur, sweep=sweep, xi0=xi0, xi1=xi1,
-                      conic=conic, par=(w0, wd0, Om, tau1))
+                      duration=dur, sweep=sweep, xi1=xi1, conic=conic,
+                      par=(w0, wd0, Om, tau1))
 
 
 def _march_bound(Om: float, C: float, L: float, D: float,
@@ -275,20 +236,3 @@ def _chord_entry_angle(sweep: float, params: PhysParams) -> float:
     if abs(sinb) > 1.0:
         raise DomainError("requested sweep is not reachable at this energy")
     return math.asin(sinb)
-
-
-def transversality_bound(params: PhysParams, chord_x0: float) -> float:
-    """Lower bound on |cos| of the angle between a winding interior arc and
-    the unit circle, as a function of the chord half-angle cosine ``x0``.
-
-    ``x0 = cos(delta/2)`` where delta is the wrapped endpoint separation;
-    the bound is uniform over the winding branch and tends to 1 as the
-    chord closes up.
-    """
-    if not -1.0 < chord_x0 <= 1.0:
-        raise DomainError("chord half-angle cosine must lie in (-1, 1]")
-    a = params.mass_mu / (2.0 * params.kepler_energy)
-    root = math.sqrt(4.0 * a * a + 4.0 * a + chord_x0 * chord_x0)
-    e0 = (-chord_x0 + root) / (2.0 * a)
-    return e0 * math.sqrt((2.0 * a + chord_x0 * (chord_x0 + root)) /
-                          (2.0 + 4.0 * a))

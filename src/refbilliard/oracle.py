@@ -28,7 +28,12 @@ high-order Taylor methods", *Exp. Math.* 14, 2005), in numpy only:
   that turns from approach to retreat brackets an extremum, which is found
   by bisection and, if it lies on the far side, brackets the crossing of a
   brief graze.  Each crossing is polished by Newton's method on the step
-  polynomial, safeguarded by bisection.
+  polynomial, safeguarded by bisection.  A dip with both extrema of the
+  clearance between two samples is not seen: launched 1.03e-4 from
+  tangency at xi0 = -1.9375 on r = 1 + 0.046875 sin 4 xi (E = 2.5, h = 2,
+  mu = 2, om = 1), the ray re-enters at s = 0.0145 and leaves again at
+  0.0560, before the first sample at 0.108, and :func:`ode_return_map`
+  returns the crossing at s = 3.1202, 3.04 away in xi.
 - **Stops.** The zero at the departure point is skipped by arming the
   checks only after ``t_guard``.  A leg whose steps fall below a floor
   relative to its time scale (a Kepler arc running into the centre), or

@@ -465,21 +465,11 @@ def linear_stability(orbit: PeriodicOrbit, profile: PerturbationProfile,
 # -- invariant-curve probe -------------------------------------------------------
 
 
-def is_diophantine_surrogate(rho: float) -> bool:
-    """Whether rho/2pi keeps distance 1e-3 from all p/q with q <= 20."""
-    x = rho / (2.0 * math.pi)
-    for q in range(1, 21):
-        p = round(x * q)
-        if abs(x - p / q) < 1e-3:
-            return False
-    return True
-
-
 def golden_target(params: PhysParams) -> float:
     """A noble rotation-number target inside the circular shift range.
 
-    -2 pi/(2 + golden mean) lands in the Fig-1-like range and passes the
-    rational-distance surrogate.
+    -2 pi/(2 + golden mean) lands in the Fig-1-like range, and its
+    rho/2pi keeps distance 1e-3 from every p/q with q <= 20.
     """
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     return -2.0 * math.pi / (2.0 + phi)

@@ -2,10 +2,10 @@
 
 Outside the boundary the zero-energy motion follows z'' = -om z with
 om = stiffness_om, i.e. an elliptic arc centred at the origin, traversed in
-closed form.  This module provides the propagation, the polar-angle shift of
-a full exterior arc as a function of launch angle (and its derivative and
-inverse), the transit map from a boundary point, and the two-point boundary
-problem for an exterior arc with prescribed endpoints.
+closed form.  This module provides the ellipse of an arc, the launch angle
+of a unit-circle arc with a given polar-angle shift, the transit map from a
+boundary point, and the two-point boundary problem for an exterior arc with
+prescribed endpoints.
 """
 
 from __future__ import annotations
@@ -20,19 +20,6 @@ from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
 from .params import PhysParams, _as_complex, potential
 
 
-def outer_propagate(p0, v0, s, params: PhysParams):
-    """Closed-form oscillator flow: positions and velocities at times ``s``.
-
-    Returns ``(z, v)`` shaped as ``s`` (:func:`refbilliard.arcs.osc_flow`).
-    The pair ``(p0, v0)`` must satisfy the zero-energy relation
-    |v|^2/2 = V_E(p0).
-    """
-    p0 = _as_complex(p0)
-    v0 = _as_complex(v0)
-    _check_outer_energy(p0, v0, params)
-    return osc_flow(p0, v0, params.omega, s)
-
-
 def _check_outer_energy(p0: complex, v0: complex, params: PhysParams) -> None:
     ve = potential(p0, "outer", params)
     if ve <= 0.0:
@@ -45,44 +32,15 @@ def _check_outer_energy(p0: complex, v0: complex, params: PhysParams) -> None:
             f"|v|^2/2 differs from the exterior potential by {err:.3g}")
 
 
-def outer_shift(alpha: float, params: PhysParams) -> float:
-    """Polar-angle advance of one exterior arc launched at angle ``alpha``.
-
-    ``alpha`` is measured from the outward normal of the unit circle toward
-    the tangent, alpha in [-pi/2, pi/2].  Odd in alpha; tends to +-pi at the
-    tangential limits.
-    """
-    if abs(alpha) > math.pi / 2 + 1e-15:
-        raise DomainError("launch angle must lie in [-pi/2, pi/2]")
-    if alpha == 0.0:
-        return 0.0
-    a = min(abs(alpha), math.pi / 2)
-    if math.pi / 2 - a < 1e-15:
-        return math.copysign(math.pi, alpha)
-    K = 2.0 * params.energy_E - params.stiffness_om
-    s2, c2 = math.sin(2 * a), math.cos(2 * a)
-    x = (params.stiffness_om / K + c2) / s2
-    theta = math.pi / 2 - math.atan(x)
-    return math.copysign(theta, alpha)
-
-
-def outer_shift_prime(alpha: float, params: PhysParams) -> float:
-    """d(outer_shift)/d(alpha); even, positive, equal to (2E-om)/E at 0."""
-    if abs(alpha) > math.pi / 2 + 1e-15:
-        raise DomainError("launch angle must lie in [-pi/2, pi/2]")
-    K = 2.0 * params.energy_E - params.stiffness_om
-    om = params.stiffness_om
-    c = math.cos(2 * alpha)
-    return 2.0 * K * (K + om * c) / (K * K + om * om + 2.0 * K * om * c)
-
-
 def outer_shift_inverse(theta: float, params: PhysParams) -> float:
     """Launch angle whose exterior arc advances the polar angle by ``theta``.
 
-    The shift is an odd, strictly increasing bijection (-pi/2, pi/2) ->
+    On the unit circle the arc launched at alpha advances the polar angle
+    by f(I_c sin alpha), f the shift of :func:`circular_shift`: an odd,
+    strictly increasing bijection (-pi/2, pi/2) ->
     (-pi, pi), so the inverse exists for |theta| < pi.  cot theta =
-    (om/K + cos 2 alpha)/sin 2 alpha with K = 2E - om (see
-    :func:`outer_shift`) gives sin(2 alpha - theta) = (om/K) sin theta.
+    (om/K + cos 2 alpha)/sin 2 alpha with K = 2E - om gives
+    sin(2 alpha - theta) = (om/K) sin theta.
     """
     if abs(theta) >= math.pi:
         raise DomainError("exterior arcs advance the angle by less than pi")
@@ -155,8 +113,7 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
     xi1 = wrap_pi(math.atan2(z1.imag, z1.real))
     return ArcSegment(region="outer", p0=p0, v0=v0, p1=z1, v1=v1,
                       duration=s1, sweep=_exterior_sweep(p0, v0, z1, w, s1),
-                      xi0=wrap_pi(xi0), xi1=xi1,
-                      conic=None, par=(w, s1))
+                      xi1=xi1, conic=None, par=(w, s1))
 
 
 def _exit_time(p0: complex, v0: complex, w: float,

@@ -74,11 +74,6 @@ class PhysParams:
         return math.sqrt(self.energy_E - self.stiffness_om / 2)
 
     @cached_property
-    def outer_speed_unit(self) -> float:
-        """Speed sqrt(2 V_E) = sqrt(2E - om) on the unit circle, outer side."""
-        return math.sqrt(2 * self.energy_E - self.stiffness_om)
-
-    @cached_property
     def inner_speed_unit(self) -> float:
         """Speed sqrt(2 V_I) = sqrt(2(E + h + mu)) on the unit circle, inner side."""
         return math.sqrt(2 * (self.energy_E + self.offset_h + self.mass_mu))

@@ -64,15 +64,6 @@ class MapResult(NamedTuple):
     arcs: Tuple[ArcSegment, ArcSegment]
 
 
-def action_of_velocity(xi: float, v, profile: PerturbationProfile,
-                       params: PhysParams) -> float:
-    """Canonical action I = (1/sqrt(2)) v . gamma'(xi) of a boundary velocity."""
-    geom = boundary(xi, profile)
-    v = complex(v[0], v[1]) if not isinstance(v, complex) else v
-    tang = geom.tangent_c * geom.metric
-    return (v.real * tang.real + v.imag * tang.imag) / math.sqrt(2.0)
-
-
 def outgoing_state(xi: float, action_I: float, profile: PerturbationProfile,
                    params: PhysParams) -> BoundaryState:
     """Outgoing :class:`BoundaryState` at ``(xi, I)``; validates the action bound.

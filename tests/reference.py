@@ -7,7 +7,8 @@ identity L^2 = 2M ties the two together), and the distances d_E and d_I of
 arcs with prescribed boundary endpoints, built by the fixed-end shooting
 solvers rather than the return map.  It also gives the boundary point
 gamma(xi) = rho(xi) e^{i xi} directly from the radius profile, as a
-reference for :func:`refbilliard.boundary`.
+reference for :func:`refbilliard.boundary`, and the rational-distance test
+that the invariant-curve criterion applies to its target rotation number.
 
 Every integral goes through :func:`scipy.integrate.quad`.
 """
@@ -36,6 +37,16 @@ def gamma_point(xi, profile: PerturbationProfile):
     xi = np.asarray(xi, dtype=float)
     out = profile.radius(xi) * np.exp(1j * xi)
     return out if np.ndim(out) else complex(out)
+
+
+def is_diophantine_surrogate(rho: float) -> bool:
+    """Whether rho/2pi keeps distance 1e-3 from all p/q with q <= 20."""
+    x = rho / (2.0 * math.pi)
+    for q in range(1, 21):
+        p = round(x * q)
+        if abs(x - p / q) < 1e-3:
+            return False
+    return True
 
 
 def _outer_flow(arc: ArcSegment, u):

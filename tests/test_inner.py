@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from refbilliard import (inner_arc_fixed_ends, inner_shift, kepler_elements,
-                         levi_civita_propagate, potential,
-                         transversality_bound)
+from refbilliard import (circular_shift, inner_arc_fixed_ends,
+                         kepler_elements, levi_civita_propagate, potential)
 from refbilliard.errors import (AntipodalEndpoints, DomainError,
                                 EnergyMismatch, SingularityError)
 
@@ -113,31 +112,52 @@ def test_collision_ray_reflects_through_centre(fig1, circle):
     assert arc.v1 == pytest.approx(-v0, abs=1e-9)
 
 
+def shift_g(beta, params):
+    """The circle's interior shift g at the action I = sqrt(V_I(1))
+    sin(beta) of an entry at ``beta``; refraction reaches |I| < I_c only."""
+    speed = math.sqrt(potential(1.0 + 0.0j, "inner", params))
+    return circular_shift(speed * math.sin(beta), params).g_val
+
+
 def test_inner_shift_is_odd_and_decreasing(fig1):
-    betas = np.linspace(0.05, math.pi / 2, 40)
-    vals = np.array([inner_shift(b, fig1) for b in betas])
-    negs = np.array([inner_shift(-b, fig1) for b in betas])
+    # entries up to the critical angle, where I reaches I_c
+    beta_c = math.asin(fig1.action_bound_Ic /
+                       math.sqrt(potential(1.0 + 0.0j, "inner", fig1)))
+    betas = np.linspace(0.05, beta_c - 1e-6, 40)
+    vals = np.array([shift_g(b, fig1) for b in betas])
+    negs = np.array([shift_g(-b, fig1) for b in betas])
     assert np.allclose(vals, -negs, atol=1e-14)
     assert np.all(np.diff(vals) < 0)
-    assert inner_shift(0.0, fig1) == 0.0
-    assert inner_shift(math.pi / 2, fig1) == pytest.approx(
-        -2.0 * math.pi, abs=1e-12)
-    assert abs(inner_shift(1e-8, fig1)) < 1e-6
+    assert shift_g(0.0, fig1) == 0.0
+    assert abs(shift_g(1e-8, fig1)) < 1e-6
 
 
 def test_inner_shift_matches_transit_sweep(fig1, circle):
-    # geometric polar advance of the arc = shift + 2*pi*sign(beta)
-    for beta in (0.25, 0.7, 1.2, -0.4, -1.05):
+    # geometric polar advance of the arc = shift + 2*pi*sign(beta), at
+    # entries refraction can produce (|beta| below 0.588 here)
+    for beta in (0.25, 0.5, 0.58, -0.4, -0.55):
         _, v0 = entry_state(0.0, beta, fig1)
         arc = levi_civita_propagate(1.0 + 0.0j, v0, fig1, circle)
-        expected = inner_shift(beta, fig1) + math.copysign(2.0 * math.pi, beta)
+        expected = shift_g(beta, fig1) + math.copysign(2.0 * math.pi, beta)
         assert arc.sweep == pytest.approx(expected, abs=1e-11)
+    # entries past the critical angle, which only the fixed-end solvers
+    # launch: the arc is symmetric about its pericenter line, so it turns
+    # by twice the angle from the entry to the pericenter, in the sense of k
+    for beta in (0.7, 1.2, -1.05):
+        _, v0 = entry_state(0.0, beta, fig1)
+        arc = levi_civita_propagate(1.0 + 0.0j, v0, fig1, circle)
+        conic = kepler_elements(1.0 + 0.0j, v0, fig1)
+        sense = math.copysign(1.0, conic.ang_momentum_k)
+        half = (sense * conic.pericenter_angle) % (2.0 * math.pi)
+        assert arc.sweep == pytest.approx(2.0 * sense * half, abs=1e-11)
 
 
-def test_inner_shift_anchor_half_turn(fig1):
+def test_inner_shift_anchor_half_turn(fig1, circle):
     # the unit action on the unit circle enters at sin(beta) = 1/sqrt(V_I)
-    beta = math.asin(1.0 / math.sqrt(6.5))
-    assert inner_shift(beta, fig1) == pytest.approx(-math.pi, abs=1e-12)
+    # and turns by g(1) + 2 pi = pi
+    _, v0 = entry_state(0.0, math.asin(1.0 / math.sqrt(6.5)), fig1)
+    arc = levi_civita_propagate(1.0 + 0.0j, v0, fig1, circle)
+    assert arc.sweep == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_inner_arc_fixed_ends_branches(fig1, circle):
@@ -177,19 +197,6 @@ def test_inner_arc_fixed_ends_perturbed(fig1):
     arc = inner_arc_fixed_ends(0.25, 1.9, prof, fig1, branch="winding")
     assert arc.xi1 == pytest.approx(1.9, abs=1e-8)
     assert abs(arc.p1) == pytest.approx(prof.radius(1.9), abs=1e-8)
-    assert arc.conic.winding == -1
+    # the long way round: one turn less than the wrapped advance
+    assert arc.sweep == pytest.approx(1.9 - 0.25 - 2.0 * math.pi, abs=1e-8)
 
-
-def test_transversality_bound_attained_on_circle(fig1, circle):
-    # on the unit circle the winding chord attains the bound exactly
-    for delta in (0.3, 1.0, 2.0, 3.0):
-        arc = inner_arc_fixed_ends(0.0, delta, circle, fig1, branch="winding")
-        n1 = arc.p1 / abs(arc.p1)
-        cos_exit = abs(arc.v1.real * n1.real +
-                       arc.v1.imag * n1.imag) / abs(arc.v1)
-        bound = transversality_bound(fig1, math.cos(delta / 2.0))
-        assert cos_exit == pytest.approx(bound, abs=1e-10)
-        assert cos_exit >= bound - 1e-12
-    assert transversality_bound(fig1, 1.0) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(DomainError):
-        transversality_bound(fig1, -1.0)

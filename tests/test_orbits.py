@@ -9,8 +9,7 @@ import pytest
 from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
                          boundary, circular_shift, curve_eval, cycle_distance,
                          discrete_action, find_periodic, golden_target,
-                         invariant_curve_probe, is_diophantine_surrogate,
-                         iterate, linear_stability,
+                         invariant_curve_probe, iterate, linear_stability,
                          outgoing_state, potential, return_map,
                          rotation_number, shift_inverse_all, twist_at_zero)
 from refbilliard import orbits as orbits_module
@@ -21,6 +20,7 @@ from refbilliard.errors import (BilliardError, DescentStalled,
                                 ResidualTooLarge, TotalReflectionTermination)
 from refbilliard.orbits import (_critical_cycle, _curve_fit,
                                 _rotation_with_error)
+from reference import is_diophantine_surrogate
 
 
 def test_iterate_records_constant_shift_on_circle(fig1, circle):

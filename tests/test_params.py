@@ -72,7 +72,6 @@ def test_inner_potential_singular_at_origin(fig1):
 def _formulas(p):
     E, h, mu, om = p.energy_E, p.offset_h, p.mass_mu, p.stiffness_om
     return {"action_bound_Ic": math.sqrt(E - om / 2),
-            "outer_speed_unit": math.sqrt(2 * E - om),
             "inner_speed_unit": math.sqrt(2 * (E + h + mu)),
             "omega": math.sqrt(om),
             "kepler_energy": E + h,

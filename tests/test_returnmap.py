@@ -1,5 +1,6 @@
 """First return map on the interface: shifts, twist, fixed points."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies
 from scipy.optimize import brentq as scipy_brentq
 
-from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
-                         circular_shift, find_nonhomothetic_fixed_point,
+from refbilliard import (PerturbationProfile, PhysParams, circular_shift,
+                         find_nonhomothetic_fixed_point,
                          fixed_point_thresholds, outgoing_state,
                          outgoing_velocity, return_map, total_shift_grid,
                          twist_at_zero, twist_critical_set)
@@ -26,7 +27,9 @@ def test_outgoing_state_and_velocity_round_trip(fig1, circle):
     # I = sqrt(V_E) sin(alpha) * metric, metric = 1 on the circle
     assert math.sin(st.alpha) == pytest.approx(0.9 / math.sqrt(2.0), abs=1e-15)
     v = outgoing_velocity(st, circle, fig1)
-    assert action_of_velocity(0.8, v, circle, fig1) == pytest.approx(
+    # I = v . gamma'(xi)/sqrt(2), gamma' = i e^{i xi} on the circle
+    tangent = 1j * cmath.exp(0.8j)
+    assert (v * tangent.conjugate()).real / math.sqrt(2.0) == pytest.approx(
         0.9, abs=1e-13)
 
 
@@ -34,7 +37,10 @@ def test_action_recovery_on_perturbed_boundary(fig1):
     prof = PerturbationProfile.cos_profile(3, 0.04)
     st = outgoing_state(1.1, -0.7, prof, fig1)
     v = outgoing_velocity(st, prof, fig1)
-    assert action_of_velocity(1.1, v, prof, fig1) == pytest.approx(
+    # I = v . gamma'(xi)/sqrt(2), gamma' = (rho' + i rho) e^{i xi}
+    rho, rhop, _ = prof.radius_jet(1.1)
+    tangent = (rhop + 1j * rho) * cmath.exp(1.1j)
+    assert (v * tangent.conjugate()).real / math.sqrt(2.0) == pytest.approx(
         -0.7, abs=1e-13)
 
 
@@ -85,6 +91,9 @@ def test_circular_shift_anchor_values(fig1):
     assert prof.f_val == pytest.approx(math.atan(4.0), abs=1e-12)
     assert prof.g_val == pytest.approx(-math.pi, abs=1e-12)
     assert prof.total == pytest.approx(prof.f_val + prof.g_val, abs=1e-15)
+    # df/dalpha = f'(I) I_c cos(alpha) at alpha = 0 is (2E - om)/E
+    assert circular_shift(0.0, fig1).f_prime * fig1.action_bound_Ic == \
+        pytest.approx(4.0 / 2.5, abs=1e-14)
 
 
 def test_circular_shift_is_odd(fig1):

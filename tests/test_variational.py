@@ -1,5 +1,6 @@
 """Jacobi lengths, the generating function, and discrete actions of cycles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from refbilliard import (PerturbationProfile, PhysParams, action_of_velocity,
-                         circular_shift, discrete_action, generating_function,
+from refbilliard import (PerturbationProfile, PhysParams, circular_shift,
+                         discrete_action, generating_function,
                          inner_arc_fixed_ends, jacobi_length,
-                         outer_arc_fixed_ends, outer_propagate, outer_transit,
-                         outgoing_state, potential, return_map,
-                         shift_inverse_all, twist_critical_set, variational)
+                         outer_arc_fixed_ends, outer_transit, outgoing_state,
+                         potential, return_map, shift_inverse_all,
+                         twist_critical_set, variational)
+from refbilliard.arcs import osc_flow
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, DegenerateStationarity,
                                 RangeEmpty, ShootingDiverged,
@@ -32,7 +34,7 @@ def test_jacobi_length_outer_against_time_quadrature(fig1, circle):
     arc = outer_transit(0.3, 0.8, circle, fig1)
 
     def integrand(t):
-        z, v = outer_propagate(arc.p0, arc.v0, t, fig1)
+        z, v = osc_flow(arc.p0, arc.v0, fig1.omega, t)
         return abs(v) * math.sqrt(potential(z, "outer", fig1))
 
     oracle = quad(integrand, 0.0, arc.duration, epsabs=1e-13,
@@ -255,6 +257,14 @@ def test_generating_function_unreachable_shift(fig1, circle):
         generating_function(0.0, -7.0, circle, fig1)
 
 
+def _action(xi, v, profile):
+    """Canonical action I = v . gamma'(xi)/sqrt(2) of a boundary velocity,
+    gamma' = (rho' + i rho) e^{i xi}."""
+    rho, rhop, _ = profile.radius_jet(xi)
+    tangent = (rhop + 1j * rho) * cmath.exp(1j * xi)
+    return (v * tangent.conjugate()).real / math.sqrt(2.0)
+
+
 @pytest.mark.parametrize("params, xi0, delta, hint", [
     ("fig1", 0.3, 1.1, 0.0),
     ("fig1", -1.0, -0.8, 0.0),
@@ -279,11 +289,11 @@ def test_generating_function_matches_fixed_end_links(request, params, xi0,
     outer = outer_arc_fixed_ends(xi0, mid, prof, par, lifted_delta=mid - xi0)
     inner = inner_arc_fixed_ends(mid, xi1, prof, par, lifted_sweep=sweep)
     # Snell's law at the refraction point: equal actions on both sides
-    assert action_of_velocity(mid, outer.v1, prof, par) == pytest.approx(
-        action_of_velocity(mid, inner.v0, prof, par), abs=1e-9)
-    assert action_of_velocity(xi0, outer.v0, prof, par) == pytest.approx(
+    assert _action(mid, outer.v1, prof) == pytest.approx(
+        _action(mid, inner.v0, prof), abs=1e-9)
+    assert _action(xi0, outer.v0, prof) == pytest.approx(
         ev.action_I0, abs=1e-9)
-    assert action_of_velocity(xi1, inner.v1, prof, par) == pytest.approx(
+    assert _action(xi1, inner.v1, prof) == pytest.approx(
         ev.action_I1, abs=1e-9)
     # the mixed derivative, as -dI0/dxi1 over two re-solves
     h = 1e-6
