@@ -39,23 +39,21 @@ class PerturbationProfile:
         if not all(map(math.isfinite, (self.epsilon,) + self.fourier_cos +
                        self.fourier_sin)):
             raise DomainError("epsilon and Fourier coefficients must be finite")
-        # the nonzero harmonics, and the bounds |eps f^(j)| <= |eps| sum
-        # k^j (|a_k| + |b_k|) on the profile and its first two derivatives
-        cos_terms = tuple((k, a) for k, a in enumerate(self.fourier_cos) if a)
-        sin_terms = tuple((k, b) for k, b in enumerate(self.fourier_sin)
-                          if k and b)
-        terms = cos_terms + sin_terms
-        object.__setattr__(self, "_cos_terms", cos_terms)
-        object.__setattr__(self, "_sin_terms", sin_terms)
-        # the scalar evaluations: k a and k^2 a are formed here (the same
-        # products, so the same bits), and a sin term whose harmonic has a
-        # cos term too reuses that term's cos/sin pair (its position j)
-        cos_harmonics = [k for k, _ in cos_terms]
-        object.__setattr__(self, "_cos_jet", tuple(
-            (k, a, k * a, k * k * a) for k, a in cos_terms))
-        object.__setattr__(self, "_sin_jet", tuple(
+        # the nonzero harmonics as (k, a, k a, k^2 a); a sin term whose
+        # harmonic has a cos term too reuses that term's cos/sin pair (its
+        # position j).  The bounds |eps f^(j)| <= |eps| sum k^j (|a_k| +
+        # |b_k|) on the profile and its first two derivatives.
+        cos_jet = tuple((k, a, k * a, k * k * a)
+                        for k, a in enumerate(self.fourier_cos) if a)
+        cos_harmonics = [k for k, *_ in cos_jet]
+        sin_jet = tuple(
             (cos_harmonics.index(k) if k in cos_harmonics else -1,
-             k, b, k * b, k * k * b) for k, b in sin_terms))
+             k, b, k * b, k * k * b)
+            for k, b in enumerate(self.fourier_sin) if k and b)
+        object.__setattr__(self, "_cos_jet", cos_jet)
+        object.__setattr__(self, "_sin_jet", sin_jet)
+        terms = [(k, a) for k, a, *_ in cos_jet] + \
+            [(k, b) for _, k, b, *_ in sin_jet]
         object.__setattr__(self, "_bounds", tuple(
             abs(self.epsilon) * sum(k ** j * abs(c) for k, c in terms)
             for j in range(3)))
@@ -68,7 +66,7 @@ class PerturbationProfile:
         if b0 >= 0.5:
             n = 4096
             grid = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-            lower = max(lower, float(np.min(self.radius(grid))) -
+            lower = max(lower, float(np.min(self.radius_jet(grid)[0])) -
                         b2 * (2 * np.pi / n) ** 2 / 8)
         # widened by 1e-12 so that rho stays strictly inside despite rounding
         bounds = (lower - 1e-12, 1.0 + b0 + 1e-12)
@@ -76,69 +74,37 @@ class PerturbationProfile:
             raise DomainError("radius 1 + eps*f(xi) must stay positive")
         object.__setattr__(self, "_radius_bounds", bounds)
 
-    # -- profile evaluations --------------------------------------------------
-    #
-    # ``radius`` and ``radius_prime`` take a Python float on the math-only
-    # path of ``radius_jet``, and anything else as an array.
-
-    def shape(self, xi):
-        """f(xi)."""
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        for k, a in self._cos_terms:
-            out = out + a * np.cos(k * xi)
-        for k, b in self._sin_terms:
-            out = out + b * np.sin(k * xi)
-        return out if np.ndim(out) else float(out)
-
-    def shape_prime(self, xi):
-        """f'(xi)."""
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        for k, a in self._cos_terms:
-            if k:
-                out = out - k * a * np.sin(k * xi)
-        for k, b in self._sin_terms:
-            out = out + k * b * np.cos(k * xi)
-        return out if np.ndim(out) else float(out)
+    # -- profile evaluation ---------------------------------------------------
 
     def radius(self, xi):
         """rho(xi) = 1 + eps f(xi)."""
-        if isinstance(xi, (float, int)):
-            return self.radius_jet(xi)[0]
-        if self.epsilon == 0.0:
-            out = np.ones_like(np.asarray(xi, dtype=float))
-            return out if np.ndim(out) else 1.0
-        return 1.0 + self.epsilon * self.shape(xi)
+        return self.radius_jet(xi)[0]
 
-    def radius_prime(self, xi):
-        """rho'(xi) = eps f'(xi)."""
+    def radius_jet(self, xi):
+        """(rho, rho', rho'') at ``xi``, from one cos/sin pair per harmonic;
+        the cos terms are summed first, then the sin terms.  A float (or
+        int) takes math-only arithmetic; anything else is taken as a float
+        array and evaluated elementwise with numpy, to the same bits."""
         if isinstance(xi, (float, int)):
-            return self.radius_jet(xi)[1]
+            cos, sin, zero = math.cos, math.sin, 0.0
+        else:
+            xi = np.asarray(xi, dtype=float)
+            cos, sin, zero = np.cos, np.sin, np.zeros_like(xi)
         if self.epsilon == 0.0:
-            out = np.zeros_like(np.asarray(xi, dtype=float))
-            return out if np.ndim(out) else 0.0
-        return self.epsilon * self.shape_prime(xi)
-
-    def radius_jet(self, xi: float):
-        """(rho, rho', rho'') at a scalar angle, from one cos/sin pair per
-        harmonic; the cos terms are summed first, then the sin terms."""
-        if self.epsilon == 0.0:
-            return 1.0, 0.0, 0.0
-        f = fp = fpp = 0.0
+            return 1.0 + zero, zero, zero
+        f = fp = fpp = zero
         pairs = []
         for k, a, ka, kka in self._cos_jet:
-            c, s = math.cos(k * xi), math.sin(k * xi)
+            c, s = cos(k * xi), sin(k * xi)
             pairs.append((c, s))
-            f += a * c
-            fp -= ka * s
-            fpp -= kka * c
+            f = f + a * c
+            fp = fp - ka * s
+            fpp = fpp - kka * c
         for j, k, b, kb, kkb in self._sin_jet:
-            c, s = pairs[j] if j >= 0 else (math.cos(k * xi),
-                                            math.sin(k * xi))
-            f += b * s
-            fp += kb * c
-            fpp -= kkb * s
+            c, s = pairs[j] if j >= 0 else (cos(k * xi), sin(k * xi))
+            f = f + b * s
+            fp = fp + kb * c
+            fpp = fpp - kkb * s
         eps = self.epsilon
         return 1.0 + eps * f, eps * fp, eps * fpp
 
@@ -158,8 +124,7 @@ class PerturbationProfile:
     @property
     def is_circle(self) -> bool:
         """rho = 1: eps = 0, or no nonzero term (sin 0 xi is no term)."""
-        return self.epsilon == 0.0 or not (self._cos_terms or
-                                           self._sin_terms)
+        return self.epsilon == 0.0 or not (self._cos_jet or self._sin_jet)
 
     # -- presets --------------------------------------------------------------
 

@@ -128,8 +128,8 @@ def _clearance(z, v, profile: PerturbationProfile):
     r = np.abs(z)
     theta = np.angle(z)
     zv = np.conj(z) * v
-    rate = zv.real / r - profile.radius_prime(theta) * zv.imag / (r * r)
-    return r - profile.radius(theta), rate
+    rho, rhop, _ = profile.radius_jet(theta)
+    return r - rho, zv.real / r - rhop * zv.imag / (r * r)
 
 
 def _horner(c: list, tau: float) -> tuple:

@@ -272,8 +272,7 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
     k = inner_arc.conic.ang_momentum_k
     sigma = math.copysign(1.0, k) if k else 0.0
     delta = outer_arc.sweep + inner_arc.sweep - 2.0 * math.pi * sigma
-    new = BoundaryState(xi=wrap_pi(inner_arc.xi1), action_I=I1,
-                        alpha=alpha1)
+    new = BoundaryState(xi=inner_arc.xi1, action_I=I1, alpha=alpha1)
     return MapResult(state=new, delta_xi=delta, arcs=(outer_arc, inner_arc))
 
 

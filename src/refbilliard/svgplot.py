@@ -41,6 +41,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:
+            # the step is below half an ulp of t: no next tick is a float
+            break
         t += step
     return ticks
 

@@ -1,11 +1,13 @@
 """Boundary curve geometry: radius profile, tangent/normal frame, metric."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from refbilliard import BoundaryGeometry, PerturbationProfile, boundary
 from refbilliard.errors import DomainError
@@ -19,8 +21,8 @@ def central_diff(fun, x, h=1e-6):
 def test_circle_profile_is_trivial(circle):
     xi = np.linspace(0.0, 2 * np.pi, 17)
     assert circle.is_circle
-    assert np.all(circle.radius(xi) == 1.0)
-    assert np.all(circle.radius_prime(xi) == 0.0)
+    rho, rhop, rhopp = circle.radius_jet(xi)
+    assert np.all(rho == 1.0) and np.all(rhop == 0.0) and np.all(rhopp == 0.0)
     assert circle.radius(0.3) == 1.0
     # eps != 0 with no nonzero term (sin 0 xi is none) is still the circle
     for prof in (PerturbationProfile(fourier_cos=(0.0, 0.0, 0.0),
@@ -37,19 +39,13 @@ def test_shape_evaluates_fourier_sum():
                                epsilon=0.1)
     xi = 0.7
     expected = 0.5 + math.cos(2 * xi) + 0.25 * math.sin(xi)
-    assert prof.shape(xi) == pytest.approx(expected, abs=1e-15)
-    assert prof.radius(xi) == pytest.approx(1.0 + 0.1 * expected, abs=1e-15)
-
-
-def test_shape_prime_matches_finite_differences():
-    prof = PerturbationProfile(fourier_cos=(0.0, 0.3, -0.2, 0.1),
-                               fourier_sin=(0.0, -0.4, 0.0, 0.2),
-                               epsilon=0.05)
-    for xi in np.linspace(0.0, 2 * np.pi, 11):
-        fd = central_diff(prof.shape, xi)
-        assert prof.shape_prime(xi) == pytest.approx(fd, abs=5e-9)
-        fd_r = central_diff(prof.radius, xi)
-        assert prof.radius_prime(xi) == pytest.approx(fd_r, abs=5e-9)
+    expected_p = -2 * math.sin(2 * xi) + 0.25 * math.cos(xi)
+    expected_pp = -4 * math.cos(2 * xi) - 0.25 * math.sin(xi)
+    rho, rhop, rhopp = prof.radius_jet(xi)
+    assert rho == pytest.approx(1.0 + 0.1 * expected, abs=1e-15)
+    assert rhop == pytest.approx(0.1 * expected_p, abs=1e-15)
+    assert rhopp == pytest.approx(0.1 * expected_pp, abs=1e-15)
+    assert prof.radius(xi) == rho
 
 
 def xy(c):
@@ -112,7 +108,8 @@ def test_ellipse_like_expansion():
 def test_cos_profile_places_single_harmonic():
     prof = PerturbationProfile.cos_profile(4, 0.02)
     assert prof.fourier_cos == (0.0, 0.0, 0.0, 0.0, 1.0)
-    assert prof.shape(0.5) == pytest.approx(math.cos(2.0), abs=1e-15)
+    assert prof.radius(0.5) == pytest.approx(1.0 + 0.02 * math.cos(2.0),
+                                             abs=1e-15)
     assert not prof.is_circle
 
 
@@ -191,8 +188,57 @@ def test_scalar_evaluations_equal_the_per_term_sums(cos, sin, eps, xi):
                                epsilon=eps)
     ref = _per_term_jet(prof, xi)
     assert prof.radius_jet(xi) == ref
-    assert (prof.radius(xi), prof.radius_prime(xi)) == ref[:2]
+    assert prof.radius(xi) == ref[0]
 
+
+# -- the array evaluation against the float one --------------------------------
+
+_H = 1e-5
+
+
+@given(cos=_coeffs, sin=_coeffs,
+       eps=st.one_of(st.just(0.0), st.floats(-0.04, 0.04)),
+       xi=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3,
+                                             max_side=4),
+                     elements=st.floats(-50.0, 50.0)))
+@example(cos=[0.0, 0.0, 0.0], sin=[], eps=0.01, xi=np.array([0.0, -0.0, 1.0]))
+@example(cos=[], sin=[0.0, 0.0], eps=-0.02, xi=np.zeros((2, 3)))
+@example(cos=[0.3, 0.0, -0.5], sin=[0.9, 0.4, 0.0, 0.7], eps=0.0,
+         xi=np.linspace(-3.0, 3.0, 7))
+@example(cos=[0.0, 0.3, -0.2, 0.1], sin=[0.0, -0.4, 0.0, 0.2], eps=0.05,
+         xi=np.linspace(0.0, 2 * np.pi, 11))
+def test_array_jet_equals_the_float_jet_and_its_differences(cos, sin, eps,
+                                                            xi):
+    prof = PerturbationProfile(fourier_cos=cos, fourier_sin=sin,
+                               epsilon=eps)
+    jet = prof.radius_jet(xi)
+    # elementwise, the bits of the math-only path (tobytes tells -0.0)
+    per_point = np.array([prof.radius_jet(float(x)) for x in xi.ravel()])
+    for j, part in enumerate(jet):
+        assert np.shape(part) == xi.shape
+        want = per_point[:, j].reshape(xi.shape) if xi.size else part
+        assert np.asarray(part, dtype=float).tobytes() == want.tobytes()
+    assert np.asarray(prof.radius(xi)).tobytes() == \
+        np.asarray(jet[0]).tobytes()
+    # rho' and rho'' against central differences of rho and rho' over the
+    # step the rounded ends span; the truncation error is below h^2/6 times
+    # sup|rho'''| (sup|rho''''|)
+    xp, xm = xi + _H, xi - _H
+    hi, lo = prof.radius_jet(xp), prof.radius_jet(xm)
+    for d in (1, 2):
+        fd = (hi[d - 1] - lo[d - 1]) / (xp - xm)
+        assert np.allclose(jet[d], fd, rtol=0.0, atol=1e-8)
+
+
+def test_float_jet_calls_no_numpy(monkeypatch):
+    prof = PerturbationProfile(fourier_cos=(0.1, 0.0, 0.6),
+                               fourier_sin=(0.0, 0.3, 0.8), epsilon=0.02)
+    want = prof.radius_jet(0.7)
+    # with numpy unreachable from the module, the float path still runs
+    monkeypatch.setattr(sys.modules["refbilliard.boundary"], "np", None)
+    assert prof.radius_jet(0.7) == want
+    assert prof.radius_jet(np.float64(0.7)) == want
+    assert prof.radius_jet(1) == prof.radius_jet(1.0)
 
 # -- the last-frame memo of boundary() -----------------------------------------
 

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import refbilliard
 from refbilliard import ConfigError, RunConfig, parse_config
 from refbilliard.cli import _write_csv, main
 from refbilliard.svgplot import HEIGHT, MARGIN, WIDTH, SvgCanvas, _fmt
@@ -552,3 +556,31 @@ def test_svg_render_matches_per_point_reference(case):
     drawn = re.findall(r'<polyline points="([^"]*)" fill="none" '
                        r'stroke="#[0-9a-f]{6}" stroke-width="1.2"/>', svg)
     assert drawn == reference_points(canvas)
+
+
+# the child renders a canvas whose y span, 1e8 to the next float, is two
+# ulps wide: the tick step is below half an ulp of the ticks, and a tick
+# loop that does not check for progress never ends.  The address-space cap
+# turns such a loop into a quick MemoryError.
+_TINY_SPAN = """\
+import math, resource
+from refbilliard.svgplot import SvgCanvas
+with open("/proc/self/statm") as fh:
+    cap = int(fh.read().split()[0]) * resource.getpagesize() + 2 ** 28
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+canvas = SvgCanvas()
+canvas.add_polyline([0.0, 1.0], [1e8, math.nextafter(1e8, 2e8)])
+print(canvas.render().count("<polyline"))
+"""
+
+
+def test_svg_render_ends_on_a_span_of_two_ulps(tmp_path):
+    src = os.path.dirname(os.path.dirname(refbilliard.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _TINY_SPAN],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    # the frame, at least one tick on each axis, and the curve
+    assert int(proc.stdout) >= 4

@@ -194,11 +194,21 @@ def _bound_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _public_members(node):
+    """The public methods and properties a class statement defines."""
+    return [item for item in node.body
+            if isinstance(item, ast.FunctionDef) and
+            not item.name.startswith("_")]
+
+
 def _unreferenced_exports(package_dir, readme):
-    """Names of ``refbilliard.__all__`` that no module in ``package_dir``
-    but ``__init__.py`` mentions outside the statement defining the name,
-    and that ``readme`` does not mention either."""
-    texts = [readme]
+    """Names of ``refbilliard.__all__``, and ``Class.member`` for each
+    public method and property of an exported class, that no module in
+    ``package_dir`` but ``__init__.py`` mentions outside the statement
+    defining them, and that ``readme`` does not mention either.  A member
+    counts as mentioned where ``.member`` appears."""
+    texts = []
+    members = []
     for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
         if os.path.basename(path) == "__init__.py":
             continue
@@ -207,19 +217,31 @@ def _unreferenced_exports(package_dir, readme):
         lines = source.splitlines()
         for node in ast.parse(source).body:
             for name in _bound_names(node):
-                if name in refbilliard.__all__:
-                    own = re.compile(rf"\b{name}\b")
-                    for i in range(node.lineno - 1, node.end_lineno):
-                        lines[i] = own.sub("", lines[i])
+                if name not in refbilliard.__all__:
+                    continue
+                own = [(name, node)]
+                if isinstance(node, ast.ClassDef):
+                    public = _public_members(node)
+                    own += [(item.name, item) for item in public]
+                    members += [(name, item.name) for item in public]
+                for word, statement in own:
+                    pattern = re.compile(rf"\b{word}\b")
+                    for i in range(statement.lineno - 1,
+                                   statement.end_lineno):
+                        lines[i] = pattern.sub("", lines[i])
         texts.append("\n".join(lines))
-    text = "\n".join(texts)
-    return sorted(name for name in refbilliard.__all__
-                  if not re.search(rf"\b{name}\b", text))
+    text = "\n".join([readme] + texts)
+    names = [name for name in refbilliard.__all__
+             if not re.search(rf"\b{name}\b", text)]
+    names += [f"{cls}.{member}" for cls, member in members
+              if not re.search(rf"\.{member}\b", text)]
+    return sorted(names)
 
 
 def test_every_export_is_used_in_the_package_or_documented():
-    # an exported name that nothing in the package reads and the README
-    # does not name is test-only code, which belongs under tests/
+    # an exported name, or a public method or property of an exported
+    # class, that nothing in the package reads and the README does not
+    # name is test-only code, which belongs under tests/
     with open(README, encoding="utf-8") as fh:
         readme = fh.read()
     package_dir = os.path.dirname(refbilliard.__file__)

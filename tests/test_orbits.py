@@ -446,6 +446,39 @@ def test_find_periodic_mirror_classes_at_light_mass(light_mass):
         assert abs(lifted[3] - lifted[0] + 2.0 * math.pi) < 1e-8
         assert abs(trace.states[3].action_I - start.action_I) < 1e-8
 
+def _cyclic_order(angles):
+    """The order in which ``angles`` meet a counterclockwise turn from the
+    first of them."""
+    return list(np.argsort(np.mod(np.asarray(angles) - angles[0],
+                                  2.0 * math.pi), kind="stable"))
+
+
+def test_aubry_mather_pair_structure_at_light_mass(light_mass):
+    # the Birkhoff pair of the (-1, 3) class on cos 2 xi: each cycle is
+    # well ordered (its angles meet a turn in the order of the rigid
+    # rotation by 2 pi m/n), the two cycles interleave, and the action gap
+    # dW = W(minimax) - W(minimizer), the flux through the resonance, is
+    # positive and scales as eps^(lcm(n, k)/k) = eps^3
+    m, n = -1, 3
+    rigid = _cyclic_order(2.0 * math.pi * m / n * np.arange(n))
+    eps_values = (0.003, 0.01, 0.02)
+    gaps = []
+    for eps in eps_values:
+        prof = PerturbationProfile.cos_profile(2, eps)
+        low, high = find_periodic(m, n, prof, light_mass)
+        assert (low.kind, high.kind) == ("action-minimizer", "action-minimax")
+        for orb in (low, high):
+            assert _cyclic_order(orb.xis) == rigid
+        both = np.concatenate([low.xis, high.xis])
+        kinds = np.array([0] * n + [1] * n)[_cyclic_order(both)]
+        assert np.all(kinds[1:] != kinds[:-1])
+        W_low, _ = discrete_action(low.xis, m, n, prof, light_mass)
+        W_high, _ = discrete_action(high.xis, m, n, prof, light_mass)
+        gaps.append(W_high - W_low)
+        assert gaps[-1] > 0.0
+    slopes = np.diff(np.log(gaps)) / np.diff(np.log(eps_values))
+    assert np.all(np.abs(slopes - 3.0) < 0.1), slopes
+
 
 def test_action_hessian_determinant_gives_the_monodromy_trace(fig1,
                                                               light_mass):
