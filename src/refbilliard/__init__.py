@@ -35,13 +35,13 @@ from .params import PhysParams, potential
 from .refraction import (CRITICAL_TOL, RefractionResult, critical_angle,
                          refract_in, refract_out)
 from .returnmap import (BoundaryState, MapResult, ShiftProfile,
-                        circular_shift, find_nonhomothetic_fixed_point,
-                        fixed_point_thresholds, outgoing_state,
-                        outgoing_velocity, return_map, tangent_map,
-                        total_shift_grid, twist_at_zero, twist_critical_set)
+                        circular_shift, fixed_point_thresholds,
+                        outgoing_state, outgoing_velocity, return_map,
+                        tangent_map, total_shift_grid, twist_at_zero,
+                        twist_critical_set)
 from .variational import (GeneratingEval, discrete_action,
-                          generating_function, jacobi_length,
-                          shift_inverse_all)
+                          find_nonhomothetic_fixed_point, generating_function,
+                          jacobi_length, shift_inverse_all)
 
 __version__ = "0.1.0"
 

@@ -63,7 +63,7 @@ def circular_caustic_radii(I0: float, params: PhysParams
     orbits (``I0 = 0``) touch no circle and are rejected.
     """
     E, om = params.energy_E, params.stiffness_om
-    mu, Eh = params.mass_mu, params.energy_E + params.offset_h
+    mu, Eh = params.mass_mu, params.kepler_energy
     Ic = params.action_bound_Ic
     if not 0.0 < abs(I0) < Ic:
         raise OutOfActionRange(

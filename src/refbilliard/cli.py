@@ -135,27 +135,22 @@ def _cmd_params_report(cfg: RunConfig, out: str, verbose: bool) -> int:
 
 def _shift_grid(params: PhysParams, n: int) -> np.ndarray:
     Ic = params.action_bound_Ic
-    grid = list(np.linspace(-0.96 * Ic, 0.96 * Ic, n))
-    for anchor in (-1.0, 1.0):
-        if abs(anchor) < 0.96 * Ic:
-            grid.append(anchor)
-    return np.array(sorted(set(float(g) for g in grid)))
+    anchors = [a for a in (-1.0, 1.0) if abs(a) < 0.96 * Ic]
+    return np.unique(np.append(np.linspace(-0.96 * Ic, 0.96 * Ic, n),
+                               anchors))
 
 
 def _cmd_shift_profile(cfg: RunConfig, out: str, verbose: bool) -> int:
     grid = _shift_grid(cfg.params, 201)
-    rows = []
-    for I in grid:
-        s = circular_shift(float(I), cfg.params)
-        rows.append((I, s.f_val, s.g_val, s.total, s.f_prime, s.g_prime,
-                     s.total_prime))
+    s = circular_shift(grid, cfg.params)
     _write_csv(out, "shift_profile.csv", ["I", "f", "g", "theta", "f_prime",
-                                          "g_prime", "theta_prime"], rows)
+                                          "g_prime", "theta_prime"],
+               [(grid, s.f_val, s.g_val, s.total, s.f_prime, s.g_prime,
+                 s.total_prime)])
     canvas = SvgCanvas(title="circular shift components")
-    cols = list(zip(*rows))
-    canvas.add_polyline(cols[0], cols[1], label="f")
-    canvas.add_polyline(cols[0], cols[2], label="g")
-    canvas.add_polyline(cols[0], cols[3], label="theta")
+    canvas.add_polyline(grid, s.f_val, label="f")
+    canvas.add_polyline(grid, s.g_val, label="g")
+    canvas.add_polyline(grid, s.total, label="theta")
     _write_svg(out, "shift_profile.svg", canvas, "I", "shift")
     return 0
 
@@ -251,16 +246,15 @@ def _cmd_twist(cfg: RunConfig, out: str, verbose: bool) -> int:
     p = cfg.params
     roots = twist_critical_set(p)
     grid = _shift_grid(p, 201)
-    rows = [(I, circular_shift(float(I), p).total_prime) for I in grid]
+    twist = circular_shift(grid, p).total_prime
     rows = [(I, tp, "+" if tp > 0 else ("-" if tp < 0 else "0"))
-            for I, tp in rows]
+            for I, tp in zip(grid.tolist(), twist.tolist())]
     _write_csv(out, "twist_profile.csv", ["I", "theta_prime", "sign"], rows)
     _write_csv(out, "twist_roots.csv", ["root_I"], [(r,) for r in roots])
 
     canvas = SvgCanvas(title="twist profile")
-    canvas.add_polyline([r[0] for r in rows], [r[1] for r in rows],
-                        label="theta_prime")
-    canvas.add_polyline([rows[0][0], rows[-1][0]], [0.0, 0.0], label="zero")
+    canvas.add_polyline(grid, twist, label="theta_prime")
+    canvas.add_polyline([grid[0], grid[-1]], [0.0, 0.0], label="zero")
     _write_svg(out, "twist.svg", canvas, "I", "d theta / d I")
     _say(verbose, f"  twist_at_zero = {_num(twist_at_zero(p))}, "
          f"{len(roots)} critical root(s)")

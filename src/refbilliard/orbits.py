@@ -12,6 +12,7 @@ the exact gradient and Hessian of W.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -29,6 +30,8 @@ from .params import PhysParams
 from .returnmap import (BoundaryState, circular_shift, outgoing_state,
                         return_map, tangent_map)
 from .variational import _action_terms, shift_inverse_all
+
+_LOG = logging.getLogger("refbilliard.orbits")
 
 
 @dataclass
@@ -343,8 +346,9 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     cycle 2 pi m k/n, and a minimax cycle (index 1), from that cycle turned
     by pi/(2n), both on the circular family of largest |I|.  A cycle is
     reported when its map residual is at most 1e-8, the minimax only when
-    it lies more than 1e-4 from the minimizer.  Raises
-    :class:`DescentStalled` when no minimizer is found.
+    it lies more than 1e-4 from the minimizer (``refbilliard.orbits`` logs
+    at INFO why a minimax is left out).  Raises :class:`DescentStalled`
+    when no minimizer is found.
     """
     if n < 1:
         raise ValueError("the period n must be a positive integer")
@@ -374,16 +378,22 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
                                            I_seed)
             orb = _orbit_from_cycle(float(x[0]), I0, m, n, profile, params,
                                     kind, g_max)
-        except BilliardError:
+        except BilliardError as exc:
             if index == 0:
                 raise
-            continue
-        if orb.residual <= 1e-8 and all(cycle_distance(orb, o) > 1e-4
-                                        for o in orbits):
-            orbits.append(orb)
-        elif index == 0:
-            raise DescentStalled(
-                f"the minimizing cycle misses the map by {orb.residual:.3g}")
+            why = f"{type(exc).__name__}: {exc}"
+        else:
+            if not orb.residual <= 1e-8:
+                if index == 0:
+                    raise DescentStalled(f"the minimizing cycle misses the "
+                                         f"map by {orb.residual:.3g}")
+                why = f"its map residual {orb.residual:.3g} exceeds 1e-8"
+            elif all(cycle_distance(orb, o) > 1e-4 for o in orbits):
+                orbits.append(orb)
+                continue
+            else:
+                why = "it lies within 1e-4 of the minimizer"
+        _LOG.info("find_periodic(%d, %d) drops the %s: %s", m, n, kind, why)
     return orbits
 
 

@@ -106,7 +106,7 @@ def _as_complex(z):
     arr = np.asarray(z)
     if arr.dtype.kind == "c":
         return arr if np.ndim(arr) else complex(arr)
-    if arr.shape[-1] == 2:
+    if arr.ndim and arr.shape[-1] == 2:
         out = arr[..., 0] + 1j * arr[..., 1]
         return out if np.ndim(out) else complex(out)
     raise DomainError(f"cannot interpret point of shape {arr.shape}")

@@ -20,8 +20,7 @@ import numpy as np
 from ._util import brentq, sign_change_brackets, wrap_pi
 from .arcs import ArcSegment, lc_flow, osc_flow
 from .boundary import BoundaryGeometry, PerturbationProfile, boundary
-from .errors import (DomainError, NoFixedPoint, OutOfActionRange,
-                     TotalReflectionTermination)
+from .errors import DomainError, OutOfActionRange, TotalReflectionTermination
 from .inner import levi_civita_propagate
 from .outer import outer_transit
 from .params import PhysParams, potential
@@ -42,7 +41,8 @@ class BoundaryState(NamedTuple):
 
 @dataclass(frozen=True)
 class ShiftProfile:
-    """Exterior/interior shift split of the circular return map at one action."""
+    """Exterior/interior shift split of the circular map, at one action or
+    elementwise over an array of them."""
 
     f_val: float
     g_val: float
@@ -103,77 +103,59 @@ def outgoing_velocity(state: BoundaryState, profile: PerturbationProfile,
 # -- circular closed form ------------------------------------------------------
 
 
-def circular_shift(action_I: float, params: PhysParams) -> ShiftProfile:
-    """Closed-form shift split f, g and derivatives on the unit circle.
-
-    Raises :class:`OutOfActionRange` unless |I| < I_c (a NaN action does
-    not)."""
+def circular_shift(action_I, params: PhysParams) -> ShiftProfile:
+    """Closed-form shift split f, g and derivatives on the unit circle, by
+    ``math`` at a float or int, else elementwise by numpy over a float array
+    (every field then has its shape; f and g may differ by an ulp, f' and g'
+    do not).  Raises :class:`OutOfActionRange` unless every |I| < I_c (a NaN
+    action is not)."""
     Ic = params.action_bound_Ic
-    if not abs(action_I) < Ic:
-        raise OutOfActionRange(
-            f"|I| = {abs(action_I):.6g} is not below I_c = {Ic:.6g}")
-    E = params.energy_E
+    E, om = params.energy_E, params.stiffness_om
     Eh, mu = params.kepler_energy, params.mass_mu
-    x = action_I * action_I
-    if action_I == 0.0:
-        f = g = 0.0
+    if isinstance(action_I, (int, float)):
+        if not abs(action_I) < Ic:
+            raise OutOfActionRange(
+                f"|I| = {abs(action_I):.6g} is not below I_c = {Ic:.6g}")
+        sqrt, atan2, asin, least = math.sqrt, math.atan2, math.asin, min
     else:
-        I = abs(action_I)
-        f = math.atan2(2 * I * math.sqrt(Ic * Ic - x), E - 2 * x)
-        # g = 2 acos(w) - 2 pi with w = (mu - 2x)/sqrt(4 Eh x + mu^2); the
-        # half-angle form below stays accurate at w -> 1 (I -> 0)
-        sA = math.sqrt(4 * Eh * x + mu * mu)
-        half = x * (2 * Eh / (sA + mu) + 1.0) / sA
-        g = -4.0 * math.asin(min(math.sqrt(half), 1.0))
-        if action_I < 0:
+        action_I = np.asarray(action_I, dtype=float)
+        if not np.all(np.abs(action_I) < Ic):
+            raise OutOfActionRange("an action reaches the bound I_c")
+        sqrt, atan2, asin, least = np.sqrt, np.arctan2, np.arcsin, np.minimum
+    x = action_I * action_I
+    f = atan2(2 * abs(action_I) * sqrt(Ic * Ic - x), E - 2 * x)
+    # g = 2 acos(w) - 2 pi with w = (mu - 2x)/sqrt(4 Eh x + mu^2); the
+    # half-angle form below stays accurate at w -> 1 (I -> 0)
+    sA = sqrt(4 * Eh * x + mu * mu)
+    half = x * (2 * Eh / (sA + mu) + 1.0) / sA
+    g = -4.0 * asin(least(sqrt(half), 1.0))
+    # f and g are odd, 0.0 at I = 0 (-0.0 where only I * I underflows)
+    if isinstance(action_I, np.ndarray):
+        s = np.sign(action_I)
+        g = np.where(action_I == 0.0, 0.0, g)
+        f, g, total = s * f, s * g, s * (f + g)
+    else:
+        if action_I == 0.0:
+            g = 0.0
+        elif action_I < 0:
             f, g = -f, -g
-    fp = _f_prime_x(x, params)
-    gp = _g_prime_x(x, params)
-    return ShiftProfile(f_val=f, g_val=g, total=f + g, f_prime=fp,
+        total = f + g
+    fp = _SQRT2 * (2 * E * E - (E + 2 * x) * om) / (
+        sqrt(2 * E - om - 2 * x) * (E * E - 2 * om * x))
+    gp = -(8 * Eh * x + 4 * Eh * mu + 4 * mu * mu) / (
+        (4 * Eh * x + mu * mu) * sqrt(Eh + mu - x))
+    return ShiftProfile(f_val=f, g_val=g, total=total, f_prime=fp,
                         g_prime=gp, total_prime=fp + gp)
 
 
 def total_shift_grid(actions, params: PhysParams) -> np.ndarray:
-    """Vectorized total circular shift f + g over an array of actions.
-
-    Matches :func:`circular_shift` value-for-value; intended for scans
-    (root bracketing, plotting) where building full profiles is wasteful.
-    """
-    I = np.asarray(actions, dtype=float)
-    Ic = params.action_bound_Ic
-    if not np.all(np.abs(I) < Ic):
-        raise OutOfActionRange("scan grid reaches the action bound I_c")
-    E = params.energy_E
-    Eh, mu = params.kepler_energy, params.mass_mu
-    x = I * I
-    a = np.abs(I)
-    f = np.arctan2(2 * a * np.sqrt(Ic * Ic - x), E - 2 * x)
-    sA = np.sqrt(4 * Eh * x + mu * mu)
-    half = x * (2 * Eh / (sA + mu) + 1.0) / sA
-    g = -4.0 * np.arcsin(np.minimum(np.sqrt(half), 1.0))
-    return np.sign(I) * np.where(a > 0.0, f + g, 0.0)
-
-
-def _f_prime_x(x: float, params: PhysParams) -> float:
-    E, om = params.energy_E, params.stiffness_om
-    A = math.sqrt(2.0) * (2 * E * E - (E + 2 * x) * om)
-    B = math.sqrt(2 * E - om - 2 * x) * (E * E - 2 * om * x)
-    return A / B
-
-
-def _g_prime_x(x: float, params: PhysParams) -> float:
-    Eh, mu = params.kepler_energy, params.mass_mu
-    C = 8 * Eh * x + 4 * Eh * mu + 4 * mu * mu
-    D = (4 * Eh * x + mu * mu) * math.sqrt(Eh + mu - x)
-    return -C / D
+    """The total circular shift f + g over an array of actions."""
+    return circular_shift(np.asarray(actions, dtype=float), params).total
 
 
 def twist_at_zero(params: PhysParams) -> float:
     """d(xi_1)/dI at I = 0: 2 sqrt(E - om/2)/E - 4 sqrt(E + h + mu)/mu."""
-    return (2.0 * math.sqrt(params.energy_E - params.stiffness_om / 2.0) /
-            params.energy_E -
-            4.0 * math.sqrt(params.kepler_energy + params.mass_mu) /
-            params.mass_mu)
+    return circular_shift(0.0, params).total_prime
 
 
 def twist_critical_set(params: PhysParams) -> list:
@@ -214,31 +196,6 @@ def fixed_point_thresholds(params: PhysParams) -> Tuple[float, float]:
     mu_bar = (4 * E * E + math.sqrt(8 * E ** 3 * (4 * E - om))) / (2 * E - om)
     h_bar = (2 * E - om) * mu * mu / (8 * E * E) - (E + mu)
     return mu_bar, h_bar
-
-
-def find_nonhomothetic_fixed_point(params: PhysParams) -> float:
-    """Positive action I with vanishing total shift (a period-1 orbit off
-    the collision line), found by sign-change bracketing of the closed form.
-
-    Raises :class:`NoFixedPoint` when the shift has no zero on (0, I_c).
-    """
-    bracket = _fixed_point_bracket(params)
-    if bracket is None:
-        raise NoFixedPoint(
-            "total shift has constant sign on (0, I_c); no non-homothetic "
-            "fixed point at these parameters")
-    return brentq(lambda I: circular_shift(I, params).total, *bracket,
-                  xtol=1e-15, rtol=8.9e-16)
-
-
-def _fixed_point_bracket(params: PhysParams):
-    """The first cell (a, b), a < b, of a 4096-point grid on (0, I_c) where
-    the total shift changes sign, or None.  The scan is vectorised; the root
-    is polished on the scalar closed form."""
-    Ic = params.action_bound_Ic
-    grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), 4096)
-    return next((ab for ab in sign_change_brackets(
-        grid, total_shift_grid(grid, params)) if ab[0] < ab[1]), None)
 
 
 # -- the map itself ------------------------------------------------------------

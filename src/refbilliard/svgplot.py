@@ -90,6 +90,8 @@ class SvgCanvas:
             cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
             x0, x1 = cx - 0.5 * s * vw, cx + 0.5 * s * vw
             y0, y1 = cy - 0.5 * s * vh, cy + 0.5 * s * vh
+        if not math.isfinite(x1 - x0) or not math.isfinite(y1 - y0):
+            raise ValueError("the padded data span exceeds the float range")
         return x0, x1, y0, y1
 
     def render(self, xlabel: str = "x", ylabel: str = "y") -> str:

@@ -21,7 +21,7 @@ import numpy as np
 from ._util import brentq, shoot, sign_change_brackets, wrap_pi
 from .arcs import ArcSegment
 from .boundary import PerturbationProfile
-from .errors import DegenerateStationarity, RangeEmpty
+from .errors import DegenerateStationarity, NoFixedPoint, RangeEmpty
 from .params import PhysParams
 from .returnmap import (BoundaryState, _action_bound, circular_shift,
                         return_map, tangent_map, total_shift_grid,
@@ -73,6 +73,17 @@ def shift_inverse_all(delta: float, params: PhysParams) -> list:
     by Brent's method.
     """
     return [_polish(b, delta, params) for b in _shift_brackets(delta, params)]
+
+
+def find_nonhomothetic_fixed_point(params: PhysParams) -> float:
+    """The smallest root of the total shift off the collision line (at or
+    above 1e-9 I_c, as in :func:`find_periodic`): a period-1 orbit.  Raises
+    :class:`NoFixedPoint` when the shift has no such zero."""
+    for root in shift_inverse_all(0.0, params):
+        if root >= 1e-9 * params.action_bound_Ic:
+            return root
+    raise NoFixedPoint("the total shift has no zero on (0, I_c) off the "
+                       "collision line: no non-homothetic fixed point")
 
 
 def _shift_brackets(delta: float, params: PhysParams) -> list:

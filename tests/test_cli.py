@@ -584,3 +584,16 @@ def test_svg_render_ends_on_a_span_of_two_ulps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # the frame, at least one tick on each axis, and the curve
     assert int(proc.stdout) >= 4
+
+
+@pytest.mark.parametrize("equal_aspect", [False, True])
+def test_svg_render_rejects_a_span_beyond_the_float_range(equal_aspect):
+    # padding a span of 2e308 reaches inf, which would put nan coordinates
+    # and an inf tick into the file
+    canvas = SvgCanvas(equal_aspect=equal_aspect)
+    canvas.add_polyline([0.0, 1.0], [-1e308, 1e308])
+    with pytest.raises(ValueError, match="float range"):
+        canvas.render()
+    wide = SvgCanvas(equal_aspect=equal_aspect)
+    wide.add_polyline([0.0, 1.0], [-5e307, 5e307])
+    assert "nan" not in wide.render()

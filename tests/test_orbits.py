@@ -1,5 +1,6 @@
 """Orbit iteration, rotation numbers, periodic orbits, stability, probes."""
 
+import logging
 import math
 from types import SimpleNamespace
 
@@ -453,31 +454,58 @@ def _cyclic_order(angles):
                                   2.0 * math.pi), kind="stable"))
 
 
-def test_aubry_mather_pair_structure_at_light_mass(light_mass):
-    # the Birkhoff pair of the (-1, 3) class on cos 2 xi: each cycle is
-    # well ordered (its angles meet a turn in the order of the rigid
-    # rotation by 2 pi m/n), the two cycles interleave, and the action gap
+@pytest.mark.parametrize("m, n, name, eps_values", [
+    pytest.param(-1, 3, "light_mass", (0.003, 0.01, 0.02),
+                 id="-1_3-light_mass"),
+    pytest.param(2, 5, "light_mass", (0.003, 0.01, 0.02),
+                 id="2_5-light_mass"),
+    pytest.param(-2, 5, "light_mass", (0.003, 0.01, 0.02),
+                 id="-2_5-light_mass"),
+    # at eps = 0.02 the (1, 4) search meets total reflection
+    pytest.param(1, 4, "fig1", (0.001, 0.003, 0.01), id="1_4-fig1"),
+    pytest.param(-1, 4, "fig1", (0.001, 0.003, 0.01), id="-1_4-fig1"),
+])
+def test_aubry_mather_pair_structure(request, m, n, name, eps_values):
+    # the Birkhoff pair of an (m, n) class on cos 2 xi: each cycle is well
+    # ordered (its angles meet a turn in the order of the rigid rotation
+    # by 2 pi m/n), the two cycles interleave, and the action gap
     # dW = W(minimax) - W(minimizer), the flux through the resonance, is
-    # positive and scales as eps^(lcm(n, k)/k) = eps^3
-    m, n = -1, 3
+    # positive and scales as eps^(lcm(n, k)/k), k = 2
+    params = request.getfixturevalue(name)
+    exponent = math.lcm(n, 2) / 2
     rigid = _cyclic_order(2.0 * math.pi * m / n * np.arange(n))
-    eps_values = (0.003, 0.01, 0.02)
     gaps = []
     for eps in eps_values:
         prof = PerturbationProfile.cos_profile(2, eps)
-        low, high = find_periodic(m, n, prof, light_mass)
+        low, high = find_periodic(m, n, prof, params)
         assert (low.kind, high.kind) == ("action-minimizer", "action-minimax")
         for orb in (low, high):
             assert _cyclic_order(orb.xis) == rigid
         both = np.concatenate([low.xis, high.xis])
         kinds = np.array([0] * n + [1] * n)[_cyclic_order(both)]
         assert np.all(kinds[1:] != kinds[:-1])
-        W_low, _ = discrete_action(low.xis, m, n, prof, light_mass)
-        W_high, _ = discrete_action(high.xis, m, n, prof, light_mass)
+        W_low, _ = discrete_action(low.xis, m, n, prof, params)
+        W_high, _ = discrete_action(high.xis, m, n, prof, params)
         gaps.append(W_high - W_low)
         assert gaps[-1] > 0.0
     slopes = np.diff(np.log(gaps)) / np.diff(np.log(eps_values))
-    assert np.all(np.abs(slopes - 3.0) < 0.1), slopes
+    assert np.all(np.abs(slopes - exponent) < 0.1), slopes
+
+
+def test_find_periodic_logs_why_it_drops_a_minimax(light_mass, caplog):
+    # on cos 3 xi the (1, 3) minimax search meets total reflection; the
+    # class keeps its minimizer, and the log names the class, the kind and
+    # the reason
+    prof = PerturbationProfile.cos_profile(3, 0.01)
+    with caplog.at_level(logging.INFO, logger="refbilliard.orbits"):
+        orbits = find_periodic(1, 3, prof, light_mass)
+    assert [o.kind for o in orbits] == ["action-minimizer"]
+    [record] = caplog.records
+    assert record.name == "refbilliard.orbits"
+    assert record.levelno == logging.INFO
+    assert record.getMessage().startswith(
+        "find_periodic(1, 3) drops the action-minimax: "
+        "TotalReflectionTermination: ")
 
 
 def test_action_hessian_determinant_gives_the_monodromy_trace(fig1,

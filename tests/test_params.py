@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from refbilliard import PhysParams, potential
+from refbilliard import PhysParams, kepler_elements, potential
 from refbilliard.errors import DomainError, SingularityError
 
 
@@ -59,6 +59,16 @@ def test_levi_civita_constants(fig1):
     """The squared LC frequency is 2(E+h) and the LC energy is mu."""
     assert fig1.lc_Omega_sq == pytest.approx(9.0, abs=1e-15)
     assert fig1.kepler_energy == pytest.approx(4.5, abs=1e-15)
+
+
+def test_a_real_scalar_point_is_a_domain_error(fig1):
+    # a 0-d array has no last axis to read a coordinate pair from
+    with pytest.raises(DomainError, match=r"shape \(\)"):
+        potential(1.0, "outer", fig1)
+    with pytest.raises(DomainError, match=r"shape \(\)"):
+        kepler_elements(1.0, 1j, fig1)
+    with pytest.raises(DomainError, match=r"shape \(1,\)"):
+        potential(np.array([1.0]), "outer", fig1)
 
 
 def test_inner_potential_singular_at_origin(fig1):

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import refbilliard
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -21,3 +23,20 @@ def test_library_tour_short_session_runs():
     exec(compile(code, str(README), "exec"), namespace)
     # the session ran to its last statement
     assert namespace["res_w"].arcs
+
+
+def test_one_implementation_table_names_helpers_that_exist():
+    # each helper of the "one implementation" table resolves from the
+    # package, so the table cannot name a deleted helper
+    text = README.read_text(encoding="utf-8")
+    start = text.index("| job | helper |",
+                       text.index("Each job has one implementation"))
+    table = text[start:text.index("\n\n", start)].splitlines()[2:]
+    helpers = [re.fullmatch(r"\|.*\| `([\w.]+)` \|", row).group(1)
+               for row in table]
+    assert len(helpers) >= 8
+    for helper in helpers:
+        obj = refbilliard
+        for part in helper.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), helper

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies
-from scipy.optimize import brentq as scipy_brentq
 
 from refbilliard import (PerturbationProfile, PhysParams, circular_shift,
                          find_nonhomothetic_fixed_point,
                          fixed_point_thresholds, outgoing_state,
-                         outgoing_velocity, return_map, total_shift_grid,
-                         twist_at_zero, twist_critical_set)
+                         outgoing_velocity, return_map, shift_inverse_all,
+                         total_shift_grid, twist_at_zero, twist_critical_set)
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (DomainError, NoFixedPoint, OutOfActionRange,
                                 TangentialCrossing)
-from refbilliard.returnmap import _fixed_point_bracket
 
 
 def test_outgoing_state_and_velocity_round_trip(fig1, circle):
@@ -137,6 +135,52 @@ def test_total_shift_grid_matches_scalar_form(fig1):
         total_shift_grid(np.array([0.0, fig1.action_bound_Ic]), fig1)
 
 
+_SHIFT_FIELDS = ("f_val", "g_val", "total", "f_prime", "g_prime",
+                 "total_prime")
+
+
+@strategies.composite
+def _shift_params(draw):
+    """A parameter set whose closed form is defined on all of (-I_c, I_c):
+    E + h + mu > I_c^2 = E - om/2, besides the checks of PhysParams."""
+    om = draw(strategies.floats(0.1, 5.0))
+    E = om * (1.0 + draw(strategies.floats(0.01, 10.0)))
+    mu = draw(strategies.floats(0.05, 60.0))
+    h = (-draw(strategies.floats(0.0, 0.99)) * min(E, mu + om / 2) +
+         draw(strategies.floats(0.0, 20.0)))
+    return PhysParams(energy_E=E, offset_h=h, mass_mu=mu, stiffness_om=om)
+
+
+@given(params=_shift_params(),
+       shares=strategies.lists(strategies.floats(-0.999999, 0.999999) |
+                               strategies.sampled_from([0.0, -0.0]),
+                               min_size=1, max_size=12),
+       shape=strategies.sampled_from(["flat", "column", "scalar"]))
+@example(params=PhysParams(2.5, 2.0, 2.0, 1.0),
+         shares=[0.0, -0.0, 1e-300, -1e-300, 0.5], shape="flat")
+@example(params=PhysParams(2.5, 2.0, 2.0, 1.0), shares=[-0.0],
+         shape="scalar")
+def test_circular_shift_array_path_matches_the_float_path(params, shares,
+                                                          shape):
+    """An array of actions keeps its shape in every field; f', g' and
+    theta' carry the float path's bits (signed zeros included), and f, g
+    and theta agree to 1e-14 (numpy's arctan2 and arcsin are not math's)."""
+    acts = np.array(shares) * params.action_bound_Ic
+    acts = {"flat": acts, "column": acts[:, None],
+            "scalar": acts[:1].reshape(())}[shape]
+    arr = circular_shift(acts, params)
+    flat = [circular_shift(float(I), params) for I in acts.ravel()]
+    for name in _SHIFT_FIELDS:
+        got = np.asarray(getattr(arr, name))
+        assert got.shape == acts.shape
+        want = np.array([getattr(prof, name) for prof in flat])
+        if name.endswith("prime"):
+            assert got.ravel().tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got.ravel() - want) <= 1e-14)
+    assert twist_at_zero(params) == circular_shift(0.0, params).total_prime
+
+
 # the trajectory-example set and its light-mass variant (mu = 0.5)
 _CIRCLE_PARAMS = [PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=mu,
                              stiffness_om=1.0) for mu in (2.0, 0.5)]
@@ -251,22 +295,22 @@ def test_find_nonhomothetic_fixed_point(fig4, fig1):
 @pytest.mark.parametrize("name", ["fig1", "fig2_mu44", "fig2_mu55", "fig4",
                                   "light_mass", "stiff_well"])
 def test_fixed_point_scan_matches_the_scalar_scan(request, name):
-    # the vectorised scan picks the cell a scan of the scalar closed form
-    # picks, so the polished root keeps its bits
-    from scipy.optimize import brentq
+    # the fixed point is the smallest root of shift_inverse_all(0.0) off
+    # the collision line, a zero of the scalar closed form, and it lies in
+    # the first sign-change cell of a scan of that closed form
     params = request.getfixturevalue(name)
     Ic = params.action_bound_Ic
+    positive = [r for r in shift_inverse_all(0.0, params) if r >= 1e-9 * Ic]
     grid = np.linspace(Ic * 1e-6, Ic * (1 - 1e-9), 4096)
-    vals = np.array([circular_shift(I, params).total for I in grid])
+    vals = np.array([circular_shift(float(I), params).total for I in grid])
     idx = np.nonzero(vals[1:] * vals[:-1] < 0)[0]
-    bracket = _fixed_point_bracket(params)
-    if idx.size == 0:
-        assert bracket is None
+    assert bool(positive) == bool(idx.size) == (name in ("fig2_mu44",
+                                                         "fig4"))
+    if not positive:
         with pytest.raises(NoFixedPoint):
             find_nonhomothetic_fixed_point(params)
         return
-    i = int(idx[0])
-    assert bracket == (grid[i], grid[i + 1])
-    assert find_nonhomothetic_fixed_point(params) == scipy_brentq(
-        lambda I: circular_shift(I, params).total, grid[i], grid[i + 1],
-        xtol=1e-15, rtol=8.9e-16)
+    I = find_nonhomothetic_fixed_point(params)
+    assert I == min(positive)
+    assert abs(circular_shift(I, params).total) < 1e-12
+    assert grid[idx[0]] <= I <= grid[idx[0] + 1]
