@@ -338,9 +338,11 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
                   params: PhysParams) -> List[PeriodicOrbit]:
     """All (m, n)-periodic orbits the search can certify.
 
-    Integrable case: every action with total shift 2 pi m/n (one orbit per
-    root, the I = 0 ejection–collision line included for m = 0), each
-    iterated from xi = 0 in closed form.  Perturbed
+    The circular families are the roots of :func:`shift_inverse_all` at
+    2 pi m/n, less those within 1e-9 of the one before (two roots astride a
+    fold); for m = 0 they include the I = 0 ejection–collision line.
+    Raises :class:`RangeEmpty` when there is none.  Integrable case: one
+    orbit per family, iterated from xi = 0 in closed form.  Perturbed
     case: period-1 cycles by Newton on the section map; for n >= 2 the
     minimizer of the discrete action (Morse index 0), from the uniform
     cycle 2 pi m k/n, and a minimax cycle (index 1), from that cycle turned
@@ -355,9 +357,7 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     if math.gcd(abs(m), n) != 1:
         raise ValueError("m and n must be coprime")
     target = 2.0 * math.pi * m / n
-    roots = shift_inverse_all(target, params)
-    Ic = params.action_bound_Ic
-    roots = _dedup_sorted([0.0 if abs(r) < 1e-9 * Ic else r for r in roots])
+    roots = _dedup_sorted(shift_inverse_all(target, params))
     if not roots:
         raise RangeEmpty(f"the circular shift never equals 2 pi {m}/{n}")
     if profile.is_circle:

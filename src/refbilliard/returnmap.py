@@ -11,6 +11,7 @@ integrable shift (xi, I) -> (xi + f(I) + g(I), I), with explicit f
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
@@ -107,20 +108,24 @@ def circular_shift(action_I, params: PhysParams) -> ShiftProfile:
     """Closed-form shift split f, g and derivatives on the unit circle, by
     ``math`` at a float or int, else elementwise by numpy over a float array
     (every field then has its shape; f and g may differ by an ulp, f' and g'
-    do not).  Raises :class:`OutOfActionRange` unless every |I| < I_c (a NaN
-    action is not)."""
+    do not).  Raises :class:`OutOfActionRange` unless every |I| < I_c and
+    I^2 < E + h + mu, where the entering ray refracts and the inner arc
+    exists (a NaN action is not)."""
     Ic = params.action_bound_Ic
     E, om = params.energy_E, params.stiffness_om
     Eh, mu = params.kepler_energy, params.mass_mu
     if isinstance(action_I, (int, float)):
-        if not abs(action_I) < Ic:
+        if not (abs(action_I) < Ic and action_I * action_I < Eh + mu):
             raise OutOfActionRange(
-                f"|I| = {abs(action_I):.6g} is not below I_c = {Ic:.6g}")
+                f"|I| = {abs(action_I):.6g} is not below I_c = {Ic:.6g} "
+                f"and sqrt(E + h + mu) = {math.sqrt(Eh + mu):.6g}")
         sqrt, atan2, asin, least = math.sqrt, math.atan2, math.asin, min
     else:
         action_I = np.asarray(action_I, dtype=float)
-        if not np.all(np.abs(action_I) < Ic):
-            raise OutOfActionRange("an action reaches the bound I_c")
+        if not np.all((np.abs(action_I) < Ic) &
+                      (action_I * action_I < Eh + mu)):
+            raise OutOfActionRange(
+                "an action reaches I_c or sqrt(E + h + mu)")
         sqrt, atan2, asin, least = np.sqrt, np.arctan2, np.arcsin, np.minimum
     x = action_I * action_I
     f = atan2(2 * abs(action_I) * sqrt(Ic * Ic - x), E - 2 * x)
@@ -159,29 +164,46 @@ def twist_at_zero(params: PhysParams) -> float:
 
 
 def twist_critical_set(params: PhysParams) -> list:
-    """Actions in (-I_c, I_c) where the twist d(xi_1)/dI changes sign.
+    """Actions where the twist d(xi_1)/dI changes sign, ascending and
+    exactly symmetric: the folds of :func:`_circle_scan`.  May be empty."""
+    return list(_circle_scan(params)[2])
 
-    Works on the degree-5 polynomial p(x) = A^2 D^2 - B^2 C^2 in x = I^2,
-    whose sign equals that of f' + g' on [0, I_c^2); roots are isolated by
-    sign-change bracketing over 2^12 cells and polished by Brent's method,
-    then mirrored to +-sqrt(x).  May be empty.
+
+@functools.lru_cache(maxsize=16)
+def _circle_scan(params: PhysParams):
+    """The circle's table ``(grid, shifts, folds)``, computed once per
+    parameter set (read-only arrays, folds a tuple).
+
+    One :func:`circular_shift` call over 8192 evenly spaced actions on
+    +-min(I_c, sqrt(E + h + mu))(1 - 1e-9) gives the total shifts and the
+    twist theta'.  The folds are the sign changes of theta' on the positive
+    half, polished by Brent's method and mirrored to -r.  Each fold that is
+    not a grid point joins the grid with its total shift: at a fold the
+    shift touches its extreme value without changing sign, so the fold as a
+    grid point turns that double root into an exact zero, and splits a cell
+    that holds both roots just inside the extreme value into one bracket
+    per root.
     """
-    E, om = params.energy_E, params.stiffness_om
-    Eh, mu = params.kepler_energy, params.mass_mu
-    Ic2 = E - om / 2.0
+    span = min(params.action_bound_Ic,
+               math.sqrt(params.kepler_energy + params.mass_mu)) * (1 - 1e-9)
+    grid = np.linspace(-span, span, 8192)
+    prof = circular_shift(grid, params)
 
-    def p(x):
-        A2 = 2.0 * (2 * E * E - (E + 2 * x) * om) ** 2
-        B2 = (2 * E - om - 2 * x) * (E * E - 2 * om * x) ** 2
-        C2 = (8 * Eh * x + 4 * Eh * mu + 4 * mu * mu) ** 2
-        D2 = (4 * Eh * x + mu * mu) ** 2 * (Eh + mu - x)
-        return A2 * D2 - B2 * C2
+    def twist(I):
+        return circular_shift(I, params).total_prime
 
-    xs = np.linspace(0.0, Ic2 * (1.0 - 1e-12), 4097)
-    roots_x = [a if a == b else brentq(p, a, b, xtol=1e-13, rtol=8.9e-16)
-               for a, b in sign_change_brackets(xs, p(xs))]
-    rs = [math.sqrt(max(x, 0.0)) for x in roots_x]
-    return sorted(rs + [-r for r in rs if r])
+    brackets = sign_change_brackets(grid[4096:], prof.total_prime[4096:])
+    positive = [a if a == b else
+                brentq(twist, a, b, xtol=1e-14, rtol=8.9e-16)
+                for a, b in brackets]
+    folds = tuple([-r for r in reversed(positive)] + positive)
+    extra = [I for I in folds if I not in grid]
+    at = np.searchsorted(grid, extra)
+    grid = np.insert(grid, at, extra)
+    shifts = np.insert(prof.total, at,
+                       [circular_shift(I, params).total for I in extra])
+    grid.flags.writeable = shifts.flags.writeable = False
+    return grid, shifts, folds
 
 
 def fixed_point_thresholds(params: PhysParams) -> Tuple[float, float]:

@@ -11,7 +11,6 @@ I0 = -dS/dxi0, I1 = +dS/dxi1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -23,9 +22,8 @@ from .arcs import ArcSegment
 from .boundary import PerturbationProfile
 from .errors import DegenerateStationarity, NoFixedPoint, RangeEmpty
 from .params import PhysParams
-from .returnmap import (BoundaryState, _action_bound, circular_shift,
-                        return_map, tangent_map, total_shift_grid,
-                        twist_critical_set)
+from .returnmap import (BoundaryState, _action_bound, _circle_scan,
+                        circular_shift, return_map, tangent_map)
 
 
 # -- Jacobi lengths ------------------------------------------------------------
@@ -66,21 +64,23 @@ def jacobi_length(arc: ArcSegment, params: PhysParams) -> float:
 
 
 def shift_inverse_all(delta: float, params: PhysParams) -> list:
-    """All actions I in (-I_c, I_c) whose circular total shift equals ``delta``.
+    """All actions I, ascending, whose circular total shift equals ``delta``
+    (on the band of :func:`returnmap.circular_shift`).
 
     The shift can fold (twist sign changes), so several roots may exist;
-    they are bracketed on a grid of 8192 actions and the folds, and polished
-    by Brent's method.
+    they are bracketed on the grid of :func:`returnmap._circle_scan` (8192
+    actions and the folds) and polished by Brent's method.  A root within
+    1e-9 I_c of the collision line I = 0 is returned as 0.0.
     """
     return [_polish(b, delta, params) for b in _shift_brackets(delta, params)]
 
 
 def find_nonhomothetic_fixed_point(params: PhysParams) -> float:
-    """The smallest root of the total shift off the collision line (at or
-    above 1e-9 I_c, as in :func:`find_periodic`): a period-1 orbit.  Raises
-    :class:`NoFixedPoint` when the shift has no such zero."""
+    """The smallest positive root of the total shift, off the collision
+    line (which :func:`shift_inverse_all` returns as 0.0): a period-1 orbit.
+    Raises :class:`NoFixedPoint` when the shift has no such zero."""
     for root in shift_inverse_all(0.0, params):
-        if root >= 1e-9 * params.action_bound_Ic:
+        if root > 0.0:
             return root
     raise NoFixedPoint("the total shift has no zero on (0, I_c) off the "
                        "collision line: no non-homothetic fixed point")
@@ -89,41 +89,19 @@ def find_nonhomothetic_fixed_point(params: PhysParams) -> float:
 def _shift_brackets(delta: float, params: PhysParams) -> list:
     """Brackets (a, b) of the roots of :func:`shift_inverse_all`, one per
     root, disjoint and ascending; a == b marks an exact root."""
-    grid, shifts = _shift_scan(params)
+    grid, shifts, _ = _circle_scan(params)
     return sign_change_brackets(grid, shifts - delta)
 
 
 def _polish(bracket: Tuple[float, float], delta: float,
             params: PhysParams) -> float:
-    """The root of the total circular shift minus ``delta`` in ``bracket``."""
+    """The root of the total circular shift minus ``delta`` in ``bracket``;
+    0.0 when it lies within 1e-9 I_c of the collision line."""
     a, b = bracket
-    if a == b:
-        return a
-    return brentq(lambda I: circular_shift(I, params).total - delta, a, b,
-                  xtol=1e-14, rtol=8.9e-16)
-
-
-@functools.lru_cache(maxsize=16)
-def _shift_scan(params: PhysParams):
-    """The scan grid of :func:`shift_inverse_all` and its total shifts,
-    computed once per parameter set (read-only arrays).
-
-    The grid is 8192 evenly spaced actions plus every action of
-    :func:`twist_critical_set`.  At a twist fold the shift touches its
-    extreme value without changing sign, so the fold as a grid point turns
-    that double root into an exact zero, and splits a cell that holds both
-    roots just inside the extreme value into one bracket per root.
-    """
-    Ic = params.action_bound_Ic
-    grid = np.linspace(-Ic * (1 - 1e-9), Ic * (1 - 1e-9), 8192)
-    shifts = total_shift_grid(grid, params)
-    folds = [I for I in twist_critical_set(params) if I not in grid]
-    at = np.searchsorted(grid, folds)
-    grid = np.insert(grid, at, folds)
-    shifts = np.insert(shifts, at,
-                       [circular_shift(I, params).total for I in folds])
-    grid.flags.writeable = shifts.flags.writeable = False
-    return grid, shifts
+    root = a if a == b else brentq(
+        lambda I: circular_shift(I, params).total - delta, a, b,
+        xtol=1e-14, rtol=8.9e-16)
+    return 0.0 if abs(root) < 1e-9 * params.action_bound_Ic else root
 
 
 def _seed_action(delta: float, params: PhysParams,
@@ -154,16 +132,10 @@ def _seed_action(delta: float, params: PhysParams,
             break
         found[k] = _polish(brackets[k], delta, params)
         best = min(best, key(found[k]))
-    roots = [found[k] for k in sorted(found)]
-    if abs(delta) < 1e-12:
-        roots.append(0.0)
-    if not roots:
+    if not found:
         raise RangeEmpty(
             f"no circular arc family realizes a lifted shift of {delta:.6g}")
-    pick = min(roots, key=key)
-    if abs(pick) < 1e-9 * params.action_bound_Ic:
-        pick = 0.0
-    return pick
+    return min((found[k] for k in sorted(found)), key=key)
 
 
 # -- the generating function ---------------------------------------------------

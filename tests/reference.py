@@ -7,8 +7,9 @@ identity L^2 = 2M ties the two together), and the distances d_E and d_I of
 arcs with prescribed boundary endpoints, built by the fixed-end shooting
 solvers rather than the return map.  It also gives the boundary point
 gamma(xi) = rho(xi) e^{i xi} directly from the radius profile, as a
-reference for :func:`refbilliard.boundary`, and the rational-distance test
-that the invariant-curve criterion applies to its target rotation number.
+reference for :func:`refbilliard.boundary`, the rational-distance test
+that the invariant-curve criterion applies to its target rotation number,
+and the twist folds of the circle as the roots of a radical-free polynomial.
 
 Every integral goes through :func:`scipy.integrate.quad`.
 """
@@ -20,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from refbilliard import (ArcSegment, PerturbationProfile, PhysParams,
                          inner_arc_fixed_ends, outer_arc_fixed_ends,
@@ -47,6 +49,37 @@ def is_diophantine_surrogate(rho: float) -> bool:
         if abs(x - p / q) < 1e-3:
             return False
     return True
+
+
+def twist_polynomial_roots(params: PhysParams) -> list:
+    """Actions, ascending, where the twist f' + g' of the circle changes
+    sign, for parameters with E + h + mu > I_c^2.
+
+    With x = I^2, f' = A/B and g' = -C/D, where
+    A = sqrt(2)(2E^2 - (E + 2x) om), B = sqrt(2E - om - 2x)(E^2 - 2 om x),
+    C = 8 Eh x + 4 Eh mu + 4 mu^2 and D = (4 Eh x + mu^2) sqrt(Eh + mu - x),
+    Eh = E + h.  On [0, I_c^2) A, B, C and D are positive (E > om), so the
+    twist has the sign of the degree-5 polynomial p(x) = A^2 D^2 - B^2 C^2.
+    Its roots are bracketed over 2^12 cells in x, polished by Brent's
+    method and mirrored to +-sqrt(x).
+    """
+    E, om = params.energy_E, params.stiffness_om
+    Eh, mu = params.kepler_energy, params.mass_mu
+    Ic2 = E - om / 2.0
+
+    def p(x):
+        A2 = 2.0 * (2 * E * E - (E + 2 * x) * om) ** 2
+        B2 = (2 * E - om - 2 * x) * (E * E - 2 * om * x) ** 2
+        C2 = (8 * Eh * x + 4 * Eh * mu + 4 * mu * mu) ** 2
+        D2 = (4 * Eh * x + mu * mu) ** 2 * (Eh + mu - x)
+        return A2 * D2 - B2 * C2
+
+    xs = np.linspace(0.0, Ic2 * (1.0 - 1e-12), 4097)
+    ps = p(xs)
+    cells = np.nonzero(ps[1:] * ps[:-1] < 0.0)[0]
+    rs = [math.sqrt(brentq(p, xs[i], xs[i + 1], xtol=1e-30, rtol=8.9e-16))
+          for i in cells]
+    return [-r for r in reversed(rs)] + rs
 
 
 def _outer_flow(arc: ArcSegment, u):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from refbilliard import (PerturbationProfile, PhysParams, circular_shift,
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (DomainError, NoFixedPoint, OutOfActionRange,
                                 TangentialCrossing)
+from reference import twist_polynomial_roots
 
 
 def test_outgoing_state_and_velocity_round_trip(fig1, circle):
@@ -124,6 +126,24 @@ def test_circular_shift_rejects_action_bound(fig1):
         circular_shift(Ic, fig1)
     with pytest.raises(OutOfActionRange):
         circular_shift(-Ic - 0.1, fig1)
+
+
+def test_circular_shift_rejects_actions_without_an_inner_arc():
+    # E + h + mu = 0.11 < I_c^2 = 2: past sqrt(0.11) the entering ray
+    # reflects and g is undefined; the float path used to raise a bare
+    # ValueError, the array path to return NaN with a RuntimeWarning
+    params = PhysParams(2.5, -2.4, 0.01, 1.0)
+    with pytest.raises(OutOfActionRange):
+        circular_shift(1.0, params)
+    with pytest.raises(OutOfActionRange):
+        circular_shift(np.array([0.0, 1.0]), params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        folds = twist_critical_set(params)
+        roots = shift_inverse_all(0.5, params)
+    assert folds == []
+    assert len(roots) == 1
+    assert abs(circular_shift(roots[0], params).total - 0.5) < 1e-12
 
 
 def test_total_shift_grid_matches_scalar_form(fig1):
@@ -265,6 +285,20 @@ def test_twist_critical_set_roots_change_sign(fig1, fig4, stiff_well):
             hi = circular_shift(r + h, params).total_prime
             assert lo * hi < 0
             assert abs(circular_shift(r, params).total_prime) < 1e-10
+
+
+@given(params=_shift_params())
+@example(params=PhysParams(2.5, 2.0, 2.0, 2.0))
+@example(params=PhysParams(7.0, 2.0, 15.0, 3.0))
+def test_twist_critical_set_matches_the_reference_polynomial(params):
+    """The folds of the scan are the roots of the radical-free polynomial,
+    ascending and exactly symmetric."""
+    roots = twist_critical_set(params)
+    want = twist_polynomial_roots(params)
+    assert len(roots) == len(want)
+    assert all(abs(r - w) <= 1e-12 for r, w in zip(roots, want))
+    assert roots == sorted(roots)
+    assert roots == [-r for r in reversed(roots)]
 
 
 def test_twist_critical_set_symmetry(stiff_well):

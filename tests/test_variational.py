@@ -155,15 +155,11 @@ def test_generating_function_at_the_twist_fold(fig1, circle):
 def _seed_from_all_roots(delta, params, hint):
     """The seed rule of generating_function over every polished root."""
     roots = shift_inverse_all(delta, params)
-    if abs(delta) < 1e-12:
-        roots.append(0.0)
     if not roots:
         return None
     if hint is not None:
-        pick = min(roots, key=lambda r: abs(r - hint))
-    else:
-        pick = max(roots, key=abs)
-    return 0.0 if abs(pick) < 1e-9 * params.action_bound_Ic else pick
+        return min(roots, key=lambda r: abs(r - hint))
+    return max(roots, key=abs)
 
 
 @pytest.mark.parametrize("params", [FIG1, LIGHT_MASS, PhysParams(
