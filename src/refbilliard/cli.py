@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .errors import BilliardError
 from .orbits import find_periodic, iterate
 from .oracle import ode_return_map
-from .params import PhysParams, potential
+from .params import PhysParams, _exterior_potential
 from .returnmap import (circular_shift, fixed_point_thresholds,
                         outgoing_state, return_map, twist_at_zero,
                         twist_critical_set)
@@ -134,10 +134,11 @@ def _cmd_params_report(cfg: RunConfig, out: str, verbose: bool) -> int:
 
 
 def _shift_grid(params: PhysParams, n: int) -> np.ndarray:
-    Ic = params.action_bound_Ic
-    anchors = [a for a in (-1.0, 1.0) if abs(a) < 0.96 * Ic]
-    return np.unique(np.append(np.linspace(-0.96 * Ic, 0.96 * Ic, n),
-                               anchors))
+    # 0.96 of the band where circular_shift is defined, as in _circle_scan
+    span = 0.96 * min(params.action_bound_Ic,
+                      math.sqrt(params.kepler_energy + params.mass_mu))
+    anchors = [a for a in (-1.0, 1.0) if abs(a) < span]
+    return np.unique(np.append(np.linspace(-span, span, n), anchors))
 
 
 def _cmd_shift_profile(cfg: RunConfig, out: str, verbose: bool) -> int:
@@ -288,7 +289,7 @@ def _cmd_caustics(cfg: RunConfig, out: str, verbose: bool) -> int:
 def _cmd_oracle_check(cfg: RunConfig, out: str, verbose: bool) -> int:
     xi0 = 0.3
     geom = boundary(xi0, cfg.profile)
-    ve = potential(geom.point_c, "outer", cfg.params)
+    ve = _exterior_potential(geom.point_c, cfg.params)
     alphas = np.linspace(-math.pi / 2 + 0.2, math.pi / 2 - 0.2,
                          max(cfg.seeds, 3))
     rows = []

@@ -23,10 +23,6 @@ class EnergyMismatch(BilliardError):
     """An initial condition violates the zero-energy relation 1/2|v|^2 = V(z)."""
 
 
-class AntipodalEndpoints(BilliardError):
-    """Fixed-end arc endpoints are (numerically) antipodal; branch undefined."""
-
-
 class ShootingDiverged(BilliardError):
     """Newton shooting (fixed-end arc or generating-function action) failed
     to converge."""

@@ -14,20 +14,21 @@ import math
 from ._util import difference_slope, march_to_zero, shoot, wrap_pi
 from .arcs import ArcSegment, InnerConic, lc_flow
 from .boundary import PerturbationProfile, boundary
-from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
-                     SingularityError, TangentialCrossing)
-from .params import PhysParams, _as_complex, potential
+from .errors import (DomainError, EnergyMismatch, SingularityError,
+                     TangentialCrossing)
+from .params import PhysParams, _point, potential
 
 
-def kepler_elements(z0, v0, params: PhysParams) -> InnerConic:
+def kepler_elements(z0: complex, v0: complex,
+                    params: PhysParams) -> InnerConic:
     """Orbital elements of the interior hyperbola through ``(z0, v0)``.
 
     Uses the Laplace-Runge-Lenz vector, so the eccentricity and pericenter
     direction stay accurate down to zero angular momentum (radial rays have
-    e = 1 exactly and are flagged ``is_collision``).
+    e = 1 exactly and are flagged ``is_collision``).  A point or velocity
+    that is not a complex number raises :class:`DomainError`.
     """
-    z0 = _as_complex(z0)
-    v0 = _as_complex(v0)
+    z0, v0 = _point(z0), _point(v0)
     r = abs(z0)
     if r == 0.0:
         raise SingularityError("orbital elements are undefined at the centre")
@@ -57,7 +58,7 @@ def _check_inner_energy(z0: complex, v0: complex, params: PhysParams) -> None:
             f"|v|^2/2 differs from the interior potential by {err:.3g}")
 
 
-def levi_civita_propagate(z0, v0, params: PhysParams,
+def levi_civita_propagate(z0: complex, v0: complex, params: PhysParams,
                           profile: PerturbationProfile) -> ArcSegment:
     """Interior transit from boundary state ``(z0, v0)`` to its first exit.
 
@@ -67,8 +68,6 @@ def levi_civita_propagate(z0, v0, params: PhysParams,
     special case.  Returns the :class:`ArcSegment` with endpoints, kinetic
     duration, lifted polar sweep and orbital elements.
     """
-    z0 = _as_complex(z0)
-    v0 = _as_complex(v0)
     conic = kepler_elements(z0, v0, params)
     k = conic.ang_momentum_k
     Om = math.sqrt(params.lc_Omega_sq)
@@ -168,37 +167,19 @@ def _exit_tau(w0: complex, wd0: complex, Om: float, A: float, B: float,
 
 
 def inner_arc_fixed_ends(xi0: float, xi1: float,
-                         profile: PerturbationProfile, params: PhysParams,
-                         branch: str = "winding",
-                         lifted_sweep: float | None = None) -> ArcSegment:
-    """Interior arc joining boundary angles ``xi0`` -> ``xi1``.
+                         profile: PerturbationProfile,
+                         params: PhysParams) -> ArcSegment:
+    """Interior arc from boundary angle ``xi0`` to the lifted angle ``xi1``.
 
-    ``branch`` picks the chord: "direct" sweeps the short way (|advance| <
-    pi), "winding" the long way around the centre.  When the wrapped
-    difference is +-pi the two coincide and the orientation is ambiguous;
-    pass ``lifted_sweep`` (the signed polar advance, |sweep| in (0, 2*pi))
-    to resolve it — it overrides ``branch`` entirely.  Coinciding endpoints
-    give the radial collision ray.  Otherwise the entry angle is shot
-    (:func:`shoot`) on the transit's sweep from the unit-circle chord's.
+    The arc advances the polar angle by exactly sw = xi1 - xi0, so the sign
+    of sw picks the way round the centre; |sw| >= 2 pi raises
+    :class:`DomainError`.  |sw| < 1e-12 gives the radial collision ray.
+    Otherwise the entry angle is shot (:func:`shoot`) on the transit's
+    sweep from the unit-circle chord's.
     """
-    delta = wrap_pi(xi1 - xi0)
-    if lifted_sweep is not None:
-        sw = float(lifted_sweep)
-        if abs(sw) >= 2.0 * math.pi or \
-                abs(wrap_pi(sw - delta)) > 1e-9:
-            raise DomainError(
-                "lifted_sweep must match the endpoints modulo 2*pi and "
-                "satisfy |sweep| < 2*pi")
-    elif abs(abs(delta) - math.pi) < 1e-9:
-        raise AntipodalEndpoints(
-            "antipodal endpoints: pass lifted_sweep to fix the orientation")
-    elif branch == "direct":
-        sw = delta
-    elif branch == "winding":
-        sw = delta - math.copysign(2.0 * math.pi, delta) if delta != 0.0 \
-            else 0.0
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+    sw = xi1 - xi0
+    if abs(sw) >= 2.0 * math.pi:
+        raise DomainError("interior arcs advance the angle by less than 2 pi")
 
     geom = boundary(xi0, profile)
     speed = math.sqrt(2.0 * potential(geom.point_c, "inner", params))

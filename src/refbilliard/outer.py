@@ -15,17 +15,12 @@ import math
 from ._util import difference_slope, march_to_zero, shoot, wrap_pi
 from .arcs import ArcSegment, OuterConic, osc_flow
 from .boundary import PerturbationProfile, boundary
-from .errors import (AntipodalEndpoints, DomainError, EnergyMismatch,
-                     TangentialCrossing)
-from .params import PhysParams, _as_complex, potential
+from .errors import DomainError, EnergyMismatch, TangentialCrossing
+from .params import PhysParams, _exterior_potential, _point
 
 
 def _check_outer_energy(p0: complex, v0: complex, params: PhysParams) -> None:
-    ve = potential(p0, "outer", params)
-    if ve <= 0.0:
-        raise DomainError(
-            f"point at radius {abs(p0):.6g} lies beyond the braking radius "
-            f"{params.brake_radius:.6g}; no exterior motion there")
+    ve = _exterior_potential(p0, params)
     err = abs(0.5 * abs(v0) ** 2 - ve)
     if err > 1e-9 * max(ve, 1.0):
         raise EnergyMismatch(
@@ -51,17 +46,17 @@ def outer_shift_inverse(theta: float, params: PhysParams) -> float:
     return math.copysign(a, theta)
 
 
-def outer_conic_of(p0, v0, params: PhysParams) -> OuterConic:
+def outer_conic_of(p0: complex, v0: complex, params: PhysParams) -> OuterConic:
     """Oscillator ellipse through ``(p0, v0)`` (axes, tilt, degeneracy).
 
     The squared semi-axes are (E +- sqrt((E - om |p0|^2)^2 + om (p0.v0)^2))/om
     and the tilt is the major-axis direction, obtained from the rank-2 moment
     matrix p0 p0^T + q0 q0^T with q0 = v0/omega.  Radial arcs (zero angular
     momentum) collapse to a segment; they are flagged ``degenerate`` and keep
-    the ray direction as tilt.
+    the ray direction as tilt.  A point or velocity that is not a complex
+    number raises :class:`DomainError`.
     """
-    p0 = _as_complex(p0)
-    v0 = _as_complex(v0)
+    p0, v0 = _point(p0), _point(v0)
     _check_outer_energy(p0, v0, params)
     E, om = params.energy_E, params.stiffness_om
     w = params.omega
@@ -100,11 +95,7 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
             "exterior launch is tangential; the transit is not defined")
     geom = boundary(xi0, profile)
     p0 = geom.point_c
-    ve = potential(p0, "outer", params)
-    if ve <= 0.0:
-        raise DomainError(
-            f"boundary radius {abs(p0):.6g} exceeds the braking radius")
-    speed = math.sqrt(2.0 * ve)
+    speed = math.sqrt(2.0 * _exterior_potential(p0, params))
     v0 = speed * (math.cos(alpha) * geom.normal_c +
                   math.sin(alpha) * geom.tangent_c)
     w = params.omega
@@ -194,18 +185,18 @@ def _exterior_sweep(p0: complex, v0: complex, z1: complex, w: float,
 
 
 def outer_arc_fixed_ends(xi0: float, xi1: float,
-                         profile: PerturbationProfile, params: PhysParams,
-                         lifted_delta: float | None = None) -> ArcSegment:
-    """Exterior arc joining boundary angles ``xi0`` -> ``xi1``.
+                         profile: PerturbationProfile,
+                         params: PhysParams) -> ArcSegment:
+    """Exterior arc from boundary angle ``xi0`` to the lifted angle ``xi1``.
 
-    ``lifted_delta`` fixes the signed polar advance when it differs from the
-    wrapped difference xi1 - xi0.  The launch angle is shot (:func:`shoot`)
-    on the transit's sweep from the circle's closed-form inverse.
+    The arc advances the polar angle by exactly xi1 - xi0; an advance of
+    pi - 1e-9 or more either way raises :class:`DomainError`.  The launch
+    angle is shot (:func:`shoot`) on the transit's sweep from the circle's
+    closed-form inverse.
     """
-    delta = wrap_pi(xi1 - xi0) if lifted_delta is None else float(lifted_delta)
+    delta = xi1 - xi0
     if abs(delta) >= math.pi - 1e-9:
-        raise AntipodalEndpoints(
-            "exterior arcs cannot advance the polar angle by +-pi")
+        raise DomainError("exterior arcs advance the angle by less than pi")
 
     def resid(a):
         return outer_transit(xi0, a, profile, params).sweep - delta

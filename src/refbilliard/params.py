@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DomainError, SingularityError
 
 __all__ = ["PhysParams", "potential"]
@@ -99,40 +97,38 @@ class PhysParams:
         return math.sqrt(2 * self.energy_E / self.stiffness_om)
 
 
-def _as_complex(z):
-    """Map a point given as complex, (2,) array, or (n,2) array to complex."""
+def _point(z):
+    """``z`` if it is a complex number (NumPy's are), else DomainError."""
     if isinstance(z, complex):
         return z
-    arr = np.asarray(z)
-    if arr.dtype.kind == "c":
-        return arr if np.ndim(arr) else complex(arr)
-    if arr.ndim and arr.shape[-1] == 2:
-        out = arr[..., 0] + 1j * arr[..., 1]
-        return out if np.ndim(out) else complex(out)
-    raise DomainError(f"cannot interpret point of shape {arr.shape}")
+    raise DomainError(f"a point is a complex number, got {type(z).__name__}")
 
 
-def potential(z, region: str, params: PhysParams):
-    """Evaluate V_E or V_I at the point(s) ``z``.
+def potential(z: complex, region: str, params: PhysParams) -> float:
+    """Evaluate V_E or V_I at the point ``z``.
 
     Parameters
     ----------
-    z : complex, (2,) array, or (n, 2)/(n,) complex array
-        Evaluation point(s).
+    z : complex
+        Evaluation point; any other type raises :class:`DomainError`.
     region : {"outer", "inner"}
         Which well to evaluate.
     """
-    zc = z if type(z) is complex else _as_complex(z)
-    if isinstance(zc, complex):
-        r = abs(zc)
-        singular = r == 0.0
-    else:
-        r = np.abs(zc)
-        singular = np.any(r == 0)
+    r = abs(_point(z))
     if region == "outer":
         return params.energy_E - params.stiffness_om / 2 * r ** 2
     if region == "inner":
-        if singular:
+        if r == 0.0:
             raise SingularityError("inner potential is singular at z = 0")
         return params.kepler_energy + params.mass_mu / r
     raise DomainError(f"region must be 'outer' or 'inner', got {region!r}")
+
+
+def _exterior_potential(z: complex, params: PhysParams) -> float:
+    """V_E at the boundary point ``z``; :class:`DomainError` at or beyond
+    the braking radius."""
+    ve = potential(z, "outer", params)
+    if ve <= 0.0:
+        raise DomainError(f"boundary radius {abs(z):.6g} exceeds the braking "
+                          f"radius {params.brake_radius:.6g}")
+    return ve

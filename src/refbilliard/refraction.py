@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .params import PhysParams, _as_complex, potential
+from .params import PhysParams, _exterior_potential, potential
 
 #: margin around the critical angle treated as total reflection
 CRITICAL_TOL = 1e-10
@@ -34,15 +34,9 @@ class RefractionResult(NamedTuple):
         return self.outcome == "refracted"
 
 
-def _speeds(point, params: PhysParams):
-    z = point if type(point) is complex else _as_complex(point)
-    ve = potential(z, "outer", params)
-    vi = potential(z, "inner", params)
-    if ve <= 0.0:
-        raise DomainError(
-            f"interface point at radius {abs(z):.6g} lies beyond the "
-            f"braking radius {params.brake_radius:.6g}")
-    return ve, vi
+def _speeds(point: complex, params: PhysParams):
+    return (_exterior_potential(point, params),
+            potential(point, "inner", params))
 
 
 def critical_angle(point, params: PhysParams) -> float:

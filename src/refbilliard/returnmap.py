@@ -24,7 +24,7 @@ from .boundary import BoundaryGeometry, PerturbationProfile, boundary
 from .errors import DomainError, OutOfActionRange, TotalReflectionTermination
 from .inner import levi_civita_propagate
 from .outer import outer_transit
-from .params import PhysParams, potential
+from .params import PhysParams, _exterior_potential, potential
 from .refraction import refract_in, refract_out
 
 
@@ -87,9 +87,10 @@ def outgoing_state(xi: float, action_I: float, profile: PerturbationProfile,
 def _action_bound(xi: float, profile: PerturbationProfile,
                   params: PhysParams) -> float:
     """Local action bound sqrt(V_E) |gamma'(xi)|: the action of a tangential
-    launch at ``xi``."""
+    launch at ``xi``.  Raises :class:`DomainError` where the boundary lies
+    at or beyond the braking radius."""
     geom = boundary(xi, profile)
-    return math.sqrt(potential(geom.point_c, "outer", params)) * geom.metric
+    return math.sqrt(_exterior_potential(geom.point_c, params)) * geom.metric
 
 
 def outgoing_velocity(state: BoundaryState, profile: PerturbationProfile,

@@ -17,7 +17,6 @@ Every integral goes through :func:`scipy.integrate.quad`.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -167,18 +166,16 @@ def maupertuis_product(arc: ArcSegment, params: PhysParams) -> float:
 
 
 def outer_distance(xi0: float, xi1: float, profile: PerturbationProfile,
-                   params: PhysParams,
-                   lifted_delta: Optional[float] = None) -> float:
-    """Jacobi length d_E of the exterior arc joining two boundary angles."""
-    arc = outer_arc_fixed_ends(xi0, xi1, profile, params,
-                               lifted_delta=lifted_delta)
+                   params: PhysParams) -> float:
+    """Jacobi length d_E of the exterior arc from boundary angle ``xi0`` to
+    the lifted angle ``xi1``."""
+    arc = outer_arc_fixed_ends(xi0, xi1, profile, params)
     return quadrature_length(arc, params)
 
 
 def inner_distance(xi0: float, xi1: float, profile: PerturbationProfile,
-                   params: PhysParams, branch: str = "winding",
-                   lifted_sweep: Optional[float] = None) -> float:
-    """Jacobi length d_I of the interior arc joining two boundary angles."""
-    arc = inner_arc_fixed_ends(xi0, xi1, profile, params, branch=branch,
-                               lifted_sweep=lifted_sweep)
+                   params: PhysParams) -> float:
+    """Jacobi length d_I of the interior arc from boundary angle ``xi0`` to
+    the lifted angle ``xi1``."""
+    arc = inner_arc_fixed_ends(xi0, xi1, profile, params)
     return quadrature_length(arc, params)

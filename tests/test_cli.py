@@ -285,6 +285,47 @@ def test_oracle_check_pipeline(tmp_path, capsys):
         assert float(r[4]) < 1e-9
 
 
+def write_params_cfg(tmp_path, command, params, profile=""):
+    """A config with the four physical constants ``params`` (E, h, mu, om)."""
+    text = ("[params]\n" + "".join(
+        f"{key} = {val!r}\n" for key, val in zip(
+            ("energy_E", "offset_h", "mass_mu", "stiffness_om"), params)) +
+        profile + f"[command]\ncommand = {command}\n")
+    path = tmp_path / f"{command}.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", refbilliard.COMMANDS)
+def test_a_boundary_beyond_the_braking_radius_fails_typed(tmp_path, capsys,
+                                                         command):
+    # r = 1 + 0.8 cos xi reaches 1.8 > sqrt(2E/om) = 1.732, where V_E < 0:
+    # each command exits 0, or 1 naming a library error, never a traceback
+    cfg = write_params_cfg(tmp_path, command, (1.5, 2.0, 2.0, 1.0),
+                           "[profile]\nepsilon = 0.8\nfourier_cos = 1:1.0\n")
+    code = main(["--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 1)
+    if code:
+        name = re.match(rf"{command} failed: (\w+): ", err).group(1)
+        assert issubclass(getattr(refbilliard, name),
+                          refbilliard.BilliardError)
+
+
+@pytest.mark.parametrize("command, table", [
+    ("shift-profile", "shift_profile.csv"), ("twist", "twist_profile.csv")])
+def test_shift_grid_stays_inside_sqrt_e_h_mu(tmp_path, command, table):
+    # E + h + mu = 0.11 < I_c^2 = 2: the circle's band ends at sqrt(0.11)
+    cfg = write_params_cfg(tmp_path, command, (2.5, -2.4, 0.01, 1.0))
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / table)
+    values = np.array([[float(c) for c in r[:2 if command == "twist" else 7]]
+                       for r in rows[1:]])
+    assert len(values) == 201 and np.all(np.isfinite(values))
+    assert values[-1, 0] == pytest.approx(0.96 * math.sqrt(0.11), rel=1e-12)
+
+
 def test_svg_output_uses_polylines_only(tmp_path):
     cfg = write_cfg(tmp_path, "shift-profile")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0

@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 
 from refbilliard import (circular_shift, inner_arc_fixed_ends,
                          kepler_elements, levi_civita_propagate, potential)
-from refbilliard.errors import (AntipodalEndpoints, DomainError,
-                                EnergyMismatch, SingularityError)
+from refbilliard.errors import (DomainError, EnergyMismatch,
+                                SingularityError)
 
 
 def entry_state(xi, beta, params):
@@ -162,8 +162,9 @@ def test_inner_shift_anchor_half_turn(fig1, circle):
 
 def test_inner_arc_fixed_ends_branches(fig1, circle):
     xi0, xi1 = 0.3, 1.5
-    direct = inner_arc_fixed_ends(xi0, xi1, circle, fig1, branch="direct")
-    winding = inner_arc_fixed_ends(xi0, xi1, circle, fig1, branch="winding")
+    direct = inner_arc_fixed_ends(xi0, xi1, circle, fig1)
+    # one turn less: the long way round the centre
+    winding = inner_arc_fixed_ends(xi0, xi1 - 2.0 * math.pi, circle, fig1)
     for arc in (direct, winding):
         assert arc.xi1 == pytest.approx(xi1, abs=1e-10)
         assert abs(arc.p1) == pytest.approx(1.0, abs=1e-12)
@@ -172,17 +173,18 @@ def test_inner_arc_fixed_ends_branches(fig1, circle):
     assert winding.conic.ang_momentum_k < 0 < direct.conic.ang_momentum_k
 
 
-def test_inner_arc_fixed_ends_antipodal_needs_lift(fig1, circle):
-    with pytest.raises(AntipodalEndpoints):
-        inner_arc_fixed_ends(0.0, math.pi, circle, fig1)
-    arc = inner_arc_fixed_ends(0.0, math.pi, circle, fig1,
-                               lifted_sweep=math.pi)
-    assert arc.sweep == pytest.approx(math.pi, abs=1e-10)
-    arc = inner_arc_fixed_ends(0.0, math.pi, circle, fig1,
-                               lifted_sweep=-math.pi)
-    assert arc.sweep == pytest.approx(-math.pi, abs=1e-10)
-    with pytest.raises(DomainError):
-        inner_arc_fixed_ends(0.0, 1.0, circle, fig1, lifted_sweep=2.0)
+def test_inner_arc_fixed_ends_half_turn_sign_picks_the_arc(fig1, circle):
+    # +-pi reach the same antipodal point, one on each side of the centre
+    for sweep in (math.pi, -math.pi):
+        arc = inner_arc_fixed_ends(0.0, sweep, circle, fig1)
+        assert arc.sweep == pytest.approx(sweep, abs=1e-10)
+        assert abs(arc.xi1) == pytest.approx(math.pi, abs=1e-10)
+        assert math.copysign(1.0, arc.conic.ang_momentum_k) == \
+            math.copysign(1.0, sweep)
+    # a full turn or more is no interior arc
+    for xi1 in (2.0 * math.pi, -2.0 * math.pi, 7.0):
+        with pytest.raises(DomainError):
+            inner_arc_fixed_ends(0.0, xi1, circle, fig1)
 
 
 def test_inner_arc_coinciding_endpoints_is_collision_ray(fig1, circle):
@@ -194,7 +196,7 @@ def test_inner_arc_coinciding_endpoints_is_collision_ray(fig1, circle):
 def test_inner_arc_fixed_ends_perturbed(fig1):
     from refbilliard import PerturbationProfile
     prof = PerturbationProfile.cos_profile(2, 0.015)
-    arc = inner_arc_fixed_ends(0.25, 1.9, prof, fig1, branch="winding")
+    arc = inner_arc_fixed_ends(0.25, 1.9 - 2.0 * math.pi, prof, fig1)
     assert arc.xi1 == pytest.approx(1.9, abs=1e-8)
     assert abs(arc.p1) == pytest.approx(prof.radius(1.9), abs=1e-8)
     # the long way round: one turn less than the wrapped advance

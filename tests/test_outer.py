@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 from refbilliard import (circular_shift, outer_arc_fixed_ends, outer_conic_of,
                          outer_shift_inverse, outer_transit, potential)
 from refbilliard.arcs import osc_flow
-from refbilliard.errors import (AntipodalEndpoints, DomainError,
-                                EnergyMismatch, TangentialCrossing)
+from refbilliard.errors import (DomainError, EnergyMismatch,
+                                TangentialCrossing)
 
 
 def launch(xi, alpha, params):
@@ -168,10 +168,11 @@ def test_outer_arc_fixed_ends_hits_target(fig1, circle):
     xi0, xi1 = 0.5, 1.7
     arc = outer_arc_fixed_ends(xi0, xi1, circle, fig1)
     assert arc.xi1 == pytest.approx(xi1, abs=1e-12)
-    # lifted sweep overrides the wrapped difference
-    arc2 = outer_arc_fixed_ends(0.0, -2.0, circle, fig1, lifted_delta=-2.0)
+    # the lifted endpoint fixes the signed advance
+    arc2 = outer_arc_fixed_ends(0.0, -2.0, circle, fig1)
     assert arc2.sweep == pytest.approx(-2.0, abs=1e-12)
-    with pytest.raises(AntipodalEndpoints):
+    # no exterior arc advances the polar angle by pi
+    with pytest.raises(DomainError):
         outer_arc_fixed_ends(0.0, math.pi, circle, fig1)
 
 

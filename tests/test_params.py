@@ -30,14 +30,6 @@ def test_potentials_at_unit_circle(fig1):
                                                         abs=1e-14)
 
 
-def test_potential_vectorized_matches_scalar(fig1):
-    zs = np.exp(1j * np.linspace(0.0, 2 * math.pi, 7)) * 1.3
-    ve = potential(zs, "outer", fig1)
-    for z, v in zip(zs, ve):
-        assert v == pytest.approx(potential(complex(z), "outer", fig1),
-                                  abs=1e-14)
-
-
 def test_action_bound_is_sqrt_outer_potential(fig1):
     """I_c = sqrt(E - om/2): the largest tangential action on the circle."""
     assert fig1.action_bound_Ic == pytest.approx(math.sqrt(2.0), abs=1e-15)
@@ -62,12 +54,12 @@ def test_levi_civita_constants(fig1):
 
 
 def test_a_real_scalar_point_is_a_domain_error(fig1):
-    # a 0-d array has no last axis to read a coordinate pair from
-    with pytest.raises(DomainError, match=r"shape \(\)"):
+    # a point is a complex number; floats and arrays are not read as points
+    with pytest.raises(DomainError, match="got float"):
         potential(1.0, "outer", fig1)
-    with pytest.raises(DomainError, match=r"shape \(\)"):
+    with pytest.raises(DomainError, match="got float"):
         kepler_elements(1.0, 1j, fig1)
-    with pytest.raises(DomainError, match=r"shape \(1,\)"):
+    with pytest.raises(DomainError, match="got ndarray"):
         potential(np.array([1.0]), "outer", fig1)
 
 

@@ -5,16 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from refbilliard import (PerturbationProfile, PhysParams, circular_shift,
-                         discrete_action, generating_function,
+from refbilliard import (PerturbationProfile, PhysParams, boundary,
+                         circular_shift, discrete_action, generating_function,
                          inner_arc_fixed_ends, jacobi_length,
                          outer_arc_fixed_ends, outer_transit, outgoing_state,
                          potential, return_map, shift_inverse_all,
-                         twist_critical_set, variational)
+                         tangent_map, twist_critical_set, variational)
 from refbilliard.arcs import osc_flow
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, DegenerateStationarity,
@@ -43,7 +43,7 @@ def test_jacobi_length_outer_against_time_quadrature(fig1, circle):
 
 
 def test_jacobi_length_inner_against_ode_quadrature(fig1, circle):
-    arc = inner_arc_fixed_ends(0.0, 2.2, circle, fig1, branch="direct")
+    arc = inner_arc_fixed_ends(0.0, 2.2, circle, fig1)
     mu = fig1.mass_mu
 
     def rhs(_, y):
@@ -67,7 +67,8 @@ def test_jacobi_length_inner_against_ode_quadrature(fig1, circle):
 def test_length_squared_equals_twice_maupertuis(fig1, circle):
     # zero-energy arcs attain the Cauchy-Schwarz bound L^2 = 2 M
     outer = outer_transit(0.5, 0.6, circle, fig1)
-    inner = inner_arc_fixed_ends(0.1, 1.8, circle, fig1, branch="winding")
+    inner = inner_arc_fixed_ends(0.1, 1.8 - 2.0 * math.pi, circle,
+                                 fig1)
     collision = inner_arc_fixed_ends(0.4, 0.4, circle, fig1)
     for arc in (outer, inner, collision):
         L = jacobi_length(arc, fig1)
@@ -89,12 +90,13 @@ def test_jacobi_length_closed_form_on_special_arcs(fig1, circle):
 
 def test_distances_are_symmetric_and_positive(fig1, circle):
     dE = outer_distance(0.2, 1.1, circle, fig1)
-    dI = inner_distance(0.2, 1.1, circle, fig1)
+    # the interior arcs wind the long way round the centre
+    dI = inner_distance(0.2, 1.1 - 2.0 * math.pi, circle, fig1)
     assert dE > 0 and dI > 0
     assert outer_distance(1.1, 0.2, circle, fig1) == pytest.approx(
         dE, abs=1e-11)
-    assert inner_distance(1.1, 0.2, circle, fig1) == pytest.approx(
-        dI, abs=1e-11)
+    assert inner_distance(1.1, 0.2 + 2.0 * math.pi, circle,
+                          fig1) == pytest.approx(dI, abs=1e-11)
 
 
 def test_shift_inverse_all_finds_every_family(fig1, light_mass):
@@ -210,8 +212,8 @@ def test_generating_function_exact_on_circle(fig1, circle):
     assert ev.xi_mid == pytest.approx(shift.f_val, abs=1e-10)
     # S equals the sum of the two link lengths through that point
     total_len = (outer_distance(0.0, shift.f_val, circle, fig1) +
-                 inner_distance(shift.f_val, shift.total, circle, fig1,
-                                lifted_sweep=shift.g_val + 2.0 * math.pi))
+                 inner_distance(shift.f_val, shift.total + 2.0 * math.pi,
+                                circle, fig1))
     assert ev.S_value == pytest.approx(total_len, abs=1e-9)
 
 
@@ -279,11 +281,11 @@ def test_generating_function_matches_fixed_end_links(request, params, xi0,
     ev = generating_function(xi0, xi1, prof, par, action_hint=hint)
     mid = xi0 + wrap_pi(ev.xi_mid - xi0)
     sweep = xi1 - mid + 2.0 * math.pi * math.copysign(1.0, ev.action_I0)
-    S = (outer_distance(xi0, mid, prof, par, lifted_delta=mid - xi0) +
-         inner_distance(mid, xi1, prof, par, lifted_sweep=sweep))
+    S = (outer_distance(xi0, mid, prof, par) +
+         inner_distance(mid, mid + sweep, prof, par))
     assert ev.S_value == pytest.approx(S, abs=1e-9)
-    outer = outer_arc_fixed_ends(xi0, mid, prof, par, lifted_delta=mid - xi0)
-    inner = inner_arc_fixed_ends(mid, xi1, prof, par, lifted_sweep=sweep)
+    outer = outer_arc_fixed_ends(xi0, mid, prof, par)
+    inner = inner_arc_fixed_ends(mid, mid + sweep, prof, par)
     # Snell's law at the refraction point: equal actions on both sides
     assert _action(mid, outer.v1, prof) == pytest.approx(
         _action(mid, inner.v0, prof), abs=1e-9)
@@ -311,15 +313,45 @@ def test_generating_function_rejects_links_off_the_section(fig1):
 
 
 @st.composite
-def _profiles(draw):
-    """Random profile with harmonics 1-4 and sup |eps f| <= 0.05."""
-    cos = [0.0] + [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
-    sin = [0.0] + [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+def _profiles(draw, harmonics=4, amplitude=0.05):
+    """Random profile with harmonics 1 to ``harmonics`` and sup |eps f| <=
+    ``amplitude``."""
+    cos = [0.0] + [draw(st.floats(-1.0, 1.0)) for _ in range(harmonics)]
+    sin = [0.0] + [draw(st.floats(-1.0, 1.0)) for _ in range(harmonics)]
     norm = sum(map(abs, cos)) + sum(map(abs, sin))
     if norm == 0.0:
         cos[1] = norm = 1.0
     return PerturbationProfile(tuple(cos), tuple(sin),
-                               draw(st.floats(1e-4, 0.05)) / norm)
+                               draw(st.floats(1e-4, amplitude)) / norm)
+
+
+def _ends_at_lifted_angle(arc, xi0, xi1, profile):
+    """The fixed-end arc advances by exactly xi1 - xi0 and ends on the
+    boundary at wrap_pi(xi1)."""
+    assert abs(arc.sweep - (xi1 - xi0)) < 1e-9
+    assert abs(wrap_pi(arc.xi1 - xi1)) < 1e-9
+    assert abs(arc.p1 - boundary(wrap_pi(xi1), profile).point_c) < 1e-9
+
+
+@settings(max_examples=40)
+@given(profile=_profiles(3, 0.02), params=st.sampled_from((FIG1, LIGHT_MASS)),
+       xi0=st.floats(-math.pi, math.pi), delta=st.floats(-2.5, 2.5))
+def test_outer_arc_fixed_ends_advances_by_the_lifted_difference(
+        profile, params, xi0, delta):
+    arc = outer_arc_fixed_ends(xi0, xi0 + delta, profile, params)
+    _ends_at_lifted_angle(arc, xi0, xi0 + delta, profile)
+
+
+@settings(max_examples=40)
+@given(profile=_profiles(3, 0.02), params=st.sampled_from((FIG1, LIGHT_MASS)),
+       xi0=st.floats(-math.pi, math.pi), size=st.floats(0.3, 5.5),
+       sign=st.sampled_from((-1.0, 1.0)))
+def test_inner_arc_fixed_ends_advances_by_the_lifted_difference(
+        profile, params, xi0, size, sign):
+    # the sign of the advance picks the way round the centre
+    arc = inner_arc_fixed_ends(xi0, xi0 + sign * size, profile, params)
+    _ends_at_lifted_angle(arc, xi0, xi0 + sign * size, profile)
+    assert math.copysign(1.0, arc.conic.ang_momentum_k) == sign
 
 
 @settings(max_examples=40)
@@ -357,6 +389,53 @@ def test_jacobi_length_matches_quadrature(profile, params, xi0, share):
     for arc in res.arcs:
         assert abs(jacobi_length(arc, params) -
                    quadrature_length(arc, params)) < 1e-11
+
+
+@st.composite
+def _valid_params(draw):
+    """Any parameter set PhysParams accepts: om > 0, E > om, mu > 0 and
+    E + h > 0."""
+    om = draw(st.floats(0.1, 5.0))
+    E = om * (1.0 + draw(st.floats(0.01, 10.0)))
+    h = -E * draw(st.floats(0.0, 0.99)) + draw(st.floats(0.0, 20.0))
+    return PhysParams(energy_E=E, offset_h=h,
+                      mass_mu=draw(st.floats(0.05, 60.0)), stiffness_om=om)
+
+
+def _typed(call, *args):
+    """``call(*args)``, or None if it raises a library error."""
+    try:
+        return call(*args)
+    except BilliardError:
+        return None
+
+
+@settings(max_examples=60)
+@given(params=_valid_params(),
+       cos=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+       sin=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+       eps=st.floats(0.0, 0.3), xi=st.floats(-math.pi, math.pi),
+       share=st.floats(-1.2, 1.2), delta=st.floats(-7.0, 7.0))
+# r(0) = 1.9 lies beyond the braking radius sqrt(2E/om) = 1.732
+@example(params=PhysParams(1.5, 2.0, 2.0, 1.0), cos=[1.0, 1.0, 1.0, 0.0, 0.0],
+         sin=[0.0] * 5, eps=0.3, xi=0.0, share=0.5, delta=1.0)
+def test_valid_inputs_raise_only_library_errors(params, cos, sin, eps, xi,
+                                                share, delta):
+    # every failure on a valid parameter set is a typed BilliardError, never
+    # a bare ValueError or ZeroDivisionError from the arithmetic underneath
+    I = share * params.action_bound_Ic
+    _typed(circular_shift, I, params)
+    _typed(shift_inverse_all, delta, params)
+    profile = _typed(PerturbationProfile, cos, sin, eps)
+    if profile is None:
+        return
+    _typed(generating_function, xi, xi + delta, profile, params)
+    state = _typed(outgoing_state, xi, I, profile, params)
+    if state is None:
+        return
+    result = _typed(return_map, state, profile, params)
+    if result is not None:
+        _typed(tangent_map, state, result, profile, params)
 
 
 def test_discrete_action_gradient_vanishes_on_periodic_orbit(fig1, circle):

@@ -7,8 +7,13 @@ Usage::
 Runs every CLI command on the unit circle and on r = 1 + 0.01 cos 2 xi at
 the trajectory-example parameters (E = 2.5, h = 2, mu = 2, om = 1), plus
 ``periodic`` at the light mass mu = 0.5 on both boundaries, plus
-``section`` on the circle at 32 seeds of 4000 returns (128 000 CSV rows):
-19 runs, each in a fresh interpreter with ``--verbose``, against the ``src``
+``section`` on the circle at 32 seeds of 4000 returns (128 000 CSV rows),
+plus the benchmark's wavy configs (``perfbench/workloads.py``) at fixed
+phases, on r = 1 + eps cos 2(xi - phase) written with a cos and a sin term:
+``section`` (eps = 0.01, phase 0.7, 9 seeds of 400 returns), ``periodic``
+at mu = 0.5 (eps = 0.01, phase 0.7), and ``caustics`` and
+``oracle-check`` (eps = 1e-3, phase 0.2, 8 seeds).  That is 23 runs, each
+in a fresh interpreter with ``--verbose``, against the ``src``
 tree next to this script, as many at once as there are CPUs.  Each run
 writes its artifacts and its stdout (without the ``seconds:`` timing line)
 under OUTDIR/<run>/.  The script prints a header line with the Python and
@@ -22,6 +27,7 @@ Exits 1 if any run fails.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import platform
 import subprocess
@@ -35,6 +41,14 @@ COMMANDS = ("params-report", "shift-profile", "section", "orbit",
             "periodic", "twist", "caustics", "oracle-check")
 
 PROFILES = {"circle": "", "cos2": "epsilon = 0.01\nfourier_cos = 2:1.0\n"}
+
+
+def rotated(phase: float, epsilon: float) -> str:
+    """r = 1 + eps cos 2(xi - phase), written as the benchmark writes it."""
+    return (f"epsilon = {epsilon!r}\n"
+            f"fourier_cos = 2:{math.cos(2.0 * phase)!r}\n"
+            f"fourier_sin = 2:{math.sin(2.0 * phase)!r}\n")
+
 
 CONFIG = """\
 [params]
@@ -63,6 +77,18 @@ def runs():
            CONFIG.format(mu=2.0, profile=PROFILES["circle"],
                          command="section")
            + "seeds = 32\niterations = 4000\n")
+    # the benchmark's wavy configs, each at one fixed phase
+    yield ("rot-section",
+           CONFIG.format(mu=2.0, profile=rotated(0.7, 0.01),
+                         command="section")
+           + "seeds = 9\niterations = 400\n")
+    yield ("rot-periodic-mu0.5",
+           CONFIG.format(mu=0.5, profile=rotated(0.7, 0.01),
+                         command="periodic"))
+    for command in ("caustics", "oracle-check"):
+        yield (f"rot-{command}",
+               CONFIG.format(mu=2.0, profile=rotated(0.2, 1e-3),
+                             command=command) + "seeds = 8\n")
 
 
 def header() -> str:
