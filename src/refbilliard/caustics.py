@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -27,13 +27,13 @@ from .arcs import InnerConic, OuterConic
 from .boundary import PerturbationProfile, boundary
 from .errors import DegenerateEnvelope, OutOfActionRange
 from .inner import kepler_elements
-from .orbits import CurveProbe, OrbitTrace, curve_eval
+from .orbits import OrbitTrace
 from .outer import outer_conic_of, outer_transit
 from .params import PhysParams
 from .returnmap import (_refract_entry, circular_shift, outgoing_state,
                         outgoing_velocity)
 
-ActionCurve = Union[float, Callable[[float], float], CurveProbe]
+ActionCurve = Union[float, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,11 @@ class CausticCurve:
 
     ``samples`` has one row ``(zeta, x, y)`` per node of a uniform grid of
     the boundary parameter ``zeta``, closed (the last row sits at
-    ``zeta = 2 pi``).  ``circular_radius`` is the tangent-circle radius of
-    the comparison circular orbit at the mean action, when defined.
+    ``zeta = 2 pi``).
     """
 
     kind: str
     samples: np.ndarray
-    circular_radius: Optional[float]
     max_envelope_residual: float
 
 
@@ -79,8 +77,6 @@ def circular_caustic_radii(I0: float, params: PhysParams
 
 
 def _as_action_function(invariant_curve: ActionCurve) -> Callable[[float], float]:
-    if isinstance(invariant_curve, CurveProbe):
-        return lambda z: float(curve_eval(invariant_curve, z)[0])
     if callable(invariant_curve):
         return lambda z: float(invariant_curve(z))
     value = float(invariant_curve)
@@ -290,13 +286,7 @@ def perturbed_caustic(invariant_curve: ActionCurve, kind: str,
         G, dG = _system(stencil, evaluate, x, y)
         worst = max(worst, abs(G), abs(dG))
         samples[j] = z, x, y
-    I_mean = float(np.mean([I_of(z) for z in zetas[:-1]]))
-    try:
-        R_E, R_I = circular_caustic_radii(I_mean, params)
-        r_circ: Optional[float] = R_E if kind == "outer" else R_I
-    except OutOfActionRange:
-        r_circ = None
-    return CausticCurve(kind=kind, samples=samples, circular_radius=r_circ,
+    return CausticCurve(kind=kind, samples=samples,
                         max_envelope_residual=worst)
 
 

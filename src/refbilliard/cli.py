@@ -120,10 +120,7 @@ def _cmd_params_report(cfg: RunConfig, out: str, verbose: bool) -> int:
         ("lc_Omega_sq", p.lc_Omega_sq),
         ("twist_at_zero", twist_at_zero(p)),
     ]
-    try:
-        mu_bar, h_bar = fixed_point_thresholds(p)
-    except BilliardError:
-        mu_bar, h_bar = math.nan, math.nan
+    mu_bar, h_bar = fixed_point_thresholds(p)
     rows += [("mu_bar", mu_bar), ("h_bar", h_bar)]
     roots = twist_critical_set(p)
     rows.append(("n_twist_roots", float(len(roots))))
@@ -133,16 +130,16 @@ def _cmd_params_report(cfg: RunConfig, out: str, verbose: bool) -> int:
     return 0
 
 
-def _shift_grid(params: PhysParams, n: int) -> np.ndarray:
+def _shift_grid(params: PhysParams) -> np.ndarray:
     # 0.96 of the band where circular_shift is defined, as in _circle_scan
     span = 0.96 * min(params.action_bound_Ic,
                       math.sqrt(params.kepler_energy + params.mass_mu))
     anchors = [a for a in (-1.0, 1.0) if abs(a) < span]
-    return np.unique(np.append(np.linspace(-span, span, n), anchors))
+    return np.unique(np.append(np.linspace(-span, span, 201), anchors))
 
 
 def _cmd_shift_profile(cfg: RunConfig, out: str, verbose: bool) -> int:
-    grid = _shift_grid(cfg.params, 201)
+    grid = _shift_grid(cfg.params)
     s = circular_shift(grid, cfg.params)
     _write_csv(out, "shift_profile.csv", ["I", "f", "g", "theta", "f_prime",
                                           "g_prime", "theta_prime"],
@@ -215,8 +212,8 @@ def _cmd_orbit(cfg: RunConfig, out: str, verbose: bool) -> int:
     return 0
 
 
-def _boundary_polyline(profile: PerturbationProfile, n: int = 721):
-    xi = np.linspace(-math.pi, math.pi, n)
+def _boundary_polyline(profile: PerturbationProfile):
+    xi = np.linspace(-math.pi, math.pi, 721)
     r = profile.radius(xi)
     return r * np.cos(xi), r * np.sin(xi)
 
@@ -246,7 +243,7 @@ def _cmd_periodic(cfg: RunConfig, out: str, verbose: bool) -> int:
 def _cmd_twist(cfg: RunConfig, out: str, verbose: bool) -> int:
     p = cfg.params
     roots = twist_critical_set(p)
-    grid = _shift_grid(p, 201)
+    grid = _shift_grid(p)
     twist = circular_shift(grid, p).total_prime
     rows = [(I, tp, "+" if tp > 0 else ("-" if tp < 0 else "0"))
             for I, tp in zip(grid.tolist(), twist.tolist())]

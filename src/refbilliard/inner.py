@@ -213,7 +213,8 @@ def _chord_entry_angle(sweep: float, params: PhysParams) -> float:
     e = (c + math.sqrt(c * c + 4.0 * a * (1.0 + a))) / (2.0 * a)
     k = math.copysign(math.sqrt((e * e - 1.0) * mu * mu /
                                 (2.0 * params.kepler_energy)), sweep)
-    sinb = k / params.inner_speed_unit
+    vi = params.energy_E + params.offset_h + params.mass_mu  # V_I at r = 1
+    sinb = k / math.sqrt(2 * vi)
     if abs(sinb) > 1.0:
         raise DomainError("requested sweep is not reachable at this energy")
     return math.asin(sinb)

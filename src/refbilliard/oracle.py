@@ -51,7 +51,8 @@ import numpy as np
 
 from ._util import wrap_pi
 from .boundary import PerturbationProfile, boundary
-from .errors import EventDetectionFailed, TotalReflectionTermination
+from .errors import (DomainError, EventDetectionFailed,
+                     TotalReflectionTermination)
 from .params import PhysParams, potential
 from .refraction import refract_in, refract_out
 
@@ -82,7 +83,6 @@ class OracleReturn:
 
     xi1: float
     action_I1: float
-    alpha1: float
     t_outer: float
     t_inner: float
 
@@ -249,7 +249,11 @@ def _outer_leg(xi0: float, alpha: float, profile: PerturbationProfile,
     crossing; returns (travel time, z, z') there."""
     geom0 = boundary(xi0, profile)
     z0 = geom0.point_c
-    speed0 = math.sqrt(2.0 * potential(z0, "outer", params))
+    ve = potential(z0, "outer", params)
+    if ve <= 0.0:
+        raise DomainError(f"oracle: boundary radius {abs(z0):.6g} exceeds "
+                          f"the braking radius {params.brake_radius:.6g}")
+    speed0 = math.sqrt(2.0 * ve)
     v0 = speed0 * (math.cos(alpha) * geom0.normal_c +
                    math.sin(alpha) * geom0.tangent_c)
     om_sq = params.stiffness_om
@@ -263,8 +267,8 @@ def ode_return_map(xi0: float, alpha: float, profile: PerturbationProfile,
                    params: PhysParams) -> OracleReturn:
     """Apply the return map to ``(xi0, alpha)`` by integrating the flow.
 
-    Returns the next outgoing crossing's boundary angle, canonical action
-    and launch angle, along with the two legs' travel times.
+    Returns the next outgoing crossing's boundary angle and canonical
+    action, along with the two legs' travel times.
     """
     t_out, z1, v1 = _outer_leg(xi0, alpha, profile, params)
 
@@ -297,8 +301,7 @@ def ode_return_map(xi0: float, alpha: float, profile: PerturbationProfile,
     if not res_out.refracted:
         raise TotalReflectionTermination("oracle: total internal reflection",
                                          xi=xi1, beta=b_out)
-    alpha1 = res_out.out_angle
-    I1 = math.sqrt(potential(z2, "outer", params)) * math.sin(alpha1) * \
-        geom2.metric
-    return OracleReturn(xi1=wrap_pi(xi1), action_I1=I1, alpha1=alpha1,
-                        t_outer=t_out, t_inner=t_in)
+    I1 = math.sqrt(potential(z2, "outer", params)) * \
+        math.sin(res_out.out_angle) * geom2.metric
+    return OracleReturn(xi1=wrap_pi(xi1), action_I1=I1, t_outer=t_out,
+                        t_inner=t_in)

@@ -72,11 +72,6 @@ class PhysParams:
         return math.sqrt(self.energy_E - self.stiffness_om / 2)
 
     @cached_property
-    def inner_speed_unit(self) -> float:
-        """Speed sqrt(2 V_I) = sqrt(2(E + h + mu)) on the unit circle, inner side."""
-        return math.sqrt(2 * (self.energy_E + self.offset_h + self.mass_mu))
-
-    @cached_property
     def omega(self) -> float:
         """Angular frequency sqrt(om) of the outer oscillator."""
         return math.sqrt(self.stiffness_om)

@@ -20,18 +20,14 @@ CRITICAL_TOL = 1e-10
 
 
 class RefractionResult(NamedTuple):
-    """Outcome of one interface crossing.
+    """Outcome of one interface crossing: ``out_angle`` is the transmitted
+    angle, None on total reflection."""
 
-    ``outcome`` is "refracted" or "total_reflection"; ``out_angle`` is the
-    transmitted angle (None on total reflection).
-    """
-
-    outcome: str
     out_angle: Optional[float]
 
     @property
     def refracted(self) -> bool:
-        return self.outcome == "refracted"
+        return self.out_angle is not None
 
 
 def _speeds(point: complex, params: PhysParams):
@@ -57,8 +53,8 @@ def refract_in(alpha: float, point, params: PhysParams) -> RefractionResult:
     ve, vi = _speeds(point, params)
     s = math.sqrt(ve / vi) * math.sin(alpha)
     if abs(s) >= 1.0 - CRITICAL_TOL:
-        return RefractionResult("total_reflection", None)
-    return RefractionResult("refracted", math.asin(s))
+        return RefractionResult(None)
+    return RefractionResult(math.asin(s))
 
 
 def refract_out(beta: float, point, params: PhysParams) -> RefractionResult:
@@ -72,8 +68,8 @@ def refract_out(beta: float, point, params: PhysParams) -> RefractionResult:
     ve, vi = _speeds(point, params)
     ratio = math.sqrt(ve / vi)
     if ratio < 1.0 and abs(beta) >= math.asin(ratio) - CRITICAL_TOL:
-        return RefractionResult("total_reflection", None)
+        return RefractionResult(None)
     s = math.sqrt(vi / ve) * math.sin(beta)
     if abs(s) >= 1.0 - CRITICAL_TOL:
-        return RefractionResult("total_reflection", None)
-    return RefractionResult("refracted", math.asin(s))
+        return RefractionResult(None)
+    return RefractionResult(math.asin(s))

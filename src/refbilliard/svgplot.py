@@ -26,11 +26,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/5 step."""
+def _nice_ticks(lo: float, hi: float) -> List[float]:
+    """About five round tick positions covering [lo, hi] at a 1/2/5 step."""
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag

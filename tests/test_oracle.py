@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from refbilliard import (PerturbationProfile, boundary, ode_return_map,
-                         outgoing_state, potential, return_map)
+from refbilliard import (PerturbationProfile, PhysParams, boundary,
+                         ode_return_map, outgoing_state, potential, return_map)
 from refbilliard._util import wrap_pi
-from refbilliard.errors import EventDetectionFailed
+from refbilliard.errors import DomainError, EventDetectionFailed
 
 
 def action_of_alpha(xi0, alpha, profile, params):
@@ -51,3 +51,12 @@ def test_oracle_cannot_integrate_collision(fig1, circle):
     # passes through, so the plain integration reports a detection failure
     with pytest.raises(EventDetectionFailed):
         ode_return_map(0.0, 0.0, circle, fig1)
+
+
+def test_oracle_rejects_a_launch_beyond_the_braking_radius():
+    # r(0) = 1.8 lies beyond the braking radius sqrt(2E/om) = 1.732, where
+    # V_E < 0 and no exterior speed exists
+    params = PhysParams(1.5, 2.0, 2.0, 1.0)
+    profile = PerturbationProfile((0.0, 1.0), (), 0.8)
+    with pytest.raises(DomainError, match="exceeds the braking radius"):
+        ode_return_map(0.0, 0.3, profile, params)

@@ -492,6 +492,42 @@ def test_aubry_mather_pair_structure(request, m, n, name, eps_values):
     assert np.all(np.abs(slopes - exponent) < 0.1), slopes
 
 
+def test_aubry_mather_gap_matches_the_first_order_value_on_cos_3xi(
+        light_mass):
+    # (-1, 3) on r = 1 + eps cos 3 xi, so n = k = 3 and the gap is first
+    # order in eps: dW = 4 n eps |J cos(k F / 2)| + O(eps^2) (ROADMAP item
+    # 14), with I* the largest-|I| circular family of total shift -2 pi/3,
+    # F = f(I*) its exterior shift and J the jump in normal momentum at
+    # r = 1
+    params = light_mass
+    I_star = _seed_hint(-1, 3, params)
+    F = circular_shift(I_star, params).f_val
+    V_I = params.kepler_energy + params.mass_mu
+    V_E = params.energy_E - params.stiffness_om / 2
+    J = math.sqrt(V_I - I_star ** 2) - math.sqrt(V_E - I_star ** 2)
+    eps_values = (1e-4, 3e-4, 1e-3, 3e-3)
+    errors = []
+    for eps in eps_values:
+        prof = PerturbationProfile.cos_profile(3, eps)
+        low, high = find_periodic(-1, 3, prof, params)
+        assert (low.kind, high.kind) == ("action-minimizer", "action-minimax")
+        W_low, _ = discrete_action(low.xis, -1, 3, prof, params,
+                                   float(low.actions[0]))
+        W_high, _ = discrete_action(high.xis, -1, 3, prof, params,
+                                    float(high.actions[0]))
+        predicted = 4.0 * 3 * eps * abs(J * math.cos(3.0 * F / 2.0))
+        errors.append(abs((W_high - W_low) / predicted - 1.0))
+    # the relative error of a first-order value falls at least as eps; the
+    # order observed between the two largest eps bounds it at the smaller
+    # ones, with a factor 2 for the next term of the expansion
+    order = math.log(errors[-1] / errors[-2]) / \
+        math.log(eps_values[-1] / eps_values[-2])
+    assert order >= 1.0, errors
+    for eps, err in zip(eps_values[:-2], errors):
+        assert err <= 2.0 * errors[-1] * (eps / eps_values[-1]) ** order, \
+            errors
+
+
 def test_find_periodic_logs_why_it_drops_a_minimax(light_mass, caplog):
     # on cos 3 xi the (1, 3) minimax search meets total reflection; the
     # class keeps its minimizer, and the log names the class, the kind and

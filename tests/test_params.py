@@ -74,7 +74,6 @@ def test_inner_potential_singular_at_origin(fig1):
 def _formulas(p):
     E, h, mu, om = p.energy_E, p.offset_h, p.mass_mu, p.stiffness_om
     return {"action_bound_Ic": math.sqrt(E - om / 2),
-            "inner_speed_unit": math.sqrt(2 * (E + h + mu)),
             "omega": math.sqrt(om),
             "kepler_energy": E + h,
             "lc_Omega_sq": 2 * (E + h),

@@ -4,8 +4,10 @@ Usage::
 
     python tools/digest_outputs.py OUTDIR
 
-Runs every CLI command on the unit circle and on r = 1 + 0.01 cos 2 xi at
-the trajectory-example parameters (E = 2.5, h = 2, mu = 2, om = 1), plus
+Runs every CLI command (``refbilliard.config.COMMANDS``, read from the
+``src`` tree next to this script) on the unit circle and on
+r = 1 + 0.01 cos 2 xi at the trajectory-example parameters (E = 2.5, h = 2,
+mu = 2, om = 1), plus
 ``periodic`` at the light mass mu = 0.5 on both boundaries, plus
 ``section`` on the circle at 32 seeds of 4000 returns (128 000 CSV rows),
 plus the benchmark's wavy configs (``perfbench/workloads.py``) at fixed
@@ -36,9 +38,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-COMMANDS = ("params-report", "shift-profile", "section", "orbit",
-            "periodic", "twist", "caustics", "oracle-check")
+# the command list of the tree the runs use, so that a new command gets runs
+sys.path.insert(0, str(SRC))
+from refbilliard.config import COMMANDS  # noqa: E402
 
 PROFILES = {"circle": "", "cos2": "epsilon = 0.01\nfourier_cos = 2:1.0\n"}
 
