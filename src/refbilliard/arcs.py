@@ -10,7 +10,6 @@ re-integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -18,15 +17,14 @@ import numpy as np
 __all__ = ["OuterConic", "InnerConic", "ArcSegment"]
 
 
-@dataclass(frozen=True)
-class OuterConic:
+class OuterConic(NamedTuple):
     """Origin-centered ellipse swept by an outer harmonic arc.
 
     ``semi_major_sq``/``semi_minor_sq`` are a^2 >= b^2 with
     a^2 + b^2 = 2E/om and a^2 b^2 = k^2/om (k the angular momentum);
     ``tilt_angle`` is the polar angle of the major axis (mod pi).  A radial
-    (zero angular momentum) arc collapses to a segment: ``degenerate`` is set
-    and the tilt is the line direction.
+    (zero angular momentum, :func:`is_radial`) arc collapses to a segment:
+    ``degenerate`` is set and the tilt is the line direction.
     """
 
     semi_major_sq: float
@@ -41,8 +39,8 @@ class InnerConic(NamedTuple):
     ``ang_momentum_k`` is signed (positive = counterclockwise);
     ``semilatus_p`` = k^2/mu, ``eccentricity_e`` = sqrt(1 + 2(E+h)k^2/mu^2) > 1,
     ``pericenter_r`` = p/(1+e), ``pericenter_angle`` the polar angle of the
-    pericenter direction.  ``is_collision`` marks an ejection-collision ray,
-    |k| <= 1e-12 max(r |v|, 1).
+    pericenter direction.  ``is_collision`` marks an ejection-collision ray
+    (:func:`is_radial`).
     """
 
     ang_momentum_k: float
@@ -53,16 +51,15 @@ class InnerConic(NamedTuple):
     is_collision: bool = False
 
 
-@dataclass
-class ArcSegment:
+class ArcSegment(NamedTuple):
     """One conic arc with its closed-form parametrization.
 
     ``region`` is "outer" or "inner" (:attr:`chart` names its coordinates).
     ``duration`` is the kinetic (physical) time of traversal, ``sweep`` the
     lifted polar angle advance from start to end, and ``xi1`` the wrapped
-    polar angle of the end point.  ``conic`` is the :class:`InnerConic` of
-    an inner arc and None on an outer one
-    (:func:`refbilliard.outer.outer_conic_of` gives its ellipse).
+    polar angle of the end point.  The conic comes from the start state
+    ``(p0, v0)``: :func:`refbilliard.outer.outer_conic_of` outside,
+    :func:`refbilliard.inner.kepler_elements` inside.
 
     The parametrization payload ``par`` depends on the region:
 
@@ -78,7 +75,6 @@ class ArcSegment:
     duration: float
     sweep: float
     xi1: float
-    conic: object
     par: tuple
 
     @property
@@ -131,6 +127,13 @@ class ArcSegment:
         z = max((self.point(u) for u in us if 0.0 <= u <= 1.0),
                 key=lambda z: sign * abs(z))
         return abs(z), math.atan2(z.imag, z.real)
+
+
+def is_radial(z: complex, v: complex) -> bool:
+    """Whether ``(z, v)`` has zero angular momentum to rounding:
+    |z x v| <= 1e-12 max(|z| |v|, 1)."""
+    k = z.real * v.imag - z.imag * v.real
+    return abs(k) <= 1e-12 * max(abs(z) * abs(v), 1.0)
 
 
 def osc_flow(p0, v0, w, s):

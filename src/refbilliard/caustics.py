@@ -23,7 +23,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .arcs import InnerConic, OuterConic
+from .arcs import InnerConic, OuterConic, is_radial
 from .boundary import PerturbationProfile, boundary
 from .errors import DegenerateEnvelope, OutOfActionRange
 from .inner import kepler_elements
@@ -311,7 +311,7 @@ def tangency_check(trace: OrbitTrace, caustic: CausticCurve) -> float:
     for arc in trace.arcs:
         if arc.region != region:
             continue
-        if region == "inner" and arc.conic.is_collision:
+        if region == "inner" and is_radial(arc.p0, arc.v0):
             continue
         rad, ang = arc.extremal_radius()
         r_c = float(np.interp(ang, th_ext, rr_ext))

@@ -12,10 +12,9 @@ import cmath
 import math
 
 from ._util import difference_slope, march_to_zero, shoot, wrap_pi
-from .arcs import ArcSegment, InnerConic, lc_flow
+from .arcs import ArcSegment, InnerConic, is_radial, lc_flow
 from .boundary import PerturbationProfile, boundary
-from .errors import (DomainError, EnergyMismatch, SingularityError,
-                     TangentialCrossing)
+from .errors import DomainError, EnergyMismatch, TangentialCrossing
 from .params import PhysParams, _point, potential
 
 
@@ -29,18 +28,15 @@ def kepler_elements(z0: complex, v0: complex,
     that is not a complex number raises :class:`DomainError`.
     """
     z0, v0 = _point(z0), _point(v0)
-    r = abs(z0)
-    if r == 0.0:
-        raise SingularityError("orbital elements are undefined at the centre")
     _check_inner_energy(z0, v0, params)
-    mu = params.mass_mu
+    mu, r = params.mass_mu, abs(z0)
     k = z0.real * v0.imag - z0.imag * v0.real
     # e_vec = ((|v|^2 - mu/r) z - (z.v) v) / mu
     dot = z0.real * v0.real + z0.imag * v0.imag
     evec = ((abs(v0) ** 2 - mu / r) * z0 - dot * v0) / mu
     e = abs(evec)
     p = k * k / mu
-    collision = abs(k) <= 1e-12 * max(r * abs(v0), 1.0)
+    collision = is_radial(z0, v0)
     if collision:
         th_peri = cmath.phase(-z0)
         e = 1.0
@@ -66,10 +62,12 @@ def levi_civita_propagate(z0: complex, v0: complex, params: PhysParams,
     oscillator w'' = Om^2 w in the fictitious time tau (ds = |w|^2 dtau)
     and passes smoothly through the centre, so collision rays need no
     special case.  Returns the :class:`ArcSegment` with endpoints, kinetic
-    duration, lifted polar sweep and orbital elements.
+    duration and lifted polar sweep; :func:`kepler_elements` gives its
+    conic.  Raises as :func:`kepler_elements` does on a bad entry state.
     """
-    conic = kepler_elements(z0, v0, params)
-    k = conic.ang_momentum_k
+    z0, v0 = _point(z0), _point(v0)
+    _check_inner_energy(z0, v0, params)
+    k = z0.real * v0.imag - z0.imag * v0.real
     Om = math.sqrt(params.lc_Omega_sq)
     w0 = cmath.sqrt(z0)
     wd0 = v0 * w0.conjugate()
@@ -97,7 +95,7 @@ def levi_civita_propagate(z0: complex, v0: complex, params: PhysParams,
         if sweep * k < 0.0:
             sweep += math.copysign(4.0 * math.pi, k)
     return ArcSegment(region="inner", p0=z0, v0=v0, p1=z1, v1=v1,
-                      duration=dur, sweep=sweep, xi1=xi1, conic=conic,
+                      duration=dur, sweep=sweep, xi1=xi1,
                       par=(w0, wd0, Om, tau1))
 
 

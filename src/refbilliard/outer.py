@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._util import difference_slope, march_to_zero, shoot, wrap_pi
-from .arcs import ArcSegment, OuterConic, osc_flow
+from .arcs import ArcSegment, OuterConic, is_radial, osc_flow
 from .boundary import PerturbationProfile, boundary
 from .errors import DomainError, EnergyMismatch, TangentialCrossing
 from .params import PhysParams, _exterior_potential, _point
@@ -62,12 +62,10 @@ def outer_conic_of(p0: complex, v0: complex, params: PhysParams) -> OuterConic:
     w = params.omega
     r2 = abs(p0) ** 2
     dot = p0.real * v0.real + p0.imag * v0.imag
-    k_out = p0.real * v0.imag - p0.imag * v0.real
     disc = math.hypot(E - om * r2, math.sqrt(om) * dot)
     a_sq = (E + disc) / om
     b_sq = max((E - disc) / om, 0.0)
-    scale = abs(p0) * abs(v0)
-    if abs(k_out) <= 1e-12 * max(scale, 1.0):
+    if is_radial(p0, v0):
         return OuterConic(semi_major_sq=a_sq, semi_minor_sq=0.0,
                           tilt_angle=math.atan2(p0.imag, p0.real) % math.pi,
                           degenerate=True)
@@ -104,7 +102,7 @@ def outer_transit(xi0: float, alpha: float, profile: PerturbationProfile,
     xi1 = wrap_pi(math.atan2(z1.imag, z1.real))
     return ArcSegment(region="outer", p0=p0, v0=v0, p1=z1, v1=v1,
                       duration=s1, sweep=_exterior_sweep(p0, v0, z1, w, s1),
-                      xi1=xi1, conic=None, par=(w, s1))
+                      xi1=xi1, par=(w, s1))
 
 
 def _exit_time(p0: complex, v0: complex, w: float,

@@ -249,7 +249,8 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
 
     ve1 = potential(geom2.point_c, "outer", params)
     I1 = math.sqrt(ve1) * math.sin(alpha1) * geom2.metric
-    k = inner_arc.conic.ang_momentum_k
+    # sigma, the winding sign of the lifted advance, is that of z_in x v_in
+    k = z_in.real * v_in.imag - z_in.imag * v_in.real
     sigma = math.copysign(1.0, k) if k else 0.0
     delta = outer_arc.sweep + inner_arc.sweep - 2.0 * math.pi * sigma
     new = BoundaryState(xi=inner_arc.xi1, action_I=I1, alpha=alpha1)

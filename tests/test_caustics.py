@@ -1,7 +1,6 @@
 """Tangent circles of the integrable orbits and their perturbed envelopes."""
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -52,10 +51,9 @@ def _extremal_arcs(params):
     w_mid, wd_mid = lc_flow(w0, wd0, Om, 1.5 * t_peri)
     return [
         (outer, None), (inner, None),
-        (dataclasses.replace(outer, par=(w, 0.3 * T)), 1.0),
-        (dataclasses.replace(inner, par=(w0, wd0, Om, 0.5 * t_peri)), 1.0),
-        (dataclasses.replace(inner, par=(w_mid, wd_mid, Om,
-                                         tau1 - 1.5 * t_peri)), 0.0),
+        (outer._replace(par=(w, 0.3 * T)), 1.0),
+        (inner._replace(par=(w0, wd0, Om, 0.5 * t_peri)), 1.0),
+        (inner._replace(par=(w_mid, wd_mid, Om, tau1 - 1.5 * t_peri)), 0.0),
     ]
 
 
@@ -196,6 +194,27 @@ def test_tangency_of_integrable_orbits(fig1, circle):
     for kind in ("outer", "inner"):
         c = perturbed_caustic(I0, kind, circle, fig1, n_base=128)
         assert tangency_check(tr, c) < 1e-9
+
+
+def test_tangency_check_skips_collision_rays_only(fig1, circle):
+    # a ray through the centre has no pericenter on the caustic and is
+    # skipped; one 1e-6 rad off it (k = -3.6e-6) dips to r ~ 3e-12 and is
+    # checked, so the worst distance becomes about R_I
+    I0 = 0.9
+    tr = iterate(outgoing_state(0.3, I0, circle, fig1), 20, circle, fig1,
+                 keep_arcs=True)
+    c = perturbed_caustic(I0, "inner", circle, fig1, n_base=64)
+    base = tangency_check(tr, c)
+    assert base < 1e-12
+    z0 = cmath.exp(0.7j)
+    v0 = -math.sqrt(2.0 * potential(z0, "inner", fig1)) * z0
+    arcs = tr.arcs
+    tr.arcs = arcs + [levi_civita_propagate(z0, v0, fig1, circle)]
+    assert tangency_check(tr, c) == base
+    v0 *= cmath.exp(1e-6j)
+    tr.arcs = arcs + [levi_civita_propagate(z0, v0, fig1, circle)]
+    R_I = circular_caustic_radii(I0, fig1)[1]
+    assert tangency_check(tr, c) == pytest.approx(R_I, abs=1e-9)
 
 
 def test_tangency_check_requires_geometric_arcs(fig1, circle):

@@ -71,6 +71,18 @@ def test_kepler_elements_flags_radial_ray(fig1):
         kepler_elements(z0, 1.0 + 0.0j, fig1)
 
 
+def test_interior_transit_checks_its_entry_state(fig1, circle):
+    # the transit validates its entry as kepler_elements does
+    z0, v0 = entry_state(0.3, 0.4, fig1)
+    for z, v in ((z0.real, v0), (z0, abs(v0))):
+        with pytest.raises(DomainError):
+            levi_civita_propagate(z, v, fig1, circle)
+    with pytest.raises(SingularityError):
+        levi_civita_propagate(0j, v0, fig1, circle)
+    with pytest.raises(EnergyMismatch):
+        levi_civita_propagate(z0, 1.01 * v0, fig1, circle)
+
+
 def test_inner_transit_matches_ode_integration(fig1, circle):
     z0, v0 = entry_state(0.9, 0.65, fig1)
     arc = levi_civita_propagate(z0, v0, fig1, circle)
@@ -98,14 +110,14 @@ def test_near_radial_transit_switches_to_regularized_chart(fig1, circle):
     z0, v0 = entry_state(0.4, 1e-5, fig1)
     arc = levi_civita_propagate(z0, v0, fig1, circle)
     assert arc.chart == "lc"
-    assert arc.conic.pericenter_r < 1e-3
+    assert kepler_elements(arc.p0, arc.v0, fig1).pericenter_r < 1e-3
 
 
 def test_collision_ray_reflects_through_centre(fig1, circle):
     z0, v0 = entry_state(1.3, 0.0, fig1)
     arc = levi_civita_propagate(z0, v0, fig1, circle)
     assert arc.chart == "lc"
-    assert arc.conic.is_collision
+    assert kepler_elements(arc.p0, arc.v0, fig1).is_collision
     assert arc.sweep == 0.0
     # the regularized flow re-emerges along the same ray, moving outward
     assert arc.p1 == pytest.approx(z0, abs=1e-10)
@@ -170,7 +182,8 @@ def test_inner_arc_fixed_ends_branches(fig1, circle):
         assert abs(arc.p1) == pytest.approx(1.0, abs=1e-12)
     assert direct.sweep == pytest.approx(1.2, abs=1e-10)
     assert winding.sweep == pytest.approx(1.2 - 2.0 * math.pi, abs=1e-10)
-    assert winding.conic.ang_momentum_k < 0 < direct.conic.ang_momentum_k
+    assert (kepler_elements(winding.p0, winding.v0, fig1).ang_momentum_k
+            < 0 < kepler_elements(direct.p0, direct.v0, fig1).ang_momentum_k)
 
 
 def test_inner_arc_fixed_ends_half_turn_sign_picks_the_arc(fig1, circle):
@@ -179,8 +192,8 @@ def test_inner_arc_fixed_ends_half_turn_sign_picks_the_arc(fig1, circle):
         arc = inner_arc_fixed_ends(0.0, sweep, circle, fig1)
         assert arc.sweep == pytest.approx(sweep, abs=1e-10)
         assert abs(arc.xi1) == pytest.approx(math.pi, abs=1e-10)
-        assert math.copysign(1.0, arc.conic.ang_momentum_k) == \
-            math.copysign(1.0, sweep)
+        k = kepler_elements(arc.p0, arc.v0, fig1).ang_momentum_k
+        assert math.copysign(1.0, k) == math.copysign(1.0, sweep)
     # a full turn or more is no interior arc
     for xi1 in (2.0 * math.pi, -2.0 * math.pi, 7.0):
         with pytest.raises(DomainError):
@@ -189,7 +202,7 @@ def test_inner_arc_fixed_ends_half_turn_sign_picks_the_arc(fig1, circle):
 
 def test_inner_arc_coinciding_endpoints_is_collision_ray(fig1, circle):
     arc = inner_arc_fixed_ends(0.7, 0.7, circle, fig1)
-    assert arc.conic.is_collision
+    assert kepler_elements(arc.p0, arc.v0, fig1).is_collision
     assert arc.p1 == pytest.approx(cmath.exp(0.7j), abs=1e-10)
 
 

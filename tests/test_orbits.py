@@ -12,7 +12,8 @@ from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
                          discrete_action, find_periodic, golden_target,
                          invariant_curve_probe, iterate, linear_stability,
                          outgoing_state, potential, return_map,
-                         rotation_number, shift_inverse_all, twist_at_zero)
+                         rotation_number, shift_inverse_all, tangent_map,
+                         twist_at_zero)
 from refbilliard import orbits as orbits_module
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, DescentStalled,
@@ -454,6 +455,25 @@ def _cyclic_order(angles):
                                   2.0 * math.pi), kind="stable"))
 
 
+def _flux(a, b, n, profile, params, nodes):
+    """Gauss-Legendre value at ``nodes`` nodes of the integral over t in
+    [0, 1] of I_n dxi_n/dt - I_0 dxi_0/dt on the segment from ``a`` to
+    ``b``, with dxi_n/dt from the product of the n tangent maps."""
+    d = np.subtract(b, a)
+    ts, weights = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for t, w in zip(0.5 * (ts + 1.0), 0.5 * weights):
+        xi, I = np.add(a, t * d)
+        state = outgoing_state(float(xi), float(I), profile, params)
+        D = np.eye(2)
+        for _ in range(n):
+            res = return_map(state, profile, params)
+            D = tangent_map(state, res, profile, params) @ D
+            state = res.state
+        total += w * (state.action_I * float(D[0] @ d) - I * d[0])
+    return total
+
+
 @pytest.mark.parametrize("m, n, name, eps_values", [
     pytest.param(-1, 3, "light_mass", (0.003, 0.01, 0.02),
                  id="-1_3-light_mass"),
@@ -470,7 +490,10 @@ def test_aubry_mather_pair_structure(request, m, n, name, eps_values):
     # ordered (its angles meet a turn in the order of the rigid rotation
     # by 2 pi m/n), the two cycles interleave, and the action gap
     # dW = W(minimax) - W(minimizer), the flux through the resonance, is
-    # positive and scales as eps^(lcm(n, k)/k), k = 2
+    # positive and scales as eps^(lcm(n, k)/k), k = 2.  In flux form
+    # (MacKay, Meiss & Percival, Physica D 13, 1984) dW is also the integral
+    # of I_n dxi_n - I_0 dxi_0 along a segment from the minimizer to the
+    # minimax, which checks discrete_action against the forward map alone
     params = request.getfixturevalue(name)
     exponent = math.lcm(n, 2) / 2
     rigid = _cyclic_order(2.0 * math.pi * m / n * np.arange(n))
@@ -488,6 +511,18 @@ def test_aubry_mather_pair_structure(request, m, n, name, eps_values):
         W_high, _ = discrete_action(high.xis, m, n, prof, params)
         gaps.append(W_high - W_low)
         assert gaps[-1] > 0.0
+        a = (float(low.xis[0]), float(low.actions[0]))
+        b = min(((a[0] + wrap_pi(float(x) - a[0]), float(I))
+                 for x, I in zip(high.xis, high.actions)),
+                key=lambda p: abs(p[0] - a[0]))
+        coarse = _flux(a, b, n, prof, params, 16)
+        fine = _flux(a, b, n, prof, params, 32)
+        # the quadrature error, the loop's opening at the two cycles' map
+        # residuals, and the rounding of W
+        top = max(np.max(np.abs(orb.actions)) for orb in (low, high))
+        bound = (abs(coarse - fine) + (top + 1.0) * (low.residual +
+                 high.residual) + 64.0 * np.spacing(abs(W_high)))
+        assert abs(fine - gaps[-1]) <= bound, (eps, fine, gaps[-1], bound)
     slopes = np.diff(np.log(gaps)) / np.diff(np.log(eps_values))
     assert np.all(np.abs(slopes - exponent) < 0.1), slopes
 
