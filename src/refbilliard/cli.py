@@ -159,9 +159,7 @@ def _section_orbit(I0: float, cfg: RunConfig
     status."""
     trace = iterate(outgoing_state(0.0, I0, cfg.profile, cfg.params),
                     cfg.iterations, cfg.profile, cfg.params)
-    states = trace.states
-    return (np.array([st.xi for st in states]),
-            np.array([st.action_I for st in states]), trace.status)
+    return trace.xis, trace.actions, trace.status
 
 
 def _cmd_section(cfg: RunConfig, out: str, verbose: bool) -> int:
@@ -196,9 +194,9 @@ def _cmd_orbit(cfg: RunConfig, out: str, verbose: bool) -> int:
     I0 = 0.5 * cfg.params.action_bound_Ic
     trace = iterate(outgoing_state(0.0, I0, cfg.profile, cfg.params),
                     cfg.iterations, cfg.profile, cfg.params, keep_arcs=True)
-    rows = [(k, st.xi, st.action_I, trace.status)
-            for k, st in enumerate(trace.states)]
-    _write_csv(out, "orbit_trace.csv", ["k", "xi", "action_I", "status"], rows)
+    _write_csv(out, "orbit_trace.csv", ["k", "xi", "action_I", "status"],
+               [(range(len(trace.xis)), trace.xis, trace.actions,
+                 trace.status)])
 
     canvas = SvgCanvas(title="physical-plane trajectory", equal_aspect=True)
     xs_b, ys_b = _boundary_polyline(cfg.profile)

@@ -36,20 +36,34 @@ _LOG = logging.getLogger("refbilliard.orbits")
 
 @dataclass
 class OrbitTrace:
-    """Iterated section states with their lifted angles and connecting arcs.
+    """Iterated section states as float columns, with their lifted angles
+    and connecting arcs.
 
-    ``arcs`` is empty unless the orbit was iterated with ``keep_arcs=True``.
+    ``xis`` (wrapped angles), ``actions`` and ``alphas`` are float64 arrays
+    of one entry per state, launch included; ``states`` builds the
+    :class:`BoundaryState` list from them anew on each access.  ``arcs`` is
+    empty unless the orbit was iterated with ``keep_arcs=True``.
     ``rotation_estimate`` is (rotation number, error): the weighted
     Birkhoff average of the advances per return and its gap to the average
     over the first half of them; (nan, inf) with no return, an infinite
     error with one.
     """
 
-    states: List[BoundaryState]
+    xis: np.ndarray
+    actions: np.ndarray
+    alphas: np.ndarray
     arcs: List[ArcSegment]
     status: str
     xis_lifted: np.ndarray
     rotation_estimate: Tuple[float, float]
+
+    @property
+    def states(self) -> List[BoundaryState]:
+        """The section states, one :class:`BoundaryState` per entry of the
+        columns, built on each access."""
+        return [BoundaryState(xi, I, alpha) for xi, I, alpha in
+                zip(self.xis.tolist(), self.actions.tolist(),
+                    self.alphas.tolist())]
 
 
 @dataclass(frozen=True)
@@ -106,74 +120,91 @@ class CurveProbe:
 
 def iterate(initial: BoundaryState, n: int, profile: PerturbationProfile,
             params: PhysParams, keep_arcs: bool = False) -> OrbitTrace:
-    """Apply the return map up to ``n`` times, recording the lifted angles.
+    """Apply the return map up to ``n`` times, recording the section states
+    as the trace's float columns ``xis``, ``actions`` and ``alphas`` and
+    the lifted angles.
 
     Termination (total reflection, failed event detection) truncates the
     trace; the outcome is encoded in ``status`` rather than raised.  With
     ``keep_arcs`` every return is :func:`return_map`, on the circle too, and
     the trace keeps its two arcs.  Without, the trace holds no arcs
     (``arcs == []``), and on the circle the closed-form shift f + g of the
-    launch action is evaluated once and repeated ``n`` times.
+    launch action is evaluated once and repeated ``n`` times, building no
+    :class:`BoundaryState` (``OrbitTrace.states`` builds them when read).
     """
-    states, arcs, lifted = [initial], [], [float(initial.xi)]
-    status = _advance(states, arcs, lifted, n, profile, params, keep_arcs)
-    return _trace(states, arcs, status, lifted)
+    cols = ([float(initial.xi)], [float(initial.action_I)],
+            [float(initial.alpha)])
+    arcs, lifted = [], [float(initial.xi)]
+    status = _advance(cols, arcs, lifted, n, profile, params, keep_arcs)
+    return _trace(cols, arcs, status, lifted)
 
 
-def _advance(states: List[BoundaryState], arcs: List[ArcSegment],
-             lifted: List[float], n: int, profile: PerturbationProfile,
-             params: PhysParams, keep_arcs: bool) -> str:
-    """Apply the return map up to ``n`` more times from ``states[-1]``,
-    appending to ``states``, ``lifted`` and (with ``keep_arcs``) ``arcs``;
-    the status the orbit ends in."""
+#: the section columns of a trace being built: xi, action_I and alpha lists
+_Columns = Tuple[List[float], List[float], List[float]]
+
+
+def _advance(cols: _Columns, arcs: List[ArcSegment], lifted: List[float],
+             n: int, profile: PerturbationProfile, params: PhysParams,
+             keep_arcs: bool) -> str:
+    """Apply the return map up to ``n`` more times from the last entries of
+    the columns ``cols``, appending to them, to ``lifted`` and (with
+    ``keep_arcs``) to ``arcs``; the status the orbit ends in."""
+    xis, actions, alphas = cols
     if profile.is_circle and not keep_arcs:
         # closed form: the action is conserved, so is the shift
         if n > 0:
             try:
-                theta = circular_shift(states[-1].action_I, params).total
+                theta = circular_shift(actions[-1], params).total
             except OutOfActionRange:
                 return "failed"
-            _repeat_shift(states, lifted, theta, n)
+            _repeat_shift(xis, lifted, theta, n)
+            actions.extend([actions[-1]] * n)
+            alphas.extend([alphas[-1]] * n)
         return "running"
+    state = BoundaryState(xis[-1], actions[-1], alphas[-1])
     for _ in range(n):
         try:
-            res = return_map(states[-1], profile, params)
+            res = return_map(state, profile, params)
         except TotalReflectionTermination:
             return "total_reflection"
         except BilliardError:
             return "failed"
+        state = res.state
         lifted.append(lifted[-1] + res.delta_xi)
-        states.append(res.state)
+        xis.append(state.xi)
+        actions.append(state.action_I)
+        alphas.append(state.alpha)
         if keep_arcs:
             arcs.extend(res.arcs)
     return "running"
 
 
-def _trace(states: List[BoundaryState], arcs: List[ArcSegment], status: str,
+def _trace(cols: _Columns, arcs: List[ArcSegment], status: str,
            lifted: List[float]) -> OrbitTrace:
-    xis = np.array(lifted)
-    est = _rotation_with_error(xis)
-    return OrbitTrace(states=states, arcs=arcs, status=status,
-                      xis_lifted=xis, rotation_estimate=est)
+    xis_lifted = np.array(lifted)
+    est = _rotation_with_error(xis_lifted)
+    xis, actions, alphas = (np.array(c, dtype=np.float64) for c in cols)
+    return OrbitTrace(xis=xis, actions=actions, alphas=alphas, arcs=arcs,
+                      status=status, xis_lifted=xis_lifted,
+                      rotation_estimate=est)
 
 
-def _repeat_shift(states: List[BoundaryState], lifted: List[float],
-                  theta: float, count: int) -> None:
-    """Append ``count`` closed-form returns of ``states[-1]`` by the shift
-    ``theta``: xi goes to ``wrap_pi(xi + theta)``, the lift to lift + theta.
+def _repeat_shift(xis: List[float], lifted: List[float], theta: float,
+                  count: int) -> None:
+    """Append ``count`` closed-form returns of the last entries by the
+    shift ``theta``: xi goes to ``wrap_pi(xi + theta)``, the lift to
+    lift + theta.
 
     ``wrap_pi`` is inlined: the same operations in the same order, with
     -pi where the sum lands on +pi."""
-    last = states[-1]
-    xi, lift = last.xi, lifted[-1]
-    I, alpha = last.action_I, last.alpha
+    xi, lift = xis[-1], lifted[-1]
     pi, two_pi = math.pi, TWO_PI
     for _ in range(count):
         xi = (xi + theta + pi) % two_pi - pi
         if xi == pi:
             xi = -pi
         lift += theta
-        states.append(BoundaryState(xi, I, alpha))
+        xis.append(xi)
         lifted.append(lift)
 
 
@@ -207,7 +238,7 @@ def _rotation_with_error(xis: np.ndarray) -> Tuple[float, float]:
 
 def rotation_number(trace: OrbitTrace) -> float:
     """Average angular advance per return of the trace, on the lift."""
-    if len(trace.states) < 2:
+    if len(trace.xis) < 2:
         raise InsufficientLength(
             "rotation number requires at least two section states")
     return trace.rotation_estimate[0]
@@ -233,15 +264,16 @@ def _orbit_from_cycle(xi0: float, action_I0: float, m: int, n: int,
     periodicity residual: the n returns of :func:`_advance` (the closed
     form on the circle).  Raises :class:`OrbitTerminated` when the orbit
     stops before them."""
-    states = [outgoing_state(xi0, action_I0, profile, params)]
-    lifted = [float(xi0)]
-    status = _advance(states, [], lifted, n, profile, params, False)
+    state = outgoing_state(xi0, action_I0, profile, params)
+    actions, lifted = [state.action_I], [float(xi0)]
+    status = _advance(([state.xi], actions, [state.alpha]), [], lifted, n,
+                      profile, params, False)
     if status != "running":
         raise OrbitTerminated(f"the ({m}, {n}) cycle ended in {status!r}")
     res_xi = lifted[-1] - (xi0 + 2.0 * math.pi * m)
-    res_I = states[-1].action_I - action_I0
+    res_I = actions[-1] - action_I0
     return PeriodicOrbit(m=m, n=n, xis=np.array(lifted[:-1]),
-                         actions=np.array([s.action_I for s in states[:-1]]),
+                         actions=np.array(actions[:-1]),
                          residual=max(abs(res_xi), abs(res_I)), kind=kind,
                          grad_norm=grad_norm)
 
@@ -537,31 +569,31 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
     I0 = Ia
 
     # the orbit at the adopted action, cut or continued to n_iter returns
-    states = orbit.states[:n_iter + 1]
+    cols = tuple(c[:n_iter + 1].tolist()
+                 for c in (orbit.xis, orbit.actions, orbit.alphas))
     lifted = orbit.xis_lifted[:n_iter + 1].tolist()
-    status = _advance(states, [], lifted, n_iter + 1 - len(states), profile,
+    status = _advance(cols, [], lifted, n_iter + 1 - len(lifted), profile,
                       params, False)
-    trace = running(_trace(states, [], status, lifted))
-    coef, resid = _curve_fit(trace.states, 32)
+    trace = running(_trace(cols, [], status, lifted))
+    coef, resid = _curve_fit(trace.xis, trace.actions, 32)
     rho, rho_error = trace.rotation_estimate
     return CurveProbe(target_rho=target_rho, seed_action=float(I0),
                       measured_rho=rho, rho_error=rho_error,
                       max_residual=resid, coefficients=coef,
-                      n_iter=len(trace.states) - 1, status=trace.status)
+                      n_iter=len(trace.xis) - 1, status=trace.status)
 
 
-def _curve_fit(states: Sequence[BoundaryState],
+def _curve_fit(xis: np.ndarray, actions: np.ndarray,
                harmonics: int) -> Tuple[np.ndarray, float]:
-    """Least-squares fit of I by a trigonometric polynomial of xi of degree
-    ``harmonics`` over the states: (coefficients, max |residual|)."""
-    xs = np.array([s.xi for s in states])
-    ys = np.array([s.action_I for s in states])
-    cols = [np.ones_like(xs)]
+    """Least-squares fit of ``actions`` by a trigonometric polynomial of
+    degree ``harmonics`` in the angles ``xis``: (coefficients,
+    max |residual|)."""
+    cols = [np.ones_like(xis)]
     for j in range(1, harmonics + 1):
-        cols.extend([np.cos(j * xs), np.sin(j * xs)])
+        cols.extend([np.cos(j * xis), np.sin(j * xis)])
     A = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    return coef, float(np.max(np.abs(A @ coef - ys)))
+    coef, *_ = np.linalg.lstsq(A, actions, rcond=None)
+    return coef, float(np.max(np.abs(A @ coef - actions)))
 
 
 def curve_eval(probe: CurveProbe, xi) -> np.ndarray:

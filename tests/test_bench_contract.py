@@ -3,19 +3,23 @@
 ``perfbench/tracing.py`` finds each layer it times by (module, attribute)
 and reads ``ArcSegment.chart`` off every interior transit.  It is loaded
 here by path, read-only, so that a refactor which renames or removes one of
-those names fails a test instead of the traced benchmark run.
+those names fails a test instead of the traced benchmark run.  Likewise
+the orbit-trace fields that ``perfbench/workloads.py`` checks its runs
+with must keep existing.
 """
 
 import cmath
 import importlib
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from refbilliard import (PerturbationProfile, PhysParams, outgoing_state,
-                         potential, return_map)
+from refbilliard import (PerturbationProfile, PhysParams, iterate,
+                         outgoing_state, potential, return_map)
+from refbilliard._util import wrap_pi
 from refbilliard.refraction import refract_out
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -116,3 +120,26 @@ def test_one_geometric_return_calls_each_traced_layer_as_counted(tracing):
     steep = refract_out(1.5, profile.radius(0.3) * cmath.exp(0.3j), params)
     observe(tracer, steep)
     assert tracer.counts == {"refraction.total_reflections": 1}
+
+
+WORKLOADS = TRACING.parent / "workloads.py"
+
+
+@pytest.mark.parametrize("profile", [PerturbationProfile.circle(),
+                                     PerturbationProfile.cos_profile(2, 0.01)])
+def test_the_trace_reads_of_the_workload_checks_resolve(profile):
+    """``perfbench/workloads.py`` checks orbits through ``len(trace.states)``,
+    ``trace.states[k].xi`` and ``.action_I``, and ``trace.xis_lifted``; each
+    must keep working, and every ``trace.<name>`` it reads must exist."""
+    params = PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0,
+                        stiffness_om=1.0)
+    trace = iterate(outgoing_state(0.3, 0.5, profile, params), 10, profile,
+                    params)
+    read = set(re.findall(r"\btrace\.(\w+)", WORKLOADS.read_text()))
+    assert [name for name in sorted(read) if not hasattr(trace, name)] == []
+    assert len(trace.states) == len(trace.xis_lifted) == 11
+    for k in range(11):
+        assert trace.states[k].xi == trace.xis[k]
+        assert trace.states[k].action_I == trace.actions[k]
+        # the lift is the wrapped angle plus whole turns
+        assert abs(wrap_pi(trace.xis_lifted[k] - trace.states[k].xi)) < 1e-12

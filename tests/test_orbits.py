@@ -17,6 +17,7 @@ from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
 from refbilliard import orbits as orbits_module
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (BilliardError, DescentStalled,
+                                EventDetectionFailed,
                                 InsufficientLength, OrbitTerminated,
                                 OutOfActionRange, RangeEmpty,
                                 ResidualTooLarge, TotalReflectionTermination)
@@ -272,7 +273,7 @@ def _assert_fits_a_fresh_orbit(probe, orbit, profile, params):
                     probe.n_iter, profile, params)
     assert repr(_fields(orbit.states)) == repr(_fields(fresh.states))
     assert orbit.xis_lifted.tolist() == fresh.xis_lifted.tolist()
-    coef, resid = _curve_fit(fresh.states, 32)
+    coef, resid = _curve_fit(fresh.xis, fresh.actions, 32)
     assert (probe.measured_rho, probe.rho_error) == fresh.rotation_estimate
     assert probe.max_residual == resid
     assert probe.coefficients.tolist() == coef.tolist()
@@ -332,6 +333,95 @@ def test_iterate_stops_on_total_reflection(fig1):
     tr = iterate(st, 50, prof, fig1)
     assert tr.status == "total_reflection"
     assert len(tr.states) < 51
+
+
+def test_closed_form_iterate_builds_no_state_records(fig1, circle,
+                                                     monkeypatch):
+    """The closed form fills the float columns only: a 4000-return orbit
+    builds no BoundaryState until ``states`` is read, and each read builds
+    one per entry anew."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return BoundaryState(*args)
+
+    st = outgoing_state(0.3, 0.5, circle, fig1)
+    monkeypatch.setattr(orbits_module, "BoundaryState", counted)
+    tr = iterate(st, 4000, circle, fig1)
+    assert built == []
+    assert len(tr.xis) == 4001
+    states = tr.states
+    assert len(built) == 4001
+    assert states[0] == st and states[-1] == (tr.xis[-1], 0.5, st.alpha)
+    assert tr.states == states and len(built) == 8002
+
+
+def _failing_after(count):
+    """``return_map`` that fails with EventDetectionFailed after ``count``
+    returns."""
+    done = []
+
+    def failing(state, profile, params):
+        if len(done) == count:
+            raise EventDetectionFailed("no crossing")
+        done.append(state)
+        return return_map(state, profile, params)
+
+    return failing
+
+
+@pytest.mark.parametrize("case", ["closed-form", "circle-arcs", "cos2",
+                                  "failed", "total-reflection"])
+def test_trace_columns_are_the_states_bit_for_bit(fig1, circle, monkeypatch,
+                                                  case):
+    """The columns, the records ``states`` builds from them and those of a
+    loop of one record per return agree to the last bit."""
+    wavy = PerturbationProfile.cos_profile(2, 0.01)
+    profile, n, keep_arcs, status, size = wavy, 60, False, "running", 61
+    xi0, I0 = 0.3, 0.5
+    if case == "closed-form":
+        profile, n, size = circle, 4000, 4001
+    elif case == "circle-arcs":
+        profile, keep_arcs = circle, True
+    elif case == "failed":
+        status, size = "failed", 8
+        monkeypatch.setattr(orbits_module, "return_map", _failing_after(7))
+    elif case == "total-reflection":
+        # launched 1e-3 under the local action bound, it leaves the section
+        # by total reflection after eight returns
+        profile, status, size = PerturbationProfile.cos_profile(2, 0.05), \
+            "total_reflection", 9
+        g = boundary(1.0, profile)
+        xi0 = 1.0
+        I0 = math.sqrt(potential(g.point_c, "outer", fig1)) * g.metric - 1e-3
+    st = outgoing_state(xi0, I0, profile, fig1)
+    tr = iterate(st, n, profile, fig1, keep_arcs=keep_arcs)
+    if case == "closed-form":
+        reference, _, _ = _closed_form_by_hand(st, n, fig1)
+    else:
+        reference, _, _ = _iterate_by_hand(st, n, profile, fig1)
+    assert tr.status == status
+    assert len(tr.xis_lifted) == size
+    states = tr.states
+    assert len(states) == size
+    for column, name in ((tr.xis, "xi"), (tr.actions, "action_I"),
+                         (tr.alphas, "alpha")):
+        assert column.dtype == np.float64 and column.shape == (size,)
+        hexes = [v.hex() for v in column.tolist()]
+        assert hexes == [getattr(s, name).hex() for s in states]
+        assert hexes == [getattr(s, name).hex() for s in reference[:size]]
+
+
+@pytest.mark.parametrize("keep_arcs", [False, True])
+@pytest.mark.parametrize("wavy", [False, True])
+def test_trace_keeps_the_sign_of_a_launch_at_negative_zero(fig1, circle,
+                                                           keep_arcs, wavy):
+    profile = PerturbationProfile.cos_profile(2, 0.01) if wavy else circle
+    st = outgoing_state(0.0, 0.5, profile, fig1)._replace(xi=-0.0)
+    tr = iterate(st, 3, profile, fig1, keep_arcs=keep_arcs)
+    assert tr.xis[0].hex() == tr.states[0].xi.hex() == (-0.0).hex()
+    assert tr.xis_lifted[0].hex() == (-0.0).hex()
 
 
 def test_find_periodic_circle_families(fig1, circle):
