@@ -29,7 +29,7 @@ from .params import PhysParams, _exterior_potential
 from .returnmap import (circular_shift, fixed_point_thresholds,
                         outgoing_state, return_map, twist_at_zero,
                         twist_critical_set)
-from .svgplot import SvgCanvas
+from .svgplot import SvgCanvas, column_piece, format_rows
 
 
 def _num(v: float) -> str:
@@ -41,6 +41,11 @@ def _num(v: float) -> str:
 _QUOTED = re.compile('[,"\r\n]')
 
 
+#: the rows formatted by one ``%`` operation and written by one ``write``;
+#: the circle section's 4001-row seed blocks span five chunks
+_CHUNK = 1000
+
+
 def _write_csv(out: str, name: str, header: Sequence[str],
                blocks: Iterable[Sequence]) -> None:
     """Stream ``header`` and ``blocks`` to ``out``/``name`` as CSV, numbers
@@ -49,10 +54,11 @@ def _write_csv(out: str, name: str, header: Sequence[str],
     A block is a row whose cells may be columns (a ``range`` or a 1-D
     numeric array, all of one length); it stands for ``len(column)`` rows,
     its scalar cells repeated on each.  A row of scalars is a block of one
-    row.  Each scalar is formatted once into a ``%`` format, which then
-    formats the block's rows from its columns.  No cell is quoted: a string
-    cell that csv would quote (one holding a delimiter, quote or line
-    break, or a lone empty field) raises :class:`ValueError`.
+    row.  Each scalar, and each array column whose values are all the same
+    bits, is formatted once into a ``%`` row format; the block's other
+    columns then fill that format :data:`_CHUNK` rows at a time.  No cell
+    is quoted: a string cell that csv would quote (one holding a delimiter,
+    quote or line break, or a lone empty field) raises :class:`ValueError`.
     """
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -61,24 +67,27 @@ def _write_csv(out: str, name: str, header: Sequence[str],
     print(f"wrote {path}")
 
 
-def _column(cell) -> Tuple[Sequence, str]:
-    """A column cell's values and its ``%`` piece."""
+def _column(cell) -> Tuple[str, Tuple[Sequence, ...]]:
+    """A column cell's ``%`` piece and the columns that piece takes."""
     if isinstance(cell, range):
         # below 1e12 an int's %.12g is its digits, which %d writes sooner
         small = not cell or max(abs(cell[0]), abs(cell[-1])) < 10 ** 12
-        return cell, "%d" if small else "%.12g"
+        return "%d" if small else "%.12g", (cell,)
     if cell.dtype.kind not in "biuf":
         raise ValueError(f"a column holds numbers, not {cell.dtype}")
-    return cell.tolist(), "%.12g"
+    return column_piece(cell, "%.12g")
 
 
 def _write_block(fh, block: tuple) -> None:
-    """Write the rows ``block`` stands for (see :func:`_write_csv`)."""
-    columns, pieces = [], []
+    """Write the rows ``block`` stands for (see :func:`_write_csv`): one
+    ``%`` operation over the repeated row format and one ``write`` per
+    chunk of rows."""
+    lengths, columns, pieces = set(), [], []
     for cell in block:
         if isinstance(cell, (range, np.ndarray)):
-            values, piece = _column(cell)
-            columns.append(values)
+            piece, taken = _column(cell)
+            lengths.add(len(cell))
+            columns += taken
         elif isinstance(cell, str):
             if _QUOTED.search(cell) or (not cell and len(block) == 1):
                 raise ValueError(f"csv would quote the cell {cell!r}")
@@ -86,10 +95,12 @@ def _write_block(fh, block: tuple) -> None:
         else:
             piece = _num(cell)
         pieces.append(piece)
-    if len({len(c) for c in columns}) > 1:
+    if len(lengths) > 1:
         raise ValueError("the columns of a block differ in length")
+    rows = lengths.pop() if lengths else 1
     fmt = ",".join(pieces) + "\n"
-    fh.writelines(map(fmt.__mod__, zip(*columns) if columns else [()]))
+    for start in range(0, rows, _CHUNK):
+        fh.write(format_rows(fmt, columns, start, min(start + _CHUNK, rows)))
 
 
 def _write_svg(out: str, name: str, canvas: SvgCanvas, xlabel: str,
@@ -260,15 +271,15 @@ def _cmd_twist(cfg: RunConfig, out: str, verbose: bool) -> int:
 def _cmd_caustics(cfg: RunConfig, out: str, verbose: bool) -> int:
     I0 = 0.5 * cfg.params.action_bound_Ic
     R_E, R_I = circular_caustic_radii(I0, cfg.params)
-    rows = []
     curves = {}
     for kind in ("outer", "inner"):
         curve = perturbed_caustic(I0, kind, cfg.profile, cfg.params)
         curves[kind] = curve
-        rows += [(kind, z, x, y) for z, x, y in curve.samples]
         _say(verbose, f"  {kind}: {len(curve.samples)} samples, residual "
              f"{curve.max_envelope_residual:.3g}")
-    _write_csv(out, "caustics.csv", ["kind", "zeta", "x", "y"], rows)
+    # one block per envelope, its (zeta, x, y) columns
+    _write_csv(out, "caustics.csv", ["kind", "zeta", "x", "y"],
+               [(kind, *curve.samples.T) for kind, curve in curves.items()])
 
     canvas = SvgCanvas(title=f"caustics at I0 = {I0:.4f}", equal_aspect=True)
     xs_b, ys_b = _boundary_polyline(cfg.profile)

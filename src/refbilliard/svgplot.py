@@ -5,6 +5,10 @@ all ``<polyline>`` elements; text appears solely in axis/tick annotations.
 Coordinates are formatted with a fixed precision so identical data produces
 byte-identical files.  Curves are kept as float64 arrays and mapped to
 pixels with numpy, one formatting operation per polyline.
+
+The two helpers :func:`column_piece` and :func:`format_rows` build that
+operation from pieces, a literal for a bit-constant coordinate; the CSV
+writer of :mod:`refbilliard.cli` builds its rows with them too.
 """
 
 from __future__ import annotations
@@ -24,6 +28,32 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def column_piece(values: np.ndarray, conversion: str
+                 ) -> Tuple[str, Tuple[list, ...]]:
+    """One column's piece of a ``%`` row format, and the columns it takes.
+
+    A column whose values all have the same bits (so -0.0 and 0.0 differ)
+    is its value formatted by ``conversion`` once, a literal that takes no
+    column; any other column is ``conversion``, which takes the values.
+    """
+    bits = values.view(f"u{values.itemsize}")
+    if bits.size and (bits == bits[0]).all():
+        return conversion % values[0].item(), ()
+    return conversion, (values.tolist(),)
+
+
+def format_rows(row: str, columns: Sequence[Sequence], start: int,
+                stop: int) -> str:
+    """``row`` for each index in [``start``, ``stop``), its conversions
+    taking the values of ``columns`` at that index in turn, by one ``%``
+    operation."""
+    k, m = stop - start, len(columns)
+    cells = [None] * (k * m)
+    for j, column in enumerate(columns):
+        cells[j::m] = column[start:stop]
+    return (row * k) % tuple(cells)
 
 
 def _nice_ticks(lo: float, hi: float) -> List[float]:
@@ -95,6 +125,13 @@ class SvgCanvas:
         return x0, x1, y0, y1
 
     def render(self, xlabel: str = "x", ylabel: str = "y") -> str:
+        """The SVG text: frame, ticks, labels and one polyline per curve.
+
+        A curve's finite points are mapped to pixels and written ``%.2f``
+        by one ``%`` operation over a repeated point format; a pixel
+        coordinate that is the same bits at every point is formatted once,
+        as a literal of that format (:func:`column_piece`).
+        """
         x0, x1, y0, y1 = self._bounds()
         W, H, M = WIDTH, HEIGHT, MARGIN
 
@@ -138,9 +175,11 @@ class SvgCanvas:
         for i, (xs, ys, label) in enumerate(self._curves):
             color = _PALETTE[i % len(_PALETTE)]
             finite = np.isfinite(xs) & np.isfinite(ys)
-            pts = np.column_stack((px(xs[finite]), py(ys[finite])))
-            coords = " ".join(["%.2f,%.2f"] * len(pts)) % \
-                tuple(pts.ravel().tolist())
+            xp, xc = column_piece(px(xs[finite]), "%.2f")
+            yp, yc = column_piece(py(ys[finite]), "%.2f")
+            # each point ends in a space, which the last one drops
+            coords = format_rows(f"{xp},{yp} ", xc + yc, 0,
+                                 int(finite.sum()))[:-1]
             out.append(f'<polyline points="{coords}" fill="none" '
                        f'stroke="{color}" stroke-width="1.2"/>')
             if label:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import refbilliard
 from refbilliard import ConfigError, RunConfig, parse_config
-from refbilliard.cli import _write_csv, main
-from refbilliard.svgplot import HEIGHT, MARGIN, WIDTH, SvgCanvas, _fmt
+from refbilliard.cli import _CHUNK, _write_block, _write_csv, main
+from refbilliard.svgplot import (HEIGHT, MARGIN, WIDTH, SvgCanvas, _fmt,
+                                 column_piece)
 
 BASE = """\
 [params]
@@ -490,11 +491,32 @@ def expand(block):
             for i in range(len(cols[0]))]
 
 
+def chunk_blocks(n):
+    """Blocks of ``n`` rows mixing bit-constant and varying columns, a
+    ``%`` in a string cell, as the writer's chunks cut them."""
+    varying = np.linspace(-1.0, 1.0, n)
+    return [(range(n), np.full(n, 0.25), varying, "a %s%%"),
+            (np.full(n, -0.0), "b", varying[::-1], np.full(n, 7, np.int64)),
+            (7, np.full(n, np.nan), np.arange(n) % 3 == 0, varying)]
+
+
 @settings(max_examples=300)
 @given(table=csv_tables())
 @example(table=(["v"], [("",), (np.array([]),), (1.5,)]))
 @example(table=(["k", "s"], [(range(10 ** 12 - 2, 10 ** 12 + 1), "x%sy"),
                              (range(3, -1, -1), np.str_("a b"))]))
+# bit-constant columns: signed zeros (a mix must not fold), nan, infinities,
+# one row, ints
+@example(table=(["a", "b", "c"], [
+    (np.full(3, -0.0), np.array([0.0, -0.0, 0.0]), np.full(3, 1.5)),
+    (np.full(2, np.nan), np.full(2, np.inf), np.full(2, -np.inf)),
+    (np.array([np.nan, 1.0]), np.full(2, 3, np.int64), np.ones(2, bool)),
+    ("x", np.array([-0.0]), np.array([-7], np.int64)),
+]))
+@example(table=(["k", "c", "v", "s"], chunk_blocks(_CHUNK - 1)))
+@example(table=(["k", "c", "v", "s"], chunk_blocks(_CHUNK)))
+@example(table=(["k", "c", "v", "s"], chunk_blocks(_CHUNK + 1)))
+@example(table=(["k", "c", "v", "s"], chunk_blocks(2 * _CHUNK + 1)))
 def test_write_csv_blocks_match_the_expanded_rows(tmp_path_factory, table):
     header, blocks = table
     rows = [row for block in blocks for row in expand(block)]
@@ -529,6 +551,44 @@ def test_write_csv_rejects_what_it_does_not_take(tmp_path, block, error):
     header = ["a", "b"][:len(block)]
     with pytest.raises(error):
         _write_csv(str(tmp_path), "new.csv", header, [block])
+
+
+@pytest.mark.parametrize("values, piece", [
+    (np.full(4, -0.0), "-0"),
+    (np.full(4, 0.0), "0"),
+    (np.full(1, 0.1), "0.1"),
+    (np.full(3, np.nan), "nan"),
+    (np.full(3, -np.inf), "-inf"),
+    (np.full(3, 12, np.int64), "12"),
+    (np.full(3, 1e12), "1e+12"),
+    (np.array([0.0, -0.0]), None),  # equal, but not the same bits
+    (np.array([1.0, 2.0]), None),
+    (np.array([]), None),
+])
+def test_a_column_of_one_bit_pattern_is_formatted_once(values, piece):
+    got = column_piece(values, "%.12g")
+    if piece is None:
+        assert got == ("%.12g", (values.tolist(),))
+    else:
+        assert got == (piece, ())
+
+
+class CountingFile:
+    """A file that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_write_block_writes_a_chunk_at_a_time():
+    n = 2 * _CHUNK + 1
+    fh = CountingFile()
+    _write_block(fh, (range(n), np.full(n, 0.5), np.linspace(0.0, 1.0, n)))
+    assert [w.count("\n") for w in fh.writes] == [_CHUNK, _CHUNK, 1]
+    assert fh.writes[-1] == "%d,0.5,1\n" % (n - 1)
 
 
 def reference_bounds(canvas):
@@ -583,6 +643,14 @@ SVG_CASES = {
         ([-0.2, 0.1, 0.45], [0.05, -0.3, 0.2]),
     ]),
     "empty": (True, []),
+    # a pixel coordinate of one bit pattern is a literal of the point format
+    "horizontal": (False, [(np.linspace(-math.pi, math.pi, 4001),
+                            np.full(4001, 0.7))]),
+    "signed zero": (False, [(np.linspace(0.0, 1.0, 5), np.full(5, -0.0)),
+                            (np.linspace(0.5, 1.5, 5), np.full(5, 0.0)),
+                            ([0.0, 1.0], [-0.0, 0.0])]),
+    "vertical": (True, [(np.full(301, -0.25), np.linspace(-1.0, 2.0, 301)),
+                        ([0.5, 0.5], [1.0, 1.0])]),
 }
 
 
