@@ -235,9 +235,9 @@ def march_to_zero(fun, t: float, slope: float, bound: float, skip,
     profiles, up to tens of thousands on boundaries that pass within 1e-3
     of the origin.
     """
-    g, dg = 0.0, slope
+    g, dg, sqrt = 0.0, slope, math.sqrt
     for _ in range(max_steps):
-        root = math.sqrt(dg * dg + 2.0 * bound * g)
+        root = sqrt(dg * dg + 2.0 * bound * g)
         # the positive root of g + dg d - bound d^2/2, in a form free of
         # cancellation for either sign of dg
         d = (dg + root) / bound if dg >= 0.0 else 2.0 * g / (root - dg)

@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .errors import BilliardError
 from .orbits import find_periodic, iterate
 from .oracle import ode_return_map
-from .params import PhysParams, _exterior_potential
+from .params import PhysParams, _exterior_well
 from .returnmap import (circular_shift, fixed_point_thresholds,
                         outgoing_state, return_map, twist_at_zero,
                         twist_critical_set)
@@ -295,7 +295,7 @@ def _cmd_caustics(cfg: RunConfig, out: str, verbose: bool) -> int:
 def _cmd_oracle_check(cfg: RunConfig, out: str, verbose: bool) -> int:
     xi0 = 0.3
     geom = boundary(xi0, cfg.profile)
-    ve = _exterior_potential(geom.point_c, cfg.params)
+    ve = _exterior_well(abs(geom.point_c), cfg.params)
     alphas = np.linspace(-math.pi / 2 + 0.2, math.pi / 2 - 0.2,
                          max(cfg.seeds, 3))
     rows = []

@@ -72,9 +72,10 @@ def levi_civita_propagate(z0: complex, v0: complex, params: PhysParams,
     w0 = cmath.sqrt(z0)
     wd0 = v0 * w0.conjugate()
     # |w(tau)|^2 = A cosh(2 Om tau) + B sinh(2 Om tau) + C
-    A = 0.5 * (abs(w0) ** 2 + abs(wd0) ** 2 / Om ** 2)
+    ww, dd = abs(w0) ** 2, abs(wd0) ** 2 / Om ** 2
+    A = 0.5 * (ww + dd)
     B = (w0.conjugate() * wd0).real / Om
-    C = 0.5 * (abs(w0) ** 2 - abs(wd0) ** 2 / Om ** 2)
+    C = 0.5 * (ww - dd)
     tau1 = _exit_tau(w0, wd0, Om, A, B, C, profile, params)
     w1, wd1 = lc_flow(w0, wd0, Om, tau1)
     z1 = w1 * w1
@@ -94,9 +95,8 @@ def levi_civita_propagate(z0: complex, v0: complex, params: PhysParams,
                                  w0.real * w1.real + w0.imag * w1.imag)
         if sweep * k < 0.0:
             sweep += math.copysign(4.0 * math.pi, k)
-    return ArcSegment(region="inner", p0=z0, v0=v0, p1=z1, v1=v1,
-                      duration=dur, sweep=sweep, xi1=xi1,
-                      par=(w0, wd0, Om, tau1))
+    return ArcSegment("inner", z0, v0, z1, v1, dur, sweep, xi1,
+                      (w0, wd0, Om, tau1))
 
 
 def _march_bound(Om: float, C: float, L: float, D: float,
@@ -142,11 +142,14 @@ def _exit_tau(w0: complex, wd0: complex, Om: float, A: float, B: float,
         if a > x:
             dip_start, dip_end = -(a + x) / (2.0 * Om), (a - x) / (2.0 * Om)
 
+    radius_jet, atan2, cosh, sinh = (profile.radius_jet, math.atan2,
+                                     math.cosh, math.sinh)
+
     def clearance(tau):
-        ch, sh = math.cosh(Om * tau), math.sinh(Om * tau)
+        ch, sh = cosh(Om * tau), sinh(Om * tau)
         w = w0 * ch + wd0 * sh / Om
         r2 = w.real * w.real + w.imag * w.imag
-        rho, rhop, _ = profile.radius_jet(2.0 * math.atan2(w.imag, w.real))
+        rho, rhop, _ = radius_jet(2.0 * atan2(w.imag, w.real))
         # d|w|^2/dtau = 2 Om (A sinh 2 Om tau + B cosh 2 Om tau)
         return rho - r2, 2.0 * (L * rhop / r2 - Om * (
             2.0 * A * ch * sh + B * (ch * ch + sh * sh)))

@@ -109,7 +109,11 @@ def potential(z: complex, region: str, params: PhysParams) -> float:
     region : {"outer", "inner"}
         Which well to evaluate.
     """
-    r = abs(_point(z))
+    return _well(abs(_point(z)), region, params)
+
+
+def _well(r: float, region: str, params: PhysParams) -> float:
+    """V_E or V_I at the radius ``r``: the two formulas of the package."""
     if region == "outer":
         return params.energy_E - params.stiffness_om / 2 * r ** 2
     if region == "inner":
@@ -119,11 +123,11 @@ def potential(z: complex, region: str, params: PhysParams) -> float:
     raise DomainError(f"region must be 'outer' or 'inner', got {region!r}")
 
 
-def _exterior_potential(z: complex, params: PhysParams) -> float:
-    """V_E at the boundary point ``z``; :class:`DomainError` at or beyond
-    the braking radius."""
-    ve = potential(z, "outer", params)
+def _exterior_well(r: float, params: PhysParams) -> float:
+    """V_E at a boundary point of radius ``r``; :class:`DomainError` at or
+    beyond the braking radius."""
+    ve = _well(r, "outer", params)
     if ve <= 0.0:
-        raise DomainError(f"boundary radius {abs(z):.6g} exceeds the braking "
+        raise DomainError(f"boundary radius {r:.6g} exceeds the braking "
                           f"radius {params.brake_radius:.6g}")
     return ve

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .params import PhysParams, _exterior_potential, potential
+from .params import PhysParams, _exterior_well, _point, _well
 
 #: margin around the critical angle treated as total reflection
 CRITICAL_TOL = 1e-10
@@ -21,9 +21,12 @@ CRITICAL_TOL = 1e-10
 
 class RefractionResult(NamedTuple):
     """Outcome of one interface crossing: ``out_angle`` is the transmitted
-    angle, None on total reflection."""
+    angle, None on total reflection; ``ve`` and ``vi`` are V_E and V_I at
+    the crossing point, for the caller to take the speeds from."""
 
     out_angle: Optional[float]
+    ve: float
+    vi: float
 
     @property
     def refracted(self) -> bool:
@@ -31,8 +34,8 @@ class RefractionResult(NamedTuple):
 
 
 def _speeds(point: complex, params: PhysParams):
-    return (_exterior_potential(point, params),
-            potential(point, "inner", params))
+    r = abs(_point(point))
+    return _exterior_well(r, params), _well(r, "inner", params)
 
 
 def critical_angle(point, params: PhysParams) -> float:
@@ -53,8 +56,8 @@ def refract_in(alpha: float, point, params: PhysParams) -> RefractionResult:
     ve, vi = _speeds(point, params)
     s = math.sqrt(ve / vi) * math.sin(alpha)
     if abs(s) >= 1.0 - CRITICAL_TOL:
-        return RefractionResult(None)
-    return RefractionResult(math.asin(s))
+        return RefractionResult(None, ve, vi)
+    return RefractionResult(math.asin(s), ve, vi)
 
 
 def refract_out(beta: float, point, params: PhysParams) -> RefractionResult:
@@ -68,8 +71,8 @@ def refract_out(beta: float, point, params: PhysParams) -> RefractionResult:
     ve, vi = _speeds(point, params)
     ratio = math.sqrt(ve / vi)
     if ratio < 1.0 and abs(beta) >= math.asin(ratio) - CRITICAL_TOL:
-        return RefractionResult(None)
+        return RefractionResult(None, ve, vi)
     s = math.sqrt(vi / ve) * math.sin(beta)
     if abs(s) >= 1.0 - CRITICAL_TOL:
-        return RefractionResult(None)
-    return RefractionResult(math.asin(s))
+        return RefractionResult(None, ve, vi)
+    return RefractionResult(math.asin(s), ve, vi)

@@ -24,7 +24,7 @@ from .boundary import BoundaryGeometry, PerturbationProfile, boundary
 from .errors import DomainError, OutOfActionRange, TotalReflectionTermination
 from .inner import levi_civita_propagate
 from .outer import outer_transit
-from .params import PhysParams, _exterior_potential, potential
+from .params import PhysParams, _exterior_well, potential
 from .refraction import refract_in, refract_out
 
 
@@ -90,7 +90,7 @@ def _action_bound(xi: float, profile: PerturbationProfile,
     launch at ``xi``.  Raises :class:`DomainError` where the boundary lies
     at or beyond the braking radius."""
     geom = boundary(xi, profile)
-    return math.sqrt(_exterior_potential(geom.point_c, params)) * geom.metric
+    return math.sqrt(_exterior_well(abs(geom.point_c), params)) * geom.metric
 
 
 def outgoing_velocity(state: BoundaryState, profile: PerturbationProfile,
@@ -246,15 +246,13 @@ def return_map(state: BoundaryState, profile: PerturbationProfile,
             "interior ray exceeds the critical angle", xi=inner_arc.xi1,
             beta=b_out)
     alpha1 = res_out.out_angle
-
-    ve1 = potential(geom2.point_c, "outer", params)
-    I1 = math.sqrt(ve1) * math.sin(alpha1) * geom2.metric
+    I1 = math.sqrt(res_out.ve) * math.sin(alpha1) * geom2.metric
     # sigma, the winding sign of the lifted advance, is that of z_in x v_in
     k = z_in.real * v_in.imag - z_in.imag * v_in.real
     sigma = math.copysign(1.0, k) if k else 0.0
     delta = outer_arc.sweep + inner_arc.sweep - 2.0 * math.pi * sigma
-    new = BoundaryState(xi=inner_arc.xi1, action_I=I1, alpha=alpha1)
-    return MapResult(state=new, delta_xi=delta, arcs=(outer_arc, inner_arc))
+    return MapResult(BoundaryState(inner_arc.xi1, I1, alpha1), delta,
+                     (outer_arc, inner_arc))
 
 
 def _refract_entry(outer_arc: ArcSegment, profile: PerturbationProfile,
@@ -272,7 +270,7 @@ def _refract_entry(outer_arc: ArcSegment, profile: PerturbationProfile,
             "exterior ray reflects off the interface", xi=outer_arc.xi1,
             beta=a_in)
     beta = res.out_angle
-    speed = math.sqrt(2.0 * potential(geom.point_c, "inner", params))
+    speed = math.sqrt(2.0 * res.vi)
     return geom.point_c, speed * (-math.cos(beta) * geom.normal_c +
                                   math.sin(beta) * geom.tangent_c)
 

@@ -22,7 +22,7 @@ from refbilliard.errors import (BilliardError, DescentStalled,
                                 OutOfActionRange, RangeEmpty,
                                 ResidualTooLarge, TotalReflectionTermination)
 from refbilliard.orbits import (_critical_cycle, _curve_fit,
-                                _rotation_with_error)
+                                _repeat_shift, _rotation_with_error)
 from reference import is_diophantine_surrogate
 
 
@@ -123,6 +123,39 @@ def test_closed_form_trace_wraps_like_wrap_pi_at_the_seam(fig1, circle,
     assert all(-math.pi <= xi < math.pi for xi in got)
     assert [x.hex() for x in got] == [x.hex() for x in xis]
     assert -math.pi in got
+
+
+def _repeat_shift_by_loop(xi, lift, theta, count):
+    """The closed-form returns as one loop of float additions: the bits
+    any rewrite of ``_repeat_shift`` (say, the lift as a running sum) must
+    keep."""
+    xis, lifted = [xi], [lift]
+    for _ in range(count):
+        xi = (xi + theta + math.pi) % (2.0 * math.pi) - math.pi
+        if xi == math.pi:
+            xi = -math.pi
+        lift += theta
+        xis.append(xi)
+        lifted.append(lift)
+    return xis, lifted
+
+
+@pytest.mark.parametrize("xi0, lift0, theta, on_seam", [
+    (0.3, 0.3, -2.0043347706402713, False), (-0.0, 12.5, 0.1, False),
+    (1.0, -7.25, 1e-17, False), (2.5, 2.5, -(math.pi + 1e-9), False),
+    # the first return lands on +pi and wraps to -pi
+    (0.0, 0.0, math.nextafter(-math.pi, -math.inf), True)])
+def test_repeat_shift_equals_the_loop_bit_for_bit(xi0, lift0, theta,
+                                                  on_seam):
+    xis, lifted = [xi0], [lift0]
+    _repeat_shift(xis, lifted, theta, 4000)
+    want_xis, want_lifted = _repeat_shift_by_loop(xi0, lift0, theta, 4000)
+    assert [x.hex() for x in xis] == [x.hex() for x in want_xis]
+    assert [x.hex() for x in lifted] == [x.hex() for x in want_lifted]
+    assert len(xis) == len(lifted) == 4001
+    lands = (xi0 + theta + math.pi) % (2.0 * math.pi) - math.pi == math.pi
+    assert lands is on_seam
+    assert (xis[1] == -math.pi) is on_seam
 
 
 def test_iterate_on_circle_evaluates_the_shift_once(fig1, circle,

@@ -1,12 +1,15 @@
 """Interface refraction law and total-reflection handling."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from refbilliard import (CRITICAL_TOL, critical_angle, potential, refract_in,
-                         refract_out)
+from refbilliard import (CRITICAL_TOL, PhysParams, critical_angle, potential,
+                         refract_in, refract_out)
 from refbilliard.errors import DomainError
 
 
@@ -85,3 +88,35 @@ def test_interface_beyond_brake_radius_rejected(fig1):
     # V_E < 0 outside the braking circle sqrt(2E/om) = sqrt(5)
     with pytest.raises(DomainError):
         refract_in(0.1, complex(3.0, 0.0), fig1)
+
+
+# fig1 (V_I > V_E on every interface point) and a shallow interior well where
+# V_E > V_I near the unit circle, so that entering rays can reflect too
+_WELLS = [PhysParams(energy_E=2.5, offset_h=2.0, mass_mu=2.0,
+                     stiffness_om=1.0),
+          PhysParams(energy_E=10.0, offset_h=-9.0, mass_mu=0.5,
+                     stiffness_om=1.0)]
+
+
+@given(well=st.sampled_from([0, 1]), r=st.floats(0.05, 2.2),
+       theta=st.floats(-math.pi, math.pi),
+       angle=st.floats(-math.pi / 2, math.pi / 2))
+@example(well=0, r=1.0, theta=0.0, angle=1.5)  # reflects outgoing
+@example(well=1, r=1.0, theta=0.4, angle=1.4)  # reflects entering
+@example(well=1, r=1.0, theta=0.4, angle=0.1)  # reflects neither
+def test_refractions_carry_the_potentials_of_their_point(well, r, theta,
+                                                         angle):
+    params = _WELLS[well]
+    point = r * cmath.exp(1j * theta)
+    ve = potential(point, "outer", params)
+    vi = potential(point, "inner", params)
+    reflects = (
+        abs(math.sqrt(ve / vi) * math.sin(angle)) >= 1.0 - CRITICAL_TOL,
+        math.sqrt(ve / vi) < 1.0 and
+        abs(angle) >= critical_angle(point, params) - CRITICAL_TOL or
+        abs(math.sqrt(vi / ve) * math.sin(angle)) >= 1.0 - CRITICAL_TOL)
+    for res, reflected in zip((refract_in(angle, point, params),
+                               refract_out(angle, point, params)), reflects):
+        assert (res.ve.hex(), res.vi.hex()) == (ve.hex(), vi.hex())
+        assert res.refracted is (not reflected)
+        assert (res.out_angle is None) is reflected

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from refbilliard import (PerturbationProfile, PhysParams, circular_shift,
                          fixed_point_thresholds, outgoing_state,
                          outgoing_velocity, return_map, shift_inverse_all,
                          total_shift_grid, twist_at_zero, twist_critical_set)
+from refbilliard import params as params_module
 from refbilliard._util import wrap_pi
 from refbilliard.errors import (DomainError, NoFixedPoint, OutOfActionRange,
                                 TangentialCrossing)
@@ -244,6 +247,31 @@ def test_return_map_rotates_by_total_shift(fig1, circle):
     shift = circular_shift(0.8, fig1).total
     assert res.delta_xi == pytest.approx(shift, abs=1e-15)
     assert res.state.action_I == pytest.approx(0.8, abs=1e-14)
+
+
+def test_one_geometric_return_evaluates_six_potentials(fig1, monkeypatch):
+    """V_E at the launch (the exterior speed); V_E and V_I once each at the
+    entry and at the exit, where the refraction's result carries them to
+    the interior speed and to I_1; V_I at the interior transit's energy
+    check.  Every evaluation of either formula goes through
+    ``params._well``, wherever the package has bound it."""
+    original = params_module._well
+    counts = Counter()
+
+    def counted(r, region, params):
+        counts[region] += 1
+        return original(r, region, params)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "refbilliard" and \
+                getattr(module, "_well", None) is original:
+            monkeypatch.setattr(module, "_well", counted)
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    state = outgoing_state(0.3, 0.5, prof, fig1)
+    counts.clear()
+    for n in range(1, 4):
+        state = return_map(state, prof, fig1).state
+        assert counts == {"outer": 3 * n, "inner": 3 * n}
 
 
 def test_geometric_map_preserves_area_on_perturbed_boundary(fig1):
