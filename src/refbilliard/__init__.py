@@ -15,12 +15,12 @@ from .caustics import (CausticCurve, circular_caustic_radii,
                        envelope_equations, perturbed_caustic, tangency_check)
 from .config import COMMANDS, ConfigError, RunConfig, load_config, \
     parse_config
-from .errors import (BilliardError, DegenerateEnvelope, DegenerateStationarity,
-                     DescentStalled, DomainError, EnergyMismatch,
-                     EventDetectionFailed, InsufficientLength, OrbitTerminated,
-                     OutOfActionRange, RangeEmpty, ResidualTooLarge,
-                     ShootingDiverged, SingularityError, TangentialCrossing,
-                     TotalReflectionTermination)
+from .errors import (BilliardError, CyclesUnresolved, DegenerateEnvelope,
+                     DegenerateStationarity, DescentStalled, DomainError,
+                     EnergyMismatch, EventDetectionFailed, InsufficientLength,
+                     OrbitTerminated, OutOfActionRange, RangeEmpty,
+                     ResidualTooLarge, ShootingDiverged, SingularityError,
+                     TangentialCrossing, TotalReflectionTermination)
 from .inner import (inner_arc_fixed_ends, kepler_elements,
                     levi_civita_propagate)
 from .oracle import OracleReturn, ode_return_map

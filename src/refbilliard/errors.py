@@ -71,7 +71,11 @@ class RangeEmpty(BilliardError):
 
 
 class DescentStalled(BilliardError):
-    """Discrete-action descent failed to make progress."""
+    """A Newton search for periodic cycles failed to make progress."""
+
+
+class CyclesUnresolved(BilliardError):
+    """Cycles of two Morse indices lie within each other's error bounds."""
 
 
 class OrbitTerminated(BilliardError):

@@ -171,7 +171,8 @@ def generating_function(xi0: float, xi1: float,
     unless ``action_hint`` picks another.  The launch action I0 is shot,
     within the seed's sign and the local action bound at ``xi0``, until the
     geometric return map from (xi0, I0) advances the lifted angle by delta;
-    S is the Jacobi length of the two arcs that step traverses.  The
+    S is the Jacobi length of the two arcs that step traverses, carried to
+    xi1 across the shot's last miss (below 1e-12) by dS/dxi1 = I1.  The
     shooting slope is the exact d delta/d I0 of :func:`tangent_map`, and the
     last shot supplies S, xi_mid, I1, the twist and the tangent map without
     further map calls.
@@ -204,7 +205,8 @@ def generating_function(xi0: float, xi1: float,
             "the lifted advance is stationary in the launch action "
             "(twist-critical fiber); S is not a valid local generating "
             "function here")
-    S = sum(jacobi_length(arc, params) for arc in res.arcs)
+    S = sum(jacobi_length(arc, params) for arc in res.arcs) - \
+        res.state.action_I * (res.delta_xi - delta)
     return GeneratingEval(S_value=S, xi_mid=res.arcs[0].xi1,
                           action_I0=I0, action_I1=res.state.action_I,
                           nondeg_twist=-1.0 / slope, tangent=tangent)
@@ -230,15 +232,8 @@ def discrete_action(cycle: Sequence[float], m: int, n: int,
 def _action_terms(cycle: Sequence[float], m: int, n: int,
                   profile: PerturbationProfile, params: PhysParams,
                   action_hint: Optional[float]):
-    """W, its gradient, its exact Hessian, the twists b_k and the launch
-    action I_0 of link 0 of an (m, n) cycle, from one pass over its links.
-
-    With DF = [[a, b], [c, d]] the tangent map of link k (det DF = 1), its
-    second derivatives are S_00 = a/b, S_01 = -1/b and S_11 = d/b, so the
-    Hessian is cyclic tridiagonal: H_kk = d_{k-1}/b_{k-1} + a_k/b_k and
-    H_{k,k+1} = -1/b_k (Meiss, Rev. Mod. Phys. 64, 1992).  For n <= 2 the
-    links that join the same vertices add up.
-    """
+    """W, its gradient and its exact Hessian (:func:`_action_hessian`) of an
+    (m, n) cycle, from one pass over its links."""
     xs = list(map(float, cycle))
     if len(xs) != n:
         raise ValueError(f"cycle length {len(xs)} != n = {n}")
@@ -249,14 +244,21 @@ def _action_terms(cycle: Sequence[float], m: int, n: int,
     W = sum(l.S_value for l in links)
     grad = np.array([links[k - 1].action_I1 - links[k].action_I0
                      for k in range(n)])
+    return W, grad, _action_hessian([l.tangent.tolist() for l in links])
+
+
+def _action_hessian(tangents: Sequence) -> np.ndarray:
+    """The exact Hessian of the discrete action of a cycle whose link k has
+    the tangent map ``tangents[k]`` = [[a, b], [c, d]].  With S_00 = a/b,
+    S_01 = -1/b and S_11 = d/b it is cyclic tridiagonal: H_kk =
+    d_{k-1}/b_{k-1} + a_k/b_k, H_{k,k+1} = -1/b_k (Meiss, Rev. Mod. Phys. 64,
+    1992); for n <= 2 the links that join the same vertices add up."""
+    n = len(tangents)
     H = np.zeros((n, n))
-    b = np.empty(n)
-    for k, link in enumerate(links):
-        (a, bk), (_, d) = link.tangent.tolist()
+    for k, ((a, b), (_, d)) in enumerate(tangents):
         j = (k + 1) % n
-        H[k, k] += a / bk
-        H[j, j] += d / bk
-        H[k, j] -= 1.0 / bk
-        H[j, k] -= 1.0 / bk
-        b[k] = bk
-    return W, grad, H, b, links[0].action_I0
+        H[k, k] += a / b
+        H[j, j] += d / b
+        H[k, j] -= 1.0 / b
+        H[j, k] -= 1.0 / b
+    return H

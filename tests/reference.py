@@ -10,6 +10,8 @@ gamma(xi) = rho(xi) e^{i xi} directly from the radius profile, as a
 reference for :func:`refbilliard.boundary`, the rational-distance test
 that the invariant-curve criterion applies to its target rotation number,
 and the twist folds of the circle as the roots of a radical-free polynomial.
+Last, it keeps the perturbed periodic search that multiple shooting
+replaced, so that the tests can check that none of its cycles is lost.
 
 Every integral goes through :func:`scipy.integrate.quad`.
 """
@@ -23,10 +25,14 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from refbilliard import (ArcSegment, PerturbationProfile, PhysParams,
+                         cycle_distance, generating_function,
                          inner_arc_fixed_ends, outer_arc_fixed_ends,
-                         potential)
+                         outgoing_state, potential, return_map,
+                         shift_inverse_all, tangent_map)
 from refbilliard.arcs import lc_flow
-from refbilliard.errors import BilliardError
+from refbilliard.errors import BilliardError, DescentStalled, RangeEmpty
+from refbilliard.orbits import _orbit_from_cycle
+from refbilliard.variational import _action_hessian
 
 
 class QuadratureTolUnmet(BilliardError):
@@ -179,3 +185,122 @@ def inner_distance(xi0: float, xi1: float, profile: PerturbationProfile,
     the lifted angle ``xi1``."""
     arc = inner_arc_fixed_ends(xi0, xi1, profile, params)
     return quadrature_length(arc, params)
+
+
+# -- the periodic search before multiple shooting ------------------------------
+
+
+def search_before(m: int, n: int, profile: PerturbationProfile,
+                  params: PhysParams) -> list:
+    """The perturbed (m, n) cycles of the search that multiple shooting
+    replaced, or its error: for n = 1, Newton on the map from 16 angles on
+    every circular family (kind "map-newton"); for n >= 2, the minimizer and
+    a minimax of the discrete action, by eigenvector-following Newton from
+    the uniform cycle and that cycle turned by pi/(2n), on the family of
+    largest |I|, each link shot by :func:`generating_function`."""
+    roots = []
+    for r in shift_inverse_all(2.0 * math.pi * m / n, params):
+        if not roots or abs(r - roots[-1]) > 1e-9:
+            roots.append(r)
+    if not roots:
+        raise RangeEmpty(f"the circular shift never equals 2 pi {m}/{n}")
+    if n == 1:
+        orbits = []
+        for I_seed in roots:
+            for xi_seed in np.linspace(-math.pi, math.pi, 16,
+                                       endpoint=False):
+                sol = _newton_fixed_point(float(xi_seed), I_seed, m, profile,
+                                          params)
+                if sol is None or \
+                        abs(sol[1]) >= params.action_bound_Ic * (1 - 1e-9):
+                    continue
+                try:
+                    orb = _orbit_from_cycle(*sol, m, 1, profile, params,
+                                            "map-newton")
+                except BilliardError:
+                    continue
+                if orb.residual <= 1e-8 and all(
+                        cycle_distance(orb, o) > 1e-6 for o in orbits):
+                    orbits.append(orb)
+        if not orbits:
+            raise DescentStalled("no period-1 orbit converged on the section")
+        return orbits
+    I_seed = max(roots, key=abs)
+    base = 2.0 * math.pi * m / n * np.arange(n)
+    orbits = []
+    for index, kind in enumerate(("action-minimizer", "action-minimax")):
+        try:
+            x, I0 = _critical_cycle(base + index * math.pi / (2 * n), index,
+                                    m, n, profile, params, I_seed)
+            orb = _orbit_from_cycle(float(x[0]), I0, m, n, profile, params,
+                                    kind)
+        except BilliardError:
+            if index == 0:
+                raise
+            continue
+        if not orb.residual <= 1e-8:
+            if index == 0:
+                raise DescentStalled("the minimizing cycle misses the map")
+        elif all(cycle_distance(orb, o) > 1e-4 for o in orbits):
+            orbits.append(orb)
+    return orbits
+
+
+def _newton_fixed_point(xi, I, m, profile, params):
+    """Newton on (lifted advance - 2 pi m, I1 - I0) with the Jacobian
+    DF - Id, steps capped at 0.5; the iterate with max |G| < 1e-12, or None
+    after 30 steps, on a singular Jacobian or a map error."""
+    for _ in range(30):
+        try:
+            state = outgoing_state(xi, I, profile, params)
+            res = return_map(state, profile, params)
+        except BilliardError:
+            return None
+        gx = res.delta_xi - 2.0 * math.pi * m
+        gI = res.state.action_I - I
+        if max(abs(gx), abs(gI)) < 1e-12:
+            return xi, I
+        (a, b), (c, d) = tangent_map(state, res, profile, params).tolist()
+        a -= 1.0
+        d -= 1.0
+        det = a * d - b * c
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dxi = (d * gx - b * gI) / det
+        dI = (a * gI - c * gx) / det
+        cap = max(abs(dxi), abs(dI)) / 0.5
+        if cap > 1.0:
+            dxi, dI = dxi / cap, dI / cap
+        xi, I = xi - dxi, I - dI
+    return None
+
+
+def _critical_cycle(x, index, m, n, profile, params, action_hint):
+    """A critical cycle of the discrete action of Morse index ``index`` and
+    the launch action of its link 0, by eigenvector-following Newton from
+    ``x``: each step is -sum v_i (v_i . s g)/|l_i| over the eigenpairs of
+    s H (s the sign of the twist), reversed along the ``index`` lowest
+    modes, capped at 0.5.  Raises :class:`DescentStalled` after 40 steps or
+    at a cycle of another index."""
+    for _ in range(40):
+        ends = list(map(float, x)) + [float(x[0]) + 2.0 * math.pi * m]
+        links = [generating_function(ends[k], ends[k + 1], profile, params,
+                                     action_hint=action_hint)
+                 for k in range(n)]
+        g = np.array([links[k - 1].action_I1 - links[k].action_I0
+                      for k in range(n)])
+        H = _action_hessian([link.tangent.tolist() for link in links])
+        s = math.copysign(1.0, float(links[0].tangent[0, 1]))
+        lam, V = np.linalg.eigh(s * H)
+        if np.max(np.abs(g)) < 1e-12:
+            if np.count_nonzero(lam < 0.0) != index:
+                raise DescentStalled("a critical cycle of another index")
+            return x, links[0].action_I0
+        c = (V.T @ (s * g)) / np.abs(lam)
+        c[:index] = -c[:index]
+        step = V @ c
+        cap = float(np.max(np.abs(step))) / 0.5
+        if cap > 1.0:
+            step = step / cap
+        x = x - step
+    raise DescentStalled(f"no critical cycle of index {index}")

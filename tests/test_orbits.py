@@ -16,13 +16,13 @@ from refbilliard import (BoundaryState, PerturbationProfile, PeriodicOrbit,
                          twist_at_zero)
 from refbilliard import orbits as orbits_module
 from refbilliard._util import wrap_pi
-from refbilliard.errors import (BilliardError, DescentStalled,
-                                EventDetectionFailed,
+from refbilliard.errors import (BilliardError, CyclesUnresolved,
+                                DescentStalled, EventDetectionFailed,
                                 InsufficientLength, OrbitTerminated,
                                 OutOfActionRange, RangeEmpty,
                                 ResidualTooLarge, TotalReflectionTermination)
-from refbilliard.orbits import (_critical_cycle, _curve_fit,
-                                _repeat_shift, _rotation_with_error)
+from refbilliard.orbits import (_curve_fit, _repeat_shift,
+                                _rotation_with_error, _shoot_cycle)
 from reference import is_diophantine_surrogate
 
 
@@ -536,14 +536,37 @@ def test_find_periodic_finds_every_collision_fixed_point(light_mass):
 
 
 def _seed_hint(m, n, params):
-    """The seed action find_periodic shoots every link from."""
+    """The action of the largest-|I| circular family of total shift
+    2 pi m/n, the family of :func:`_birkhoff_pair`."""
     return max(shift_inverse_all(2.0 * math.pi * m / n, params), key=abs)
+
+
+def _birkhoff_pair(orbits, m, n, params):
+    """The minimizer and the minimax of the largest-|I| family among the
+    (m, n) cycles ``orbits``: of the cycles of index 0 and 1 whose actions
+    lie nearest that family's, the ones nearest the uniform cycle 2 pi m k/n
+    and that cycle turned by pi/(2n), the two starts of the search that
+    found one pair per class."""
+    roots = shift_inverse_all(2.0 * math.pi * m / n, params)
+    I_star = _seed_hint(m, n, params)
+    family = [o for o in orbits if min(
+        roots, key=lambda r: abs(r - np.mean(o.actions))) == I_star]
+    pair = []
+    for index, kind in enumerate(("action-minimizer", "action-minimax")):
+        seed = PeriodicOrbit(
+            m=m, n=n, xis=2.0 * math.pi * m / n * np.arange(n) +
+            index * math.pi / (2 * n), actions=np.full(n, I_star),
+            residual=0.0, kind=kind)
+        pair.append(min((o for o in family if o.kind == kind),
+                        key=lambda o: cycle_distance(o, seed)))
+    return pair
 
 
 @pytest.mark.parametrize("m", [2, -2])
 def test_find_periodic_two_fifths_pair_at_light_mass(light_mass, m):
     prof = PerturbationProfile.cos_profile(2, 0.01)
-    orbits = find_periodic(m, 5, prof, light_mass)
+    orbits = _birkhoff_pair(find_periodic(m, 5, prof, light_mass), m, 5,
+                            light_mass)
     assert [o.kind for o in orbits] == ["action-minimizer", "action-minimax"]
     for orb in orbits:
         assert orb.residual < 1e-8
@@ -554,8 +577,10 @@ def test_find_periodic_mirror_classes_at_light_mass(light_mass):
     # cos 2 xi is even, so (xi, I) -> (-xi, -I) maps (1, 3) cycles to
     # (-1, 3) cycles of the same action
     prof = PerturbationProfile.cos_profile(2, 0.01)
-    plus = find_periodic(1, 3, prof, light_mass)
-    minus = find_periodic(-1, 3, prof, light_mass)
+    plus = _birkhoff_pair(find_periodic(1, 3, prof, light_mass), 1, 3,
+                          light_mass)
+    minus = _birkhoff_pair(find_periodic(-1, 3, prof, light_mass), -1, 3,
+                           light_mass)
     assert [o.kind for o in plus] == [o.kind for o in minus]
     for p_orb, m_orb in zip(plus, minus):
         W_plus, _ = discrete_action(p_orb.xis, 1, 3, prof, light_mass,
@@ -623,7 +648,8 @@ def test_aubry_mather_pair_structure(request, m, n, name, eps_values):
     gaps = []
     for eps in eps_values:
         prof = PerturbationProfile.cos_profile(2, eps)
-        low, high = find_periodic(m, n, prof, params)
+        low, high = _birkhoff_pair(find_periodic(m, n, prof, params), m, n,
+                                   params)
         assert (low.kind, high.kind) == ("action-minimizer", "action-minimax")
         for orb in (low, high):
             assert _cyclic_order(orb.xis) == rigid
@@ -667,7 +693,8 @@ def test_aubry_mather_gap_matches_the_first_order_value_on_cos_3xi(
     errors = []
     for eps in eps_values:
         prof = PerturbationProfile.cos_profile(3, eps)
-        low, high = find_periodic(-1, 3, prof, params)
+        low, high = _birkhoff_pair(find_periodic(-1, 3, prof, params), -1,
+                                   3, params)
         assert (low.kind, high.kind) == ("action-minimizer", "action-minimax")
         W_low, _ = discrete_action(low.xis, -1, 3, prof, params,
                                    float(low.actions[0]))
@@ -686,20 +713,20 @@ def test_aubry_mather_gap_matches_the_first_order_value_on_cos_3xi(
             errors
 
 
-def test_find_periodic_logs_why_it_drops_a_minimax(light_mass, caplog):
-    # on cos 3 xi the (1, 3) minimax search meets total reflection; the
-    # class keeps its minimizer, and the log names the class, the kind and
-    # the reason
-    prof = PerturbationProfile.cos_profile(3, 0.01)
+def test_find_periodic_logs_why_starts_fail(light_mass, caplog):
+    # at the light mass the (1, 4) family of largest |I| lies 0.012 below
+    # I_c, where the local action bound cuts through it: 6 of its starts
+    # meet total reflection.  One record names the class and counts the
+    # starts tried, converged and merged, and the failed ones by class
+    prof = PerturbationProfile.cos_profile(2, 0.01)
     with caplog.at_level(logging.INFO, logger="refbilliard.orbits"):
-        orbits = find_periodic(1, 3, prof, light_mass)
-    assert [o.kind for o in orbits] == ["action-minimizer"]
+        orbits = find_periodic(1, 4, prof, light_mass)
     [record] = caplog.records
     assert record.name == "refbilliard.orbits"
     assert record.levelno == logging.INFO
-    assert record.getMessage().startswith(
-        "find_periodic(1, 3) drops the action-minimax: "
-        "TotalReflectionTermination: ")
+    assert record.getMessage() == (
+        f"find_periodic(1, 4): 16 starts, 10 converged, {10 - len(orbits)} "
+        "merged; failed: TotalReflectionTermination 6")
 
 
 def test_action_hessian_determinant_gives_the_monodromy_trace(fig1,
@@ -711,7 +738,8 @@ def test_action_hessian_determinant_gives_the_monodromy_trace(fig1,
     for params, m, n in ((light_mass, 1, 3), (light_mass, -1, 3),
                          (fig1, 1, 4)):
         hint = _seed_hint(m, n, params)
-        orbits = find_periodic(m, n, prof, params)
+        orbits = _birkhoff_pair(find_periodic(m, n, prof, params), m, n,
+                                params)
         assert len(orbits) == 2
         for index, orb in enumerate(orbits):
             h = 1e-6
@@ -757,23 +785,33 @@ def test_residue_sign_agrees_with_the_classification(fig1, light_mass,
     assert seen == {"hyperbolic", "elliptic", "parabolic"}
 
 
-def test_critical_cycle_rejects_a_cycle_of_another_index(light_mass):
+def test_find_periodic_reports_cycles_it_cannot_separate(fig1):
+    # (-3, 11) at eps = 0.01: the Hessian's smallest |eigenvalue| is near
+    # 3e-10, so a residual below 1e-12 leaves the cycles 0.1 wide, and an
+    # index-0 and an index-1 cycle fall in one error ball.  The class gets
+    # a typed reason, not rows of cycles that may be one
     prof = PerturbationProfile.cos_profile(2, 0.01)
-    hint = _seed_hint(-1, 3, light_mass)
-    seed = -2.0 * math.pi / 3.0 * np.arange(3) + math.pi / 6.0
-    saddle, _, _ = _critical_cycle(seed, 1, -1, 3, prof, light_mass, hint)
-    with pytest.raises(DescentStalled, match="index 1, not 0"):
-        _critical_cycle(saddle, 0, -1, 3, prof, light_mass, hint)
+    with pytest.raises(CyclesUnresolved,
+                       match="an action-minimizer and an action-minimax"):
+        find_periodic(-3, 11, prof, fig1)
 
 
 def test_find_periodic_raises_when_newton_stalls(light_mass, monkeypatch):
-    # a stand-in action whose gradient never vanishes
-    def sloped(cycle, m, n, profile, params, action_hint):
-        return 0.0, np.full(n, 1e-3), np.eye(n), np.ones(n), 0.5
+    # a stand-in map that always overshoots by 1e-3: no start converges
+    def overshooting(state, profile, params):
+        return SimpleNamespace(delta_xi=-2.0 * math.pi / 3.0 + 1e-3,
+                               state=state)
 
-    monkeypatch.setattr("refbilliard.orbits._action_terms", sloped)
+    monkeypatch.setattr(orbits_module, "return_map", overshooting)
+    monkeypatch.setattr(orbits_module, "tangent_map",
+                        lambda *args: np.array([[2.0, 1.0], [1.0, 1.0]]))
     prof = PerturbationProfile.cos_profile(2, 0.01)
-    with pytest.raises(DescentStalled, match="after 40 Newton steps"):
+    I_star = _seed_hint(-1, 3, light_mass)
+    with pytest.raises(DescentStalled, match="after 30 Newton steps"):
+        _shoot_cycle([0.0, -2.0, -4.0], [I_star] * 3, -1, 3, prof,
+                     light_mass)
+    with pytest.raises(DescentStalled,
+                       match="from 16 starts; failed: DescentStalled 16$"):
         find_periodic(-1, 3, prof, light_mass)
 
 

@@ -553,8 +553,7 @@ def test_action_hessian_matches_differences_of_the_gradient(params, m, n):
     hint = max(shift_inverse_all(2.0 * math.pi * m / n, params), key=abs)
     k = np.arange(n)
     xs = 2.0 * math.pi * m / n * k + 0.3 + 0.02 * np.cos(k)
-    W, grad, H, _, _ = variational._action_terms(xs, m, n, prof, params,
-                                                 hint)
+    W, grad, H = variational._action_terms(xs, m, n, prof, params, hint)
     W0, grad0 = discrete_action(xs, m, n, prof, params, action_hint=hint)
     assert W == W0 and np.array_equal(grad, grad0)
     assert np.max(np.abs(grad)) > 1e-3  # off every critical cycle
