@@ -365,6 +365,3 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -21,8 +21,9 @@ to run with its generic knobs::
 
 Fourier coefficients are ``harmonic:weight`` pairs separated by commas; the
 harmonic index is the angular frequency of the term (``fourier_sin`` has
-no harmonic 0, since sin 0 xi = 0).  Unknown sections or keys are rejected
-with the offending location in the message.
+no harmonic 0, since sin 0 xi = 0).  One table, :data:`_SCHEMA`, declares
+every section and key; unknown sections or keys are rejected with the
+offending location in the message.
 """
 
 from __future__ import annotations
@@ -32,14 +33,11 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .boundary import PerturbationProfile
+from .errors import DomainError
 from .params import PhysParams
 
 COMMANDS = ("params-report", "shift-profile", "section", "orbit",
             "periodic", "twist", "caustics", "oracle-check")
-
-_PARAM_KEYS = ("energy_E", "offset_h", "mass_mu", "stiffness_om")
-_PROFILE_KEYS = ("epsilon", "fourier_cos", "fourier_sin")
-_COMMAND_KEYS = ("command", "seeds", "iterations")
 
 
 class ConfigError(ValueError):
@@ -55,7 +53,6 @@ class RunConfig:
     command: str
     seeds: int = 9
     iterations: int = 400
-    source: str = "<memory>"
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -69,20 +66,18 @@ class RunConfig:
                 "[command] iterations must be a positive integer")
 
 
-def _float_of(section: str, key: str, raw: str) -> float:
+def _value(section: str, key: str, kind, raw: str):
+    """``raw`` as a value of type ``kind`` (see :data:`_SCHEMA`)."""
+    if kind is str:
+        return raw.strip()
+    if kind is _fourier_of:
+        return _fourier_of(section, key, raw)
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
+        noun = "a number" if kind is float else "an integer"
         raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not a number") from None
-
-
-def _int_of(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not an integer") from None
+            f"[{section}] {key} = {raw!r} is not {noun}") from None
 
 
 def _fourier_of(section: str, key: str, raw: str) -> Tuple[float, ...]:
@@ -113,22 +108,25 @@ def _fourier_of(section: str, key: str, raw: str) -> Tuple[float, ...]:
         if idx in terms:
             raise ConfigError(
                 f"[{section}] {key}: harmonic {idx} is given twice")
-        terms[idx] = _float_of(section, key, w_s)
+        terms[idx] = _value(section, key, float, w_s)
     coeffs = [0.0] * (max(terms) + 1)
     for idx, w in terms.items():
         coeffs[idx] = w
     return tuple(coeffs)
 
 
-def _check_keys(cp: configparser.ConfigParser, section: str,
-                allowed: Tuple[str, ...], source: str) -> None:
-    if not cp.has_section(section):
-        raise ConfigError(f"{source}: missing required section [{section}]")
-    for key in cp.options(section):
-        if key not in allowed:
-            raise ConfigError(
-                f"{source}: [{section}] has unknown key {key!r}; allowed: "
-                f"{', '.join(allowed)}")
+#: each section's keys in order, with each key's value type (float, int,
+#: str or :func:`_fourier_of`) and whether it is required; a section with a
+#: required key is required itself.  An absent optional key takes the
+#: default of PhysParams, PerturbationProfile or RunConfig.
+_SCHEMA = {
+    "params": {"energy_E": (float, True), "offset_h": (float, True),
+               "mass_mu": (float, True), "stiffness_om": (float, True)},
+    "profile": {"epsilon": (float, False), "fourier_cos": (_fourier_of, False),
+                "fourier_sin": (_fourier_of, False)},
+    "command": {"command": (str, True), "seeds": (int, False),
+                "iterations": (int, False)},
+}
 
 
 def parse_config(text: str, source: str = "<memory>") -> RunConfig:
@@ -142,51 +140,36 @@ def parse_config(text: str, source: str = "<memory>") -> RunConfig:
         raise ConfigError(f"{source}: {exc}") from None
 
     for sec in cp.sections():
-        if sec not in ("params", "profile", "command"):
+        if sec not in _SCHEMA:
             raise ConfigError(f"{source}: unknown section [{sec}]")
-    _check_keys(cp, "params", _PARAM_KEYS, source)
-    _check_keys(cp, "command", _COMMAND_KEYS, source)
-    if cp.has_section("profile"):
-        _check_keys(cp, "profile", _PROFILE_KEYS, source)
-
     values = {}
-    for key in _PARAM_KEYS:
-        if not cp.has_option("params", key):
-            raise ConfigError(f"{source}: [params] is missing key {key!r}")
-        values[key] = _float_of("params", key, cp.get("params", key))
-    try:
-        params = PhysParams(**values)
-    except Exception as exc:
-        raise ConfigError(f"{source}: [params] rejected: {exc}") from None
+    for sec, keys in _SCHEMA.items():
+        if not cp.has_section(sec) and any(r for _, r in keys.values()):
+            raise ConfigError(f"{source}: missing required section [{sec}]")
+        for key in cp.options(sec) if cp.has_section(sec) else ():
+            if key not in keys:
+                raise ConfigError(
+                    f"{source}: [{sec}] has unknown key {key!r}; allowed: "
+                    f"{', '.join(keys)}")
+        values[sec] = {}
+        for key, (kind, required) in keys.items():
+            raw = cp.get(sec, key, fallback=None)
+            # a blank command is no command
+            if raw is None or (kind is str and not raw.strip()):
+                if required:
+                    raise ConfigError(
+                        f"{source}: [{sec}] is missing key {key!r}")
+                continue
+            values[sec][key] = _value(sec, key, kind, raw)
 
-    epsilon, f_cos, f_sin = 0.0, (), ()
-    if cp.has_section("profile"):
-        if cp.has_option("profile", "epsilon"):
-            epsilon = _float_of("profile", "epsilon",
-                                cp.get("profile", "epsilon"))
-        if cp.has_option("profile", "fourier_cos"):
-            f_cos = _fourier_of("profile", "fourier_cos",
-                                cp.get("profile", "fourier_cos"))
-        if cp.has_option("profile", "fourier_sin"):
-            f_sin = _fourier_of("profile", "fourier_sin",
-                                cp.get("profile", "fourier_sin"))
-    try:
-        profile = PerturbationProfile(fourier_cos=f_cos, fourier_sin=f_sin,
-                                      epsilon=epsilon)
-    except Exception as exc:
-        raise ConfigError(f"{source}: [profile] rejected: {exc}") from None
-
-    if not cp.has_option("command", "command") or \
-            not cp.get("command", "command").strip():
-        raise ConfigError(f"{source}: [command] is missing key 'command'")
-    kwargs = {"command": cp.get("command", "command").strip()}
-    if cp.has_option("command", "seeds"):
-        kwargs["seeds"] = _int_of("command", "seeds",
-                                  cp.get("command", "seeds"))
-    if cp.has_option("command", "iterations"):
-        kwargs["iterations"] = _int_of("command", "iterations",
-                                       cp.get("command", "iterations"))
-    return RunConfig(params=params, profile=profile, source=source, **kwargs)
+    built = {}
+    for sec, cls in (("params", PhysParams),
+                     ("profile", PerturbationProfile)):
+        try:
+            built[sec] = cls(**values[sec])
+        except DomainError as exc:
+            raise ConfigError(f"{source}: [{sec}] rejected: {exc}") from None
+    return RunConfig(**built, **values["command"])
 
 
 def load_config(path: str) -> RunConfig:

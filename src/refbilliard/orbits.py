@@ -39,6 +39,10 @@ _LOG = logging.getLogger("refbilliard.orbits")
 #: the periodic search stops at max |G| below this (see _shoot_cycle)
 _NEWTON_TOL = 1e-12
 
+#: a cycle closes when its periodicity residual is at most this: the search
+#: keeps it and :func:`linear_stability` accepts it
+_CLOSE_TOL = 1e-8
+
 
 @dataclass
 class OrbitTrace:
@@ -99,7 +103,6 @@ class StabilityReport:
     matrix: np.ndarray
     trace: float
     det: float
-    multipliers: np.ndarray
     classification: str
     residue: float
 
@@ -113,7 +116,6 @@ class CurveProbe:
     on a chaotic orbit.
     """
 
-    target_rho: float
     seed_action: float
     measured_rho: float
     rho_error: float
@@ -277,6 +279,14 @@ def _orbit_from_cycle(xi0: float, action_I0: float, m: int, n: int,
                          error_bound=error_bound)
 
 
+def _check_closed(orbit: PeriodicOrbit) -> None:
+    """Raises :class:`ResidualTooLarge` unless ``orbit`` closes within
+    :data:`_CLOSE_TOL`."""
+    if not orbit.residual <= _CLOSE_TOL:
+        raise ResidualTooLarge(
+            f"periodicity residual {orbit.residual:.3g} above {_CLOSE_TOL:g}")
+
+
 def cycle_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
     """Minimal state separation of two cycles over cyclic relabelings.
 
@@ -307,9 +317,9 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
     :func:`_shoot_cycle` from xi_k = phi + 2 pi m k/n, I_k = I* on every
     family I*, ascending, at the P = max(8, ceil(max(16, 4K)/n)) phases
     phi = -pi + 2 pi j/(nP), K the profile's highest harmonic.  A start
-    counts when the orbit from its (xi_0, I_0) closes within 1e-8 (its
-    ``residual``); starts whose ``error_bound`` balls overlap in
-    :func:`cycle_distance` are one cycle, the first found.  The kind names
+    counts when the orbit from its (xi_0, I_0) closes within
+    :data:`_CLOSE_TOL` (its ``residual``); starts whose ``error_bound``
+    balls overlap in :func:`cycle_distance` are one cycle, the first found.  The kind names
     the Morse index (:func:`_kind_and_bound`).  Cycles come sorted by
     wrapped xi_0, then I_0.  ``refbilliard.orbits`` logs at INFO the starts
     tried, converged and merged, and the failed ones by exception class.
@@ -349,8 +359,7 @@ def find_periodic(m: int, n: int, profile: PerturbationProfile,
                 kind, bound = _kind_and_bound(tangents)
                 orb = _orbit_from_cycle(xs[0], Is[0], m, n, profile, params,
                                         kind, bound)
-                if not orb.residual <= 1e-8:
-                    raise ResidualTooLarge(f"map residual {orb.residual:.3g}")
+                _check_closed(orb)
             except BilliardError as exc:
                 failed[type(exc).__name__] += 1
                 continue
@@ -468,12 +477,11 @@ def linear_stability(orbit: PeriodicOrbit, profile: PerturbationProfile,
     the n exact one-step derivatives of :func:`tangent_map` along it.
 
     |trace| below 2 is elliptic, above 2 hyperbolic, and within
-    1e-7 max(1, |trace|) of 2 parabolic (the integrable shear).
+    1e-7 max(1, |trace|) of 2 parabolic (the integrable shear).  Raises
+    :class:`ResidualTooLarge` on an orbit that :func:`find_periodic` would
+    not keep (:func:`_check_closed`).
     """
-    if not (orbit.residual < 1e-8):
-        raise ResidualTooLarge(
-            f"periodicity residual {orbit.residual:.3g} too large for a "
-            "meaningful monodromy")
+    _check_closed(orbit)
     state = outgoing_state(float(orbit.xis[0]), float(orbit.actions[0]),
                            profile, params)
     M = np.eye(2)
@@ -483,7 +491,6 @@ def linear_stability(orbit: PeriodicOrbit, profile: PerturbationProfile,
         state = res.state
     tr = float(M[0, 0] + M[1, 1])
     det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    mult = np.linalg.eigvals(M)
     band = 1e-7 * max(1.0, abs(tr))
     if abs(abs(tr) - 2.0) <= band:
         cls = "parabolic"
@@ -491,8 +498,8 @@ def linear_stability(orbit: PeriodicOrbit, profile: PerturbationProfile,
         cls = "elliptic"
     else:
         cls = "hyperbolic"
-    return StabilityReport(matrix=M, trace=tr, det=det, multipliers=mult,
-                           classification=cls, residue=(2.0 - tr) / 4.0)
+    return StabilityReport(matrix=M, trace=tr, det=det, classification=cls,
+                           residue=(2.0 - tr) / 4.0)
 
 
 # -- invariant-curve probe -------------------------------------------------------
@@ -568,10 +575,10 @@ def invariant_curve_probe(target_rho: float, profile: PerturbationProfile,
     trace = running(_trace(cols, [], status, lifted))
     coef, resid = _curve_fit(trace.xis, trace.actions, 32)
     rho, rho_error = trace.rotation_estimate
-    return CurveProbe(target_rho=target_rho, seed_action=float(I0),
-                      measured_rho=rho, rho_error=rho_error,
-                      max_residual=resid, coefficients=coef,
-                      n_iter=len(trace.xis) - 1, status=trace.status)
+    return CurveProbe(seed_action=float(I0), measured_rho=rho,
+                      rho_error=rho_error, max_residual=resid,
+                      coefficients=coef, n_iter=len(trace.xis) - 1,
+                      status=trace.status)
 
 
 def _curve_fit(xis: np.ndarray, actions: np.ndarray,

@@ -146,7 +146,7 @@ def test_perturbed_caustic_follows_a_curve_probe(fig1):
     prof = PerturbationProfile.cos_profile(2, 1e-3)
 
     def probe(coefficients):
-        fit = CurveProbe(target_rho=0.0, seed_action=coefficients[0],
+        fit = CurveProbe(seed_action=coefficients[0],
                          measured_rho=0.0, rho_error=0.0, max_residual=0.0,
                          coefficients=np.array(coefficients), n_iter=0,
                          status="fitted")

@@ -238,11 +238,51 @@ def _unreferenced_exports(package_dir, readme):
     return sorted(names)
 
 
+def _record_fields(package_dir):
+    """``(Class, field)`` for each annotated class attribute, the fields of
+    a dataclass or named tuple, of an exported class in ``package_dir``."""
+    fields = []
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        fields += [(node.name, item.target.id) for node in tree.body
+                   if isinstance(node, ast.ClassDef) and
+                   node.name in refbilliard.__all__
+                   for item in node.body
+                   if isinstance(item, ast.AnnAssign) and
+                   isinstance(item.target, ast.Name)]
+    return fields
+
+
+def _unread_fields(package_dir, roots, readme):
+    """``Class.field`` for each field of an exported record that no Python
+    file under ``roots`` reads as ``.field`` and that ``readme`` names
+    neither as ``.field`` nor as `field`."""
+    texts = [readme]
+    for root in roots:
+        for path in sorted(glob.glob(os.path.join(root, "**", "*.py"),
+                                     recursive=True)):
+            with open(path, encoding="utf-8") as fh:
+                texts.append(fh.read())
+    text = "\n".join(texts)
+    return sorted(f"{cls}.{field}" for cls, field in
+                  _record_fields(package_dir)
+                  if not re.search(rf"\.{field}\b", text) and
+                  f"`{field}`" not in readme)
+
+
 def test_every_export_is_used_in_the_package_or_documented():
     # an exported name, or a public method or property of an exported
     # class, that nothing in the package reads and the README does not
-    # name is test-only code, which belongs under tests/
+    # name is test-only code, which belongs under tests/; a field of an
+    # exported record that nothing reads, in the package, its tests, tools
+    # or benchmark, and that the README does not name is a value computed
+    # for no one
     with open(README, encoding="utf-8") as fh:
         readme = fh.read()
     package_dir = os.path.dirname(refbilliard.__file__)
-    assert _unreferenced_exports(package_dir, readme) == []
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    roots = [os.path.join(repo, d)
+             for d in ("src", "tests", "tools", "perfbench")]
+    assert _unreferenced_exports(package_dir, readme) + \
+        _unread_fields(package_dir, roots, readme) == []

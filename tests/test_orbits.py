@@ -1,5 +1,6 @@
 """Orbit iteration, rotation numbers, periodic orbits, stability, probes."""
 
+import dataclasses
 import logging
 import math
 from types import SimpleNamespace
@@ -858,6 +859,19 @@ def test_linear_stability_rejects_sloppy_orbit(fig1, circle):
                          residual=1.0, kind="circular")
     with pytest.raises(ResidualTooLarge):
         linear_stability(fake, circle, fig1)
+
+
+def test_linear_stability_accepts_every_cycle_the_search_keeps(light_mass):
+    # the search keeps a cycle whose residual is at most 1e-8, so one at
+    # exactly 1e-8 has a monodromy; just above it has none
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    orb = find_periodic(0, 1, prof, light_mass)[0]
+    at = linear_stability(dataclasses.replace(orb, residual=1e-8), prof,
+                          light_mass)
+    assert at.trace == linear_stability(orb, prof, light_mass).trace
+    with pytest.raises(ResidualTooLarge):
+        linear_stability(dataclasses.replace(orb, residual=1.01e-8), prof,
+                         light_mass)
 
 
 def test_golden_target_and_surrogate(fig1):

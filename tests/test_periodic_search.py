@@ -8,6 +8,7 @@ index gives the kind) and against the search it replaced
 among the new ones.
 """
 
+import logging
 import math
 from collections import Counter
 
@@ -21,7 +22,8 @@ from refbilliard import (PerturbationProfile, PhysParams, cycle_distance,
                          return_map, tangent_map, variational)
 from refbilliard import orbits as orbits_module
 from refbilliard._util import wrap_pi
-from refbilliard.errors import BilliardError
+from refbilliard.errors import (BilliardError, DegenerateStationarity,
+                                DescentStalled, OrbitTerminated)
 from refbilliard.variational import _action_hessian
 from reference import search_before
 
@@ -180,6 +182,62 @@ def test_period_one_search_makes_as_many_map_calls_as_before(monkeypatch):
     prof = PerturbationProfile.cos_profile(2, 0.01)
     assert len(find_periodic(0, 1, prof, LIGHT_MASS)) == 4
     assert len(calls) == 76
+
+
+# -- typed failures -----------------------------------------------------------
+
+
+def test_cyclic_solve_raises_on_a_singular_system():
+    # identity tangents: the monodromy M is Id, and M - Id is singular
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DescentStalled, match="singular"):
+        orbits_module._cyclic_solve([eye] * 3, [(1e-3, 0.0)] * 3)
+
+
+def test_kind_and_bound_raises_on_a_link_without_twist():
+    twist, flat = [[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]]
+    with pytest.raises(DegenerateStationarity, match="zero twist"):
+        orbits_module._kind_and_bound([twist, flat])
+
+
+def test_orbit_from_cycle_raises_where_the_orbit_reflects_totally():
+    # light mass, cos 2 xi: the (1, 4) family of largest |I| lies 0.012
+    # below I_c, and from 36 of 64 phases its orbit stops at a total
+    # reflection before closing
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    I_star = min(variational.shift_inverse_all(math.pi / 2, LIGHT_MASS))
+    assert I_star == pytest.approx(-1.40219, abs=1e-5)
+    stopped = 0
+    for j in range(64):
+        try:
+            orbits_module._orbit_from_cycle(-math.pi + math.pi * j / 32,
+                                            I_star, 1, 4, prof, LIGHT_MASS,
+                                            "action-minimizer")
+        except OrbitTerminated as exc:
+            assert "'total_reflection'" in str(exc)
+            stopped += 1
+    assert stopped == 36
+
+
+def test_search_counts_starts_that_do_not_close(monkeypatch, caplog):
+    # every cycle Newton returns is moved by 1e-6 in action, so none closes
+    # within 1e-8: each start fails by ResidualTooLarge
+    real = orbits_module._shoot_cycle
+
+    def moved(*args):
+        xs, Is, tangents = real(*args)
+        return xs, [I + 1e-6 for I in Is], tangents
+
+    monkeypatch.setattr(orbits_module, "_shoot_cycle", moved)
+    prof = PerturbationProfile.cos_profile(2, 0.01)
+    with caplog.at_level(logging.INFO, logger="refbilliard.orbits"):
+        with pytest.raises(DescentStalled, match=(
+                r"^no \(0, 1\) cycle converged from 16 starts; failed: "
+                r"ResidualTooLarge 16$")):
+            find_periodic(0, 1, prof, LIGHT_MASS)
+    assert [r.getMessage() for r in caplog.records] == [
+        "find_periodic(0, 1): 16 starts, 0 converged, 0 merged; failed: "
+        "ResidualTooLarge 16"]
 
 
 @st.composite
