@@ -7,41 +7,71 @@ map and its twist analysis, geometric propagation for perturbed interfaces,
 a variational (generating-function) layer, orbit/periodic-orbit/rotation
 machinery, caustic envelopes, an independent ODE oracle, and a config-driven
 CLI emitting CSV/SVG artifacts.
+
+Importing the package loads no submodule: each name in ``__all__`` is
+imported from its submodule on first access.
 """
 
-from .arcs import ArcSegment, InnerConic, OuterConic
-from .boundary import BoundaryGeometry, PerturbationProfile, boundary
-from .caustics import (CausticCurve, circular_caustic_radii,
-                       envelope_equations, perturbed_caustic, tangency_check)
-from .config import COMMANDS, ConfigError, RunConfig, load_config, \
-    parse_config
-from .errors import (BilliardError, CyclesUnresolved, DegenerateEnvelope,
-                     DegenerateStationarity, DescentStalled, DomainError,
-                     EnergyMismatch, EventDetectionFailed, InsufficientLength,
-                     OrbitTerminated, OutOfActionRange, RangeEmpty,
-                     ResidualTooLarge, ShootingDiverged, SingularityError,
-                     TangentialCrossing, TotalReflectionTermination)
-from .inner import (inner_arc_fixed_ends, kepler_elements,
-                    levi_civita_propagate)
-from .oracle import OracleReturn, ode_return_map
-from .orbits import (CurveProbe, OrbitTrace, PeriodicOrbit, StabilityReport,
-                     curve_eval, cycle_distance, find_periodic,
-                     golden_target, invariant_curve_probe, iterate,
-                     linear_stability, rotation_number)
-from .outer import (outer_arc_fixed_ends, outer_conic_of,
-                    outer_shift_inverse, outer_transit)
-from .params import PhysParams, potential
-from .refraction import (CRITICAL_TOL, RefractionResult, critical_angle,
-                         refract_in, refract_out)
-from .returnmap import (BoundaryState, MapResult, ShiftProfile,
-                        circular_shift, fixed_point_thresholds,
-                        outgoing_state, outgoing_velocity, return_map,
-                        tangent_map, total_shift_grid, twist_at_zero,
-                        twist_critical_set)
-from .variational import (GeneratingEval, discrete_action,
-                          find_nonhomothetic_fixed_point, generating_function,
-                          jacobi_length, shift_inverse_all)
+import sys
+from importlib import import_module
+from types import ModuleType
+
+#: each submodule with the names the package exports from it
+_EXPORTS = {
+    "arcs": "ArcSegment InnerConic OuterConic",
+    "boundary": "BoundaryGeometry PerturbationProfile boundary",
+    "caustics": "CausticCurve circular_caustic_radii envelope_equations "
+    "perturbed_caustic tangency_check",
+    "config": "COMMANDS ConfigError RunConfig load_config parse_config",
+    "errors": "BilliardError CyclesUnresolved DegenerateEnvelope "
+    "DegenerateStationarity DescentStalled DomainError EnergyMismatch "
+    "EventDetectionFailed InsufficientLength OrbitTerminated OutOfActionRange "
+    "RangeEmpty ResidualTooLarge ShootingDiverged SingularityError "
+    "TangentialCrossing TotalReflectionTermination",
+    "inner": "inner_arc_fixed_ends kepler_elements levi_civita_propagate",
+    "oracle": "OracleReturn ode_return_map", "params": "PhysParams potential",
+    "orbits": "CurveProbe OrbitTrace PeriodicOrbit StabilityReport curve_eval "
+    "cycle_distance find_periodic golden_target invariant_curve_probe iterate "
+    "linear_stability rotation_number",
+    "outer": "outer_arc_fixed_ends outer_conic_of outer_shift_inverse "
+    "outer_transit",
+    "refraction": "CRITICAL_TOL RefractionResult critical_angle refract_in "
+    "refract_out",
+    "returnmap": "BoundaryState MapResult ShiftProfile circular_shift "
+    "fixed_point_thresholds outgoing_state outgoing_velocity return_map "
+    "tangent_map total_shift_grid twist_at_zero twist_critical_set",
+    "variational": "GeneratingEval discrete_action "
+    "find_nonhomothetic_fixed_point generating_function jacobi_length "
+    "shift_inverse_all",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({*_EXPORTS, *_OWNER})
+
+
+def __getattr__(name):
+    """Import the submodule that owns ``name`` and bind ``name`` here."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_OWNER.get(name, name)}", __name__)
+    value = getattr(module, name) if name in _OWNER else module
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name, value):
+        # importing the submodule ``boundary`` binds it here; the function
+        # of that name, which the package exports, keeps the attribute
+        if not (isinstance(value, ModuleType) and name in _OWNER):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

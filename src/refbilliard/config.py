@@ -20,10 +20,11 @@ to run with its generic knobs::
     iterations = 400
 
 Fourier coefficients are ``harmonic:weight`` pairs separated by commas; the
-harmonic index is the angular frequency of the term (``fourier_sin`` has
-no harmonic 0, since sin 0 xi = 0).  One table, :data:`_SCHEMA`, declares
-every section and key; unknown sections or keys are rejected with the
-offending location in the message.
+harmonic index is the angular frequency of the term, at most
+:data:`_MAX_HARMONIC` (``fourier_sin`` has no harmonic 0, since
+sin 0 xi = 0).  One table, :data:`_SCHEMA`, declares every section and key;
+unknown sections or keys are rejected with the offending location in the
+message, and every message starts with the source file's name.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from .params import PhysParams
 
 COMMANDS = ("params-report", "shift-profile", "section", "orbit",
             "periodic", "twist", "caustics", "oracle-check")
+
+
+#: the highest harmonic a Fourier key may name; coefficients are stored
+#: dense, one per harmonic up to the highest
+_MAX_HARMONIC = 1024
 
 
 class ConfigError(ValueError):
@@ -105,6 +111,10 @@ def _fourier_of(section: str, key: str, raw: str) -> Tuple[float, ...]:
             raise ConfigError(
                 f"[{section}] {key}: harmonic 0 has no sine term "
                 "(sin 0 xi = 0)")
+        if idx > _MAX_HARMONIC:
+            raise ConfigError(
+                f"[{section}] {key}: harmonic {idx} is above the bound "
+                f"{_MAX_HARMONIC}")
         if idx in terms:
             raise ConfigError(
                 f"[{section}] {key}: harmonic {idx} is given twice")
@@ -130,26 +140,31 @@ _SCHEMA = {
 
 
 def parse_config(text: str, source: str = "<memory>") -> RunConfig:
-    """Build a :class:`RunConfig` from configuration text."""
+    """Build a :class:`RunConfig` from configuration text; every message
+    starts with ``source``."""
     cp = configparser.ConfigParser(interpolation=None)
     # keep key case so diagnostics echo what the user wrote
     cp.optionxform = str
     try:
         cp.read_string(text, source=source)
-    except configparser.Error as exc:
+        return _run_config(cp)
+    except (configparser.Error, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
+
+def _run_config(cp: configparser.ConfigParser) -> RunConfig:
+    """The :class:`RunConfig` that the parsed sections of ``cp`` give."""
     for sec in cp.sections():
         if sec not in _SCHEMA:
-            raise ConfigError(f"{source}: unknown section [{sec}]")
+            raise ConfigError(f"unknown section [{sec}]")
     values = {}
     for sec, keys in _SCHEMA.items():
         if not cp.has_section(sec) and any(r for _, r in keys.values()):
-            raise ConfigError(f"{source}: missing required section [{sec}]")
+            raise ConfigError(f"missing required section [{sec}]")
         for key in cp.options(sec) if cp.has_section(sec) else ():
             if key not in keys:
                 raise ConfigError(
-                    f"{source}: [{sec}] has unknown key {key!r}; allowed: "
+                    f"[{sec}] has unknown key {key!r}; allowed: "
                     f"{', '.join(keys)}")
         values[sec] = {}
         for key, (kind, required) in keys.items():
@@ -157,8 +172,7 @@ def parse_config(text: str, source: str = "<memory>") -> RunConfig:
             # a blank command is no command
             if raw is None or (kind is str and not raw.strip()):
                 if required:
-                    raise ConfigError(
-                        f"{source}: [{sec}] is missing key {key!r}")
+                    raise ConfigError(f"[{sec}] is missing key {key!r}")
                 continue
             values[sec][key] = _value(sec, key, kind, raw)
 
@@ -168,7 +182,7 @@ def parse_config(text: str, source: str = "<memory>") -> RunConfig:
         try:
             built[sec] = cls(**values[sec])
         except DomainError as exc:
-            raise ConfigError(f"{source}: [{sec}] rejected: {exc}") from None
+            raise ConfigError(f"[{sec}] rejected: {exc}") from None
     return RunConfig(**built, **values["command"])
 
 

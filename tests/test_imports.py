@@ -1,9 +1,11 @@
-"""What importing and running the package loads: no scipy module, on import
+"""What importing and running the package loads: no submodule on import, and
+only what a config needs when one is loaded; no scipy module, on import
 or in any CLI command or library path.  The solvers are the package's own
 Brent's method and Newton's, and the ODE oracle is a Taylor integrator in
 numpy with its own root polishing; scipy is a test dependency only, a
 reference for those solvers.  No command loads csv, multiprocessing or
-concurrent.futures."""
+concurrent.futures.  Each export resolves lazily to the object of the
+submodule that defines it."""
 
 import ast
 import glob
@@ -68,6 +70,90 @@ def test_import_does_not_load_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         tmp_path)
     assert out.split() == [refbilliard.__file__, "[]"]
+
+
+def test_import_loads_no_submodule_and_a_config_loads_four(tmp_path):
+    # a cold run that only loads a config imports what the config needs;
+    # an eager import added to the package root fails here
+    (tmp_path / "run.cfg").write_text(CONFIG.format(command="section"))
+    out = _fresh_python(
+        "import sys\nimport refbilliard\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules\n"
+        "                 if m.startswith('refbilliard.')))\n"
+        "loaded()\nrefbilliard.load_config('run.cfg')\nloaded()\n"
+        "print(refbilliard.boundary.__module__)", tmp_path)
+    assert out.splitlines() == [
+        "[]", "['refbilliard.boundary', 'refbilliard.config', "
+        "'refbilliard.errors', 'refbilliard.params']", "refbilliard.boundary"]
+
+
+EXPORTS = [
+    "ArcSegment", "BilliardError", "BoundaryGeometry", "BoundaryState",
+    "COMMANDS", "CRITICAL_TOL", "CausticCurve", "ConfigError", "CurveProbe",
+    "CyclesUnresolved", "DegenerateEnvelope", "DegenerateStationarity",
+    "DescentStalled", "DomainError", "EnergyMismatch", "EventDetectionFailed",
+    "GeneratingEval", "InnerConic", "InsufficientLength", "MapResult",
+    "OracleReturn", "OrbitTerminated", "OrbitTrace", "OutOfActionRange",
+    "OuterConic", "PeriodicOrbit", "PerturbationProfile", "PhysParams",
+    "RangeEmpty", "RefractionResult", "ResidualTooLarge", "RunConfig",
+    "ShiftProfile", "ShootingDiverged", "SingularityError", "StabilityReport",
+    "TangentialCrossing", "TotalReflectionTermination", "arcs", "boundary",
+    "caustics", "circular_caustic_radii", "circular_shift", "config",
+    "critical_angle", "curve_eval", "cycle_distance", "discrete_action",
+    "envelope_equations", "errors", "find_nonhomothetic_fixed_point",
+    "find_periodic", "fixed_point_thresholds", "generating_function",
+    "golden_target", "inner", "inner_arc_fixed_ends", "invariant_curve_probe",
+    "iterate", "jacobi_length", "kepler_elements", "levi_civita_propagate",
+    "linear_stability", "load_config", "ode_return_map", "oracle", "orbits",
+    "outer", "outer_arc_fixed_ends", "outer_conic_of", "outer_shift_inverse",
+    "outer_transit", "outgoing_state", "outgoing_velocity", "params",
+    "parse_config", "perturbed_caustic", "potential", "refract_in",
+    "refract_out", "refraction", "return_map", "returnmap", "rotation_number",
+    "shift_inverse_all", "tangency_check", "tangent_map", "total_shift_grid",
+    "twist_at_zero", "twist_critical_set", "variational"]
+
+
+def _defining_modules(package_dir):
+    """Each public name a submodule of ``package_dir`` binds at top level,
+    with the submodules that bind it."""
+    owners = {}
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            for name in _bound_names(node):
+                owners.setdefault(name, []).append(module)
+    return owners
+
+
+def test_each_export_is_its_defining_submodules_object():
+    assert refbilliard.__all__ == EXPORTS
+    owners = _defining_modules(os.path.dirname(refbilliard.__file__))
+    for name in EXPORTS:
+        value = getattr(refbilliard, name)
+        if name in owners:
+            # a name defined in one submodule only, including the function
+            # boundary, which its submodule of the same name defines
+            [module] = owners[name]
+            assert value is vars(sys.modules[f"refbilliard.{module}"])[name]
+        else:
+            assert value is sys.modules[f"refbilliard.{name}"]
+    assert set(EXPORTS) <= set(dir(refbilliard))
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        getattr(refbilliard, "no_such_export")
+
+
+def test_star_import_binds_every_export_in_a_fresh_interpreter(tmp_path):
+    out = _fresh_python(
+        "import refbilliard\n"
+        "print(sorted(set(refbilliard.__all__) - set(dir(refbilliard))))\n"
+        "from refbilliard import *\n"
+        "print(sorted(name for name in refbilliard.__all__\n"
+        "             if globals().get(name) is not\n"
+        "             getattr(refbilliard, name)))", tmp_path)
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_cli_and_its_commands_load_no_csv_or_process_pool(tmp_path):

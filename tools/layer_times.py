@@ -5,17 +5,24 @@ benchmark's ``section`` seeds (E = 2.5, h = 2, mu = 2, om = 1; 9 seeds from
 I = -0.9 I_c to 0.9 I_c at xi = 0, N returns each, default 400) on
 r = 1 + 0.01 cos 2(xi - 0.7) and on the unit circle, with the ``src`` tree
 next to this script.  Each layer runs over the inputs those returns met;
-the time per call is the minimum over 7 repeats.  Prints one JSON line.
+the time per call is the minimum over 7 repeats.  ``cold_s`` gives the
+seconds of a cold start in a fresh interpreter, the minimum over 5 runs one
+after another: ``import refbilliard`` with ``load_config`` on a ``section``
+config of that wavy profile, and ``import refbilliard.cli``.  Prints one
+JSON line.
 """
 
 import argparse
 import json
 import math
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 from refbilliard import (PerturbationProfile, PhysParams,  # noqa: E402
                          boundary, iterate, levi_civita_propagate,
@@ -41,6 +48,36 @@ def _per_call(fn, calls):
             fn(*args)
         best = min(best, perf_counter() - t)
     return round(1e6 * best / len(calls), 3)
+
+
+#: a ``section`` config of r = 1 + 0.01 cos 2(xi - 0.7)
+CONFIG = ("[params]\nenergy_E = 2.5\noffset_h = 2.0\nmass_mu = 2.0\n"
+          "stiffness_om = 1.0\n[profile]\nepsilon = 0.01\n"
+          f"fourier_cos = 2:{math.cos(1.4)!r}\n"
+          f"fourier_sin = 2:{math.sin(1.4)!r}\n[command]\ncommand = section\n")
+
+#: each cold-start step, run after ``import sys`` with the path of
+#: :data:`CONFIG` as ``sys.argv[1]``
+COLD = {"load_config": "import refbilliard\n"
+                       "refbilliard.load_config(sys.argv[1])",
+        "cli": "import refbilliard.cli"}
+
+
+def _cold_s():
+    """Seconds of each :data:`COLD` step, the minimum over 5 fresh
+    interpreters."""
+    best = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "section.cfg"
+        config.write_text(CONFIG, encoding="utf-8")
+        for key, code in COLD.items():
+            probe = ("import sys, time\nt = time.perf_counter()\n"
+                     f"sys.path.insert(0, {SRC!r})\n{code}\n"
+                     "print(time.perf_counter() - t)")
+            best[key] = min(float(subprocess.run(
+                [sys.executable, "-c", probe, str(config)], check=True,
+                capture_output=True, text=True).stdout) for _ in range(5))
+    return {key: round(t, 4) for key, t in best.items()}
 
 
 def main(argv=None) -> None:
@@ -72,7 +109,8 @@ def main(argv=None) -> None:
         "radius_jet.float": _per_call(wavy.radius_jet,
                                       [(s.xi,) for s in states]),
     }
-    print(json.dumps({"us_per_call": times, "calls": len(states)}))
+    print(json.dumps({"us_per_call": times, "calls": len(states),
+                      "cold_s": _cold_s()}))
 
 
 if __name__ == "__main__":
