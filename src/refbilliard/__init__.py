@@ -7,16 +7,13 @@ map and its twist analysis, geometric propagation for perturbed interfaces,
 a variational (generating-function) layer, orbit/periodic-orbit/rotation
 machinery, caustic envelopes, an independent ODE oracle, and a config-driven
 CLI emitting CSV/SVG artifacts.
-
-Importing the package loads no submodule: each name in ``__all__`` is
-imported from its submodule on first access.
 """
 
-import sys
-from importlib import import_module
-from types import ModuleType
+import sys as _sys
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
-#: each submodule with the names the package exports from it
+#: each submodule and the package exports it defines, imported on first use
 _EXPORTS = {
     "arcs": "ArcSegment InnerConic OuterConic",
     "boundary": "BoundaryGeometry PerturbationProfile boundary",
@@ -52,26 +49,23 @@ __version__ = "0.1.0"
 __all__ = sorted({*_EXPORTS, *_OWNER})
 
 
-def __getattr__(name):
-    """Import the submodule that owns ``name`` and bind ``name`` here."""
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_OWNER.get(name, name)}", __name__)
-    value = getattr(module, name) if name in _OWNER else module
-    globals()[name] = value
-    return value
+class _Package(_ModuleType):
+    def __getattr__(self, name):
+        if name not in __all__:
+            raise AttributeError(f"{__name__} has no attribute {name!r}")
+        module = _import_module(f".{_OWNER.get(name, name)}", __name__)
+        value = getattr(module, name) if name in _OWNER else module
+        setattr(self, name, value)
+        return value
 
+    def __dir__(self):
+        return sorted({*super().__dir__(), *__all__})
 
-def __dir__():
-    return sorted({*globals(), *__all__})
-
-
-class _Package(ModuleType):
     def __setattr__(self, name, value):
-        # importing the submodule ``boundary`` binds it here; the function
-        # of that name, which the package exports, keeps the attribute
-        if not (isinstance(value, ModuleType) and name in _OWNER):
+        # importing the submodule boundary leaves the function bound
+        if not (name in _EXPORTS and name in _OWNER
+                and isinstance(value, _ModuleType)):
             super().__setattr__(name, value)
 
 
-sys.modules[__name__].__class__ = _Package
+_sys.modules[__name__].__class__ = _Package

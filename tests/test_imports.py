@@ -9,6 +9,7 @@ submodule that defines it."""
 
 import ast
 import glob
+import importlib
 import os
 import re
 import subprocess
@@ -149,11 +150,25 @@ def test_star_import_binds_every_export_in_a_fresh_interpreter(tmp_path):
     out = _fresh_python(
         "import refbilliard\n"
         "print(sorted(set(refbilliard.__all__) - set(dir(refbilliard))))\n"
+        "print(sorted(name for name in dir(refbilliard) if name[0] != '_'\n"
+        "             and name not in refbilliard.__all__))\n"
         "from refbilliard import *\n"
         "print(sorted(name for name in refbilliard.__all__\n"
         "             if globals().get(name) is not\n"
         "             getattr(refbilliard, name)))", tmp_path)
-    assert out.splitlines() == ["[]", "[]"]
+    assert out.splitlines() == ["[]", "[]", "[]"]
+
+
+def test_only_the_boundary_submodule_is_kept_off_its_export(monkeypatch):
+    # importing refbilliard.boundary binds the module over the function of
+    # that name; any other value, a module included, is bound as given
+    module = importlib.import_module("refbilliard.boundary")
+    monkeypatch.setattr(refbilliard, "boundary", module)
+    assert refbilliard.boundary is module.boundary
+    monkeypatch.setattr(refbilliard, "iterate", module)
+    assert refbilliard.iterate is module
+    monkeypatch.setattr(refbilliard, "boundary", len)
+    assert refbilliard.boundary is len
 
 
 def test_cli_and_its_commands_load_no_csv_or_process_pool(tmp_path):

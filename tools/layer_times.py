@@ -8,8 +8,8 @@ next to this script.  Each layer runs over the inputs those returns met;
 the time per call is the minimum over 7 repeats.  ``cold_s`` gives the
 seconds of a cold start in a fresh interpreter, the minimum over 5 runs one
 after another: ``import refbilliard`` with ``load_config`` on a ``section``
-config of that wavy profile, and ``import refbilliard.cli``.  Prints one
-JSON line.
+config of that wavy profile, the same with one ``return_map`` after it, and
+``import refbilliard.cli``.  Prints one JSON line.
 """
 
 import argparse
@@ -60,6 +60,11 @@ CONFIG = ("[params]\nenergy_E = 2.5\noffset_h = 2.0\nmass_mu = 2.0\n"
 #: :data:`CONFIG` as ``sys.argv[1]``
 COLD = {"load_config": "import refbilliard\n"
                        "refbilliard.load_config(sys.argv[1])",
+        "return_map": "import refbilliard as rb\n"
+                      "cfg = rb.load_config(sys.argv[1])\n"
+                      "state = rb.outgoing_state(0.0, 0.5, cfg.profile, "
+                      "cfg.params)\nrb.return_map(state, cfg.profile, "
+                      "cfg.params)",
         "cli": "import refbilliard.cli"}
 
 
